@@ -29,14 +29,7 @@ from .constructions import (
 )
 from .errors import ConstructionRefused, ContractError, MalformedInputError, TreeParseError
 from .freecheck import FREE_SUITES, free_check, free_pair_ops, free_suite_carrier
-from .freedend import (
-    FreeDendCarrier,
-    SampledTreeDomain,
-    free_family_ops,
-    free_matching_ops,
-    free_prec,
-    free_succ,
-)
+from .freedend import FreeDendCarrier, SampledTreeDomain
 from .lincomb import LinComb, format_scalar, lc_add, lc_bilinear_extend, lc_scale, parse_scalar
 from .ops import (
     FamilyIndexedOp,

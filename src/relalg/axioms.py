@@ -9,13 +9,13 @@ index structure).  Evaluation is exact; two sides are equal iff their
 normalized linear combinations coincide.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
 from .errors import ContractError
 from .lincomb import LinComb
-from .reports import CheckReport, Counterexample
+from .reports import scan
 from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
 
 # ---------------------------------------------------------------------------
@@ -534,6 +534,33 @@ def _validate_carrier(carrier, suite):
     return ops
 
 
+def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
+    """Instances of each equation in turn: element tuples then index tuples
+    in domain order.  ``per_equation`` counts the instances handed out per
+    equation, including equations reached with none."""
+    for equation in equations:
+        eqid = equation.eqid
+        count = per_equation[eqid] = 0
+        for elems in domain.elements(equation.n_elem):
+            labels = tuple(label for label, _ in elems)
+            elem_env = dict(zip(_VARS, (vec for _, vec in elems)))
+            for idxs in domain.indices(equation.n_idx):
+                idx_env = dict(zip(_IVARS, idxs))
+                count += 1
+                per_equation[eqid] = count
+                yield (
+                    eqid,
+                    labels,
+                    map(domain.index_name, idxs),
+                    eval_expr(equation.lhs, elem_env, idx_env, ops, index, unit_vector),
+                    eval_expr(equation.rhs, elem_env, idx_env, ops, index, unit_vector),
+                )
+
+
+def _show(domain):
+    return lambda vec: vec.to_pairs(domain.render_basis)
+
+
 def check_axioms(carrier, suite, domain, check_name=None):
     """Verify every equation of the suite over the domain, exactly.
 
@@ -542,42 +569,12 @@ def check_axioms(carrier, suite, domain, check_name=None):
     """
     suite = _resolve_suite(suite)
     ops = _validate_carrier(carrier, suite)
-    name = check_name or f"axioms:{suite.name}"
-    index = carrier.index
-    instances = 0
     per_equation = {}
-    for equation in suite.equations:
-        count = 0
-        for elems in domain.elements(equation.n_elem):
-            elem_env = dict(zip(_VARS, (vec for _, vec in elems)))
-            for idxs in domain.indices(equation.n_idx):
-                idx_env = dict(zip(_IVARS, idxs))
-                lhs = eval_expr(equation.lhs, elem_env, idx_env, ops, index, carrier.unit_vector)
-                rhs = eval_expr(equation.rhs, elem_env, idx_env, ops, index, carrier.unit_vector)
-                count += 1
-                if lhs != rhs:
-                    per_equation[equation.eqid] = count
-                    return CheckReport(
-                        check=name,
-                        passed=False,
-                        instances=instances + count,
-                        counterexample=Counterexample(
-                            equation=equation.eqid,
-                            elements=tuple(label for label, _ in elems),
-                            indices=tuple(domain.index_name(i) for i in idxs),
-                            lhs=lhs.to_pairs(domain.render_basis),
-                            rhs=rhs.to_pairs(domain.render_basis),
-                        ),
-                        info={"suite": suite.name, "equation_instances": per_equation},
-                    )
-        per_equation[equation.eqid] = count
-        instances += count
-    return CheckReport(
-        check=name,
-        passed=True,
-        instances=instances,
-        info={"suite": suite.name, "equation_instances": per_equation},
+    instances = _equation_instances(
+        suite.equations, domain, ops, carrier.index, carrier.unit_vector, per_equation
     )
+    report = scan(check_name or f"axioms:{suite.name}", instances, _show(domain))
+    return replace(report, info={"suite": suite.name, "equation_instances": per_equation})
 
 
 def check_rota_baxter(rb, window=None):
@@ -598,30 +595,9 @@ def check_rota_baxter(rb, window=None):
     pre = check_axioms(carrier, "RelAssoc", domain, check_name="rota-baxter:precondition:RelAssoc")
     if not pre.passed:
         return pre
-    ops = {"mul": carrier.op("mul"), "rb": lambda a, x: rb.apply(a, x)}
-    equation = ROTA_BAXTER_EQUATION
-    count = 0
-    for elems in domain.elements(equation.n_elem):
-        elem_env = dict(zip(_VARS, (vec for _, vec in elems)))
-        for idxs in domain.indices(equation.n_idx):
-            idx_env = dict(zip(_IVARS, idxs))
-            lhs = eval_expr(equation.lhs, elem_env, idx_env, ops, index, None)
-            rhs = eval_expr(equation.rhs, elem_env, idx_env, ops, index, None)
-            count += 1
-            if lhs != rhs:
-                return CheckReport(
-                    check="rota-baxter",
-                    passed=False,
-                    instances=count,
-                    counterexample=Counterexample(
-                        equation=equation.eqid,
-                        elements=tuple(label for label, _ in elems),
-                        indices=tuple(domain.index_name(i) for i in idxs),
-                        lhs=lhs.to_pairs(domain.render_basis),
-                        rhs=rhs.to_pairs(domain.render_basis),
-                    ),
-                )
-    return CheckReport(check="rota-baxter", passed=True, instances=count)
+    ops = {"mul": carrier.op("mul"), "rb": rb.apply}
+    instances = _equation_instances((ROTA_BAXTER_EQUATION,), domain, ops, index, None, {})
+    return scan("rota-baxter", instances, _show(domain))
 
 
 def _carrier_basis_names(carrier):
@@ -649,28 +625,24 @@ def check_morphism(f, suite):
         if not rep.passed:
             return rep
     index = source.index
-    n = index.size
-    instances = 0
-    for role in suite.roles:
-        for a, b in product(range(n), repeat=2):
-            ab = index.mul(a, b)
-            for i, j in product(range(source.dim), repeat=2):
-                x = LinComb.single(i)
-                y = LinComb.single(j)
-                lhs = f.apply(ab, source.apply(role, (a, b), x, y))
-                rhs = target.apply(role, (a, b), f.apply(a, x), f.apply(b, y))
-                instances += 1
-                if lhs != rhs:
-                    return CheckReport(
-                        check=f"morphism:{suite.name}",
-                        passed=False,
-                        instances=instances,
-                        counterexample=Counterexample(
-                            equation=f"morphism_{role}",
-                            elements=(source.basis[i], source.basis[j]),
-                            indices=(index.name(a), index.name(b)),
-                            lhs=lhs.to_pairs(lambda k: target.basis[k]),
-                            rhs=rhs.to_pairs(lambda k: target.basis[k]),
-                        ),
+
+    def instances():
+        for role in suite.roles:
+            eqid = f"morphism_{role}"
+            for a, b in product(range(index.size), repeat=2):
+                ab = index.mul(a, b)
+                labels = (index.name(a), index.name(b))
+                for i, j in product(range(source.dim), repeat=2):
+                    x = LinComb.single(i)
+                    y = LinComb.single(j)
+                    yield (
+                        eqid,
+                        (source.basis[i], source.basis[j]),
+                        labels,
+                        f.apply(ab, source.apply(role, (a, b), x, y)),
+                        target.apply(role, (a, b), f.apply(a, x), f.apply(b, y)),
                     )
-    return CheckReport(check=f"morphism:{suite.name}", passed=True, instances=instances)
+
+    return scan(
+        f"morphism:{suite.name}", instances(), lambda vec: vec.to_pairs(target.basis.__getitem__)
+    )

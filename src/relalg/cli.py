@@ -9,6 +9,7 @@ missing roles, non-commutative index for a commutative-only suite).
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import jsonio
 from .axioms import SUITES, check_axioms, check_morphism, check_rota_baxter, finite_domain
@@ -29,10 +30,20 @@ from .errors import ConstructionRefused, ContractError, MalformedInputError
 from .exprs import eval_expression
 from .freecheck import FREE_SUITES, free_check
 from .freedend import FreeDendCarrier
-from .ops import FiniteRelativeAlgebra
+from .ops import FiniteRelativeAlgebra, materialize_pair_op
 from .reports import to_json
 from .semigroups import check_cocycle, check_dimonoid, check_semigroup, dimonoid_from_semigroup
 from .trees import tree_print
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parser():
@@ -62,18 +73,17 @@ def _parser():
 
     p = cmd("check-rb", help="the Rota-Baxter family identity")
     p.add_argument("--rb", required=True, metavar="FILE")
-    p.add_argument("--window", type=int, default=20, metavar="N")
+    p.add_argument("--window", type=_positive_int, default=20, metavar="N")
 
     p = cmd("check-morphism", help="structure preservation for a map family")
     p.add_argument("--morphism", required=True, metavar="FILE")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
 
     p = cmd("derive", help="run a named construction, emit the derived algebra")
-    p.add_argument("--construction", required=True, choices=sorted(CONSTRUCTIONS))
+    p.add_argument("--construction", required=True, choices=sorted(DERIVATIONS))
     p.add_argument("--algebra", metavar="FILE")
     p.add_argument("--cocycle", metavar="FILE")
     p.add_argument("--rb", metavar="FILE")
-    p.add_argument("--window", type=int, default=20, metavar="N")
 
     p = cmd("collapse", help="flatten a finite algebra to an ordinary one")
     p.add_argument("--algebra", required=True, metavar="FILE")
@@ -90,8 +100,8 @@ def _parser():
     p.add_argument("--dimonoid", metavar="FILE")
     p.add_argument("--semigroup", metavar="FILE")
     p.add_argument("--decorations", default="x,y", metavar="X,Y,...")
-    p.add_argument("--samples", type=int, default=200, metavar="N")
-    p.add_argument("--max-vertices", type=int, default=6, metavar="N")
+    p.add_argument("--samples", type=_positive_int, default=200, metavar="N")
+    p.add_argument("--max-vertices", type=_positive_int, default=6, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
 
     return parser
@@ -131,13 +141,7 @@ def _checked_algebra(path):
     pre = check_semigroup(alg.index)
     if pre.passed:
         return alg, None
-    report = type(pre)(
-        check="axioms:precondition:semigroup",
-        passed=False,
-        instances=pre.instances,
-        counterexample=pre.counterexample,
-    )
-    return alg, report
+    return alg, replace(pre, check="axioms:precondition:semigroup")
 
 
 def run_check_semigroup(args):
@@ -189,82 +193,77 @@ def _pair_role(alg, role):
     return family_to_pair(role, alg.op(role))
 
 
-def _derive_dispatch(args):
-    name = args.construction
-    if name in ("cocycle-twist",):
-        alg = jsonio.load_algebra(jsonio.load_file(_require_file(args, "algebra")))
-        cocycle = jsonio.load_cocycle(jsonio.load_file(_require_file(args, "cocycle")))
-        return cocycle_twist(alg, cocycle), []
-    if name == "dend-from-rb":
-        rb = jsonio.load_rota_baxter(jsonio.load_file(_require_file(args, "rb")))
-        if not isinstance(rb.carrier, FiniteRelativeAlgebra):
-            raise ContractError(
-                "dend-from-rb output can only be materialized over a finite carrier; "
-                "use check-rb for the windowed virtual example"
-            )
-        prec, succ = dend_from_rb(rb)
-        return rb.carrier.with_ops(
-            {"prec": _materialized(rb.carrier, prec), "succ": _materialized(rb.carrier, succ)}
-        ), []
-    alg, pre = _checked_algebra(_require_file(args, "algebra"))
-    if pre is not None:
-        raise ConstructionRefused(pre)
-    if name == "assoc-from-dend":
-        mul = assoc_from_dend(_pair_role(alg, "prec"), _pair_role(alg, "succ"))
-        return alg.with_ops({"mul": _materialized(alg, mul)}), []
-    if name == "prelie-from-dend":
-        circ = prelie_from_dend(_pair_role(alg, "prec"), _pair_role(alg, "succ"))
-        return alg.with_ops({"circ": _materialized(alg, circ)}), []
-    if name == "zinbiel-from-symmetric-dend":
-        ast = zinbiel_from_symmetric_dend(
-            _pair_role(alg, "prec"), _pair_role(alg, "succ"), finite_domain(alg)
+def _with_materialized(alg, roles, ops):
+    return alg.with_ops(
+        {role: materialize_pair_op(op, alg.dim, alg.index) for role, op in zip(roles, ops)}
+    )
+
+
+def _derive_cocycle_twist(args):
+    alg = jsonio.load_algebra(jsonio.load_file(_require_file(args, "algebra")))
+    cocycle = jsonio.load_cocycle(jsonio.load_file(_require_file(args, "cocycle")))
+    return cocycle_twist(alg, cocycle)
+
+
+def _derive_dend_from_rb(args):
+    rb = jsonio.load_rota_baxter(jsonio.load_file(_require_file(args, "rb")))
+    if not isinstance(rb.carrier, FiniteRelativeAlgebra):
+        raise ContractError(
+            "dend-from-rb output can only be materialized over a finite carrier; "
+            "use check-rb for the windowed virtual example"
         )
-        return alg.with_ops({"ast": _materialized(alg, ast)}), []
-    if name == "dend-from-zinbiel":
-        prec, succ = dend_from_zinbiel(_pair_role(alg, "ast"))
-        return alg.with_ops(
-            {"prec": _materialized(alg, prec), "succ": _materialized(alg, succ)}
-        ), []
-    if name == "comm-from-zinbiel":
-        mul = comm_from_zinbiel(_pair_role(alg, "ast"))
-        return alg.with_ops({"mul": _materialized(alg, mul)}), []
-    if name == "lie-from-prelie":
-        bracket = lie_from_prelie(_pair_role(alg, "circ"))
-        return alg.with_ops({"bracket": _materialized(alg, bracket)}), []
-    if name == "poisson-from-prepoisson":
-        mul, bracket = poisson_from_prepoisson(
+    return _with_materialized(rb.carrier, ("prec", "succ"), dend_from_rb(rb))
+
+
+def _on_algebra(roles, build):
+    """A derivation from a checked --algebra: ``build`` maps the algebra to
+    the pair-indexed operations, one per role, of the derived algebra."""
+
+    def derive(args):
+        alg, pre = _checked_algebra(_require_file(args, "algebra"))
+        if pre is not None:
+            raise ConstructionRefused(pre)
+        return _with_materialized(alg, roles, build(alg))
+
+    return derive
+
+
+def _dend_pair(alg):
+    return _pair_role(alg, "prec"), _pair_role(alg, "succ")
+
+
+# construction name -> builder of the derived algebra from the parsed arguments
+DERIVATIONS = {
+    "assoc-from-dend": _on_algebra(("mul",), lambda alg: [assoc_from_dend(*_dend_pair(alg))]),
+    "prelie-from-dend": _on_algebra(("circ",), lambda alg: [prelie_from_dend(*_dend_pair(alg))]),
+    "zinbiel-from-symmetric-dend": _on_algebra(
+        ("ast",), lambda alg: [zinbiel_from_symmetric_dend(*_dend_pair(alg), finite_domain(alg))]
+    ),
+    "dend-from-zinbiel": _on_algebra(
+        ("prec", "succ"), lambda alg: dend_from_zinbiel(_pair_role(alg, "ast"))
+    ),
+    "comm-from-zinbiel": _on_algebra(
+        ("mul",), lambda alg: [comm_from_zinbiel(_pair_role(alg, "ast"))]
+    ),
+    "lie-from-prelie": _on_algebra(
+        ("bracket",), lambda alg: [lie_from_prelie(_pair_role(alg, "circ"))]
+    ),
+    "poisson-from-prepoisson": _on_algebra(
+        ("mul", "bracket"),
+        lambda alg: poisson_from_prepoisson(
             _pair_role(alg, "circ"), _pair_role(alg, "ast"), finite_domain(alg)
-        )
-        return alg.with_ops(
-            {"mul": _materialized(alg, mul), "bracket": _materialized(alg, bracket)}
-        ), []
-    raise MalformedInputError(f"unknown construction {name!r}")
-
-
-def _materialized(alg, op):
-    from .ops import materialize_pair_op
-
-    return materialize_pair_op(op, alg.dim, alg.index)
-
-
-CONSTRUCTIONS = (
-    "assoc-from-dend",
-    "prelie-from-dend",
-    "zinbiel-from-symmetric-dend",
-    "dend-from-zinbiel",
-    "comm-from-zinbiel",
-    "lie-from-prelie",
-    "poisson-from-prepoisson",
-    "cocycle-twist",
-    "dend-from-rb",
-)
+        ),
+    ),
+    "cocycle-twist": _derive_cocycle_twist,
+    "dend-from-rb": _derive_dend_from_rb,
+}
 
 
 def run_derive(args):
-    derived, reports = _derive_dispatch(args)
+    derived = DERIVATIONS[args.construction](args)
     return _payload(
         args.command,
-        reports,
+        [],
         construction=args.construction,
         algebra=jsonio.dump_algebra(derived),
     )

@@ -36,15 +36,24 @@ def _require_commutative(index):
     return index
 
 
+# The independence pattern of each single-index role: the position in the
+# index pair that the role reads once lifted to a pair-indexed operation.
+_LIFTED_POSITION = {"prec": 1, "succ": 0, "ast": 0, "circ": 0}
+
+
+def _lifted_position(role):
+    if role not in _LIFTED_POSITION:
+        raise ContractError(f"no pair lifting for role {role!r}")
+    return _LIFTED_POSITION[role]
+
+
 def family_to_pair(role, fam):
     """Lift a single-index operation to a pair-indexed one by the role's
     independence pattern: prec reads the second index, succ / ast / circ read
     the first."""
-    if role == "prec":
+    if _lifted_position(role) == 1:
         return PairIndexedOp(fam.index, lambda a, b, x, y: fam(b, x, y))
-    if role in ("succ", "ast", "circ"):
-        return PairIndexedOp(fam.index, lambda a, b, x, y: fam(a, x, y))
-    raise ContractError(f"no pair lifting for role {role!r}")
+    return PairIndexedOp(fam.index, lambda a, b, x, y: fam(a, x, y))
 
 
 def assoc_from_dend(prec, succ):
@@ -215,12 +224,8 @@ def collapse(alg):
         table = alg.ops[role]
         if alg.role_arity(role) == 1:
             # fold the single-index role through its canonical pair lifting
-            if role == "prec":
-                table = {(a, b): table[(b,)] for a, b in product(range(n), repeat=2)}
-            elif role in ("succ", "ast", "circ"):
-                table = {(a, b): table[(a,)] for a, b in product(range(n), repeat=2)}
-            else:
-                raise ContractError(f"no pair lifting for single-index role {role!r}")
+            position = _lifted_position(role)
+            table = {pair: table[(pair[position],)] for pair in product(range(n), repeat=2)}
         block = [[[0] * big for _ in range(big)] for _ in range(big)]
         for a, b in product(range(n), repeat=2):
             ab = semigroup.mul(a, b)

@@ -1,5 +1,7 @@
 """Axiom checks and derived operation bundles on the free tree carrier."""
 
+from dataclasses import replace
+
 from .axioms import check_axioms
 from .constructions import (
     assoc_from_dend,
@@ -58,24 +60,14 @@ def free_check(carrier, suite_name, samples=200, max_vertices=6, seed=0):
     opc = free_suite_carrier(carrier, suite_name)
     domain = SampledTreeDomain(carrier, opc.index, samples, max_vertices, seed)
     report = check_axioms(opc, suite_name, domain, check_name=f"free-check:{suite_name}")
-    info = dict(report.info)
-    info.update(
-        {
-            "samples": samples,
-            "max_vertices": max_vertices,
-            "seed": seed,
-            "decorations": list(carrier.decorations),
-            "index_elements": list(
-                carrier.dimonoid.elements
-                if suite_name == "DimonoidDendriform"
-                else opc.index.elements
-            ),
-        }
-    )
-    return type(report)(
-        check=report.check,
-        passed=report.passed,
-        instances=report.instances,
-        counterexample=report.counterexample,
-        info=info,
-    )
+    info = {
+        **report.info,
+        "samples": samples,
+        "max_vertices": max_vertices,
+        "seed": seed,
+        "decorations": list(carrier.decorations),
+        "index_elements": list(
+            carrier.dimonoid.elements if suite_name == "DimonoidDendriform" else opc.index.elements
+        ),
+    }
+    return replace(report, info=info)

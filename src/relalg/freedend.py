@@ -185,22 +185,6 @@ class FreeDendCarrier:
         return random_tree_from(rng, self.decorations, self.dimonoid.elements, max_vertices)
 
 
-def free_prec(carrier, s, t, a):
-    return carrier.prec(s, t, a)
-
-
-def free_succ(carrier, s, t, a):
-    return carrier.succ(s, t, a)
-
-
-def free_family_ops(carrier):
-    return carrier.family_ops()
-
-
-def free_matching_ops(carrier):
-    return carrier.matching_ops()
-
-
 class SampledTreeDomain:
     """Seeded random tree tuples with exhaustive index tuples.  Each call to
     ``elements`` replays the same sample stream, so every equation of a suite

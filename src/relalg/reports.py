@@ -4,7 +4,8 @@ Every verification in the package returns a :class:`CheckReport`: a machine
 name for the check, a pass bit, the number of verified instances, and (on
 failure) the first counterexample in the check's deterministic scan order.
 Reports serialize to JSON with a canonical rendering so that identical runs
-produce byte-identical output.
+produce byte-identical output.  :func:`scan` is the one loop that counts a
+check's instances and picks its counterexample.
 """
 
 import json
@@ -61,6 +62,26 @@ class CheckReport:
                 bits.append("elements (" + ", ".join(ce.elements) + ")")
             where = " at " + ", ".join(bits)
         return f"FAIL {self.check}{where}"
+
+
+def scan(check, instances, show):
+    """Verify a stream of ``(equation, elements, indices, lhs, rhs)``
+    instances in the order given and report on it.
+
+    The scan stops at the first instance with ``lhs != rhs``, which becomes
+    the counterexample with both sides rendered by ``show``; the instance
+    count includes it.  ``elements`` and ``indices`` are iterables of labels,
+    read only for the counterexample, so a caller may pass them lazily.
+    """
+    count = 0
+    for equation, elements, indices, lhs, rhs in instances:
+        count += 1
+        if lhs != rhs:
+            counterexample = Counterexample(
+                equation, tuple(elements), tuple(indices), show(lhs), show(rhs)
+            )
+            return CheckReport(check, False, count, counterexample)
+    return CheckReport(check, True, count)
 
 
 def to_json(payload):

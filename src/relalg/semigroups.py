@@ -6,11 +6,12 @@ the algebraic laws themselves are established by the ``check_*`` functions,
 which scan all triples in lexicographic order and report the first violation.
 """
 
+from dataclasses import replace
 from itertools import product
 
 from .errors import ContractError, MalformedInputError
 from .lincomb import format_scalar
-from .reports import CheckReport, Counterexample
+from .reports import scan
 
 
 def _validate_table(table, n, what):
@@ -227,63 +228,22 @@ def check_semigroup(table, window=None):
         if window is None:
             raise ContractError("virtual semigroup check requires a finite window")
         elems = list(window)
-        name = str
-        mul = table.mul
-        unit = table.unit
-        commutative = table.commutative
     else:
         elems = list(table.iter_elements())
-        name = table.name
-        mul = table.mul
-        unit = table.unit
-        commutative = table.claims_commutative
+    mul, name, unit = table.mul, table.name, table.unit
 
-    instances = 0
-    for a, b, c in product(elems, repeat=3):
-        lhs = mul(mul(a, b), c)
-        rhs = mul(a, mul(b, c))
-        instances += 1
-        if lhs != rhs:
-            return CheckReport(
-                check="semigroup",
-                passed=False,
-                instances=instances,
-                counterexample=Counterexample(
-                    equation="associativity",
-                    indices=(name(a), name(b), name(c)),
-                    lhs=name(lhs),
-                    rhs=name(rhs),
-                ),
-            )
-    if unit is not None:
-        for a in elems:
-            for eqn, lhs in (("unit_left", mul(unit, a)), ("unit_right", mul(a, unit))):
-                instances += 1
-                if lhs != a:
-                    return CheckReport(
-                        check="semigroup",
-                        passed=False,
-                        instances=instances,
-                        counterexample=Counterexample(
-                            equation=eqn, indices=(name(a),), lhs=name(lhs), rhs=name(a)
-                        ),
-                    )
-    if commutative:
-        for a, b in product(elems, repeat=2):
-            instances += 1
-            if mul(a, b) != mul(b, a):
-                return CheckReport(
-                    check="semigroup",
-                    passed=False,
-                    instances=instances,
-                    counterexample=Counterexample(
-                        equation="commutativity",
-                        indices=(name(a), name(b)),
-                        lhs=name(mul(a, b)),
-                        rhs=name(mul(b, a)),
-                    ),
-                )
-    return CheckReport(check="semigroup", passed=True, instances=instances)
+    def instances():
+        for a, b, c in product(elems, repeat=3):
+            yield "associativity", (), map(name, (a, b, c)), mul(mul(a, b), c), mul(a, mul(b, c))
+        if unit is not None:
+            for a in elems:
+                yield "unit_left", (), (name(a),), mul(unit, a), a
+                yield "unit_right", (), (name(a),), mul(a, unit), a
+        if table.claims_commutative:
+            for a, b in product(elems, repeat=2):
+                yield "commutativity", (), map(name, (a, b)), mul(a, b), mul(b, a)
+
+    return scan("semigroup", instances(), name)
 
 
 # The five compatibility identities between the two dimonoid products, in the
@@ -300,25 +260,12 @@ _DIMONOID_IDENTITIES = (
 def check_dimonoid(table):
     """The five dimonoid identities over all triples; the counterexample names
     the identity and the lexicographically first violating triple."""
-    n = table.size
-    instances = 0
-    for eqn, law in _DIMONOID_IDENTITIES:
-        for a, b, c in product(range(n), repeat=3):
-            lhs, rhs = law(table.left_mul, table.right_mul, a, b, c)
-            instances += 1
-            if lhs != rhs:
-                return CheckReport(
-                    check="dimonoid",
-                    passed=False,
-                    instances=instances,
-                    counterexample=Counterexample(
-                        equation=eqn,
-                        indices=(table.name(a), table.name(b), table.name(c)),
-                        lhs=table.name(lhs),
-                        rhs=table.name(rhs),
-                    ),
-                )
-    return CheckReport(check="dimonoid", passed=True, instances=instances)
+    instances = (
+        (eqn, (), map(table.name, t), *law(table.left_mul, table.right_mul, *t))
+        for eqn, law in _DIMONOID_IDENTITIES
+        for t in product(range(table.size), repeat=3)
+    )
+    return scan("dimonoid", instances, table.name)
 
 
 def check_cocycle(cocycle):
@@ -326,34 +273,19 @@ def check_cocycle(cocycle):
     re-verified first."""
     base_report = check_semigroup(cocycle.base)
     if not base_report.passed:
-        return CheckReport(
-            check="cocycle",
-            passed=False,
-            instances=base_report.instances,
-            counterexample=base_report.counterexample,
-            info={"precondition": "semigroup"},
-        )
-    n = cocycle.base.size
+        return replace(base_report, check="cocycle", info={"precondition": "semigroup"})
     mul = cocycle.base.mul
-    name = cocycle.base.name
-    instances = 0
-    for a, b, c in product(range(n), repeat=3):
-        lhs = cocycle(a, b) * cocycle(mul(a, b), c)
-        rhs = cocycle(a, mul(b, c)) * cocycle(b, c)
-        instances += 1
-        if lhs != rhs:
-            return CheckReport(
-                check="cocycle",
-                passed=False,
-                instances=instances,
-                counterexample=Counterexample(
-                    equation="cocycle",
-                    indices=(name(a), name(b), name(c)),
-                    lhs=format_scalar(lhs),
-                    rhs=format_scalar(rhs),
-                ),
-            )
-    return CheckReport(check="cocycle", passed=True, instances=instances)
+    instances = (
+        (
+            "cocycle",
+            (),
+            map(cocycle.base.name, (a, b, c)),
+            cocycle(a, b) * cocycle(mul(a, b), c),
+            cocycle(a, mul(b, c)) * cocycle(b, c),
+        )
+        for a, b, c in product(range(cocycle.base.size), repeat=3)
+    )
+    return scan("cocycle", instances, format_scalar)
 
 
 def dimonoid_from_semigroup(table):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -56,6 +58,28 @@ def test_check_algebra_instances():
     report = payload_of(proc)["reports"][0]
     assert report["instances"] == 8
     assert report["passed"] is True
+
+
+FREE_CHECK = ["free-check", "--suite", "RelAssoc", "--semigroup", str(DATA / "zmod2.json")]
+CHECK_RB = ["check-rb", "--rb", str(DATA / "rb_reciprocal.json")]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (FREE_CHECK + ["--samples", "0"], "--samples"),
+        (FREE_CHECK + ["--samples", "-5"], "--samples"),
+        (FREE_CHECK + ["--max-vertices", "0"], "--max-vertices"),
+        (CHECK_RB + ["--window", "0"], "--window"),
+        (CHECK_RB + ["--window", "-3"], "--window"),
+    ],
+)
+def test_counts_below_one_exit_2(args, flag):
+    # a count below 1 would scan nothing and report a vacuous PASS
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert f"argument {flag}: must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_cocycle_and_dimonoid_files():
