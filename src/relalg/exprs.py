@@ -13,14 +13,13 @@ and bracket take an index pair.  Trees use the text form of the trees module
 Scalars are "p/q" with an optional sign; whitespace is insignificant.
 """
 
-from .constructions import assoc_from_dend, lie_from_prelie, prelie_from_dend
 from .errors import TreeParseError
-from .freecheck import free_pair_ops
+from .freecheck import DERIVED_OPS, free_pair_ops
 from .lincomb import LinComb, parse_scalar
 from .trees import _Parser
 
 SINGLE_INDEX_OPS = ("prec", "succ")
-PAIR_INDEX_OPS = ("mul", "circ", "bracket")
+PAIR_INDEX_OPS = tuple(DERIVED_OPS)
 
 
 class _ExprParser(_Parser):
@@ -85,24 +84,20 @@ class _ExprParser(_Parser):
 
 
 def apply_op(carrier, op, indices, x, y):
-    if op == "prec":
-        return carrier.prec(x, y, indices[0])
-    if op == "succ":
-        return carrier.succ(x, y, indices[0])
+    if op in SINGLE_INDEX_OPS:
+        return getattr(carrier, op)(x, y, indices[0])
     prec, succ = free_pair_ops(carrier)
-    if op == "mul":
-        derived = assoc_from_dend(prec, succ)
-    elif op == "circ":
-        derived = prelie_from_dend(prec, succ)
-    else:
-        derived = lie_from_prelie(prelie_from_dend(prec, succ))
+    derived = DERIVED_OPS[op](prec, succ)
     a, b = (prec.index.index_of(name) for name in indices)
     return derived(a, b, x, y)
 
 
 def eval_expression(text, carrier):
     parser = _ExprParser(text, carrier)
-    result = parser.expression()
+    try:
+        result = parser.expression()
+    except RecursionError:
+        raise TreeParseError("nesting too deep", parser.pos) from None
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input after expression")

@@ -30,6 +30,16 @@ def free_pair_ops(carrier):
     return family_to_pair("prec", prec_fam), family_to_pair("succ", succ_fam)
 
 
+# role -> builder of the derived operation from (prec, succ); the names are
+# looked up at call time, so rebinding them (as perfbench/tracing.py does) holds
+DERIVED_OPS = {
+    "mul": lambda prec, succ: assoc_from_dend(prec, succ),
+    "circ": lambda prec, succ: prelie_from_dend(prec, succ),
+    "bracket": lambda prec, succ: lie_from_prelie(prelie_from_dend(prec, succ)),
+}
+DERIVED_SUITES = {"RelAssoc": "mul", "RelPreLie": "circ", "RelLie": "bracket"}
+
+
 def free_suite_carrier(carrier, suite_name):
     """Operation bundle on the free carrier appropriate for the suite, and
     the index structure the suite runs over."""
@@ -40,15 +50,11 @@ def free_suite_carrier(carrier, suite_name):
         prec, succ = carrier.family_ops()
         return OpCarrier(prec.index, {"prec": prec, "succ": succ})
     prec, succ = free_pair_ops(carrier)
-    index = prec.index
     if suite_name == "RelDendriform":
-        return OpCarrier(index, {"prec": prec, "succ": succ})
-    if suite_name == "RelAssoc":
-        return OpCarrier(index, {"mul": assoc_from_dend(prec, succ)})
-    if suite_name == "RelPreLie":
-        return OpCarrier(index, {"circ": prelie_from_dend(prec, succ)})
-    if suite_name == "RelLie":
-        return OpCarrier(index, {"bracket": lie_from_prelie(prelie_from_dend(prec, succ))})
+        return OpCarrier(prec.index, {"prec": prec, "succ": succ})
+    role = DERIVED_SUITES.get(suite_name)
+    if role is not None:
+        return OpCarrier(prec.index, {role: DERIVED_OPS[role](prec, succ)})
     raise ContractError(
         f"suite {suite_name!r} is not available on free carriers "
         f"(choose from {', '.join(FREE_SUITES)})"

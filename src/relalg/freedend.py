@@ -16,7 +16,7 @@ from itertools import product
 from random import Random
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, ZERO
+from .lincomb import LinComb, lc_bilinear_extend
 from .ops import FamilyIndexedOp
 from .semigroups import DimonoidTable, semigroup_from_dimonoid
 from .trees import EMPTY, DecoratedTree, random_tree_from, tree_parse, tree_print
@@ -137,23 +137,13 @@ class FreeDendCarrier:
 
     # -- bilinear operations on linear combinations of trees
 
-    def _extend(self, basis_fn, s, t, a):
-        a = self.index_of(a)
-        acc = {}
-        for bs, cs in s:
-            for bt, ct in t:
-                w = cs * ct
-                for u, m in basis_fn(bs, bt, a):
-                    acc[u] = acc.get(u, ZERO) + w * m
-        return LinComb(acc)
-
     def prec(self, s, t, a):
         """s below t: graft t into the right spine of s."""
-        return self._extend(self._basis_prec, s, t, a)
+        return lc_bilinear_extend(self._basis_prec, s, t, self.index_of(a))
 
     def succ(self, s, t, a):
         """s above t: graft s into the left spine of t."""
-        return self._extend(self._basis_succ, s, t, a)
+        return lc_bilinear_extend(self._basis_succ, s, t, self.index_of(a))
 
     # -- operation bundles
 

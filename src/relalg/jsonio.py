@@ -50,6 +50,16 @@ def _need(obj, key, types, path, optional=False):
     return value
 
 
+def _scalar_row(row, path):
+    """Parse a list of ``"p/q"`` strings; JSON numbers are refused."""
+    for k, c in enumerate(row):
+        if not isinstance(c, str):
+            raise MalformedInputError(
+                f'{path}[{k}]: expected a "p/q" string, got {type(c).__name__}'
+            )
+    return [parse_scalar(c) for c in row]
+
+
 def _int_table(rows, path):
     if not isinstance(rows, list):
         raise MalformedInputError(f"{path}: expected a table")
@@ -119,7 +129,7 @@ def load_cocycle(obj, path="cocycle"):
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise MalformedInputError(f"{path}.values[{i}]: expected a row")
-        values.append([parse_scalar(v) for v in row])
+        values.append(_scalar_row(row, f"{path}.values[{i}]"))
     try:
         return Cocycle(base, values)
     except ValueError as exc:
@@ -153,7 +163,7 @@ def _parse_block(raw, dim, path):
         for j, row in enumerate(plane):
             if not isinstance(row, list):
                 raise MalformedInputError(f"{path}[{i}][{j}]: expected {dim} scalars")
-            rows.append(tuple(parse_scalar(c) for c in row))
+            rows.append(tuple(_scalar_row(row, f"{path}[{i}][{j}]")))
         block.append(tuple(rows))
     return tuple(block)
 
@@ -181,7 +191,7 @@ def load_algebra(obj, path="algebra"):
     if unit_raw is not None:
         if len(unit_raw) != dim:
             raise MalformedInputError(f"{path}.unit: expected {dim} coefficients")
-        unit_vector = LinComb((k, parse_scalar(c)) for k, c in enumerate(unit_raw))
+        unit_vector = LinComb(enumerate(_scalar_row(unit_raw, f"{path}.unit")))
     try:
         return FiniteRelativeAlgebra(basis, semigroup, ops, unit_vector)
     except ValueError as exc:
@@ -222,7 +232,7 @@ def _parse_matrix(raw, rows, cols, path):
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
             raise MalformedInputError(f"{path}[{i}]: expected {cols} scalars")
-        out.append([parse_scalar(c) for c in row])
+        out.append(_scalar_row(row, f"{path}[{i}]"))
     return out
 
 

@@ -150,6 +150,5 @@ def lc_bilinear_extend(f, a, b, *aux):
         for bb, cb in b:
             weight = ca * cb
             for bc, cc in f(ba, bb, *aux):
-                key = bc
-                acc[key] = acc.get(key, ZERO) + weight * cc
+                acc[bc] = acc.get(bc, ZERO) + weight * cc
     return LinComb(acc)

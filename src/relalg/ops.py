@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, ZERO
+from .lincomb import LinComb, ZERO, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
 
@@ -86,9 +86,11 @@ class FiniteRelativeAlgebra:
     ``ops`` maps a role name to a dict keyed by index tuples: pairs ``(i, j)``
     for pair-indexed roles, singletons ``(i,)`` for family-indexed roles.
     Block ``[i][j][k]`` is the coefficient of basis element k in (e_i op e_j).
+    ``apply`` reads the same constants from ``_products``, which keeps only
+    the nonzero ``(k, coeff)`` terms of each product.
     """
 
-    __slots__ = ("basis", "index", "ops", "unit_vector")
+    __slots__ = ("basis", "index", "ops", "unit_vector", "_products")
 
     def __init__(self, basis, index, ops, unit_vector=None):
         basis = tuple(str(b) for b in basis)
@@ -123,6 +125,16 @@ class FiniteRelativeAlgebra:
         self.basis = basis
         self.index = index
         self.ops = clean
+        self._products = {
+            role: {
+                key: tuple(
+                    tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+                    for plane in block
+                )
+                for key, block in table.items()
+            }
+            for role, table in clean.items()
+        }
         if unit_vector is not None and not isinstance(unit_vector, LinComb):
             unit_vector = LinComb(enumerate(unit_vector))
         self.unit_vector = unit_vector
@@ -138,24 +150,9 @@ class FiniteRelativeAlgebra:
         table = self.ops[role]
         return len(next(iter(table)))
 
-    def basis_comb(self, i):
-        return LinComb.single(i)
-
-    def basis_name(self, i):
-        return self.basis[i]
-
     def apply(self, role, idx, x, y):
         """Apply a role at a fixed index tuple to two vectors."""
-        block = self.ops[role][idx]
-        acc = {}
-        for i, ci in x:
-            for j, cj in y:
-                w = ci * cj
-                row = block[i][j]
-                for k, ck in enumerate(row):
-                    if ck != 0:
-                        acc[k] = acc.get(k, ZERO) + w * ck
-        return LinComb(acc)
+        return lc_bilinear_extend(_product, x, y, self._products[role][idx])
 
     def op(self, role):
         if role not in self.ops:
@@ -175,6 +172,10 @@ class FiniteRelativeAlgebra:
         return FiniteRelativeAlgebra(
             self.basis, self.index, ops, self.unit_vector if unit_vector is None else unit_vector
         )
+
+
+def _product(i, j, products):
+    return products[i][j]
 
 
 def materialize_pair_op(op, dim, index):

@@ -170,7 +170,10 @@ def tree_parse(text, vertex_labels=None, edge_labels=None):
     """Parse the text form; optional label sets make undeclared labels an
     error.  The whole input must be consumed."""
     parser = _Parser(text, vertex_labels, edge_labels)
-    result = parser.tree()
+    try:
+        result = parser.tree()
+    except RecursionError:
+        raise TreeParseError("nesting too deep", parser.pos) from None
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input after tree")

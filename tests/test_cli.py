@@ -219,6 +219,30 @@ def test_free_eval_base_case_and_scaling():
     assert payload_of(proc)["terms"] == [["1/1", "x[, 0: y[]]"]]
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["x[0: " * 3000 + "x[]" + "]" * 3000, "prec(0, x[], " * 2000 + "x[]" + ")" * 2000],
+    ids=["tree", "calls"],
+)
+def test_deep_nesting_exits_2(expr):
+    proc = run_cli(
+        "free-eval", "--semigroup", str(DATA / "zmod2.json"), "--decorations", "x", "--expr", expr
+    )
+    assert proc.returncode == 2
+    assert "nesting too deep" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_number_scalar_exits_2(tmp_path):
+    doc = json.loads((DATA / "cocycle_algebra.json").read_text())
+    doc["unit"] = [1]
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check-algebra", "--algebra", str(path), "--suite", "RelAssoc")
+    assert proc.returncode == 2
+    assert 'algebra.unit[0]: expected a "p/q" string' in proc.stderr
+
+
 def test_free_eval_errors():
     proc = run_cli("free-eval", "--expr", "prec(q, x[], y[])", "--dimonoid", str(DATA / "matching2.json"))
     assert proc.returncode == 2

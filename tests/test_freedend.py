@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -215,6 +216,14 @@ def test_zero_input_bilinearity(free_zmod2):
     assert free_zmod2.succ(X, LinComb.zero(), "0").is_zero()
     two = X.scale(2)
     assert free_zmod2.prec(two, Y, "1") == free_zmod2.prec(X, Y, "1").scale(2)
+    # linear in each argument on two-term combinations
+    half = Fraction(-1, 2)
+    pair = X + Y.scale(half)
+    t = single(free_zmod2.parse("y[1: x[], 0: x[]]"))
+    for op in (free_zmod2.prec, free_zmod2.succ):
+        for a in ("0", "1"):
+            assert op(pair, t, a) == op(X, t, a) + op(Y, t, a).scale(half)
+            assert op(t, pair, a) == op(t, X, a) + op(t, Y, a).scale(half)
 
 
 def test_tree_lincomb_serialization_roundtrip(free_zmod2):

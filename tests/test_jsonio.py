@@ -159,6 +159,36 @@ def test_morphism_loader():
         load_morphism(doc)
 
 
+def _numeric_docs():
+    doc = cocycle_algebra_doc()
+    doc["ops"]["mul"]["(1,1)"] = [[[-1]]]
+    yield load_algebra, doc, r"algebra\.ops\.mul\.\(1,1\)\[0\]\[0\]\[0\]"
+    doc = cocycle_algebra_doc()
+    doc["unit"] = [0.1]
+    yield load_algebra, doc, r"algebra\.unit\[0\]"
+    doc = dict(ZMOD2, values=[["1/1", "1/1"], ["1/1", -1]])
+    yield load_cocycle, doc, r"cocycle\.values\[1\]\[1\]"
+    doc = {"algebra": cocycle_algebra_doc(), "maps": {"0": [["0/1"]], "1": [[0]]}}
+    yield load_rota_baxter, doc, r"rb\.maps\.1\[0\]\[0\]"
+    doc = {
+        "source": cocycle_algebra_doc(),
+        "target": cocycle_algebra_doc(),
+        "maps": {"0": [[1.0]], "1": [["-1/1"]]},
+    }
+    yield load_morphism, doc, r"morphism\.maps\.0\[0\]\[0\]"
+
+
+@pytest.mark.parametrize(
+    "loader, doc, where",
+    list(_numeric_docs()),
+    ids=["block", "unit", "cocycle", "rb-map", "morphism-map"],
+)
+def test_json_number_scalars_rejected(loader, doc, where):
+    # scalars are "p/q" strings; a JSON number is refused with its path
+    with pytest.raises(MalformedInputError, match=where + ': expected a "p/q" string'):
+        loader(doc)
+
+
 def test_load_file_errors(tmp_path):
     with pytest.raises(MalformedInputError):
         load_file(tmp_path / "missing.json")

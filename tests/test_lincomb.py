@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relalg import LinComb, format_scalar, lc_add, lc_bilinear_extend, lc_scale, parse_scalar
+from relalg import (
+    FiniteRelativeAlgebra,
+    LinComb,
+    cyclic_monoid,
+    format_scalar,
+    lc_add,
+    lc_bilinear_extend,
+    lc_scale,
+    parse_scalar,
+)
 from relalg.errors import MalformedInputError
 
 scalars = st.fractions(min_value=-100, max_value=100, max_denominator=100)
@@ -97,6 +106,34 @@ def test_bilinear_linearity_each_argument(a1, a2, b):
     right = lc_bilinear_extend(f, b, a1 + a2)
     rsplit = lc_bilinear_extend(f, b, a1) + lc_bilinear_extend(f, b, a2)
     assert right == rsplit
+
+
+DIM = 3
+# structure constants with plenty of zeros, and vectors with at least two terms
+small = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
+entries = st.one_of(st.just(Fraction(0)), small)
+constants = st.lists(entries, min_size=DIM**3, max_size=DIM**3).map(
+    lambda flat: tuple(
+        tuple(tuple(flat[(i * DIM + j) * DIM:(i * DIM + j + 1) * DIM]) for j in range(DIM))
+        for i in range(DIM)
+    )
+)
+vectors = st.dictionaries(
+    st.integers(0, DIM - 1), scalars.filter(bool), min_size=2, max_size=DIM
+).map(LinComb)
+
+
+@given(st.lists(constants, min_size=2, max_size=2), vectors, vectors)
+def test_finite_apply_matches_dense_reference(blocks, x, y):
+    keys = [(0,), (1,)]
+    ops = {"ast": dict(zip(keys, blocks))}
+    alg = FiniteRelativeAlgebra(["u", "v", "w"], cyclic_monoid(2), ops)
+    for key, block in zip(keys, blocks):
+        dense = [
+            sum(x.coeff(i) * y.coeff(j) * block[i][j][k] for i in range(DIM) for j in range(DIM))
+            for k in range(DIM)
+        ]
+        assert alg.apply("ast", key, x, y) == LinComb(enumerate(dense))
 
 
 @given(combs)
