@@ -19,6 +19,7 @@ from relalg import (
     cocycle_twist,
     collapse,
     comm_from_zinbiel,
+    cyclic_monoid,
     dend_from_rb,
     dend_from_zinbiel,
     family_to_pair,
@@ -199,6 +200,54 @@ def test_lifted_zinbiel_convention_is_forced(reciprocal_zinbiel):
         OpCarrier(index, {"prec": unswapped, "succ": succ}), "RelDendriform", dom
     )
     assert not report.passed
+
+
+# -- a family algebra is a relative algebra read through the lifting
+
+
+FAMILY_ROLES = {
+    "Dendriform": ("prec", "succ"),
+    "PreLie": ("circ",),
+    "PrePoisson": ("ast", "circ"),
+    "Zinbiel": ("ast",),
+}
+
+
+def random_family_algebra(rng, roles):
+    """Over Z/1..Z/3 at dim 1..2; each block has at most two entries +-1, so
+    both outcomes of every suite occur."""
+    n, dim = rng.randint(1, 3), rng.randint(1, 2)
+    cells = list(product(range(dim), repeat=3))
+
+    def block():
+        entries = {t: rng.choice((1, -1)) for t in rng.sample(cells, rng.randint(0, min(2, dim**3)))}
+        return tuple(
+            tuple(tuple(Fraction(entries.get((i, j, k), 0)) for k in range(dim)) for j in range(dim))
+            for i in range(dim)
+        )
+
+    ops = {role: {(a,): block() for a in range(n)} for role in roles}
+    return FiniteRelativeAlgebra([f"e{i}" for i in range(dim)], cyclic_monoid(n), ops)
+
+
+@pytest.mark.parametrize("structure", sorted(FAMILY_ROLES))
+def test_family_passes_iff_pair_lifting_passes(structure):
+    # FamX holds iff the family_to_pair lifting satisfies RelX, and a failure
+    # is found in the same equation on both sides
+    roles = FAMILY_ROLES[structure]
+    rng = Random(0)
+    outcomes = set()
+    for _ in range(300):
+        alg = random_family_algebra(rng, roles)
+        domain = finite_domain(alg)
+        fam = check_axioms(alg.as_carrier(), f"Fam{structure}", domain)
+        lifted = OpCarrier(alg.index, {r: family_to_pair(r, alg.op(r)) for r in roles})
+        rel = check_axioms(lifted, f"Rel{structure}", domain)
+        assert fam.passed == rel.passed
+        if not fam.passed:
+            assert fam.counterexample.equation == rel.counterexample.equation
+        outcomes.add(fam.passed)
+    assert outcomes == {False, True}
 
 
 # -- cocycle twist

@@ -153,6 +153,66 @@ def test_check_axioms_records_equation_with_no_instances():
     assert_report(check_axioms(alg.as_carrier(), "RelComm", domain), expected)
 
 
+def family_algebra(**products):
+    """Basis e, f over Z/2 with family-indexed roles: ``products[role][a]``
+    lists the (i, j, k) with b_i op_a b_j = b_k; every other product is 0."""
+    def block(triples):
+        return tuple(
+            tuple(tuple(F1 if (i, j, k) in triples else F0 for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    ops = {role: {(a,): block(by_index[a]) for a in range(2)} for role, by_index in products.items()}
+    return FiniteRelativeAlgebra(["e", "f"], cyclic_monoid(2), ops)
+
+
+def check_family(alg, suite):
+    return check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+
+
+def test_fam_dendriform_fails_in_third_equation():
+    # prec_0: f.f = f and succ_1: f.e = e; dend1 and dend2 hold on all 32
+    # instances, dend3 first fails at (f, f, e) with a = 1, b = 0, where
+    # succ_1(prec_0(f, f), e) = e but succ_1(f, succ_0(f, e)) = 0
+    alg = family_algebra(prec=[{(1, 1, 1)}, set()], succ=[set(), {(1, 0, 0)}])
+    expected = failure(
+        "axioms:FamDendriform", 91, "dend3", ["1", "0"], [["1/1", "e"]], [],
+        elements=["f", "f", "e"],
+        info={
+            "equation_instances": {"dend1": 32, "dend2": 32, "dend3": 27},
+            "suite": "FamDendriform",
+        },
+    )
+    assert_report(check_family(alg, "FamDendriform"), expected)
+
+
+def test_fam_prelie_reads_two_indices():
+    # circ_0: e.e = e and circ_1: f.f = f; the family pre-Lie identity has
+    # two index variables, so the first failure is the 30th instance
+    alg = family_algebra(circ=[{(0, 0, 0)}, {(1, 1, 1)}])
+    expected = failure(
+        "axioms:FamPreLie", 30, "prelie", ["0", "1"], [], [["-1/1", "f"]],
+        elements=["f", "f", "f"],
+        info={"equation_instances": {"prelie": 30}, "suite": "FamPreLie"},
+    )
+    assert_report(check_family(alg, "FamPreLie"), expected)
+
+
+def test_fam_prepoisson_zero_ast_fails_at_prelie():
+    # ast = 0 satisfies both zinbiel identities (32 instances each); the
+    # circ of the pre-Lie case then fails the pre-Lie identity
+    alg = family_algebra(ast=[set(), set()], circ=[{(0, 0, 0)}, {(1, 1, 1)}])
+    expected = failure(
+        "axioms:FamPrePoisson", 94, "prelie", ["0", "1"], [], [["-1/1", "f"]],
+        elements=["f", "f", "f"],
+        info={
+            "equation_instances": {"prelie": 30, "zinbiel": 32, "zinbiel_swap": 32},
+            "suite": "FamPrePoisson",
+        },
+    )
+    assert_report(check_family(alg, "FamPrePoisson"), expected)
+
+
 def test_cli_index_precondition_report(tmp_path, capsys):
     doc = dump_algebra(left_projection_algebra())
     doc["semigroup"]["product"] = [[0, 1], [0, 0]]
