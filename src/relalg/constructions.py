@@ -13,7 +13,19 @@ report, if it does not hold.
 
 from itertools import product
 
-from .axioms import Equation, Suite, app, check_axioms, check_rota_baxter, finite_domain, A, B, X, Y
+from .axioms import (
+    Equation,
+    Suite,
+    app,
+    check_axioms,
+    check_rota_baxter,
+    finite_domain,
+    lifted_position,
+    A,
+    B,
+    X,
+    Y,
+)
 from .errors import ConstructionRefused, ContractError
 from .lincomb import LinComb
 from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
@@ -36,22 +48,11 @@ def _require_commutative(index):
     return index
 
 
-# The independence pattern of each single-index role: the position in the
-# index pair that the role reads once lifted to a pair-indexed operation.
-_LIFTED_POSITION = {"prec": 1, "succ": 0, "ast": 0, "circ": 0}
-
-
-def _lifted_position(role):
-    if role not in _LIFTED_POSITION:
-        raise ContractError(f"no pair lifting for role {role!r}")
-    return _LIFTED_POSITION[role]
-
-
 def family_to_pair(role, fam):
     """Lift a single-index operation to a pair-indexed one by the role's
     independence pattern: prec reads the second index, succ / ast / circ read
     the first."""
-    if _lifted_position(role) == 1:
+    if lifted_position(role) == 1:
         return PairIndexedOp(fam.index, lambda a, b, x, y: fam(b, x, y))
     return PairIndexedOp(fam.index, lambda a, b, x, y: fam(a, x, y))
 
@@ -224,7 +225,7 @@ def collapse(alg):
         table = alg.ops[role]
         if alg.role_arity(role) == 1:
             # fold the single-index role through its canonical pair lifting
-            position = _lifted_position(role)
+            position = lifted_position(role)
             table = {pair: table[(pair[position],)] for pair in product(range(n), repeat=2)}
         block = [[[0] * big for _ in range(big)] for _ in range(big)]
         for a, b in product(range(n), repeat=2):
