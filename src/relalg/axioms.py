@@ -179,7 +179,7 @@ def family_form(equation):
     """The single-index reading of a pair-indexed equation.  The index
     variables left are renamed a, b, ... in their original order."""
     used = set()
-    for side in (equation.lhs, equation.rhs):
+    for side in (equation.lhs, equation.rhs):  # first pass: note the variables kept
         _family_expr(side, lambda name: used.add(name) or name)
     names = dict(zip(sorted(used), _IVARS))
     lhs, rhs = (_family_expr(side, names.__getitem__) for side in (equation.lhs, equation.rhs))

@@ -51,13 +51,19 @@ def _need(obj, key, types, path, optional=False):
 
 
 def _scalar_row(row, path):
-    """Parse a list of ``"p/q"`` strings; JSON numbers are refused."""
+    """Parse a list of ``"p/q"`` strings; JSON numbers and unparsable strings
+    are refused with the entry's path."""
+    out = []
     for k, c in enumerate(row):
         if not isinstance(c, str):
             raise MalformedInputError(
                 f'{path}[{k}]: expected a "p/q" string, got {type(c).__name__}'
             )
-    return [parse_scalar(c) for c in row]
+        try:
+            out.append(parse_scalar(c))
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"{path}[{k}]: {exc}") from None
+    return out
 
 
 def _int_table(rows, path):
@@ -80,7 +86,7 @@ def load_semigroup(obj, path="semigroup"):
     elements = _need(obj, "elements", list, path)
     table = _int_table(_need(obj, "product", list, path), f"{path}.product")
     unit_name = _need(obj, "unit", str, path, optional=True)
-    commutative = bool(obj.get("commutative", False))
+    commutative = _need(obj, "commutative", bool, path, optional=True)
     try:
         semigroup = SemigroupTable(
             elements,

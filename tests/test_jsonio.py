@@ -159,34 +159,53 @@ def test_morphism_loader():
         load_morphism(doc)
 
 
-def _numeric_docs():
+def _bad_scalar_docs():
+    expected = 'expected a "p/q" string'
     doc = cocycle_algebra_doc()
     doc["ops"]["mul"]["(1,1)"] = [[[-1]]]
-    yield load_algebra, doc, r"algebra\.ops\.mul\.\(1,1\)\[0\]\[0\]\[0\]"
+    yield load_algebra, doc, r"algebra\.ops\.mul\.\(1,1\)\[0\]\[0\]\[0\]", expected
     doc = cocycle_algebra_doc()
     doc["unit"] = [0.1]
-    yield load_algebra, doc, r"algebra\.unit\[0\]"
+    yield load_algebra, doc, r"algebra\.unit\[0\]", expected
     doc = dict(ZMOD2, values=[["1/1", "1/1"], ["1/1", -1]])
-    yield load_cocycle, doc, r"cocycle\.values\[1\]\[1\]"
+    yield load_cocycle, doc, r"cocycle\.values\[1\]\[1\]", expected
     doc = {"algebra": cocycle_algebra_doc(), "maps": {"0": [["0/1"]], "1": [[0]]}}
-    yield load_rota_baxter, doc, r"rb\.maps\.1\[0\]\[0\]"
+    yield load_rota_baxter, doc, r"rb\.maps\.1\[0\]\[0\]", expected
     doc = {
         "source": cocycle_algebra_doc(),
         "target": cocycle_algebra_doc(),
         "maps": {"0": [[1.0]], "1": [["-1/1"]]},
     }
-    yield load_morphism, doc, r"morphism\.maps\.0\[0\]\[0\]"
+    yield load_morphism, doc, r"morphism\.maps\.0\[0\]\[0\]", expected
+    doc = cocycle_algebra_doc()
+    doc["ops"]["mul"]["(1,1)"] = [[["1/0"]]]
+    yield load_algebra, doc, r"algebra\.ops\.mul\.\(1,1\)\[0\]\[0\]\[0\]", "bad scalar '1/0'"
+    doc = cocycle_algebra_doc()
+    doc["unit"] = ["abc"]
+    yield load_algebra, doc, r"algebra\.unit\[0\]", "bad scalar 'abc'"
 
 
 @pytest.mark.parametrize(
-    "loader, doc, where",
-    list(_numeric_docs()),
-    ids=["block", "unit", "cocycle", "rb-map", "morphism-map"],
+    "loader, doc, where, message",
+    list(_bad_scalar_docs()),
+    ids=["block", "unit", "cocycle", "rb-map", "morphism-map", "block-1-over-0", "unit-abc"],
 )
-def test_json_number_scalars_rejected(loader, doc, where):
-    # scalars are "p/q" strings; a JSON number is refused with its path
-    with pytest.raises(MalformedInputError, match=where + ': expected a "p/q" string'):
+def test_json_number_scalars_rejected(loader, doc, where, message):
+    # scalars are "p/q" strings; a JSON number or an unparsable string is
+    # refused with its path
+    with pytest.raises(MalformedInputError, match=where + ": " + message):
         loader(doc)
+
+
+def test_commutative_must_be_boolean():
+    # bool("false") is true: a string must not be read as a commutativity claim
+    with pytest.raises(MalformedInputError, match=r"^semigroup\.commutative: wrong type str$"):
+        load_semigroup(dict(ZMOD2, commutative="false"))
+    doc = cocycle_algebra_doc()
+    doc["semigroup"] = dict(ZMOD2, commutative="false")
+    nested = r"^algebra\.semigroup\.commutative: wrong type str$"
+    with pytest.raises(MalformedInputError, match=nested):
+        load_algebra(doc)
 
 
 def test_load_file_errors(tmp_path):
