@@ -26,7 +26,7 @@ from .axioms import (
     X,
     Y,
 )
-from .errors import ConstructionRefused, ContractError
+from .errors import ContractError, require
 from .lincomb import LinComb
 from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
 from .semigroups import check_cocycle, trivial_monoid
@@ -103,9 +103,7 @@ def check_family_symmetric(prec, succ, domain):
 def zinbiel_from_symmetric_dend(prec, succ, domain):
     """ast = succ, legitimate when succ is prec composed with the swap; the
     hypothesis is verified on the given domain before construction."""
-    report = check_pair_symmetric(prec, succ, domain)
-    if not report.passed:
-        raise ConstructionRefused(report)
+    require(check_pair_symmetric(prec, succ, domain))
     return PairIndexedOp(succ.index, succ.fn)
 
 
@@ -136,14 +134,14 @@ def poisson_from_prepoisson(circ, ast, domain):
     """The symmetrized zinbiel product together with the pre-Lie commutator;
     the pre-Poisson axioms are verified on the domain first."""
     index = _require_commutative(_common_index(circ, ast))
-    report = check_axioms(
-        OpCarrier(index, {"ast": ast, "circ": circ}),
-        "RelPrePoisson",
-        domain,
-        check_name="construction:poisson-from-prepoisson:precondition",
+    require(
+        check_axioms(
+            OpCarrier(index, {"ast": ast, "circ": circ}),
+            "RelPrePoisson",
+            domain,
+            check_name="construction:poisson-from-prepoisson:precondition",
+        )
     )
-    if not report.passed:
-        raise ConstructionRefused(report)
     return comm_from_zinbiel(ast), lie_from_prelie(circ)
 
 
@@ -158,17 +156,15 @@ def cocycle_twist(base, cocycle):
     if len(blocks) != 1:
         raise ContractError("cocycle twist needs an index-independent product")
     block = blocks.pop()
-    assoc = check_axioms(
-        base.as_carrier(("mul",)),
-        "RelAssoc",
-        finite_domain(base),
-        check_name="construction:cocycle-twist:precondition:RelAssoc",
+    require(
+        check_axioms(
+            base.as_carrier(("mul",)),
+            "RelAssoc",
+            finite_domain(base),
+            check_name="construction:cocycle-twist:precondition:RelAssoc",
+        )
     )
-    if not assoc.passed:
-        raise ConstructionRefused(assoc)
-    creport = check_cocycle(cocycle)
-    if not creport.passed:
-        raise ConstructionRefused(creport)
+    require(check_cocycle(cocycle))
     semigroup = cocycle.base
     ops = {}
     for a, b in product(range(semigroup.size), repeat=2):
@@ -192,9 +188,7 @@ def cocycle_twist(base, cocycle):
 def dend_from_rb(rb, window=None):
     """prec(a,b)(x,y) = x . R_b(y) and succ(a,b)(x,y) = R_a(x) . y; the
     Rota-Baxter identity is verified (on the window, when virtual) first."""
-    report = check_rota_baxter(rb, window=window)
-    if not report.passed:
-        raise ConstructionRefused(report)
+    require(check_rota_baxter(rb, window=window))
     mul = rb.carrier.op("mul")
     index = mul.index
     prec = PairIndexedOp(index, lambda a, b, x, y: mul(a, b, x, rb.apply(b, y)))

@@ -25,3 +25,11 @@ class ConstructionRefused(Exception):
     def __init__(self, report):
         super().__init__(f"construction refused: {report.check}")
         self.report = report
+
+
+def require(report):
+    """The one refusal path: ``report`` if it passed, otherwise
+    :class:`ConstructionRefused` carrying it."""
+    if not report.passed:
+        raise ConstructionRefused(report)
+    return report

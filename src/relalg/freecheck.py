@@ -72,8 +72,6 @@ def free_check(carrier, suite_name, samples=200, max_vertices=6, seed=0):
         "max_vertices": max_vertices,
         "seed": seed,
         "decorations": list(carrier.decorations),
-        "index_elements": list(
-            carrier.dimonoid.elements if suite_name == "DimonoidDendriform" else opc.index.elements
-        ),
+        "index_elements": list(opc.index.elements),
     }
     return replace(report, info=info)

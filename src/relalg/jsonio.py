@@ -50,6 +50,18 @@ def _need(obj, key, types, path, optional=False):
     return value
 
 
+def _names(obj, key, path):
+    """The list of names under ``key``; a name that is not a JSON string is
+    refused with its path."""
+    names = _need(obj, key, list, path)
+    for k, name in enumerate(names):
+        if not isinstance(name, str):
+            raise MalformedInputError(
+                f"{path}.{key}[{k}]: expected a string, got {type(name).__name__}"
+            )
+    return names
+
+
 def _scalar_row(row, path):
     """Parse a list of ``"p/q"`` strings; JSON numbers and unparsable strings
     are refused with the entry's path."""
@@ -83,20 +95,21 @@ def _int_table(rows, path):
 def load_semigroup(obj, path="semigroup"):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{path}: expected an object")
-    elements = _need(obj, "elements", list, path)
+    elements = _names(obj, "elements", path)
     table = _int_table(_need(obj, "product", list, path), f"{path}.product")
     unit_name = _need(obj, "unit", str, path, optional=True)
     commutative = _need(obj, "commutative", bool, path, optional=True)
+    if unit_name is not None and unit_name not in elements:
+        raise MalformedInputError(f"{path}.unit: unknown element {unit_name!r}")
     try:
-        semigroup = SemigroupTable(
+        return SemigroupTable(
             elements,
             table,
-            unit=None if unit_name is None else [str(e) for e in elements].index(str(unit_name)),
+            unit=None if unit_name is None else elements.index(unit_name),
             commutative=commutative,
         )
     except ValueError as exc:
         raise MalformedInputError(f"{path}: {exc}") from None
-    return semigroup
 
 
 def dump_semigroup(semigroup):
@@ -111,7 +124,7 @@ def dump_semigroup(semigroup):
 def load_dimonoid(obj, path="dimonoid"):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{path}: expected an object")
-    elements = _need(obj, "elements", list, path)
+    elements = _names(obj, "elements", path)
     left = _int_table(_need(obj, "left", list, path), f"{path}.left")
     right = _int_table(_need(obj, "right", list, path), f"{path}.right")
     try:
@@ -178,7 +191,7 @@ def load_algebra(obj, path="algebra"):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{path}: expected an object")
     dim = _need(obj, "dim", int, path)
-    basis = _need(obj, "basis", list, path)
+    basis = _names(obj, "basis", path)
     if len(basis) != dim:
         raise MalformedInputError(f"{path}.basis: expected {dim} names, got {len(basis)}")
     semigroup = load_semigroup(_need(obj, "semigroup", dict, path), f"{path}.semigroup")

@@ -26,42 +26,26 @@ def _validate_table(table, n, what):
     return tuple(tuple(row) for row in table)
 
 
-class SemigroupTable:
-    """Finite magma table claiming associativity; ``check_semigroup`` decides."""
+class _FiniteTable:
+    """Distinct named elements 0..size-1, immutable once built; the shared
+    part of the finite index tables."""
 
-    __slots__ = ("elements", "product", "unit", "claims_commutative")
+    __slots__ = ("elements",)
 
-    def __init__(self, elements, table, unit=None, commutative=False):
+    def __init__(self, elements, kind):
         elements = tuple(str(e) for e in elements)
         if not elements:
-            raise MalformedInputError("semigroup needs at least one element")
+            raise MalformedInputError(f"{kind} needs at least one element")
         if len(set(elements)) != len(elements):
             raise MalformedInputError("duplicate element names")
-        n = len(elements)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "product", _validate_table(table, n, "product"))
-        if unit is not None and not 0 <= unit < n:
-            raise MalformedInputError(f"unit index {unit} out of range")
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "claims_commutative", bool(commutative))
 
     def __setattr__(self, name, value):
-        raise AttributeError("SemigroupTable is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def size(self):
         return len(self.elements)
-
-    def iter_elements(self):
-        return range(len(self.elements))
-
-    def mul(self, i, j):
-        return self.product[i][j]
-
-    def prod(self, kind, i, j):
-        if kind != "mul":
-            raise ContractError(f"semigroup index has no {kind!r} operation")
-        return self.product[i][j]
 
     def name(self, i):
         return self.elements[i]
@@ -72,6 +56,32 @@ class SemigroupTable:
         except ValueError:
             raise MalformedInputError(f"unknown element {name!r}") from None
 
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.elements)})"
+
+
+class SemigroupTable(_FiniteTable):
+    """Finite magma table claiming associativity; ``check_semigroup`` decides."""
+
+    __slots__ = ("product", "unit", "claims_commutative")
+
+    def __init__(self, elements, table, unit=None, commutative=False):
+        super().__init__(elements, "semigroup")
+        n = self.size
+        object.__setattr__(self, "product", _validate_table(table, n, "product"))
+        if unit is not None and not 0 <= unit < n:
+            raise MalformedInputError(f"unit index {unit} out of range")
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "claims_commutative", bool(commutative))
+
+    def mul(self, i, j):
+        return self.product[i][j]
+
+    def prod(self, kind, i, j):
+        if kind != "mul":
+            raise ContractError(f"semigroup index has no {kind!r} operation")
+        return self.product[i][j]
+
     def __eq__(self, other):
         return (
             isinstance(other, SemigroupTable)
@@ -80,9 +90,6 @@ class SemigroupTable:
             and self.unit == other.unit
             and self.claims_commutative == other.claims_commutative
         )
-
-    def __repr__(self):
-        return f"SemigroupTable({list(self.elements)})"
 
 
 def trivial_monoid():
@@ -134,32 +141,16 @@ def positive_integers_additive():
     return VirtualSemigroup("positive integers under addition", lambda i, j: i + j, commutative=True)
 
 
-class DimonoidTable:
+class DimonoidTable(_FiniteTable):
     """Two n x n tables (left and right products) claiming the five dimonoid
     compatibility identities; ``check_dimonoid`` decides."""
 
-    __slots__ = ("elements", "left", "right")
+    __slots__ = ("left", "right")
 
     def __init__(self, elements, left, right):
-        elements = tuple(str(e) for e in elements)
-        if not elements:
-            raise MalformedInputError("dimonoid needs at least one element")
-        if len(set(elements)) != len(elements):
-            raise MalformedInputError("duplicate element names")
-        n = len(elements)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "left", _validate_table(left, n, "left"))
-        object.__setattr__(self, "right", _validate_table(right, n, "right"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimonoidTable is immutable")
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def iter_elements(self):
-        return range(len(self.elements))
+        super().__init__(elements, "dimonoid")
+        object.__setattr__(self, "left", _validate_table(left, self.size, "left"))
+        object.__setattr__(self, "right", _validate_table(right, self.size, "right"))
 
     def left_mul(self, i, j):
         return self.left[i][j]
@@ -174,24 +165,12 @@ class DimonoidTable:
             return self.right[i][j]
         raise ContractError(f"dimonoid index has no {kind!r} operation")
 
-    def name(self, i):
-        return self.elements[i]
-
-    def index_of(self, name):
-        try:
-            return self.elements.index(str(name))
-        except ValueError:
-            raise MalformedInputError(f"unknown element {name!r}") from None
-
     def is_semigroup_form(self):
         return self.left == self.right
 
     def is_matching_form(self):
         n = len(self.elements)
         return all(self.left[i][j] == i and self.right[i][j] == j for i in range(n) for j in range(n))
-
-    def __repr__(self):
-        return f"DimonoidTable({list(self.elements)})"
 
 
 class Cocycle:
@@ -229,7 +208,7 @@ def check_semigroup(table, window=None):
             raise ContractError("virtual semigroup check requires a finite window")
         elems = list(window)
     else:
-        elems = list(table.iter_elements())
+        elems = range(table.size)
     mul, name, unit = table.mul, table.name, table.unit
 
     def instances():

@@ -59,9 +59,6 @@ class DecoratedTree:
     def __setattr__(self, name, value):
         raise AttributeError("DecoratedTree is immutable")
 
-    def is_empty(self):
-        return self.size == 0
-
     def sort_key(self):
         return self._key
 

@@ -188,6 +188,87 @@ def test_derive_refusal_exits_1(tmp_path):
     assert payload_of(proc)["reports"][0]["counterexample"] is not None
 
 
+@pytest.mark.parametrize("algebra", ["zinbiel8.json", "cocycle_algebra.json"])
+@pytest.mark.parametrize(
+    "construction",
+    [
+        "assoc-from-dend",
+        "prelie-from-dend",
+        "zinbiel-from-symmetric-dend",
+        "lie-from-prelie",
+        "poisson-from-prepoisson",
+    ],
+)
+def test_derive_without_input_role_exits_3(construction, algebra):
+    # neither algebra has the role the construction reads
+    proc = run_cli("derive", "--construction", construction, "--algebra", str(DATA / algebra))
+    assert proc.returncode == 3
+    assert "contract violation" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# A one-dimensional algebra with zero product over the index table
+# [[1,1],[1,0]], which is not associative: (0*0)*1 = 0 but 0*(0*1) = 1.
+# Every identity of the algebra itself holds, since all products vanish.
+ZERO_PRODUCT_OVER_MAGMA = {
+    "dim": 1,
+    "basis": ["u"],
+    "semigroup": {"elements": ["0", "1"], "product": [[1, 1], [1, 0]], "unit": None},
+    "ops": {"mul": {f"({a},{b})": [[["0/1"]]] for a in "01" for b in "01"}},
+    "unit": None,
+}
+IDENTITY_MAPS = {"0": [["1/1"]], "1": [["1/1"]]}
+INDEX_PRECONDITION_FAILURE = {
+    "check": "axioms:precondition:semigroup",
+    "counterexample": {
+        "elements": [],
+        "equation": "associativity",
+        "indices": ["0", "0", "1"],
+        "lhs": "0",
+        "rhs": "1",
+    },
+    "info": {},
+    "instances": 2,
+    "passed": False,
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (
+            ["check-morphism", "--suite", "RelAssoc", "--morphism"],
+            {
+                "source": ZERO_PRODUCT_OVER_MAGMA,
+                "target": ZERO_PRODUCT_OVER_MAGMA,
+                "maps": IDENTITY_MAPS,
+            },
+        ),
+        (["check-rb", "--rb"], {"algebra": ZERO_PRODUCT_OVER_MAGMA, "maps": IDENTITY_MAPS}),
+        (
+            ["derive", "--construction", "dend-from-rb", "--rb"],
+            {"algebra": ZERO_PRODUCT_OVER_MAGMA, "maps": IDENTITY_MAPS},
+        ),
+    ],
+    ids=["check-morphism", "check-rb", "dend-from-rb"],
+)
+def test_non_associative_index_table_exits_1(tmp_path, command, doc):
+    # each command verifies the index table of the algebras it reads before
+    # its own check, which would pass on the zero product
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(*command, str(path))
+    assert proc.returncode == 1
+    assert payload_of(proc)["reports"] == [INDEX_PRECONDITION_FAILURE]
+    if command[0] == "check-morphism":
+        expected = {
+            "command": "check-morphism",
+            "passed": False,
+            "reports": [INDEX_PRECONDITION_FAILURE],
+        }
+        assert proc.stdout == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_collapse_command():
     proc = run_cli("collapse", "--algebra", str(DATA / "cocycle_algebra.json"), "--suite", "RelAssoc")
     assert proc.returncode == 0

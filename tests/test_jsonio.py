@@ -42,6 +42,17 @@ def test_semigroup_schema_errors_carry_paths():
         load_semigroup({"elements": ["0", "1"], "product": [[0, "x"], [1, 0]]})
     with pytest.raises(MalformedInputError, match="semigroup"):
         load_semigroup([])
+    # element names are JSON strings; anything else is refused at its entry
+    with pytest.raises(
+        MalformedInputError, match=r"^semigroup\.elements\[0\]: expected a string, got dict$"
+    ):
+        load_semigroup({"elements": [{"a": 1}, "r"], "product": [[0, 0], [1, 1]], "unit": None})
+    with pytest.raises(
+        MalformedInputError, match=r"^dimonoid\.elements\[0\]: expected a string, got int$"
+    ):
+        load_dimonoid({"elements": [1, "1"], "left": [[0, 0], [1, 1]], "right": [[0, 1], [0, 1]]})
+    with pytest.raises(MalformedInputError, match=r"^semigroup\.unit: unknown element 'z'$"):
+        load_semigroup({"elements": ["0", "1"], "product": [[0, 1], [1, 0]], "unit": "z"})
 
 
 def test_dimonoid_roundtrip():
@@ -119,6 +130,10 @@ def test_algebra_schema_errors():
     doc = cocycle_algebra_doc()
     doc["unit"] = ["1/1", "2/1"]
     with pytest.raises(MalformedInputError, match="unit"):
+        load_algebra(doc)
+    doc = cocycle_algebra_doc()
+    doc["basis"] = [7]
+    with pytest.raises(MalformedInputError, match=r"^algebra\.basis\[0\]: expected a string, got int$"):
         load_algebra(doc)
 
 
