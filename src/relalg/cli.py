@@ -33,7 +33,7 @@ from .freecheck import FREE_SUITES, free_check
 from .freedend import FreeDendCarrier
 from .ops import FiniteRelativeAlgebra, materialize_pair_op
 from .reports import to_json
-from .semigroups import check_cocycle, check_dimonoid, check_semigroup, dimonoid_from_semigroup
+from .semigroups import DimonoidTable, check_cocycle, check_dimonoid, check_semigroup
 from .trees import tree_print
 
 
@@ -126,7 +126,8 @@ def _load_free_carrier(args):
     elif args.semigroup:
         semigroup = jsonio.load_semigroup(jsonio.load_file(args.semigroup))
         require(check_semigroup(semigroup))
-        dimonoid = dimonoid_from_semigroup(semigroup)
+        # dimonoid_from_semigroup would scan the table a second time
+        dimonoid = DimonoidTable(semigroup.elements, semigroup.product, semigroup.product)
     else:
         raise MalformedInputError("free carrier needs --dimonoid or --semigroup")
     decorations = [d for d in args.decorations.split(",") if d]

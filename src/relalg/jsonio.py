@@ -45,7 +45,8 @@ def _need(obj, key, types, path, optional=False):
     value = obj[key]
     if value is None and optional:
         return None
-    if not isinstance(value, types):
+    # bool is an int subclass; a JSON true is never read as the integer 1
+    if not isinstance(value, types) or (type(value) is bool and types is not bool):
         raise MalformedInputError(f"{path}.{key}: wrong type {type(value).__name__}")
     return value
 
@@ -161,14 +162,22 @@ def dump_cocycle(cocycle):
     return out
 
 
+def _element(semigroup, name, path):
+    """The index of element ``name``; an unknown name is refused with its path."""
+    try:
+        return semigroup.index_of(name)
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from None
+
+
 def _parse_op_key(key, semigroup, path):
     key = key.strip()
     if key.startswith("(") and key.endswith(")"):
         parts = key[1:-1].split(",")
         if len(parts) != 2:
             raise MalformedInputError(f"{path}: bad index-pair key {key!r}")
-        return tuple(semigroup.index_of(p.strip()) for p in parts)
-    return (semigroup.index_of(key),)
+        return tuple(_element(semigroup, p.strip(), path) for p in parts)
+    return (_element(semigroup, key, path),)
 
 
 def _parse_block(raw, dim, path):
@@ -272,7 +281,7 @@ def load_rota_baxter(obj, path="rb"):
     raw_maps = _need(obj, "maps", dict, path)
     maps = {}
     for name, matrix in raw_maps.items():
-        a = algebra.index.index_of(name)
+        a = _element(algebra.index, name, f"{path}.maps.{name}")
         maps[a] = _parse_matrix(matrix, algebra.dim, algebra.dim, f"{path}.maps.{name}")
     if sorted(maps) != list(range(algebra.index.size)):
         raise MalformedInputError(f"{path}.maps: need exactly one matrix per semigroup element")
@@ -287,7 +296,7 @@ def load_morphism(obj, path="morphism"):
     raw_maps = _need(obj, "maps", dict, path)
     maps = {}
     for name, matrix in raw_maps.items():
-        a = source.index.index_of(name)
+        a = _element(source.index, name, f"{path}.maps.{name}")
         maps[a] = _parse_matrix(matrix, target.dim, source.dim, f"{path}.maps.{name}")
     try:
         return MorphismFamily(source, target, maps)

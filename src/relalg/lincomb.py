@@ -1,18 +1,22 @@
 """Exact scalars and normalized formal linear combinations.
 
-Scalars are ``fractions.Fraction`` values throughout: denominators positive,
-gcd-reduced, zero uniquely ``0/1``.  A :class:`LinComb` is a finite formal
+Scalars are exact rationals: a Python ``int`` when the denominator is 1, a
+``fractions.Fraction`` (denominator positive, gcd-reduced) otherwise, so the
+common integer coefficients never pay for ``Fraction`` arithmetic.  Both
+types have ``numerator`` and ``denominator``, so :func:`format_scalar`
+renders them alike, zero as ``0/1``.  A :class:`LinComb` is a finite formal
 rational combination over any totally ordered, hashable basis type; it is
-immutable and always kept in canonical form (no zero coefficients, terms
-sorted in basis order).
+immutable and always kept in canonical form (no zero coefficients).  Its
+terms are unordered; they are sorted in basis order only when read out in
+order (``items``, ``support``, ``render``, ``to_pairs``, ``repr``).
 """
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import MalformedInputError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+_by_basis = itemgetter(0)
 
 
 def parse_scalar(text):
@@ -24,25 +28,35 @@ def parse_scalar(text):
 
 
 def format_scalar(value):
-    """Render a Fraction as ``"p/q"``, denominator always explicit."""
+    """Render an exact scalar as ``"p/q"``, denominator always explicit."""
     return f"{value.numerator}/{value.denominator}"
 
 
+def _exact(value):
+    """A non-``int`` scalar as an ``int`` when its denominator is 1, else as
+    a Fraction."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class LinComb:
-    """Finite formal linear combination with exact rational coefficients."""
+    """Finite formal linear combination with exact rational coefficients,
+    held as an unordered ``{basis: coefficient}`` dict."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for basis, coeff in items:
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            acc[basis] = acc.get(basis, ZERO) + coeff
+        if isinstance(terms, dict):
+            items = terms.items()
+        else:
+            acc = {}
+            get = acc.get
+            for basis, coeff in terms:
+                acc[basis] = get(basis, 0) + coeff
+            items = acc.items()
         object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(((b, c) for b, c in acc.items() if c != 0), key=lambda t: t[0])),
+            self, "_terms", {b: c if type(c) is int else _exact(c) for b, c in items if c}
         )
 
     def __setattr__(self, name, value):
@@ -53,26 +67,23 @@ class LinComb:
         return cls()
 
     @classmethod
-    def single(cls, basis, coeff=ONE):
+    def single(cls, basis, coeff=1):
         return cls(((basis, coeff),))
 
     def items(self):
-        return self._terms
+        return tuple(sorted(self._terms.items(), key=_by_basis))
 
     def support(self):
-        return tuple(b for b, _ in self._terms)
+        return tuple(sorted(self._terms))
 
     def coeff(self, basis):
-        for b, c in self._terms:
-            if b == basis:
-                return c
-        return ZERO
+        return self._terms.get(basis, 0)
 
     def is_zero(self):
         return not self._terms
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self._terms.items())
 
     def __len__(self):
         return len(self._terms)
@@ -80,21 +91,38 @@ class LinComb:
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        return LinComb(self._terms + other._terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        acc = dict(self._terms)
+        get = acc.get
+        for b, c in other._terms.items():
+            acc[b] = get(b, 0) + c
+        return LinComb(acc)
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        return LinComb(self._terms + tuple((b, -c) for b, c in other._terms))
+        if not other._terms:
+            return self
+        acc = dict(self._terms)
+        get = acc.get
+        for b, c in other._terms.items():
+            acc[b] = get(b, 0) - c
+        return LinComb(acc)
 
     def __neg__(self):
-        return LinComb(tuple((b, -c) for b, c in self._terms))
+        return LinComb({b: -c for b, c in self._terms.items()})
 
     def scale(self, k):
-        k = k if isinstance(k, Fraction) else Fraction(k)
+        if type(k) is not int:
+            k = _exact(k)
+        if k == 1:
+            return self
         if k == 0:
             return LinComb()
-        return LinComb(tuple((b, k * c) for b, c in self._terms))
+        return LinComb({b: k * c for b, c in self._terms.items()})
 
     def __rmul__(self, k):
         return self.scale(k)
@@ -103,12 +131,12 @@ class LinComb:
         return isinstance(other, LinComb) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
             return "LinComb(0)"
-        body = " + ".join(f"{format_scalar(c)}*{b!r}" for b, c in self._terms)
+        body = " + ".join(f"{format_scalar(c)}*{b!r}" for b, c in self.items())
         return f"LinComb({body})"
 
     def render(self, basis_str=str):
@@ -116,7 +144,7 @@ class LinComb:
         if not self._terms:
             return "0"
         parts = []
-        for i, (b, c) in enumerate(self._terms):
+        for i, (b, c) in enumerate(self.items()):
             mag = format_scalar(abs(c))
             if i == 0:
                 sign = "-" if c < 0 else ""
@@ -128,7 +156,7 @@ class LinComb:
 
     def to_pairs(self, basis_str=str):
         """Serialize to ``[[coeff "p/q", basis], ...]`` in basis order."""
-        return [[format_scalar(c), basis_str(b)] for b, c in self._terms]
+        return [[format_scalar(c), basis_str(b)] for b, c in self.items()]
 
     @classmethod
     def from_pairs(cls, pairs, basis_parse=lambda s: s):
@@ -146,9 +174,10 @@ def lc_scale(k, a):
 def lc_bilinear_extend(f, a, b, *aux):
     """Extend the basis-level map ``f(b1, b2, *aux) -> LinComb`` bilinearly."""
     acc = {}
+    get = acc.get
     for ba, ca in a:
         for bb, cb in b:
             weight = ca * cb
             for bc, cc in f(ba, bb, *aux):
-                acc[bc] = acc.get(bc, ZERO) + weight * cc
+                acc[bc] = get(bc, 0) + weight * cc
     return LinComb(acc)

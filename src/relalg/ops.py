@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, ZERO, lc_bilinear_extend
+from .lincomb import LinComb, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
 
@@ -189,7 +189,7 @@ def materialize_pair_op(op, dim, index):
             rows = []
             for j in range(dim):
                 vec = op(a, b, LinComb.single(i), LinComb.single(j))
-                row = [ZERO] * dim
+                row = [0] * dim
                 for k, c in vec:
                     row[k] = c
                 rows.append(tuple(row))
@@ -231,7 +231,7 @@ def apply_matrix(matrix, x):
         for i, row in enumerate(matrix):
             v = row[j]
             if v != 0:
-                acc[i] = acc.get(i, ZERO) + c * v
+                acc[i] = acc.get(i, 0) + c * v
     return LinComb(acc)
 
 

@@ -404,3 +404,61 @@ def test_free_eval_bracket_antisymmetry():
     )
     assert proc.returncode == 0
     assert payload_of(proc)["result"] == "0"
+
+
+NON_ASSOCIATIVE = {"elements": ["0", "1"], "product": [[0, 1], [0, 0]], "unit": None, "commutative": False}
+
+
+@pytest.mark.parametrize(
+    "command", [["free-eval", "--expr", "x[]"], ["free-check", "--suite", "RelAssoc", "--samples", "2"]]
+)
+def test_free_carrier_non_associative_semigroup_report(tmp_path, capsys, command):
+    from relalg.cli import main
+
+    path = tmp_path / "magma.json"
+    path.write_text(json.dumps(NON_ASSOCIATIVE))
+    assert main([*command, "--semigroup", str(path)]) == 1
+    report = {
+        "check": "semigroup",
+        "counterexample": {
+            "elements": [],
+            "equation": "associativity",
+            "indices": ["1", "0", "1"],
+            "lhs": "1",
+            "rhs": "0",
+        },
+        "info": {},
+        "instances": 6,
+        "passed": False,
+    }
+    expected = {"command": command[0], "passed": False, "reports": [report]}
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert captured.err == "FAIL semigroup: 6 instances at associativity ('1', '0', '1')\n"
+
+
+def test_free_carrier_checks_semigroup_once(monkeypatch, capsys):
+    from relalg import cli, semigroups
+
+    calls = []
+    original = semigroups.check_semigroup
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    monkeypatch.setattr(cli, "check_semigroup", counted)
+    monkeypatch.setattr(semigroups, "check_semigroup", counted)
+    argv = ["free-eval", "--expr", "x[]", "--semigroup", str(DATA / "trivial_a.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_boolean_dim_exits_2(tmp_path):
+    doc = json.loads((DATA / "cocycle_algebra.json").read_text())
+    doc["dim"] = True
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check-algebra", "--algebra", str(path), "--suite", "RelAssoc")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: malformed input: algebra.dim: wrong type bool\n"

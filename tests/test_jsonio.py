@@ -135,6 +135,11 @@ def test_algebra_schema_errors():
     doc["basis"] = [7]
     with pytest.raises(MalformedInputError, match=r"^algebra\.basis\[0\]: expected a string, got int$"):
         load_algebra(doc)
+    # bool is an int in Python; a JSON true is not the dimension 1
+    doc = cocycle_algebra_doc()
+    doc["dim"] = True
+    with pytest.raises(MalformedInputError, match=r"^algebra\.dim: wrong type bool$"):
+        load_algebra(doc)
 
 
 def test_dump_algebra_survives_reload_for_bigger_carrier():
@@ -209,6 +214,33 @@ def test_json_number_scalars_rejected(loader, doc, where, message):
     # scalars are "p/q" strings; a JSON number or an unparsable string is
     # refused with its path
     with pytest.raises(MalformedInputError, match=where + ": " + message):
+        loader(doc)
+
+
+def _unknown_element_docs():
+    doc = cocycle_algebra_doc()
+    doc["ops"]["mul"]["(0,z)"] = doc["ops"]["mul"].pop("(0,1)")
+    yield load_algebra, doc, r"^algebra\.ops\.mul\.\(0,z\): unknown element 'z'$"
+    doc = cocycle_algebra_doc()
+    doc["ops"]["mul"]["(0,"] = doc["ops"]["mul"].pop("(0,1)")
+    yield load_algebra, doc, r"^algebra\.ops\.mul\.\(0,: unknown element '\(0,'$"
+    doc = {"algebra": cocycle_algebra_doc(), "maps": {"0": [["0/1"]], "z": [["0/1"]]}}
+    yield load_rota_baxter, doc, r"^rb\.maps\.z: unknown element 'z'$"
+    doc = {
+        "source": cocycle_algebra_doc(),
+        "target": cocycle_algebra_doc(),
+        "maps": {"0": [["1/1"]], "z": [["-1/1"]]},
+    }
+    yield load_morphism, doc, r"^morphism\.maps\.z: unknown element 'z'$"
+
+
+@pytest.mark.parametrize(
+    "loader, doc, message",
+    list(_unknown_element_docs()),
+    ids=["op-key", "malformed-op-key", "rb-map-key", "morphism-map-key"],
+)
+def test_unknown_element_keys_carry_paths(loader, doc, message):
+    with pytest.raises(MalformedInputError, match=message):
         loader(doc)
 
 

@@ -147,3 +147,50 @@ def test_serialization_roundtrip(a):
 def test_neg_sub(a):
     assert a - a == LinComb.zero()
     assert -(-a) == a
+
+
+def _reference_bytes(terms):
+    """render, to_pairs and repr of a combination given as a
+    {basis: Fraction} dict, computed from its sorted Fraction terms."""
+    items = sorted((b, Fraction(c)) for b, c in terms.items() if c != 0)
+    if not items:
+        return "0", [], "LinComb(0)"
+    text = ""
+    for i, (b, c) in enumerate(items):
+        mag = f"{abs(c).numerator}/{abs(c).denominator}"
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        text += f"{sign}{mag} * {b}"
+    pairs = [[f"{c.numerator}/{c.denominator}", str(b)] for b, c in items]
+    body = " + ".join(f"{c.numerator}/{c.denominator}*{b!r}" for b, c in items)
+    return text, pairs, f"LinComb({body})"
+
+
+@given(st.data())
+def test_unordered_terms_with_int_or_fraction_coefficients(data):
+    reference = data.draw(st.dictionaries(st.integers(0, 9), scalars.filter(bool), max_size=6))
+    k = data.draw(st.integers(1, 5))
+    # a term that cancels, so the combination is built through a zero sum
+    terms = list(reference.items()) + [(10, Fraction(k)), (10, Fraction(-k))]
+
+    def spelled(c, as_int):
+        return c.numerator if as_int and c.denominator == 1 else c
+
+    as_int = data.draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    mixed = LinComb(data.draw(st.permutations([(b, spelled(c, f)) for (b, c), f in zip(terms, as_int)])))
+    fractions_only = LinComb(data.draw(st.permutations(terms)))
+
+    assert mixed == fractions_only
+    assert hash(mixed) == hash(fractions_only)
+    text, pairs, rep = _reference_bytes(reference)
+    for lc in (mixed, fractions_only):
+        assert lc.render() == text
+        assert lc.to_pairs() == pairs
+        assert repr(lc) == rep
+        # a coefficient with denominator 1 is held as an int
+        assert all(type(c) is int for _, c in lc if c.denominator == 1)
+    assert mixed.coeff(11) == 0
+    assert format_scalar(mixed.coeff(11)) == "0/1"
+    assert mixed.scale(1) is mixed
+    assert mixed.scale(Fraction(1)) is mixed
+    assert mixed.scale(0) == LinComb.zero()
+    assert mixed.scale(0).is_zero()
