@@ -272,7 +272,8 @@ def load_rota_baxter(obj, path="rb"):
         raise MalformedInputError(f"{path}: expected an object")
     if "builtin" in obj:
         name = obj["builtin"]
-        if name not in RB_BUILTINS:
+        # a list or object is unhashable: test the type before the lookup
+        if not isinstance(name, str) or name not in RB_BUILTINS:
             raise MalformedInputError(
                 f"{path}.builtin: unknown builtin {name!r} (available: {sorted(RB_BUILTINS)})"
             )

@@ -155,6 +155,9 @@ def test_rb_builtin_and_finite():
     assert rb.apply(4, LinComb.single(0)) == LinComb.single(0, Fraction(1, 4))
     with pytest.raises(MalformedInputError):
         load_rota_baxter({"builtin": "nope"})
+    # a list is unhashable: it must be refused, not looked up
+    with pytest.raises(MalformedInputError, match=r"^rb\.builtin: unknown builtin \[\]"):
+        load_rota_baxter({"builtin": []})
     doc = {
         "algebra": cocycle_algebra_doc(),
         "maps": {"0": [["0/1"]], "1": [["0/1"]]},
