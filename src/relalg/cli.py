@@ -33,7 +33,7 @@ from .freecheck import FREE_SUITES, free_check
 from .freedend import FreeDendCarrier
 from .ops import FiniteRelativeAlgebra, materialize_pair_op
 from .reports import to_json
-from .semigroups import DimonoidTable, check_cocycle, check_dimonoid, check_semigroup
+from .semigroups import check_cocycle, check_dimonoid, check_semigroup
 from .trees import tree_print
 
 
@@ -121,17 +121,15 @@ def _payload(command, reports, **extra):
 
 def _load_free_carrier(args):
     if args.dimonoid:
-        dimonoid = jsonio.load_dimonoid(jsonio.load_file(args.dimonoid))
-        require(check_dimonoid(dimonoid))
+        index = jsonio.load_dimonoid(jsonio.load_file(args.dimonoid))
+        require(check_dimonoid(index))
     elif args.semigroup:
-        semigroup = jsonio.load_semigroup(jsonio.load_file(args.semigroup))
-        require(check_semigroup(semigroup))
-        # dimonoid_from_semigroup would scan the table a second time
-        dimonoid = DimonoidTable(semigroup.elements, semigroup.product, semigroup.product)
+        index = jsonio.load_semigroup(jsonio.load_file(args.semigroup))
+        require(check_semigroup(index))
     else:
         raise MalformedInputError("free carrier needs --dimonoid or --semigroup")
     decorations = [d for d in args.decorations.split(",") if d]
-    return FreeDendCarrier(decorations, dimonoid)
+    return FreeDendCarrier(decorations, index)
 
 
 def _verified(carrier):

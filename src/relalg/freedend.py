@@ -18,27 +18,40 @@ from random import Random
 from .errors import ContractError, MalformedInputError
 from .lincomb import LinComb, lc_bilinear_extend
 from .ops import FamilyIndexedOp
-from .semigroups import DimonoidTable, semigroup_from_dimonoid
+from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
 from .trees import EMPTY, DecoratedTree, random_tree_from, tree_parse, tree_print
 
 
 class FreeDendCarrier:
-    """Decoration alphabet plus a dimonoid of edge labels; holds the grafting
-    operations and a per-carrier product cache."""
+    """Decoration alphabet plus an index table of edge labels; holds the
+    grafting operations and a per-carrier product cache.
 
-    def __init__(self, decorations, dimonoid):
+    The index is a dimonoid, or a semigroup read as the dimonoid whose two
+    products are its product.  ``semigroup`` is the semigroup the family
+    operations run over: the one given, with its own unit and commutativity
+    claims, or the one underlying a semigroup-form dimonoid (None for any
+    other dimonoid)."""
+
+    def __init__(self, decorations, index):
         decorations = tuple(str(x) for x in decorations)
         if not decorations:
             raise MalformedInputError("need at least one decoration label")
         if len(set(decorations)) != len(decorations):
             raise MalformedInputError("duplicate decoration labels")
-        if not isinstance(dimonoid, DimonoidTable):
-            raise MalformedInputError("free carrier requires a dimonoid index")
+        if isinstance(index, SemigroupTable):
+            semigroup = index
+            dimonoid = DimonoidTable(index.elements, index.product, index.product)
+        elif isinstance(index, DimonoidTable):
+            dimonoid = index
+            semigroup = semigroup_from_dimonoid(index) if index.is_semigroup_form() else None
+        else:
+            raise MalformedInputError("free carrier requires a dimonoid or semigroup index")
         bad = set(decorations) | set(dimonoid.elements)
         if "e" in bad:
             raise MalformedInputError('"e" is reserved for the empty tree')
         self.decorations = decorations
         self.dimonoid = dimonoid
+        self.semigroup = semigroup
         self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
         self._cache = {}
 
@@ -155,14 +168,13 @@ class FreeDendCarrier:
         )
 
     def family_ops(self):
-        """Single-index prec/succ viewed over the underlying semigroup; only
-        available when both dimonoid products coincide."""
-        if not self.dimonoid.is_semigroup_form():
+        """Single-index prec/succ over ``semigroup``; only available when
+        both dimonoid products coincide."""
+        if self.semigroup is None:
             raise ContractError("family operations need a semigroup-form dimonoid")
-        semigroup = semigroup_from_dimonoid(self.dimonoid)
         return (
-            FamilyIndexedOp(semigroup, lambda a, x, y: self.prec(x, y, a)),
-            FamilyIndexedOp(semigroup, lambda a, x, y: self.succ(x, y, a)),
+            FamilyIndexedOp(self.semigroup, lambda a, x, y: self.prec(x, y, a)),
+            FamilyIndexedOp(self.semigroup, lambda a, x, y: self.succ(x, y, a)),
         )
 
     def matching_ops(self):

@@ -15,7 +15,14 @@ the positive integers with R_n(x) = x/n, or ``{"algebra": {...}, "maps":
 {name: matrix, ...}}``.  Morphism files: ``{"source": {...}, "target":
 {...}, "maps": {name: matrix, ...}}``.
 
-All loaders raise :class:`MalformedInputError` naming the offending path.
+Every nested list is read by one walker, ``_table``, which checks each
+level's JSON type (and its length where the format fixes one) and reads the
+innermost entries with one of three leaf readers: ``_scalar`` (a ``"p/q"``
+string), ``_index`` (an integer table entry) or ``_name`` (an element or
+basis name).  Every constructor is called through ``_build``, which refuses
+its ValueError at the object's path.  So all loaders raise
+:class:`MalformedInputError`, and every message begins with the JSON path of
+the offending entry.
 """
 
 import json
@@ -51,66 +58,65 @@ def _need(obj, key, types, path, optional=False):
     return value
 
 
-def _names(obj, key, path):
-    """The list of names under ``key``; a name that is not a JSON string is
-    refused with its path."""
-    names = _need(obj, key, list, path)
-    for k, name in enumerate(names):
-        if not isinstance(name, str):
-            raise MalformedInputError(
-                f"{path}.{key}[{k}]: expected a string, got {type(name).__name__}"
-            )
-    return names
+def _build(path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; the ValueError it raises is refused as
+    malformed input at ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from None
 
 
-def _scalar_row(row, path):
-    """Parse a list of ``"p/q"`` strings; JSON numbers and unparsable strings
-    are refused with the entry's path."""
+def _scalar(value):
+    if type(value) is not str:
+        raise MalformedInputError(f'expected a "p/q" string, got {type(value).__name__}')
+    return parse_scalar(value)
+
+
+def _index(value):
+    # type, not isinstance: a JSON true is not the index 1
+    if type(value) is not int:
+        raise MalformedInputError("expected an integer index")
+    return value
+
+
+def _name(value):
+    if type(value) is not str:
+        raise MalformedInputError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _table(raw, path, leaf, *shape):
+    """``raw`` as nested tuples with one level per entry of ``shape``, which
+    is the length that level must have or None for any length; ``leaf``
+    reads each innermost entry.  A leaf's path is formatted only when the
+    leaf is refused."""
+    length, *inner = shape
+    if not isinstance(raw, list) or length not in (None, len(raw)):
+        expected = "a list" if length is None else f"a list of length {length}"
+        raise MalformedInputError(f"{path}: expected {expected}")
+    if inner:
+        return tuple(_table(row, f"{path}[{k}]", leaf, *inner) for k, row in enumerate(raw))
     out = []
-    for k, c in enumerate(row):
-        if not isinstance(c, str):
-            raise MalformedInputError(
-                f'{path}[{k}]: expected a "p/q" string, got {type(c).__name__}'
-            )
+    for k, value in enumerate(raw):
         try:
-            out.append(parse_scalar(c))
+            out.append(leaf(value))
         except MalformedInputError as exc:
             raise MalformedInputError(f"{path}[{k}]: {exc}") from None
-    return out
-
-
-def _int_table(rows, path):
-    if not isinstance(rows, list):
-        raise MalformedInputError(f"{path}: expected a table")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise MalformedInputError(f"{path}[{i}]: expected a row")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise MalformedInputError(f"{path}[{i}][{j}]: expected an integer index")
-        out.append(list(row))
-    return out
+    return tuple(out)
 
 
 def load_semigroup(obj, path="semigroup"):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{path}: expected an object")
-    elements = _names(obj, "elements", path)
-    table = _int_table(_need(obj, "product", list, path), f"{path}.product")
+    elements = _table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
+    table = _table(_need(obj, "product", list, path), f"{path}.product", _index, None, None)
     unit_name = _need(obj, "unit", str, path, optional=True)
     commutative = _need(obj, "commutative", bool, path, optional=True)
     if unit_name is not None and unit_name not in elements:
         raise MalformedInputError(f"{path}.unit: unknown element {unit_name!r}")
-    try:
-        return SemigroupTable(
-            elements,
-            table,
-            unit=None if unit_name is None else elements.index(unit_name),
-            commutative=commutative,
-        )
-    except ValueError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
+    unit = None if unit_name is None else elements.index(unit_name)
+    return _build(path, SemigroupTable, elements, table, unit=unit, commutative=commutative)
 
 
 def dump_semigroup(semigroup):
@@ -125,13 +131,10 @@ def dump_semigroup(semigroup):
 def load_dimonoid(obj, path="dimonoid"):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{path}: expected an object")
-    elements = _names(obj, "elements", path)
-    left = _int_table(_need(obj, "left", list, path), f"{path}.left")
-    right = _int_table(_need(obj, "right", list, path), f"{path}.right")
-    try:
-        return DimonoidTable(elements, left, right)
-    except ValueError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
+    elements = _table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
+    left = _table(_need(obj, "left", list, path), f"{path}.left", _index, None, None)
+    right = _table(_need(obj, "right", list, path), f"{path}.right", _index, None, None)
+    return _build(path, DimonoidTable, elements, left, right)
 
 
 def dump_dimonoid(dimonoid):
@@ -144,16 +147,8 @@ def dump_dimonoid(dimonoid):
 
 def load_cocycle(obj, path="cocycle"):
     base = load_semigroup(obj, path)
-    raw = _need(obj, "values", list, path)
-    values = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise MalformedInputError(f"{path}.values[{i}]: expected a row")
-        values.append(_scalar_row(row, f"{path}.values[{i}]"))
-    try:
-        return Cocycle(base, values)
-    except ValueError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
+    values = _table(_need(obj, "values", list, path), f"{path}.values", _scalar, None, None)
+    return _build(path, Cocycle, base, values)
 
 
 def dump_cocycle(cocycle):
@@ -162,68 +157,42 @@ def dump_cocycle(cocycle):
     return out
 
 
-def _element(semigroup, name, path):
-    """The index of element ``name``; an unknown name is refused with its path."""
-    try:
-        return semigroup.index_of(name)
-    except MalformedInputError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
-
-
 def _parse_op_key(key, semigroup, path):
+    """The index tuple an ``ops`` key names: ``"(a,b)"`` or a bare ``a``."""
     key = key.strip()
     if key.startswith("(") and key.endswith(")"):
-        parts = key[1:-1].split(",")
-        if len(parts) != 2:
+        names = key[1:-1].split(",")
+        if len(names) != 2:
             raise MalformedInputError(f"{path}: bad index-pair key {key!r}")
-        return tuple(_element(semigroup, p.strip(), path) for p in parts)
-    return (_element(semigroup, key, path),)
-
-
-def _parse_block(raw, dim, path):
-    if not isinstance(raw, list):
-        raise MalformedInputError(f"{path}: expected a {dim}x{dim}x{dim} array")
-    block = []
-    for i, plane in enumerate(raw):
-        if not isinstance(plane, list):
-            raise MalformedInputError(f"{path}[{i}]: expected {dim} rows")
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list):
-                raise MalformedInputError(f"{path}[{i}][{j}]: expected {dim} scalars")
-            rows.append(tuple(_scalar_row(row, f"{path}[{i}][{j}]")))
-        block.append(tuple(rows))
-    return tuple(block)
+    else:
+        names = [key]
+    return tuple(_build(path, semigroup.index_of, name.strip()) for name in names)
 
 
 def load_algebra(obj, path="algebra"):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{path}: expected an object")
     dim = _need(obj, "dim", int, path)
-    basis = _names(obj, "basis", path)
+    basis = _table(_need(obj, "basis", list, path), f"{path}.basis", _name, None)
     if len(basis) != dim:
         raise MalformedInputError(f"{path}.basis: expected {dim} names, got {len(basis)}")
     semigroup = load_semigroup(_need(obj, "semigroup", dict, path), f"{path}.semigroup")
-    raw_ops = _need(obj, "ops", dict, path)
     ops = {}
-    for role, table in raw_ops.items():
+    for role, table in _need(obj, "ops", dict, path).items():
         if not isinstance(table, dict):
             raise MalformedInputError(f"{path}.ops.{role}: expected an object")
-        parsed = {}
+        ops[role] = blocks = {}
         for key, block in table.items():
-            idx = _parse_op_key(key, semigroup, f"{path}.ops.{role}.{key}")
-            parsed[idx] = _parse_block(block, dim, f"{path}.ops.{role}.{key}")
-        ops[role] = parsed
-    unit_raw = _need(obj, "unit", list, path, optional=True)
-    unit_vector = None
-    if unit_raw is not None:
-        if len(unit_raw) != dim:
-            raise MalformedInputError(f"{path}.unit: expected {dim} coefficients")
-        unit_vector = LinComb(enumerate(_scalar_row(unit_raw, f"{path}.unit")))
-    try:
-        return FiniteRelativeAlgebra(basis, semigroup, ops, unit_vector)
-    except ValueError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
+            where = f"{path}.ops.{role}.{key}"
+            idx = _parse_op_key(key, semigroup, where)
+            # "(1,1)" and "( 1 , 1 )" name one index tuple
+            if idx in blocks:
+                raise MalformedInputError(f"{where}: index {idx} already given")
+            blocks[idx] = _table(block, where, _scalar, None, None, None)
+    unit = _need(obj, "unit", list, path, optional=True)
+    if unit is not None:
+        unit = LinComb(enumerate(_table(unit, f"{path}.unit", _scalar, dim)))
+    return _build(path, FiniteRelativeAlgebra, basis, semigroup, ops, unit)
 
 
 def dump_algebra(alg):
@@ -253,15 +222,13 @@ def dump_algebra(alg):
     }
 
 
-def _parse_matrix(raw, rows, cols, path):
-    if not isinstance(raw, list) or len(raw) != rows:
-        raise MalformedInputError(f"{path}: expected a {rows}x{cols} matrix")
-    out = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            raise MalformedInputError(f"{path}[{i}]: expected {cols} scalars")
-        out.append(_scalar_row(row, f"{path}[{i}]"))
-    return out
+def _maps(obj, path, index, rows, cols):
+    """The ``maps`` object: index element -> rows x cols scalar matrix."""
+    maps = {}
+    for name, matrix in _need(obj, "maps", dict, path).items():
+        where = f"{path}.maps.{name}"
+        maps[_build(where, index.index_of, name)] = _table(matrix, where, _scalar, rows, cols)
+    return maps
 
 
 RB_BUILTINS = {"reciprocal": reciprocal_rota_baxter}
@@ -279,14 +246,10 @@ def load_rota_baxter(obj, path="rb"):
             )
         return RB_BUILTINS[name]()
     algebra = load_algebra(_need(obj, "algebra", dict, path), f"{path}.algebra")
-    raw_maps = _need(obj, "maps", dict, path)
-    maps = {}
-    for name, matrix in raw_maps.items():
-        a = _element(algebra.index, name, f"{path}.maps.{name}")
-        maps[a] = _parse_matrix(matrix, algebra.dim, algebra.dim, f"{path}.maps.{name}")
+    maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim)
     if sorted(maps) != list(range(algebra.index.size)):
         raise MalformedInputError(f"{path}.maps: need exactly one matrix per semigroup element")
-    return RotaBaxterFamily(algebra, {a: tuple(map(tuple, m)) for a, m in maps.items()})
+    return RotaBaxterFamily(algebra, maps)
 
 
 def load_morphism(obj, path="morphism"):
@@ -294,12 +257,5 @@ def load_morphism(obj, path="morphism"):
         raise MalformedInputError(f"{path}: expected an object")
     source = load_algebra(_need(obj, "source", dict, path), f"{path}.source")
     target = load_algebra(_need(obj, "target", dict, path), f"{path}.target")
-    raw_maps = _need(obj, "maps", dict, path)
-    maps = {}
-    for name, matrix in raw_maps.items():
-        a = _element(source.index, name, f"{path}.maps.{name}")
-        maps[a] = _parse_matrix(matrix, target.dim, source.dim, f"{path}.maps.{name}")
-    try:
-        return MorphismFamily(source, target, maps)
-    except ValueError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
+    maps = _maps(obj, path, source.index, target.dim, source.dim)
+    return _build(path, MorphismFamily, source, target, maps)

@@ -454,6 +454,31 @@ def test_free_carrier_checks_semigroup_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["free-check", "--suite", "RelLie", "--samples", "2"],
+        ["free-check", "--suite", "RelPreLie", "--samples", "2"],
+        ["free-eval", "--expr", "circ(0,1, x[], y[])"],
+    ],
+)
+def test_free_commands_use_the_semigroup_files_claims(tmp_path, capsys, command):
+    # the table is symmetric, but the file does not claim commutativity, so
+    # the commutative-only derivations are refused as check-algebra refuses them
+    from relalg.cli import main
+
+    doc = json.loads((DATA / "zmod2.json").read_text())
+    doc["commutative"] = False
+    path = tmp_path / "zmod2.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--semigroup", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: contract violation: this construction requires a commutative index semigroup\n"
+    )
+
+
 def test_boolean_dim_exits_2(tmp_path):
     doc = json.loads((DATA / "cocycle_algebra.json").read_text())
     doc["dim"] = True

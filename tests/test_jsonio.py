@@ -247,6 +247,23 @@ def test_unknown_element_keys_carry_paths(loader, doc, message):
         loader(doc)
 
 
+def _op_key_given_twice_docs():
+    doc = cocycle_algebra_doc()
+    doc["ops"]["mul"]["( 1 , 1 )"] = [[["1/1"]]]
+    yield doc, r"^algebra\.ops\.mul\.\( 1 , 1 \): index \(1, 1\) already given$"
+    doc = cocycle_algebra_doc()
+    doc["ops"] = {"ast": {"0": [[["1/1"]]], "1": [[["1/2"]]], " 0": [[["2/1"]]]}}
+    yield doc, r"^algebra\.ops\.ast\. 0: index \(0,\) already given$"
+
+
+@pytest.mark.parametrize("doc, message", list(_op_key_given_twice_docs()), ids=["pair", "single"])
+def test_op_key_given_twice(doc, message):
+    # keys are read with their spaces stripped, so two spellings of one index
+    # tuple would otherwise let the later block silently replace the earlier
+    with pytest.raises(MalformedInputError, match=message):
+        load_algebra(doc)
+
+
 def test_commutative_must_be_boolean():
     # bool("false") is true: a string must not be read as a commutativity claim
     with pytest.raises(MalformedInputError, match=r"^semigroup\.commutative: wrong type str$"):
