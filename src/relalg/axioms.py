@@ -1,17 +1,21 @@
-"""The equation engine: axiom suites compiled to small term trees, evaluated
-exactly over enumerated or sampled domains.
+"""The equation engine: axiom suites written as small term trees, compiled
+once per check and evaluated exactly over enumerated or sampled domains.
 
 Each suite is a closed list of equations over operation roles.  An equation's
 sides are expressions built from element variables x, y, z, index variables
 a, b, c, indexed applications of roles, and formal sums; index slots carry
 index expressions (variables, the unit, or products computed in the carrier's
-index structure).  Evaluation is exact; two sides are equal iff their
+index structure).  The term trees are the source of truth (``family_form``
+rewrites them); a check compiles each equation it reaches once, into nested
+closures over the carrier's resolved operations, and runs those closures on
+every instance.  Evaluation is exact; two sides are equal iff their
 normalized linear combinations coincide.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from .errors import ContractError
 from .lincomb import LinComb
@@ -112,40 +116,152 @@ class Suite:
     requires_unit: bool = False
 
 
+_VARS = ("x", "y", "z")
+_IVARS = ("a", "b", "c")
+_VAR_POSITION = {name: k for k, name in enumerate(_VARS)}
+_IVAR_POSITION = {name: k for k, name in enumerate(_IVARS)}
+
+
+def _index_compiler(index):
+    """Index expression -> closure ``idxs -> element`` over ``index``; the
+    variables a, b, c read positions 0, 1, 2 of ``idxs``.  On a finite table
+    each product kind is read from an n x n table built once from
+    ``index.prod``; any other index keeps calling ``index.prod``."""
+    tables = {}
+
+    def table(kind):
+        if kind not in tables:
+            n = index.size
+            try:
+                tables[kind] = tuple(
+                    tuple(index.prod(kind, i, j) for j in range(n)) for i in range(n)
+                )
+            except ContractError:  # no such product: raised when an instance reads it
+                tables[kind] = None
+        return tables[kind]
+
+    def compile_index(ix):
+        if isinstance(ix, IxVar):
+            return itemgetter(_IVAR_POSITION[ix.name])
+        if isinstance(ix, IxUnit):
+            unit = index.unit
+            if unit is None:
+
+                def no_unit(idxs):
+                    raise ContractError("suite requires a unit element in the index structure")
+
+                return no_unit
+            return lambda idxs: unit
+        kind, left, right = ix.kind, compile_index(ix.a), compile_index(ix.b)
+        lookup = table(kind) if isinstance(index, (SemigroupTable, DimonoidTable)) else None
+        if lookup is None:
+            prod = index.prod
+            return lambda idxs: prod(kind, left(idxs), right(idxs))
+        return lambda idxs: lookup[left(idxs)][right(idxs)]
+
+    return compile_index
+
+
+def _compiler(ops, index, unit_vector):
+    """Expression -> closure ``(vectors, idxs) -> LinComb`` over the resolved
+    ``ops``; the variables x, y, z read positions 0, 1, 2 of ``vectors``.
+    Subterms are evaluated in the order the term tree lists them, indices
+    before arguments, so a missing unit raises at the same instance and
+    point as a walk of the tree would."""
+    compile_index = _index_compiler(index)
+
+    def compile_expr(expr):
+        if isinstance(expr, Var):
+            k = _VAR_POSITION[expr.name]
+            return lambda vectors, idxs: vectors[k]
+        if isinstance(expr, UnitElem):
+            if unit_vector is None:
+
+                def no_unit(vectors, idxs):
+                    raise ContractError("suite requires a declared unit vector")
+
+                return no_unit
+            return lambda vectors, idxs: unit_vector
+        if isinstance(expr, App):
+            return _compile_app(
+                ops[expr.role],
+                [compile_index(ix) for ix in expr.idx],
+                [compile_expr(arg) for arg in expr.args],
+            )
+        if isinstance(expr, Lin):
+            return _compile_lin([(coeff, compile_expr(e)) for coeff, e in expr.terms])
+        raise TypeError(f"unknown expression node {expr!r}")
+
+    return compile_expr
+
+
+def _compile_app(op, idx, args):
+    if len(idx) == 2 and len(args) == 2:  # pair-indexed operation
+        (a, b), (x, y) = idx, args
+        return lambda vectors, idxs: op(a(idxs), b(idxs), x(vectors, idxs), y(vectors, idxs))
+    if len(idx) == 1 and len(args) == 2:  # family-indexed operation
+        (a,), (x, y) = idx, args
+        return lambda vectors, idxs: op(a(idxs), x(vectors, idxs), y(vectors, idxs))
+    if len(idx) == 1 and len(args) == 1:  # family of linear maps
+        (a,), (x,) = idx, args
+        return lambda vectors, idxs: op(a(idxs), x(vectors, idxs))
+    return lambda vectors, idxs: op(
+        *[f(idxs) for f in idx], *[f(vectors, idxs) for f in args]
+    )
+
+
+_ZERO = LinComb()
+
+
+def _compile_lin(terms):
+    """A formal sum, term by term: a coefficient of 1 or -1 is an add or a
+    subtract, any other a scale."""
+    if not terms:
+        return lambda vectors, idxs: _ZERO
+    (coeff, first), rest = terms[0], terms[1:]
+    if coeff == 1:
+        acc = first
+    elif coeff == -1:
+        acc = _negated(first)
+    else:
+        acc = _scaled(coeff, first)
+    for coeff, term in rest:
+        acc = _add_term(acc, coeff, term)
+    return acc
+
+
+def _negated(term):
+    return lambda vectors, idxs: -term(vectors, idxs)
+
+
+def _scaled(coeff, term):
+    return lambda vectors, idxs: term(vectors, idxs).scale(coeff)
+
+
+def _add_term(acc, coeff, term):
+    if coeff == 1:
+        return lambda vectors, idxs: acc(vectors, idxs) + term(vectors, idxs)
+    if coeff == -1:
+        return lambda vectors, idxs: acc(vectors, idxs) - term(vectors, idxs)
+    return lambda vectors, idxs: acc(vectors, idxs) + term(vectors, idxs).scale(coeff)
+
+
 def eval_index(ix, env, index):
-    if isinstance(ix, IxVar):
-        return env[ix.name]
-    if isinstance(ix, IxUnit):
-        if index.unit is None:
-            raise ContractError("suite requires a unit element in the index structure")
-        return index.unit
-    return index.prod(ix.kind, eval_index(ix.a, env, index), eval_index(ix.b, env, index))
+    """One index expression under ``env`` (variable name -> element),
+    compiled and run once."""
+    return _index_compiler(index)(ix)(tuple(env[name] for name in _IVARS[: len(env)]))
 
 
 def eval_expr(expr, elem_env, idx_env, ops, index, unit_vector):
-    if isinstance(expr, Var):
-        return elem_env[expr.name]
-    if isinstance(expr, UnitElem):
-        if unit_vector is None:
-            raise ContractError("suite requires a declared unit vector")
-        return unit_vector
-    if isinstance(expr, App):
-        idx = tuple(eval_index(i, idx_env, index) for i in expr.idx)
-        args = tuple(eval_expr(e, elem_env, idx_env, ops, index, unit_vector) for e in expr.args)
-        return ops[expr.role](*idx, *args)
-    if isinstance(expr, Lin):
-        out = LinComb.zero()
-        for coeff, sub_expr in expr.terms:
-            out = out + eval_expr(sub_expr, elem_env, idx_env, ops, index, unit_vector).scale(coeff)
-        return out
-    raise TypeError(f"unknown expression node {expr!r}")
+    """One expression under name environments, compiled and run once.  The
+    checks compile each equation once instead and never call this."""
+    vectors = tuple(elem_env[name] for name in _VARS[: len(elem_env)])
+    idxs = tuple(idx_env[name] for name in _IVARS[: len(idx_env)])
+    return _compiler(ops, index, unit_vector)(expr)(vectors, idxs)
 
 
 # ---------------------------------------------------------------------------
 # the suites
-
-_VARS = ("x", "y", "z")
-_IVARS = ("a", "b", "c")
 
 # The independence pattern of each single-index role: the position in the
 # index pair that the role reads once lifted to a pair-indexed operation.
@@ -437,11 +553,15 @@ class FiniteDomain:
         self.basis_filter = basis_filter
 
     def elements(self, k):
-        positions = range(len(self.basis_names))
-        for combo in product(positions, repeat=k):
-            if self.basis_filter is not None and not self.basis_filter(combo):
-                continue
-            yield tuple((self.basis_names[i], LinComb.single(i)) for i in combo)
+        # one basis vector per position, shared by every tuple of the scan
+        points = [(name, LinComb.single(i)) for i, name in enumerate(self.basis_names)]
+        if self.basis_filter is None:
+            return product(points, repeat=k)
+        return (
+            tuple(points[i] for i in combo)
+            for combo in product(range(len(points)), repeat=k)
+            if self.basis_filter(combo)
+        )
 
     def indices(self, m):
         return product(self.index_elems, repeat=m)
@@ -507,24 +627,26 @@ def _validate_carrier(carrier, suite):
 
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
     """Instances of each equation in turn: element tuples then index tuples
-    in domain order.  ``per_equation`` counts the instances handed out per
-    equation, including equations reached with none."""
+    in domain order, both sides evaluated by the equation's compiled form.
+    ``per_equation`` counts the instances handed out per equation, including
+    equations reached with none."""
+    compile_expr = _compiler(ops, index, unit_vector)
     for equation in equations:
         eqid = equation.eqid
+        lhs, rhs = compile_expr(equation.lhs), compile_expr(equation.rhs)
         count = per_equation[eqid] = 0
         for elems in domain.elements(equation.n_elem):
             labels = tuple(label for label, _ in elems)
-            elem_env = dict(zip(_VARS, (vec for _, vec in elems)))
+            vectors = tuple(vec for _, vec in elems)
             for idxs in domain.indices(equation.n_idx):
-                idx_env = dict(zip(_IVARS, idxs))
                 count += 1
                 per_equation[eqid] = count
                 yield (
                     eqid,
                     labels,
                     map(domain.index_name, idxs),
-                    eval_expr(equation.lhs, elem_env, idx_env, ops, index, unit_vector),
-                    eval_expr(equation.rhs, elem_env, idx_env, ops, index, unit_vector),
+                    lhs(vectors, idxs),
+                    rhs(vectors, idxs),
                 )
 
 

@@ -5,11 +5,13 @@ document to stdout (and to --out when given) and a human summary to stderr.
 Exit status: 0 all checks passed, 1 a check or one of its preconditions
 failed (counterexample in the report), 2 malformed input, 3 contract
 violation (wrong index structure, missing roles, non-commutative index for a
-commutative-only suite).
+commutative-only suite), 4 internal error: a bug in relalg, never a check
+outcome (the traceback goes to stderr).
 """
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 
 from . import jsonio
@@ -348,6 +350,13 @@ def main(argv=None):
     except ContractError as exc:
         print(f"error: contract violation: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # any other exception is a bug, never a counterexample
+        print(
+            f"error: internal error (a bug, never a check outcome): {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        traceback.print_exc()
+        return 4
     _emit(payload, args)
     return 0 if payload["passed"] else 1
 

@@ -20,9 +20,11 @@ level's JSON type (and its length where the format fixes one) and reads the
 innermost entries with one of three leaf readers: ``_scalar`` (a ``"p/q"``
 string), ``_index`` (an integer table entry) or ``_name`` (an element or
 basis name).  Every constructor is called through ``_build``, which refuses
-its ValueError at the object's path.  So all loaders raise
-:class:`MalformedInputError`, and every message begins with the JSON path of
-the offending entry.
+its ValueError at the object's path.  Every object is read through
+``_object``, which refuses a key written twice in one object (``load_file``
+marks such an object) instead of keeping the last value.  So all loaders
+raise :class:`MalformedInputError`, and every message begins with the JSON
+path of the offending entry.
 """
 
 import json
@@ -34,14 +36,40 @@ from .semigroups import Cocycle, DimonoidTable, SemigroupTable
 from .samples import reciprocal_rota_baxter
 
 
+class _KeyGivenTwice(dict):
+    """A JSON object in which ``key`` (the first repeated key) is written
+    more than once; the loader that reads the object refuses it at its path."""
+
+    __slots__ = ("key",)
+
+
+def _json_object(pairs):
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    twice = _KeyGivenTwice(obj)
+    twice.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return twice
+
+
 def load_file(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise MalformedInputError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _object(value, path):
+    """``value`` as a JSON object none of whose keys is given twice."""
+    if not isinstance(value, dict):
+        raise MalformedInputError(f"{path}: expected an object")
+    if type(value) is _KeyGivenTwice:
+        raise MalformedInputError(f"{path}.{value.key}: key given twice")
+    return value
 
 
 def _need(obj, key, types, path, optional=False):
@@ -55,7 +83,7 @@ def _need(obj, key, types, path, optional=False):
     # bool is an int subclass; a JSON true is never read as the integer 1
     if not isinstance(value, types) or (type(value) is bool and types is not bool):
         raise MalformedInputError(f"{path}.{key}: wrong type {type(value).__name__}")
-    return value
+    return _object(value, f"{path}.{key}") if types is dict else value
 
 
 def _build(path, cls, *args, **kwargs):
@@ -107,8 +135,7 @@ def _table(raw, path, leaf, *shape):
 
 
 def load_semigroup(obj, path="semigroup"):
-    if not isinstance(obj, dict):
-        raise MalformedInputError(f"{path}: expected an object")
+    _object(obj, path)
     elements = _table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
     table = _table(_need(obj, "product", list, path), f"{path}.product", _index, None, None)
     unit_name = _need(obj, "unit", str, path, optional=True)
@@ -129,8 +156,7 @@ def dump_semigroup(semigroup):
 
 
 def load_dimonoid(obj, path="dimonoid"):
-    if not isinstance(obj, dict):
-        raise MalformedInputError(f"{path}: expected an object")
+    _object(obj, path)
     elements = _table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
     left = _table(_need(obj, "left", list, path), f"{path}.left", _index, None, None)
     right = _table(_need(obj, "right", list, path), f"{path}.right", _index, None, None)
@@ -170,8 +196,7 @@ def _parse_op_key(key, semigroup, path):
 
 
 def load_algebra(obj, path="algebra"):
-    if not isinstance(obj, dict):
-        raise MalformedInputError(f"{path}: expected an object")
+    _object(obj, path)
     dim = _need(obj, "dim", int, path)
     basis = _table(_need(obj, "basis", list, path), f"{path}.basis", _name, None)
     if len(basis) != dim:
@@ -179,8 +204,7 @@ def load_algebra(obj, path="algebra"):
     semigroup = load_semigroup(_need(obj, "semigroup", dict, path), f"{path}.semigroup")
     ops = {}
     for role, table in _need(obj, "ops", dict, path).items():
-        if not isinstance(table, dict):
-            raise MalformedInputError(f"{path}.ops.{role}: expected an object")
+        _object(table, f"{path}.ops.{role}")
         ops[role] = blocks = {}
         for key, block in table.items():
             where = f"{path}.ops.{role}.{key}"
@@ -235,8 +259,7 @@ RB_BUILTINS = {"reciprocal": reciprocal_rota_baxter}
 
 
 def load_rota_baxter(obj, path="rb"):
-    if not isinstance(obj, dict):
-        raise MalformedInputError(f"{path}: expected an object")
+    _object(obj, path)
     if "builtin" in obj:
         name = obj["builtin"]
         # a list or object is unhashable: test the type before the lookup
@@ -253,8 +276,7 @@ def load_rota_baxter(obj, path="rb"):
 
 
 def load_morphism(obj, path="morphism"):
-    if not isinstance(obj, dict):
-        raise MalformedInputError(f"{path}: expected an object")
+    _object(obj, path)
     source = load_algebra(_need(obj, "source", dict, path), f"{path}.source")
     target = load_algebra(_need(obj, "target", dict, path), f"{path}.target")
     maps = _maps(obj, path, source.index, target.dim, source.dim)

@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relalg import (
     SUITES,
@@ -16,12 +19,36 @@ from relalg import (
     check_axioms,
     check_morphism,
     check_rota_baxter,
+    cyclic_monoid,
     dimonoid_from_semigroup,
     finite_domain,
+    matching_dimonoid,
     trivial_monoid,
 )
+from relalg.axioms import (
+    OMEGA,
+    ROTA_BAXTER_EQUATION,
+    UNIT,
+    A,
+    B,
+    App,
+    Equation,
+    FiniteDomain,
+    IxUnit,
+    IxVar,
+    Lin,
+    Suite,
+    UnitElem,
+    Var,
+    X,
+    Y,
+    app,
+    mul,
+    window_domain,
+)
 from relalg.errors import ContractError
-from relalg.samples import reciprocal_rota_baxter
+from relalg.reports import scan, to_json
+from relalg.samples import rational_line_carrier, reciprocal_rota_baxter
 from tests.conftest import one_dim_base
 
 
@@ -265,3 +292,215 @@ def test_morphism_precondition_reported(zmod2):
     report = check_morphism(MorphismFamily(alg, alg, ident), "RelAssoc")
     assert not report.passed
     assert report.check.startswith("morphism:precondition:source")
+
+
+# -- the compiled equations against a reference walk of the term trees
+
+
+def ref_index(ix, env, index):
+    """The term-tree walk the engine compiled away, kept as the reference."""
+    if isinstance(ix, IxVar):
+        return env[ix.name]
+    if isinstance(ix, IxUnit):
+        if index.unit is None:
+            raise ContractError("suite requires a unit element in the index structure")
+        return index.unit
+    return index.prod(ix.kind, ref_index(ix.a, env, index), ref_index(ix.b, env, index))
+
+
+def ref_expr(expr, elem_env, idx_env, ops, index, unit_vector):
+    if isinstance(expr, Var):
+        return elem_env[expr.name]
+    if isinstance(expr, UnitElem):
+        if unit_vector is None:
+            raise ContractError("suite requires a declared unit vector")
+        return unit_vector
+    if isinstance(expr, App):
+        idx = tuple(ref_index(i, idx_env, index) for i in expr.idx)
+        args = tuple(ref_expr(e, elem_env, idx_env, ops, index, unit_vector) for e in expr.args)
+        return ops[expr.role](*idx, *args)
+    if isinstance(expr, Lin):
+        out = LinComb.zero()
+        for coeff, sub_expr in expr.terms:
+            out = out + ref_expr(sub_expr, elem_env, idx_env, ops, index, unit_vector).scale(coeff)
+        return out
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
+def ref_scan(check, equations, domain, ops, index, unit_vector):
+    per_equation = {}
+
+    def instances():
+        for equation in equations:
+            count = per_equation[equation.eqid] = 0
+            for elems in domain.elements(equation.n_elem):
+                elem_env = dict(zip("xyz", (vec for _, vec in elems)))
+                for idxs in domain.indices(equation.n_idx):
+                    idx_env = dict(zip("abc", idxs))
+                    count += 1
+                    per_equation[equation.eqid] = count
+                    yield (
+                        equation.eqid,
+                        tuple(label for label, _ in elems),
+                        map(domain.index_name, idxs),
+                        ref_expr(equation.lhs, elem_env, idx_env, ops, index, unit_vector),
+                        ref_expr(equation.rhs, elem_env, idx_env, ops, index, unit_vector),
+                    )
+
+    report = scan(check, instances(), lambda vec: vec.to_pairs(domain.render_basis))
+    return report, per_equation
+
+
+def ref_check_axioms(carrier, suite, domain):
+    ops = {role: carrier.op(role) for role in suite.roles}
+    report, per_equation = ref_scan(
+        f"axioms:{suite.name}", suite.equations, domain, ops, carrier.index, carrier.unit_vector
+    )
+    return replace(report, info={"suite": suite.name, "equation_instances": per_equation})
+
+
+def ref_check_rota_baxter(rb, domain):
+    carrier = rb.carrier
+    pre = ref_check_axioms(carrier, SUITES["RelAssoc"], domain)
+    if not pre.passed:
+        return replace(pre, check="rota-baxter:precondition:RelAssoc")
+    ops = {"mul": carrier.op("mul"), "rb": rb.apply}
+    equations = (ROTA_BAXTER_EQUATION,)
+    return ref_scan("rota-baxter", equations, domain, ops, carrier.index, None)[0]
+
+
+def same_report(compiled, reference):
+    assert compiled.passed == reference.passed
+    assert to_json(compiled.to_payload()) == to_json(reference.to_payload())
+
+
+# Sparse constants, so that some scans pass and others fail deep in the scan.
+CONSTANTS = (0, 0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 2)
+PAIR_ROLES = ("mul", "bracket", "prec", "succ", "ast", "circ")
+FAMILY_ROLES = ("prec", "succ", "ast", "circ")
+
+
+def random_algebra(rng, index, dim, roles, arity, unit):
+    keys = list(product(range(index.size), repeat=arity))
+    shared = rng.random() < 0.5  # one block at every index tuple, or one each
+
+    def block():
+        return tuple(
+            tuple(tuple(Fraction(rng.choice(CONSTANTS)) for _ in range(dim)) for _ in range(dim))
+            for _ in range(dim)
+        )
+
+    ops = {}
+    for role in roles:
+        one = block()
+        ops[role] = {key: one if shared else block() for key in keys}
+    unit_vector = [Fraction(rng.choice(CONSTANTS)) for _ in range(dim)] if unit else None
+    return FiniteRelativeAlgebra([f"e{i}" for i in range(dim)], index, ops, unit_vector)
+
+
+# Formal sums the built-in suites never write: a leading -1, coefficients
+# other than 1 and -1, and a sum that is a single scaled term.
+WEIGHTED = Suite(
+    "Weighted",
+    2,
+    ("mul",),
+    (
+        Equation(
+            "weighted",
+            Lin(
+                (
+                    (Fraction(-1), app("mul", (A, B), X, Y)),
+                    (Fraction(1, 2), app("mul", (B, A), Y, X)),
+                    (Fraction(-1), X),
+                )
+            ),
+            Lin(((Fraction(-3), app("mul", (mul(A, B), A), X, Y)),)),
+            2,
+            2,
+        ),
+    ),
+)
+
+INDICES = {
+    "trivial": trivial_monoid,
+    "Z/1": lambda: cyclic_monoid(1),
+    "Z/2": lambda: cyclic_monoid(2),
+    "Z/3": lambda: cyclic_monoid(3),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    index_name=st.sampled_from(sorted(INDICES)),
+    unit=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
+    rng = Random(seed)
+    index = INDICES[index_name]()
+    pair = random_algebra(rng, index, dim, PAIR_ROLES, 2, unit)
+    family = random_algebra(rng, index, dim, FAMILY_ROLES, 1, False)
+    dimonoid = rng.choice([dimonoid_from_semigroup(index), matching_dimonoid(index.size)])
+    carriers = {
+        (2, "semigroup"): pair.as_carrier(),
+        (1, "semigroup"): family.as_carrier(),
+        (1, "dimonoid"): OpCarrier(
+            dimonoid, {r: family.op(r) for r in ("prec", "succ")}, basis=family.basis
+        ),
+    }
+    domain = finite_domain(pair)
+    for suite in (*SUITES.values(), WEIGHTED):
+        if suite.requires_unit and not unit:
+            continue
+        carrier = carriers[suite.op_arity, suite.index_kind]
+        same_report(check_axioms(carrier, suite, domain), ref_check_axioms(carrier, suite, domain))
+
+    # Rota-Baxter: random maps over a random carrier (RelAssoc mostly fails)
+    # and over an associative one, e_i e_j = k e_max(i,j) at every index pair
+    k = Fraction(rng.choice(CONSTANTS))
+    block = tuple(
+        tuple(tuple(k if m == max(i, j) else 0 for m in range(dim)) for j in range(dim))
+        for i in range(dim)
+    )
+    assoc = FiniteRelativeAlgebra(
+        pair.basis, index, {"mul": {key: block for key in product(range(index.size), repeat=2)}}
+    )
+    for carrier in (pair, assoc):
+        maps = {
+            a: tuple(tuple(rng.choice(CONSTANTS) for _ in range(dim)) for _ in range(dim))
+            for a in range(index.size)
+        }
+        rb = RotaBaxterFamily(carrier, maps)
+        same_report(check_rota_baxter(rb), ref_check_rota_baxter(rb, finite_domain(carrier)))
+
+    # ... and on a window of the rational line over (Z>0, +), where
+    # R_n(x) = c x / n passes for every c and R_n(x) = c x fails unless c = 0
+    c = Fraction(rng.choice(CONSTANTS))
+    weight = rng.choice([lambda n: c / n, lambda n: c])
+    rb = RotaBaxterFamily(rational_line_carrier(), lambda n, x: x.scale(weight(n)))
+    window = range(1, rng.randint(1, 4) + 1)
+    same_report(
+        check_rota_baxter(rb, window=window),
+        ref_check_rota_baxter(rb, window_domain(("1",), window)),
+    )
+
+
+def test_missing_units_raise_only_at_an_instance():
+    # a custom suite reading the index unit and the unit vector: on a
+    # unit-less carrier the check raises at the first instance, and a domain
+    # with no instance leaves nothing to raise at
+    no_unit = SemigroupTable(["p", "q"], [[0, 1], [0, 1]])
+    alg = random_algebra(Random(0), no_unit, 1, ("mul",), 2, False)
+    reads_index_unit = Equation("index_unit", app("mul", (A, OMEGA), X, Y), X, 2, 1)
+    reads_unit_vector = Equation("unit_vector", app("mul", (A, A), X, UNIT), X, 1, 1)
+    for equation, message in (
+        (reads_index_unit, "unit element in the index structure"),
+        (reads_unit_vector, "declared unit vector"),
+    ):
+        suite = Suite("Custom", 2, ("mul",), (equation,))
+        empty = FiniteDomain(alg.basis, [])
+        report = check_axioms(alg.as_carrier(), suite, empty)
+        assert report.passed and report.instances == 0
+        with pytest.raises(ContractError, match=message):
+            check_axioms(alg.as_carrier(), suite, finite_domain(alg))

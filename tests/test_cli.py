@@ -487,3 +487,21 @@ def test_boolean_dim_exits_2(tmp_path):
     proc = run_cli("check-algebra", "--algebra", str(path), "--suite", "RelAssoc")
     assert proc.returncode == 2
     assert proc.stderr == "error: malformed input: algebra.dim: wrong type bool\n"
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    # an exception no handler expects is a bug: it must not read as exit 1,
+    # a counterexample
+    from relalg import cli
+
+    def broken(args):
+        raise KeyError("planted")
+
+    monkeypatch.setitem(cli.HANDLERS, "check-semigroup", broken)
+    assert cli.main(["check-semigroup", "--semigroup", str(DATA / "zmod2.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, *rest = captured.err.splitlines()
+    assert first == "error: internal error (a bug, never a check outcome): KeyError: 'planted'"
+    assert rest[0] == "Traceback (most recent call last):"
+    assert rest[-1] == "KeyError: 'planted'"

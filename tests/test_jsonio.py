@@ -264,6 +264,35 @@ def test_op_key_given_twice(doc, message):
         load_algebra(doc)
 
 
+def _key_written_twice_files():
+    # JSON text, since a Python dict cannot hold a key twice; each case
+    # writes one "key": value entry twice
+    def twice(doc, entry, again=None):
+        text = json.dumps(doc)
+        assert text.count(entry) == 1
+        return text.replace(entry, f"{entry}, {entry if again is None else again}")
+
+    alg = cocycle_algebra_doc()
+    yield load_algebra, twice(alg, '"(1,1)": [[["-1/1"]]]'), r"algebra\.ops\.mul\.\(1,1\)"
+    rb = {"algebra": alg, "maps": {"0": [["0/1"]], "1": [["0/1"]]}}
+    yield load_rota_baxter, twice(rb, '"1": [["0/1"]]', '"1": [["1/1"]]'), r"rb\.maps\.1"
+    yield load_algebra, twice(alg, '"dim": 1'), r"algebra\.dim"
+    yield load_algebra, twice(alg, '"unit": "0"', '"unit": "1"'), r"algebra\.semigroup\.unit"
+
+
+@pytest.mark.parametrize(
+    "loader, text, where",
+    list(_key_written_twice_files()),
+    ids=["ops-key", "maps-key", "top-level-key", "nested-object-key"],
+)
+def test_key_written_twice_is_refused(tmp_path, loader, text, where):
+    # json.load alone keeps the later of two equal keys; the file is refused
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(MalformedInputError, match=f"^{where}: key given twice$"):
+        loader(load_file(path))
+
+
 def test_commutative_must_be_boolean():
     # bool("false") is true: a string must not be read as a commutativity claim
     with pytest.raises(MalformedInputError, match=r"^semigroup\.commutative: wrong type str$"):
