@@ -122,29 +122,44 @@ _VAR_POSITION = {name: k for k, name in enumerate(_VARS)}
 _IVAR_POSITION = {name: k for k, name in enumerate(_IVARS)}
 
 
-def _index_compiler(index):
-    """Index expression -> closure ``idxs -> element`` over ``index``; the
-    variables a, b, c read positions 0, 1, 2 of ``idxs``.  On a finite table
-    each product kind is read from an n x n table built once from
-    ``index.prod``; any other index keeps calling ``index.prod``."""
-    tables = {}
+class _Compiler:
+    """Compiles the expressions of one check over its resolved ``ops``,
+    ``index`` and ``unit_vector``.  An expression becomes a closure
+    ``(vectors, idxs) -> LinComb`` and an index expression a closure
+    ``idxs -> element``; x, y, z read positions 0, 1, 2 of ``vectors`` and
+    a, b, c the same positions of ``idxs``.  Subterms are evaluated in the
+    order the term tree lists them, indices before arguments, so a missing
+    unit raises at the same instance as a walk of the tree would.
 
-    def table(kind):
-        if kind not in tables:
-            n = index.size
-            try:
-                tables[kind] = tuple(
-                    tuple(index.prod(kind, i, j) for j in range(n)) for i in range(n)
-                )
-            except ContractError:  # no such product: raised when an instance reads it
-                tables[kind] = None
-        return tables[kind]
+    The closures hold no reference to the compiler, and the compiler none to
+    itself, so a carrier is freed as soon as its check ends."""
 
-    def compile_index(ix):
+    def __init__(self, ops, index, unit_vector):
+        self.ops = ops
+        self.index = index
+        self.unit_vector = unit_vector
+        self.tables = {}
+
+    def table(self, kind):
+        """The n x n table of a product kind of a finite index, built once
+        from ``index.prod``; None for an index that is not a finite table or
+        has no such product (then an instance that reads it raises)."""
+        if kind not in self.tables:
+            index, table = self.index, None
+            if isinstance(index, (SemigroupTable, DimonoidTable)):
+                n = index.size
+                try:
+                    table = tuple(tuple(index.prod(kind, i, j) for j in range(n)) for i in range(n))
+                except ContractError:
+                    pass
+            self.tables[kind] = table
+        return self.tables[kind]
+
+    def index_expr(self, ix):
         if isinstance(ix, IxVar):
             return itemgetter(_IVAR_POSITION[ix.name])
         if isinstance(ix, IxUnit):
-            unit = index.unit
+            unit = self.index.unit
             if unit is None:
 
                 def no_unit(idxs):
@@ -152,29 +167,19 @@ def _index_compiler(index):
 
                 return no_unit
             return lambda idxs: unit
-        kind, left, right = ix.kind, compile_index(ix.a), compile_index(ix.b)
-        lookup = table(kind) if isinstance(index, (SemigroupTable, DimonoidTable)) else None
-        if lookup is None:
-            prod = index.prod
+        kind, left, right = ix.kind, self.index_expr(ix.a), self.index_expr(ix.b)
+        table = self.table(kind)
+        if table is None:
+            prod = self.index.prod
             return lambda idxs: prod(kind, left(idxs), right(idxs))
-        return lambda idxs: lookup[left(idxs)][right(idxs)]
+        return lambda idxs: table[left(idxs)][right(idxs)]
 
-    return compile_index
-
-
-def _compiler(ops, index, unit_vector):
-    """Expression -> closure ``(vectors, idxs) -> LinComb`` over the resolved
-    ``ops``; the variables x, y, z read positions 0, 1, 2 of ``vectors``.
-    Subterms are evaluated in the order the term tree lists them, indices
-    before arguments, so a missing unit raises at the same instance and
-    point as a walk of the tree would."""
-    compile_index = _index_compiler(index)
-
-    def compile_expr(expr):
+    def expr(self, expr):
         if isinstance(expr, Var):
             k = _VAR_POSITION[expr.name]
             return lambda vectors, idxs: vectors[k]
         if isinstance(expr, UnitElem):
+            unit_vector = self.unit_vector
             if unit_vector is None:
 
                 def no_unit(vectors, idxs):
@@ -184,15 +189,13 @@ def _compiler(ops, index, unit_vector):
             return lambda vectors, idxs: unit_vector
         if isinstance(expr, App):
             return _compile_app(
-                ops[expr.role],
-                [compile_index(ix) for ix in expr.idx],
-                [compile_expr(arg) for arg in expr.args],
+                self.ops[expr.role],
+                [self.index_expr(ix) for ix in expr.idx],
+                [self.expr(arg) for arg in expr.args],
             )
         if isinstance(expr, Lin):
-            return _compile_lin([(coeff, compile_expr(e)) for coeff, e in expr.terms])
+            return _compile_lin([(coeff, self.expr(e)) for coeff, e in expr.terms])
         raise TypeError(f"unknown expression node {expr!r}")
-
-    return compile_expr
 
 
 def _compile_app(op, idx, args):
@@ -213,29 +216,17 @@ def _compile_app(op, idx, args):
 _ZERO = LinComb()
 
 
+def _zero(vectors, idxs):
+    return _ZERO
+
+
 def _compile_lin(terms):
-    """A formal sum, term by term: a coefficient of 1 or -1 is an add or a
-    subtract, any other a scale."""
-    if not terms:
-        return lambda vectors, idxs: _ZERO
-    (coeff, first), rest = terms[0], terms[1:]
-    if coeff == 1:
-        acc = first
-    elif coeff == -1:
-        acc = _negated(first)
-    else:
-        acc = _scaled(coeff, first)
-    for coeff, term in rest:
+    """A formal sum, folded term by term onto one shared zero: a coefficient
+    of 1 or -1 is an add or a subtract, any other a scale and an add."""
+    acc = _zero
+    for coeff, term in terms:
         acc = _add_term(acc, coeff, term)
     return acc
-
-
-def _negated(term):
-    return lambda vectors, idxs: -term(vectors, idxs)
-
-
-def _scaled(coeff, term):
-    return lambda vectors, idxs: term(vectors, idxs).scale(coeff)
 
 
 def _add_term(acc, coeff, term):
@@ -249,7 +240,8 @@ def _add_term(acc, coeff, term):
 def eval_index(ix, env, index):
     """One index expression under ``env`` (variable name -> element),
     compiled and run once."""
-    return _index_compiler(index)(ix)(tuple(env[name] for name in _IVARS[: len(env)]))
+    idxs = tuple(env[name] for name in _IVARS[: len(env)])
+    return _Compiler({}, index, None).index_expr(ix)(idxs)
 
 
 def eval_expr(expr, elem_env, idx_env, ops, index, unit_vector):
@@ -257,7 +249,7 @@ def eval_expr(expr, elem_env, idx_env, ops, index, unit_vector):
     checks compile each equation once instead and never call this."""
     vectors = tuple(elem_env[name] for name in _VARS[: len(elem_env)])
     idxs = tuple(idx_env[name] for name in _IVARS[: len(idx_env)])
-    return _compiler(ops, index, unit_vector)(expr)(vectors, idxs)
+    return _Compiler(ops, index, unit_vector).expr(expr)(vectors, idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +622,10 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     in domain order, both sides evaluated by the equation's compiled form.
     ``per_equation`` counts the instances handed out per equation, including
     equations reached with none."""
-    compile_expr = _compiler(ops, index, unit_vector)
+    compiler = _Compiler(ops, index, unit_vector)
     for equation in equations:
         eqid = equation.eqid
-        lhs, rhs = compile_expr(equation.lhs), compile_expr(equation.rhs)
+        lhs, rhs = compiler.expr(equation.lhs), compiler.expr(equation.rhs)
         count = per_equation[eqid] = 0
         for elems in domain.elements(equation.n_elem):
             labels = tuple(label for label, _ in elems)

@@ -325,10 +325,13 @@ HANDLERS = {
 
 def _emit(payload, args):
     text = to_json(payload)
-    sys.stdout.write(text)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInputError(f"--out {args.out}: {exc.strerror}") from None
+    sys.stdout.write(text)
     for report in payload.get("reports", []):
         line = "PASS" if report["passed"] else "FAIL"
         ce = report.get("counterexample")
@@ -338,15 +341,23 @@ def _emit(payload, args):
         print(payload["result"], file=sys.stderr)
 
 
+def _run(args):
+    """Run the command, write its report out, and return its exit status."""
+    try:
+        payload = HANDLERS[args.command](args)
+    except ConstructionRefused as exc:
+        payload = _payload(args.command, [exc.report])
+    _emit(payload, args)
+    return 0 if payload["passed"] else 1
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        payload = HANDLERS[args.command](args)
+        return _run(args)
     except MalformedInputError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
-    except ConstructionRefused as exc:
-        payload = _payload(args.command, [exc.report])
     except ContractError as exc:
         print(f"error: contract violation: {exc}", file=sys.stderr)
         return 3
@@ -357,8 +368,6 @@ def main(argv=None):
         )
         traceback.print_exc()
         return 4
-    _emit(payload, args)
-    return 0 if payload["passed"] else 1
 
 
 if __name__ == "__main__":

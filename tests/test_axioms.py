@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -43,6 +45,7 @@ from relalg.axioms import (
     X,
     Y,
     app,
+    dleft,
     mul,
     window_domain,
 )
@@ -486,17 +489,37 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
     )
 
 
-def test_missing_units_raise_only_at_an_instance():
-    # a custom suite reading the index unit and the unit vector: on a
-    # unit-less carrier the check raises at the first instance, and a domain
-    # with no instance leaves nothing to raise at
+def test_compiled_application_of_another_shape():
+    # an operation with two indices and one argument: the compiler's
+    # general form, which no built-in suite reaches
+    class IndexWeightedMap:
+        arity = 2
+
+        def __call__(self, a, b, x):
+            return x.scale(a + 2 * b + 1)
+
+    carrier = OpCarrier(cyclic_monoid(2), {"f": IndexWeightedMap()}, basis=("u",))
+    equation = Equation("shape", app("f", (A, B), X), app("f", (B, A), X), 1, 2)
+    suite = Suite("Shape", 2, ("f",), (equation,))
+    domain = FiniteDomain(carrier.basis, range(2))
+    report = check_axioms(carrier, suite, domain)
+    assert not report.passed and report.instances == 2
+    same_report(report, ref_check_axioms(carrier, suite, domain))
+
+
+def test_missing_index_structure_raises_only_at_an_instance():
+    # custom suites reading the index unit, the unit vector, or a product
+    # the index lacks: on such a carrier the check raises at the first
+    # instance, and a domain with no instance leaves nothing to raise at
     no_unit = SemigroupTable(["p", "q"], [[0, 1], [0, 1]])
     alg = random_algebra(Random(0), no_unit, 1, ("mul",), 2, False)
     reads_index_unit = Equation("index_unit", app("mul", (A, OMEGA), X, Y), X, 2, 1)
     reads_unit_vector = Equation("unit_vector", app("mul", (A, A), X, UNIT), X, 1, 1)
+    reads_left = Equation("left", app("mul", (dleft(A, A), A), X, Y), X, 2, 1)
     for equation, message in (
         (reads_index_unit, "unit element in the index structure"),
         (reads_unit_vector, "declared unit vector"),
+        (reads_left, "semigroup index has no 'left' operation"),
     ):
         suite = Suite("Custom", 2, ("mul",), (equation,))
         empty = FiniteDomain(alg.basis, [])
@@ -504,3 +527,25 @@ def test_missing_units_raise_only_at_an_instance():
         assert report.passed and report.instances == 0
         with pytest.raises(ContractError, match=message):
             check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+
+
+def test_a_check_keeps_no_reference_to_its_carrier():
+    # the compiled closures must not form a cycle with the compiler: one
+    # would keep each carrier (and a free carrier's basis cache) alive until
+    # the cyclic collector runs, so back-to-back commands pile up memory
+    class ZeroProduct:
+        arity = 2
+
+        def __call__(self, a, b, x, y):
+            return LinComb.zero()
+
+    op = ZeroProduct()
+    alive = weakref.ref(op)
+    carrier = OpCarrier(cyclic_monoid(2), {"mul": op}, basis=("u",))
+    gc.disable()
+    try:
+        assert check_axioms(carrier, "RelAssoc", FiniteDomain(("u",), range(2))).passed
+        del carrier, op
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -505,3 +505,16 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert first == "error: internal error (a bug, never a check outcome): KeyError: 'planted'"
     assert rest[0] == "Traceback (most recent call last):"
     assert rest[-1] == "KeyError: 'planted'"
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    # a report that cannot be written is refused like an unreadable input,
+    # before anything reaches stdout
+    from relalg.cli import main
+
+    out = tmp_path / "missing-dir" / "report.json"
+    argv = ["check-semigroup", "--semigroup", str(DATA / "zmod2.json"), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed input: --out {out}: No such file or directory\n"
