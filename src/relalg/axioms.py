@@ -161,11 +161,7 @@ class _Compiler:
         if isinstance(ix, IxUnit):
             unit = self.index.unit
             if unit is None:
-
-                def no_unit(idxs):
-                    raise ContractError("suite requires a unit element in the index structure")
-
-                return no_unit
+                return _raises("suite requires a unit element in the index structure")
             return lambda idxs: unit
         kind, left, right = ix.kind, self.index_expr(ix.a), self.index_expr(ix.b)
         table = self.table(kind)
@@ -181,11 +177,7 @@ class _Compiler:
         if isinstance(expr, UnitElem):
             unit_vector = self.unit_vector
             if unit_vector is None:
-
-                def no_unit(vectors, idxs):
-                    raise ContractError("suite requires a declared unit vector")
-
-                return no_unit
+                return _raises("suite requires a declared unit vector")
             return lambda vectors, idxs: unit_vector
         if isinstance(expr, App):
             return _compile_app(
@@ -196,6 +188,15 @@ class _Compiler:
         if isinstance(expr, Lin):
             return _compile_lin([(coeff, self.expr(e)) for coeff, e in expr.terms])
         raise TypeError(f"unknown expression node {expr!r}")
+
+
+def _raises(message):
+    """A closure that raises ContractError(message) when an instance reads it."""
+
+    def missing(*_):
+        raise ContractError(message)
+
+    return missing
 
 
 def _compile_app(op, idx, args):

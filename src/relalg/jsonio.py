@@ -44,13 +44,17 @@ class _KeyGivenTwice(dict):
 
 
 def _json_object(pairs):
+    """The object hook of ``load_file``: a dict, marked when a key repeats."""
     obj = dict(pairs)
-    if len(obj) == len(pairs):
-        return obj
-    seen = set()
-    twice = _KeyGivenTwice(obj)
-    twice.key = next(key for key, _ in pairs if key in seen or seen.add(key))
-    return twice
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                break
+            seen.add(key)
+        obj = _KeyGivenTwice(obj)
+        obj.key = key
+    return obj
 
 
 def load_file(path):
