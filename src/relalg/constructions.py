@@ -78,7 +78,7 @@ PAIR_SYMMETRIC = Suite(
     "PairSymmetric",
     2,
     ("prec", "succ"),
-    (Equation("succ_eq_swapped_prec", app("succ", (A, B), X, Y), app("prec", (B, A), Y, X), 2, 2),),
+    (Equation("succ_eq_swapped_prec", app("succ", (A, B), X, Y), app("prec", (B, A), Y, X)),),
     requires_commutative=True,
 )
 
@@ -86,7 +86,7 @@ FAMILY_SYMMETRIC = Suite(
     "FamilySymmetric",
     1,
     ("prec", "succ"),
-    (Equation("succ_eq_prec", app("succ", (A,), X, Y), app("prec", (A,), X, Y), 2, 1),),
+    (Equation("succ_eq_prec", app("succ", (A,), X, Y), app("prec", (A,), X, Y)),),
 )
 
 

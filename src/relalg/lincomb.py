@@ -20,9 +20,9 @@ _by_basis = itemgetter(0)
 
 
 def parse_scalar(text):
-    """Parse ``"p/q"`` (or a bare integer string) into a Fraction."""
+    """Parse ``"p/q"`` (or a bare integer string) into an exact scalar."""
     try:
-        return Fraction(str(text).strip())
+        return exact(Fraction(str(text).strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad scalar {text!r}: {exc}") from None
 
@@ -32,9 +32,12 @@ def format_scalar(value):
     return f"{value.numerator}/{value.denominator}"
 
 
-def _exact(value):
-    """A non-``int`` scalar as an ``int`` when its denominator is 1, else as
-    a Fraction."""
+def exact(value):
+    """Any rational scalar (an ``int``, a ``Fraction``, a float, ...) in the
+    one exact form: an ``int`` when its denominator is 1, else a Fraction.
+    Every scalar the package holds is coerced here."""
+    if type(value) is int:
+        return value
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
@@ -56,7 +59,7 @@ class LinComb:
                 acc[basis] = get(basis, 0) + coeff
             items = acc.items()
         object.__setattr__(
-            self, "_terms", {b: c if type(c) is int else _exact(c) for b, c in items if c}
+            self, "_terms", {b: c if type(c) is int else exact(c) for b, c in items if c}
         )
 
     def __setattr__(self, name, value):
@@ -117,7 +120,7 @@ class LinComb:
 
     def scale(self, k):
         if type(k) is not int:
-            k = _exact(k)
+            k = exact(k)
         if k == 1:
             return self
         if k == 0:

@@ -7,11 +7,10 @@ wrappers around a function, tagged with the index structure they live over,
 so the axiom engine can validate arity and index compatibility.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, lc_bilinear_extend
+from .lincomb import LinComb, exact, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
 
@@ -74,7 +73,7 @@ def _validate_constants(block, dim, where):
         for j, row in enumerate(plane):
             if len(row) != dim:
                 raise MalformedInputError(f"{where}[{i}][{j}]: expected {dim} coefficients")
-            rows.append(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row))
+            rows.append(tuple(map(exact, row)))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -86,8 +85,9 @@ class FiniteRelativeAlgebra:
     ``ops`` maps a role name to a dict keyed by index tuples: pairs ``(i, j)``
     for pair-indexed roles, singletons ``(i,)`` for family-indexed roles.
     Block ``[i][j][k]`` is the coefficient of basis element k in (e_i op e_j).
-    ``apply`` reads the same constants from ``_products``, which keeps only
-    the nonzero ``(k, coeff)`` terms of each product.
+    ``apply``, and each role's ``op``, read the same constants from
+    ``_products``, which keeps only the nonzero ``(k, coeff)`` terms of each
+    product.  Constants are held in ``lincomb``'s exact scalar form.
     """
 
     __slots__ = ("basis", "index", "ops", "unit_vector", "_products")
@@ -157,10 +157,14 @@ class FiniteRelativeAlgebra:
     def op(self, role):
         if role not in self.ops:
             raise ContractError(f"algebra has no operation for role {role!r}")
-        arity = self.role_arity(role)
-        if arity == 2:
-            return PairIndexedOp(self.index, lambda a, b, x, y, r=role: self.apply(r, (a, b), x, y))
-        return FamilyIndexedOp(self.index, lambda a, x, y, r=role: self.apply(r, (a,), x, y))
+        products = self._products[role]
+        if self.role_arity(role) == 2:
+            return PairIndexedOp(
+                self.index, lambda a, b, x, y: lc_bilinear_extend(_product, x, y, products[(a, b)])
+            )
+        return FamilyIndexedOp(
+            self.index, lambda a, x, y: lc_bilinear_extend(_product, x, y, products[(a,)])
+        )
 
     def as_carrier(self, roles=None):
         names = self.roles() if roles is None else roles
@@ -255,11 +259,7 @@ class MorphismFamily:
         self.source = source
         self.target = target
         self.maps = {
-            a: tuple(
-                tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
-                for row in matrix
-            )
-            for a, matrix in maps.items()
+            a: tuple(tuple(map(exact, row)) for row in matrix) for a, matrix in maps.items()
         }
 
     def apply(self, alpha, x):

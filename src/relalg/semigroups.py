@@ -143,14 +143,16 @@ def positive_integers_additive():
 
 class DimonoidTable(_FiniteTable):
     """Two n x n tables (left and right products) claiming the five dimonoid
-    compatibility identities; ``check_dimonoid`` decides."""
+    compatibility identities; ``check_dimonoid`` decides.  ``semigroup`` is
+    the semigroup ``dimonoid_from_semigroup`` made it from, else None."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "semigroup")
 
-    def __init__(self, elements, left, right):
+    def __init__(self, elements, left, right, semigroup=None):
         super().__init__(elements, "dimonoid")
         object.__setattr__(self, "left", _validate_table(left, self.size, "left"))
         object.__setattr__(self, "right", _validate_table(right, self.size, "right"))
+        object.__setattr__(self, "semigroup", semigroup)
 
     def left_mul(self, i, j):
         return self.left[i][j]
@@ -272,7 +274,7 @@ def dimonoid_from_semigroup(table):
     report = check_semigroup(table)
     if not report.passed:
         raise ContractError(f"not a semigroup: {report.summary()}")
-    return DimonoidTable(table.elements, table.product, table.product)
+    return DimonoidTable(table.elements, table.product, table.product, table)
 
 
 def matching_dimonoid(n):
@@ -290,8 +292,12 @@ def matching_dimonoid(n):
 
 
 def semigroup_from_dimonoid(table):
-    """Recover the semigroup underlying a semigroup-form dimonoid.  The unit,
-    if any, is detected; commutativity is set from table symmetry."""
+    """Recover the semigroup underlying a semigroup-form dimonoid: the one it
+    was made from, with that semigroup's own claims, when there is one.
+    Otherwise (a dimonoid read from a file) the unit, if any, is detected and
+    commutativity is set from table symmetry."""
+    if table.semigroup is not None:
+        return table.semigroup
     if not table.is_semigroup_form():
         raise ContractError("dimonoid is not of semigroup form (left and right tables differ)")
     n = table.size

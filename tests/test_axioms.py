@@ -44,11 +44,13 @@ from relalg.axioms import (
     Var,
     X,
     Y,
+    ZERO_EXPR,
     app,
     dleft,
     mul,
     window_domain,
 )
+from relalg.constructions import FAMILY_SYMMETRIC, PAIR_SYMMETRIC
 from relalg.errors import ContractError
 from relalg.reports import scan, to_json
 from relalg.samples import rational_line_carrier, reciprocal_rota_baxter
@@ -418,8 +420,6 @@ WEIGHTED = Suite(
                 )
             ),
             Lin(((Fraction(-3), app("mul", (mul(A, B), A), X, Y)),)),
-            2,
-            2,
         ),
     ),
 )
@@ -499,7 +499,7 @@ def test_compiled_application_of_another_shape():
             return x.scale(a + 2 * b + 1)
 
     carrier = OpCarrier(cyclic_monoid(2), {"f": IndexWeightedMap()}, basis=("u",))
-    equation = Equation("shape", app("f", (A, B), X), app("f", (B, A), X), 1, 2)
+    equation = Equation("shape", app("f", (A, B), X), app("f", (B, A), X))
     suite = Suite("Shape", 2, ("f",), (equation,))
     domain = FiniteDomain(carrier.basis, range(2))
     report = check_axioms(carrier, suite, domain)
@@ -513,9 +513,9 @@ def test_missing_index_structure_raises_only_at_an_instance():
     # instance, and a domain with no instance leaves nothing to raise at
     no_unit = SemigroupTable(["p", "q"], [[0, 1], [0, 1]])
     alg = random_algebra(Random(0), no_unit, 1, ("mul",), 2, False)
-    reads_index_unit = Equation("index_unit", app("mul", (A, OMEGA), X, Y), X, 2, 1)
-    reads_unit_vector = Equation("unit_vector", app("mul", (A, A), X, UNIT), X, 1, 1)
-    reads_left = Equation("left", app("mul", (dleft(A, A), A), X, Y), X, 2, 1)
+    reads_index_unit = Equation("index_unit", app("mul", (A, OMEGA), X, Y), X)
+    reads_unit_vector = Equation("unit_vector", app("mul", (A, A), X, UNIT), X)
+    reads_left = Equation("left", app("mul", (dleft(A, A), A), X, Y), X)
     for equation, message in (
         (reads_index_unit, "unit element in the index structure"),
         (reads_unit_vector, "declared unit vector"),
@@ -549,3 +549,37 @@ def test_a_check_keeps_no_reference_to_its_carrier():
         assert alive() is None
     finally:
         gc.enable()
+
+
+# Each built-in equation's (n_elem, n_idx), written out here independently
+# of the terms they are read off.
+STATED_ARITIES = {
+    "RelAssoc": [(3, 3)],
+    "RelUnital": [(1, 1), (1, 1)],
+    "RelComm": [(3, 3), (2, 2)],
+    "RelLie": [(2, 2), (3, 3)],
+    "RelPoisson": [(3, 3), (2, 2), (2, 2), (3, 3), (3, 3)],
+    "RelDendriform": [(3, 3)] * 3,
+    "RelZinbiel": [(3, 3)],
+    "RelPreLie": [(3, 3)],
+    "RelPrePoisson": [(3, 3)] * 4,
+    "FamDendriform": [(3, 2)] * 3,
+    "FamZinbiel": [(3, 2)] * 2,
+    "FamPreLie": [(3, 2)],
+    "FamPrePoisson": [(3, 2)] * 5,
+    "DimonoidDendriform": [(3, 2)] * 3,
+}
+
+
+def test_equation_arities_are_read_off_the_terms():
+    assert set(SUITES) == set(STATED_ARITIES)
+    for name, suite in SUITES.items():
+        assert [(e.n_elem, e.n_idx) for e in suite.equations] == STATED_ARITIES[name], name
+    assert (ROTA_BAXTER_EQUATION.n_elem, ROTA_BAXTER_EQUATION.n_idx) == (2, 2)
+    assert [(e.n_elem, e.n_idx) for e in PAIR_SYMMETRIC.equations] == [(2, 2)]
+    assert [(e.n_elem, e.n_idx) for e in FAMILY_SYMMETRIC.equations] == [(2, 1)]
+    # a variable read counts every position before it, used or not
+    only_y_b = Equation("only_y_b", app("f", (B,), Y), Y)
+    assert (only_y_b.n_elem, only_y_b.n_idx) == (2, 2)
+    closed = Equation("closed", ZERO_EXPR, ZERO_EXPR)
+    assert (closed.n_elem, closed.n_idx) == (0, 0)

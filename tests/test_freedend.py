@@ -8,6 +8,7 @@ from relalg import (
     FreeDendCarrier,
     LinComb,
     OpCarrier,
+    SemigroupTable,
     check_axioms,
     cyclic_monoid,
     dimonoid_from_semigroup,
@@ -15,6 +16,7 @@ from relalg import (
     leaf,
     matching_dimonoid,
     node,
+    semigroup_from_dimonoid,
     tree_parse,
     tree_print,
 )
@@ -233,3 +235,17 @@ def test_tree_lincomb_serialization_roundtrip(free_zmod2):
     pairs = out.to_pairs(tree_print)
     back = LinComb.from_pairs(pairs, tree_parse)
     assert back == out and not out.is_zero()
+
+
+def test_a_dimonoid_made_from_a_semigroup_keeps_its_claims():
+    # the table is commutative with unit 0, but the semigroup does not claim
+    # commutativity: neither carrier may run a suite that needs the claim
+    s = SemigroupTable(["0", "1"], [[0, 1], [1, 0]], unit=0, commutative=False)
+    dimonoid = dimonoid_from_semigroup(s)
+    assert semigroup_from_dimonoid(dimonoid) is s
+    for index in (s, dimonoid):
+        with pytest.raises(ContractError, match="commutative"):
+            free_check(FreeDendCarrier(["x", "y"], index), "RelLie", samples=2)
+    # a semigroup-form dimonoid read from a file still has its claims worked out
+    plain = semigroup_from_dimonoid(DimonoidTable(s.elements, s.product, s.product))
+    assert plain.unit == 0 and plain.claims_commutative

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from relalg import (
     FiniteRelativeAlgebra,
     LinComb,
+    MorphismFamily,
     cyclic_monoid,
     format_scalar,
     lc_add,
@@ -15,6 +16,7 @@ from relalg import (
     parse_scalar,
 )
 from relalg.errors import MalformedInputError
+from relalg.jsonio import load_algebra
 
 scalars = st.fractions(min_value=-100, max_value=100, max_denominator=100)
 combs = st.dictionaries(st.integers(0, 5), scalars, max_size=6).map(LinComb)
@@ -194,3 +196,35 @@ def test_unordered_terms_with_int_or_fraction_coefficients(data):
     assert mixed.scale(Fraction(1)) is mixed
     assert mixed.scale(0) == LinComb.zero()
     assert mixed.scale(0).is_zero()
+
+
+def test_scalars_held_in_one_exact_form():
+    # an integral scalar is an int wherever it enters, any other a Fraction
+    assert type(parse_scalar("4/2")) is int and parse_scalar("4/2") == 2
+    assert type(parse_scalar("1/2")) is Fraction and parse_scalar("1/2") == Fraction(1, 2)
+    doc = {
+        "dim": 1,
+        "basis": ["u"],
+        "semigroup": {"elements": ["e"], "product": [[0]], "unit": "e", "commutative": True},
+        "ops": {"mul": {"(e,e)": [[["1/1"]]]}},
+        "unit": None,
+    }
+    assert type(load_algebra(doc).ops["mul"][(0, 0)][0][0][0]) is int
+    index = cyclic_monoid(1)
+    alg = FiniteRelativeAlgebra(["u"], index, {"mul": {(0, 0): (((Fraction(3, 1),),),)}})
+    assert type(alg.ops["mul"][(0, 0)][0][0][0]) is int
+    # a library float still enters exactly
+    half = FiniteRelativeAlgebra(["u"], index, {"mul": {(0, 0): (((0.5,),),)}})
+    assert half.ops["mul"][(0, 0)][0][0][0] == Fraction(1, 2)
+    assert type(half.ops["mul"][(0, 0)][0][0][0]) is Fraction
+    maps = MorphismFamily(alg, alg, {0: ((Fraction(2, 1),),)}).maps
+    assert type(maps[0][0][0]) is int
+    assert MorphismFamily(alg, alg, {0: ((0.5,),)}).maps[0][0][0] == Fraction(1, 2)
+    # rendering is the same for either form
+    assert [format_scalar(v) for v in (2, Fraction(2), Fraction(1, 2), 0, -3)] == [
+        "2/1",
+        "2/1",
+        "1/2",
+        "0/1",
+        "-3/1",
+    ]
