@@ -302,11 +302,10 @@ def _family_expr(expr, rename):
 def family_form(equation):
     """The single-index reading of a pair-indexed equation.  The index
     variables left are renamed a, b, ... in their original order."""
-    used = set()
-    for side in (equation.lhs, equation.rhs):  # first pass: note the variables kept
-        _family_expr(side, lambda name: used.add(name) or name)
-    names = dict(zip(sorted(used), _IVARS))
-    lhs, rhs = (_family_expr(side, names.__getitem__) for side in (equation.lhs, equation.rhs))
+    sides = (equation.lhs, equation.rhs)
+    kept = set().union(*(_variables(_family_expr(side, lambda name: name)) for side in sides))
+    names = dict(zip(sorted(kept & set(_IVARS)), _IVARS))
+    lhs, rhs = (_family_expr(side, names.__getitem__) for side in sides)
     return replace(equation, lhs=lhs, rhs=rhs)
 
 

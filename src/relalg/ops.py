@@ -85,9 +85,9 @@ class FiniteRelativeAlgebra:
     ``ops`` maps a role name to a dict keyed by index tuples: pairs ``(i, j)``
     for pair-indexed roles, singletons ``(i,)`` for family-indexed roles.
     Block ``[i][j][k]`` is the coefficient of basis element k in (e_i op e_j).
-    ``apply``, and each role's ``op``, read the same constants from
-    ``_products``, which keeps only the nonzero ``(k, coeff)`` terms of each
-    product.  Constants are held in ``lincomb``'s exact scalar form.
+    ``apply`` reads the same constants from ``_products``, which keeps only
+    the nonzero ``(k, coeff)`` terms of each product.  Constants are held in
+    ``lincomb``'s exact scalar form.
     """
 
     __slots__ = ("basis", "index", "ops", "unit_vector", "_products")
@@ -157,14 +157,10 @@ class FiniteRelativeAlgebra:
     def op(self, role):
         if role not in self.ops:
             raise ContractError(f"algebra has no operation for role {role!r}")
-        products = self._products[role]
-        if self.role_arity(role) == 2:
-            return PairIndexedOp(
-                self.index, lambda a, b, x, y: lc_bilinear_extend(_product, x, y, products[(a, b)])
-            )
-        return FamilyIndexedOp(
-            self.index, lambda a, x, y: lc_bilinear_extend(_product, x, y, products[(a,)])
-        )
+        arity = self.role_arity(role)
+        if arity == 2:
+            return PairIndexedOp(self.index, lambda a, b, x, y, r=role: self.apply(r, (a, b), x, y))
+        return FamilyIndexedOp(self.index, lambda a, x, y, r=role: self.apply(r, (a,), x, y))
 
     def as_carrier(self, roles=None):
         names = self.roles() if roles is None else roles

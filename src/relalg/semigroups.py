@@ -148,11 +148,11 @@ class DimonoidTable(_FiniteTable):
 
     __slots__ = ("left", "right", "semigroup")
 
-    def __init__(self, elements, left, right, semigroup=None):
+    def __init__(self, elements, left, right):
         super().__init__(elements, "dimonoid")
         object.__setattr__(self, "left", _validate_table(left, self.size, "left"))
         object.__setattr__(self, "right", _validate_table(right, self.size, "right"))
-        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "semigroup", None)
 
     def left_mul(self, i, j):
         return self.left[i][j]
@@ -274,7 +274,9 @@ def dimonoid_from_semigroup(table):
     report = check_semigroup(table)
     if not report.passed:
         raise ContractError(f"not a semigroup: {report.summary()}")
-    return DimonoidTable(table.elements, table.product, table.product, table)
+    dimonoid = DimonoidTable(table.elements, table.product, table.product)
+    object.__setattr__(dimonoid, "semigroup", table)
+    return dimonoid
 
 
 def matching_dimonoid(n):
