@@ -10,6 +10,10 @@ by handling the empty-subtree branches explicitly: the surviving summand
 grafts with the bare index as its edge label, which is the unique choice
 consistent with all four base cases and with the classical operations when
 the index structure is trivial.
+
+A carrier interns its trees: all the trees it builds or is given are
+canonical objects, one per structure, so products are cached by the trees'
+integer ``uid``s (see ``FreeDendCarrier``).
 """
 
 from itertools import product
@@ -21,10 +25,39 @@ from .ops import FamilyIndexedOp
 from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
 from .trees import EMPTY, DecoratedTree, random_tree_from, tree_parse, tree_print
 
+# The most entries one carrier's basis cache and intern table hold together.
+# free-session's working set at --seconds 20 (about 80,000 basis products and
+# 165,000 trees) fits in one generation, half of this, so it never evicts.
+ENTRY_BUDGET = 600_000
+_CACHE, _TREES = 0, 1  # the two tables of a generation
+
+
+def _tree_key(t):
+    """The intern-table key of t: its root labels and its children's uids."""
+    return (t.label, t.left.uid, t.left_edge, t.right.uid, t.right_edge)
+
 
 class FreeDendCarrier:
     """Decoration alphabet plus an index table of edge labels; holds the
-    grafting operations and a per-carrier product cache.
+    grafting operations, an intern table of trees and a basis-product cache.
+
+    Interning: every tree the carrier builds or receives is replaced by its
+    canonical object, the one tree of that structure the intern table holds,
+    keyed by ``(label, left.uid, left_edge, right.uid, right_edge)``.  Since
+    a canonical tree's children are canonical, grafting looks a tree up by
+    that key before it constructs one, and the basis cache is keyed by
+    ``(kind, s.uid, t.uid, index)``.  A tree from outside (``trees.node``,
+    another carrier) has its labels checked when it is first interned
+    (``check_tree``).  A ``uid`` is never reused, so a key can only ever
+    name the one tree it was made from, and cached products are pure: an
+    entry dropped or gone stale costs a recomputation, never a different
+    result.
+
+    Memory: the two tables fill a young generation; when it reaches half of
+    ``ENTRY_BUDGET`` entries it becomes the old generation and the previous
+    old one is dropped as a whole, so the carrier never holds more than
+    ``ENTRY_BUDGET`` entries.  An entry found in the old generation is
+    stored in the young one again.
 
     The index is a dimonoid, or a semigroup read as the dimonoid whose two
     products are its product.  ``semigroup`` is the semigroup the family
@@ -53,7 +86,48 @@ class FreeDendCarrier:
         self.dimonoid = dimonoid
         self.semigroup = semigroup
         self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
-        self._cache = {}
+        self._young = ({}, {})  # (basis cache, intern table)
+        self._old = ({}, {})
+
+    @property
+    def _cache(self):
+        """The young generation's basis cache."""
+        return self._young[_CACHE]
+
+    def _get(self, table, key):
+        """The value for key in table (``_CACHE`` or ``_TREES``), or None; a
+        value found in the old generation is stored in the young one again."""
+        value = self._young[table].get(key)
+        if value is None:
+            value = self._old[table].get(key)
+            if value is not None:
+                self._put(table, key, value)
+        return value
+
+    def _put(self, table, key, value):
+        """Store value in the young generation and return it; a full young
+        generation becomes the old one."""
+        young = self._young
+        young[table][key] = value
+        if len(young[_CACHE]) + len(young[_TREES]) >= ENTRY_BUDGET // 2:
+            self._old, self._young = young, ({}, {})
+        return value
+
+    def _node(self, label, left=EMPTY, left_edge=None, right=EMPTY, right_edge=None):
+        """The canonical tree with this root over canonical subtrees; the
+        labels must be the carrier's own."""
+        key = (label, left.uid, left_edge, right.uid, right_edge)
+        tree = self._get(_TREES, key)
+        if tree is None:
+            tree = self._put(_TREES, key, DecoratedTree(label, left, left_edge, right, right_edge))
+        return tree
+
+    def _interned(self, x):
+        """The linear combination x over canonical trees."""
+        for u, _ in x:
+            if self._get(_TREES, _tree_key(u)) is not u:
+                return LinComb((self.check_tree(u), c) for u, c in x)
+        return x
 
     # -- label plumbing
 
@@ -68,25 +142,34 @@ class FreeDendCarrier:
             raise MalformedInputError(f"undeclared edge label {a!r}") from None
 
     def check_tree(self, t):
+        """The canonical tree equal to t.  The labels of a tree the carrier
+        has not interned are checked first, so an undeclared label raises
+        MalformedInputError; t is then interned, itself when its children
+        are canonical."""
         if t is EMPTY:
             return t
+        key = _tree_key(t)
+        hit = self._get(_TREES, key)
+        if hit is not None:
+            return hit
         if t.label not in self.decorations:
             raise MalformedInputError(f"undeclared vertex label {t.label!r}")
-        for child, edge in ((t.left, t.left_edge), (t.right, t.right_edge)):
-            if child is not EMPTY:
-                if edge not in self._sidx:
-                    raise MalformedInputError(f"undeclared edge label {edge!r}")
-                self.check_tree(child)
-        return t
+        for edge in (t.left_edge, t.right_edge):
+            if edge is not None and edge not in self._sidx:
+                raise MalformedInputError(f"undeclared edge label {edge!r}")
+        left, right = self.check_tree(t.left), self.check_tree(t.right)
+        if left is not t.left or right is not t.right:
+            t = self._node(t.label, left, t.left_edge, right, t.right_edge)
+        return self._put(_TREES, key, t)
 
     def parse(self, text):
-        return tree_parse(text, self.decorations, self.dimonoid.elements)
+        return self.check_tree(tree_parse(text, self.decorations, self.dimonoid.elements))
 
-    # -- basis-level recursion; trees in, {tree: coeff} accumulator out
+    # -- basis-level recursion on canonical trees; ((tree, coeff), ...) out
 
     def _basis_prec(self, s, t, a):
-        key = ("p", s, t, a)
-        hit = self._cache.get(key)
+        key = ("p", s.uid, t.uid, a)
+        hit = self._get(_CACHE, key)
         if hit is not None:
             return hit
         if t is EMPTY:
@@ -98,28 +181,25 @@ class FreeDendCarrier:
         elif s.right is EMPTY:
             # right subtree empty: the recursive prec summand vanishes and the
             # succ summand grafts t whole, edge labeled by the bare index
-            grafted = DecoratedTree(
-                s.label, s.left, s.left_edge, t, self.dimonoid.name(a)
-            )
+            grafted = self._node(s.label, s.left, s.left_edge, t, self.dimonoid.name(a))
             result = ((grafted, 1),)
         else:
             sigma2 = self._sidx[s.right_edge]
             acc = {}
             for u, c in self._basis_prec(s.right, t, a):
                 edge = self.dimonoid.name(self.dimonoid.left_mul(sigma2, a))
-                grafted = DecoratedTree(s.label, s.left, s.left_edge, u, edge)
+                grafted = self._node(s.label, s.left, s.left_edge, u, edge)
                 acc[grafted] = acc.get(grafted, 0) + c
             for u, c in self._basis_succ(s.right, t, sigma2):
                 edge = self.dimonoid.name(self.dimonoid.right_mul(sigma2, a))
-                grafted = DecoratedTree(s.label, s.left, s.left_edge, u, edge)
+                grafted = self._node(s.label, s.left, s.left_edge, u, edge)
                 acc[grafted] = acc.get(grafted, 0) + c
             result = tuple(acc.items())
-        self._cache[key] = result
-        return result
+        return self._put(_CACHE, key, result)
 
     def _basis_succ(self, s, t, a):
-        key = ("s", s, t, a)
-        hit = self._cache.get(key)
+        key = ("s", s.uid, t.uid, a)
+        hit = self._get(_CACHE, key)
         if hit is not None:
             return hit
         if s is EMPTY:
@@ -129,34 +209,35 @@ class FreeDendCarrier:
         elif t is EMPTY:
             result = ()
         elif t.left is EMPTY:
-            grafted = DecoratedTree(
-                t.label, s, self.dimonoid.name(a), t.right, t.right_edge
-            )
+            grafted = self._node(t.label, s, self.dimonoid.name(a), t.right, t.right_edge)
             result = ((grafted, 1),)
         else:
             tau1 = self._sidx[t.left_edge]
             acc = {}
             for u, c in self._basis_prec(s, t.left, tau1):
                 edge = self.dimonoid.name(self.dimonoid.left_mul(a, tau1))
-                grafted = DecoratedTree(t.label, u, edge, t.right, t.right_edge)
+                grafted = self._node(t.label, u, edge, t.right, t.right_edge)
                 acc[grafted] = acc.get(grafted, 0) + c
             for u, c in self._basis_succ(s, t.left, a):
                 edge = self.dimonoid.name(self.dimonoid.right_mul(a, tau1))
-                grafted = DecoratedTree(t.label, u, edge, t.right, t.right_edge)
+                grafted = self._node(t.label, u, edge, t.right, t.right_edge)
                 acc[grafted] = acc.get(grafted, 0) + c
             result = tuple(acc.items())
-        self._cache[key] = result
-        return result
+        return self._put(_CACHE, key, result)
 
     # -- bilinear operations on linear combinations of trees
 
     def prec(self, s, t, a):
         """s below t: graft t into the right spine of s."""
-        return lc_bilinear_extend(self._basis_prec, s, t, self.index_of(a))
+        return lc_bilinear_extend(
+            self._basis_prec, self._interned(s), self._interned(t), self.index_of(a)
+        )
 
     def succ(self, s, t, a):
         """s above t: graft s into the left spine of t."""
-        return lc_bilinear_extend(self._basis_succ, s, t, self.index_of(a))
+        return lc_bilinear_extend(
+            self._basis_succ, self._interned(s), self._interned(t), self.index_of(a)
+        )
 
     # -- operation bundles
 
@@ -184,7 +265,9 @@ class FreeDendCarrier:
         return self.dimonoid_ops()
 
     def random_tree(self, rng, max_vertices):
-        return random_tree_from(rng, self.decorations, self.dimonoid.elements, max_vertices)
+        return random_tree_from(
+            rng, self.decorations, self.dimonoid.elements, max_vertices, self._node
+        )
 
 
 class SampledTreeDomain:

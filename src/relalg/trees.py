@@ -1,78 +1,107 @@
 """Planar rooted binary trees with labeled vertices and labeled internal
 edges: the basis of the free dendriform algebra.
 
-Trees are immutable; size, hash and the canonical sort key are computed once
-at construction.  An edge label is present exactly when the subtree on that
-side is nonempty.  The canonical total order is vertex count, then shape,
-then vertex labels, then edge labels (all in preorder).
+Trees are immutable.  Construction computes the size, a structural hash (from
+the root label, the edge labels and the children's hashes) and a ``uid``: an
+integer from a process-wide counter that is never reused, so a ``uid`` names
+one tree object for the life of the process.  Equality and hashing are
+structural, with an identity fast path, so equal trees compare and hash equal
+wherever they were built; a free carrier interns its trees so that the equal
+trees it holds are one object (see ``freedend``).  An edge label is present
+exactly when the subtree on that side is nonempty.  The canonical total order
+is vertex count, then shape, then vertex labels, then edge labels (all in
+preorder); its sort key is built on first use, since only rendering sorts.
 
 Text form: ``e`` is the empty tree; ``x[]`` a single vertex; otherwise
 ``label[edge: tree, edge: tree]`` with either side omissible, e.g.
 ``x[, a: y[]]`` for a root x whose only child is y, attached right via a.
 """
 
+from itertools import count
 from random import Random
 
 from .errors import TreeParseError
 
 _EMPTY_KEY = (0, "", (), ())
+_uids = count()
 
 
 class DecoratedTree:
-    __slots__ = ("label", "left", "left_edge", "right", "right_edge", "size", "_key", "_hash")
+    __slots__ = (
+        "label", "left", "left_edge", "right", "right_edge", "size", "uid", "_hash", "_key"
+    )
 
     def __init__(self, label, left=None, left_edge=None, right=None, right_edge=None):
         left = EMPTY if left is None else left
         right = EMPTY if right is None else right
+        set_ = object.__setattr__
+        set_(self, "uid", next(_uids))
         if label is None:  # the empty tree; constructed once below
             if EMPTY is not None:
                 raise ValueError("use trees.EMPTY for the empty tree")
-            object.__setattr__(self, "label", None)
-            object.__setattr__(self, "left", self)
-            object.__setattr__(self, "left_edge", None)
-            object.__setattr__(self, "right", self)
-            object.__setattr__(self, "right_edge", None)
-            object.__setattr__(self, "size", 0)
-            object.__setattr__(self, "_key", _EMPTY_KEY)
-            object.__setattr__(self, "_hash", hash(_EMPTY_KEY))
+            set_(self, "label", None)
+            set_(self, "left", self)
+            set_(self, "left_edge", None)
+            set_(self, "right", self)
+            set_(self, "right_edge", None)
+            set_(self, "size", 0)
+            set_(self, "_key", _EMPTY_KEY)
+            set_(self, "_hash", hash(_EMPTY_KEY))
             return
         if (left is EMPTY) != (left_edge is None) or (right is EMPTY) != (right_edge is None):
             raise ValueError("edge labels must be present exactly on edges to nonempty subtrees")
-        object.__setattr__(self, "label", str(label))
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "left_edge", None if left_edge is None else str(left_edge))
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "right_edge", None if right_edge is None else str(right_edge))
-        object.__setattr__(self, "size", 1 + left.size + right.size)
-        lk, rk = left._key, right._key
-        shape = f"({lk[1]}|{rk[1]})"
-        vlabels = (self.label,) + lk[2] + rk[2]
-        elabels = ()
-        if left is not EMPTY:
-            elabels += (self.left_edge,) + lk[3]
-        if right is not EMPTY:
-            elabels += (self.right_edge,) + rk[3]
-        key = (self.size, shape, vlabels, elabels)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        label = str(label)
+        left_edge = None if left_edge is None else str(left_edge)
+        right_edge = None if right_edge is None else str(right_edge)
+        set_(self, "label", label)
+        set_(self, "left", left)
+        set_(self, "left_edge", left_edge)
+        set_(self, "right", right)
+        set_(self, "right_edge", right_edge)
+        set_(self, "size", 1 + left.size + right.size)
+        set_(self, "_key", None)
+        set_(self, "_hash", hash((label, left_edge, right_edge, left._hash, right._hash)))
 
     def __setattr__(self, name, value):
         raise AttributeError("DecoratedTree is immutable")
 
     def sort_key(self):
-        return self._key
+        """(size, shape, vertex labels, edge labels), the last three in
+        preorder; built on the first call and kept."""
+        key = self._key
+        if key is None:
+            left, right = self.left, self.right
+            lk, rk = left.sort_key(), right.sort_key()
+            elabels = ()
+            if left is not EMPTY:
+                elabels += (self.left_edge,) + lk[3]
+            if right is not EMPTY:
+                elabels += (self.right_edge,) + rk[3]
+            key = (self.size, f"({lk[1]}|{rk[1]})", (self.label,) + lk[2] + rk[2], elabels)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other):
-        return isinstance(other, DecoratedTree) and self._key == other._key
+        if self is other:
+            return True
+        return (
+            isinstance(other, DecoratedTree)
+            and self._hash == other._hash
+            and self.label == other.label
+            and self.left_edge == other.left_edge
+            and self.right_edge == other.right_edge
+            and self.left == other.left
+            and self.right == other.right
+        )
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return self._key < other._key
+        return self.sort_key() < other.sort_key()
 
     def __le__(self, other):
-        return self._key <= other._key
+        return self.sort_key() <= other.sort_key()
 
     def __repr__(self):
         return f"DecoratedTree({tree_print(self)!r})"
@@ -177,20 +206,22 @@ def tree_parse(text, vertex_labels=None, edge_labels=None):
     return result
 
 
-def random_tree_from(rng, vertex_labels, edge_labels, max_vertices):
+def random_tree_from(rng, vertex_labels, edge_labels, max_vertices, make=DecoratedTree):
     """One random nonempty tree: size uniform in 1..max_vertices, shape by
-    uniform recursive splitting, labels uniform.  Integer randomness only."""
+    uniform recursive splitting, labels uniform.  Integer randomness only.
+    Each vertex is built by ``make``, which takes ``DecoratedTree``'s
+    arguments and is given children that it returned."""
     vertex_labels = list(vertex_labels)
     edge_labels = list(edge_labels)
 
     def build(n):
         label = vertex_labels[rng.randrange(len(vertex_labels))]
         if n == 1:
-            return leaf(label)
+            return make(label)
         k = rng.randrange(n)  # vertices in the left subtree
         left = build(k) if k else EMPTY
         right = build(n - 1 - k) if n - 1 - k else EMPTY
-        return DecoratedTree(
+        return make(
             label,
             left,
             edge_labels[rng.randrange(len(edge_labels))] if k else None,

@@ -21,8 +21,11 @@ from relalg import (
     tree_print,
 )
 from relalg.errors import ContractError, MalformedInputError
+from relalg import freedend
 from relalg.freecheck import free_suite_carrier
 from relalg.freedend import SampledTreeDomain
+from relalg.reports import to_json
+from relalg.trees import random_tree_from
 
 
 def single(t):
@@ -142,6 +145,37 @@ def test_undeclared_labels_rejected(free_zmod2):
         FreeDendCarrier(["e"], matching_dimonoid(2))
 
 
+def test_outside_trees_with_undeclared_labels_rejected(free_zmod2):
+    # trees built outside the carrier are checked when first interned: an
+    # undeclared decoration, or an undeclared edge label on a spine the
+    # recursion walks, is malformed input
+    bad_vertex = single(leaf("z"))
+    bad_edge = single(node("x", right=leaf("y"), right_edge="q"))
+    for op in (free_zmod2.prec, free_zmod2.succ):
+        for s, t in ((bad_vertex, Y), (X, bad_vertex), (bad_edge, Y), (Y, bad_edge)):
+            with pytest.raises(MalformedInputError, match="undeclared"):
+                op(s, t, "0")
+
+
+# -- interning
+
+
+def test_equal_trees_are_one_object_within_a_carrier():
+    a = FreeDendCarrier(["x", "y"], dimonoid_from_semigroup(cyclic_monoid(2)))
+    b = FreeDendCarrier(["x", "y"], dimonoid_from_semigroup(cyclic_monoid(2)))
+    text = "y[1: x[], 0: x[]]"
+    in_a, in_b, outside = a.parse(text), b.parse(text), node("y", leaf("x"), "1", leaf("x"), "0")
+    assert in_a is not in_b
+    assert in_a == in_b == outside
+    assert hash(in_a) == hash(in_b) == hash(outside)
+    assert a.parse(text) is in_a and a.check_tree(outside) is in_a
+    # grafting returns the canonical tree, built or sampled
+    (grafted, _), = a.prec(single(a.parse("y[1: x[], ]")), single(leaf("x")), "0")
+    assert grafted is in_a
+    sampled = a.random_tree(Random(2), 5)
+    assert sampled is a.check_tree(random_tree_from(Random(2), ["x", "y"], ["0", "1"], 5))
+
+
 # -- axiom satisfaction at sampling scale (the module's main property)
 
 
@@ -249,3 +283,29 @@ def test_a_dimonoid_made_from_a_semigroup_keeps_its_claims():
     # a semigroup-form dimonoid read from a file still has its claims worked out
     plain = semigroup_from_dimonoid(DimonoidTable(s.elements, s.product, s.product))
     assert plain.unit == 0 and plain.claims_commutative
+
+
+def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeypatch):
+    chain_seeds = Random(0).sample(range(10**6), 30)
+
+    def session(check):
+        carrier = FreeDendCarrier(["x", "y"], dimonoid_from_semigroup(cyclic_monoid(2)))
+        reports = []
+        for seed in chain_seeds:
+            for suite in ("RelAssoc", "RelPreLie", "RelLie"):
+                report = free_check(carrier, suite, samples=1, max_vertices=6, seed=seed)
+                reports.append(to_json(report.to_payload()))
+                check(carrier)
+        return reports
+
+    unbounded = session(lambda carrier: None)
+    budget = 4000
+    monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
+    sizes = []
+
+    def entries(carrier):
+        sizes.append(sum(len(table) for gen in (carrier._young, carrier._old) for table in gen))
+
+    assert session(entries) == unbounded
+    assert max(sizes) <= budget
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # generations dropped

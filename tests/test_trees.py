@@ -82,7 +82,10 @@ def test_equality_and_hash_are_structural():
     t1 = tree_parse("x[a: y[], b: x[]]")
     t2 = node("x", leaf("y"), "a", leaf("x"), "b")
     assert t1 == t2 and hash(t1) == hash(t2)
+    assert t1 is not t2 and t1.uid != t2.uid
     assert t1 != tree_parse("x[b: y[], b: x[]]")
+    assert node("x", leaf("y"), "a") != node("x", right=leaf("y"), right_edge="a")
+    assert leaf("x") != "x[]"
 
 
 def test_random_tree_deterministic():
@@ -102,3 +105,27 @@ def test_random_trees_cover_shapes():
     assert len(shapes) >= 2
     sizes = {tree_parse(t).size for t in seen}
     assert sizes == set(range(1, 7))
+
+
+def eager_sort_key(t):
+    """The canonical sort key as it was computed at construction, bottom up,
+    before the key became lazy: the reference for ``sort_key``."""
+    if t is EMPTY:
+        return (0, "", (), ())
+    lk, rk = eager_sort_key(t.left), eager_sort_key(t.right)
+    shape = f"({lk[1]}|{rk[1]})"
+    vlabels = (t.label,) + lk[2] + rk[2]
+    elabels = ()
+    if t.left is not EMPTY:
+        elabels += (t.left_edge,) + lk[3]
+    if t.right is not EMPTY:
+        elabels += (t.right_edge,) + rk[3]
+    return (t.size, shape, vlabels, elabels)
+
+
+def test_lazy_sort_key_matches_the_eager_one():
+    rng = Random(11)
+    trees = [random_tree_from(rng, ["x", "y", "z"], ["a", "b"], 7) for _ in range(2000)]
+    for t in trees:
+        assert t.sort_key() == eager_sort_key(t)
+    assert sorted(trees) == sorted(trees, key=eager_sort_key)
