@@ -592,7 +592,8 @@ def _validate_carrier(carrier, suite):
                 f"role {role!r} has index arity {op.arity}, suite {suite.name} "
                 f"expects {suite.op_arity}"
             )
-        ops[role] = op
+        # an operation wrapper's function, so no product passes its __call__
+        ops[role] = getattr(op, "fn", op)
     if suite.requires_unit and carrier.unit_vector is None:
         raise ContractError(f"suite {suite.name} requires a declared unit vector")
     return ops
@@ -661,7 +662,7 @@ def check_rota_baxter(rb, window=None):
     pre = check_axioms(carrier, "RelAssoc", domain, check_name="rota-baxter:precondition:RelAssoc")
     if not pre.passed:
         return pre
-    ops = {"mul": carrier.op("mul"), "rb": rb.apply}
+    ops = {**_validate_carrier(carrier, SUITES["RelAssoc"]), "rb": rb.apply}
     instances = _equation_instances((ROTA_BAXTER_EQUATION,), domain, ops, index, None, {})
     return scan("rota-baxter", instances, _show(domain))
 

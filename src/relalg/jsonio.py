@@ -17,10 +17,11 @@ the positive integers with R_n(x) = x/n, or ``{"algebra": {...}, "maps":
 
 Every nested list is read by one walker, ``_table``, which checks each
 level's JSON type (and its length where the format fixes one) and reads the
-innermost entries with one of three leaf readers: ``_scalar`` (a ``"p/q"``
-string), ``_index`` (an integer table entry) or ``_name`` (an element or
-basis name).  Every constructor is called through ``_build``, which refuses
-its ValueError at the object's path.  Every object is read through
+innermost entries with one of three leaf readers: ``_scalars()`` (a "p/q"
+string, each distinct one parsed once per top-level load), ``_index`` (an
+integer table entry) or ``_name`` (an element or basis name).  Every
+constructor is called through ``_build``, which refuses its ValueError at
+the object's path.  Every object is read through
 ``_object``, which refuses a key written twice in one object (``load_file``
 marks such an object) instead of keeping the last value.  So all loaders
 raise :class:`MalformedInputError`, and every message begins with the JSON
@@ -99,10 +100,20 @@ def _build(path, cls, *args, **kwargs):
         raise MalformedInputError(f"{path}: {exc}") from None
 
 
-def _scalar(value):
-    if type(value) is not str:
-        raise MalformedInputError(f'expected a "p/q" string, got {type(value).__name__}')
-    return parse_scalar(value)
+def _scalars():
+    """The ``"p/q"`` leaf reader of one top-level load: each distinct string
+    is parsed once, then read from a dict local to that load."""
+    parsed = {}
+
+    def scalar(value):
+        if type(value) is not str:
+            raise MalformedInputError(f'expected a "p/q" string, got {type(value).__name__}')
+        out = parsed.get(value)
+        if out is None:
+            out = parsed[value] = parse_scalar(value)
+        return out
+
+    return scalar
 
 
 def _index(value):
@@ -177,7 +188,7 @@ def dump_dimonoid(dimonoid):
 
 def load_cocycle(obj, path="cocycle"):
     base = load_semigroup(obj, path)
-    values = _table(_need(obj, "values", list, path), f"{path}.values", _scalar, None, None)
+    values = _table(_need(obj, "values", list, path), f"{path}.values", _scalars(), None, None)
     return _build(path, Cocycle, base, values)
 
 
@@ -200,6 +211,10 @@ def _parse_op_key(key, semigroup, path):
 
 
 def load_algebra(obj, path="algebra"):
+    return _algebra(obj, path, _scalars())
+
+
+def _algebra(obj, path, scalar):
     _object(obj, path)
     dim = _need(obj, "dim", int, path)
     basis = _table(_need(obj, "basis", list, path), f"{path}.basis", _name, None)
@@ -216,10 +231,10 @@ def load_algebra(obj, path="algebra"):
             # "(1,1)" and "( 1 , 1 )" name one index tuple
             if idx in blocks:
                 raise MalformedInputError(f"{where}: index {idx} already given")
-            blocks[idx] = _table(block, where, _scalar, None, None, None)
+            blocks[idx] = _table(block, where, scalar, None, None, None)
     unit = _need(obj, "unit", list, path, optional=True)
     if unit is not None:
-        unit = LinComb(enumerate(_table(unit, f"{path}.unit", _scalar, dim)))
+        unit = LinComb(enumerate(_table(unit, f"{path}.unit", scalar, dim)))
     return _build(path, FiniteRelativeAlgebra, basis, semigroup, ops, unit)
 
 
@@ -237,10 +252,9 @@ def dump_algebra(alg):
                 [[format_scalar(c) for c in row] for row in plane] for plane in block
             ]
         ops[role] = table
-    unit = None
-    if alg.unit_vector is not None:
-        dense = [format_scalar(alg.unit_vector.coeff(k)) for k in range(alg.dim)]
-        unit = dense
+    unit = alg.unit_vector
+    if unit is not None:
+        unit = [format_scalar(unit.coeff(k)) for k in range(alg.dim)]
     return {
         "dim": alg.dim,
         "basis": list(alg.basis),
@@ -250,12 +264,12 @@ def dump_algebra(alg):
     }
 
 
-def _maps(obj, path, index, rows, cols):
+def _maps(obj, path, index, rows, cols, scalar):
     """The ``maps`` object: index element -> rows x cols scalar matrix."""
     maps = {}
     for name, matrix in _need(obj, "maps", dict, path).items():
         where = f"{path}.maps.{name}"
-        maps[_build(where, index.index_of, name)] = _table(matrix, where, _scalar, rows, cols)
+        maps[_build(where, index.index_of, name)] = _table(matrix, where, scalar, rows, cols)
     return maps
 
 
@@ -272,8 +286,9 @@ def load_rota_baxter(obj, path="rb"):
                 f"{path}.builtin: unknown builtin {name!r} (available: {sorted(RB_BUILTINS)})"
             )
         return RB_BUILTINS[name]()
-    algebra = load_algebra(_need(obj, "algebra", dict, path), f"{path}.algebra")
-    maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim)
+    scalar = _scalars()
+    algebra = _algebra(_need(obj, "algebra", dict, path), f"{path}.algebra", scalar)
+    maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim, scalar)
     if sorted(maps) != list(range(algebra.index.size)):
         raise MalformedInputError(f"{path}.maps: need exactly one matrix per semigroup element")
     return RotaBaxterFamily(algebra, maps)
@@ -281,7 +296,8 @@ def load_rota_baxter(obj, path="rb"):
 
 def load_morphism(obj, path="morphism"):
     _object(obj, path)
-    source = load_algebra(_need(obj, "source", dict, path), f"{path}.source")
-    target = load_algebra(_need(obj, "target", dict, path), f"{path}.target")
-    maps = _maps(obj, path, source.index, target.dim, source.dim)
+    scalar = _scalars()
+    source = _algebra(_need(obj, "source", dict, path), f"{path}.source", scalar)
+    target = _algebra(_need(obj, "target", dict, path), f"{path}.target", scalar)
+    maps = _maps(obj, path, source.index, target.dim, source.dim, scalar)
     return _build(path, MorphismFamily, source, target, maps)

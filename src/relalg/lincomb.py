@@ -11,18 +11,26 @@ terms are unordered; they are sorted in basis order only when read out in
 order (``items``, ``support``, ``render``, ``to_pairs``, ``repr``).
 """
 
+import re
 from fractions import Fraction
 from operator import itemgetter
 
 from .errors import MalformedInputError
 
 _by_basis = itemgetter(0)
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_scalar(text):
-    """Parse ``"p/q"`` (or a bare integer string) into an exact scalar."""
+    """Parse ``"p/q"`` or ``"p"`` into an exact scalar: an optional sign,
+    ASCII digits, optionally ``/`` and ASCII digits, with whitespace around.
+    Anything else is refused before a number is built."""
+    match = _SCALAR.fullmatch(str(text).strip())
+    if match is None:
+        raise MalformedInputError(f'bad scalar {text!r}: expected "p/q"')
+    num, den = match.groups()
     try:
-        return exact(Fraction(str(text).strip()))
+        return int(num) if den is None else exact(Fraction(int(num), int(den)))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad scalar {text!r}: {exc}") from None
 

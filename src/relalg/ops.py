@@ -4,13 +4,16 @@ algebras given by structure constants.
 A pair-indexed operation takes two index elements and two vectors; a
 family-indexed operation takes a single index element.  Both are thin
 wrappers around a function, tagged with the index structure they live over,
-so the axiom engine can validate arity and index compatibility.
+so the axiom engine can validate arity and index compatibility; it calls
+``fn`` directly.  A finite algebra takes every product through one kernel
+per structure-constant block (one role at one index tuple), which memoises
+the products of basis vectors an exhaustive scan hands it.
 """
 
 from itertools import product
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, exact, lc_bilinear_extend
+from .lincomb import LinComb, exact
 from .semigroups import SemigroupTable
 
 
@@ -85,12 +88,12 @@ class FiniteRelativeAlgebra:
     ``ops`` maps a role name to a dict keyed by index tuples: pairs ``(i, j)``
     for pair-indexed roles, singletons ``(i,)`` for family-indexed roles.
     Block ``[i][j][k]`` is the coefficient of basis element k in (e_i op e_j).
-    ``apply`` reads the same constants from ``_products``, which keeps only
-    the nonzero ``(k, coeff)`` terms of each product.  Constants are held in
-    ``lincomb``'s exact scalar form.
+    Constants are held in ``lincomb``'s exact scalar form.  Every product,
+    by ``apply`` or by an operation from ``op`` (which holds the kernels,
+    not the algebra), is taken by its block's ``_kernel``.
     """
 
-    __slots__ = ("basis", "index", "ops", "unit_vector", "_products")
+    __slots__ = ("basis", "index", "ops", "unit_vector", "_kernels", "__weakref__")
 
     def __init__(self, basis, index, ops, unit_vector=None):
         basis = tuple(str(b) for b in basis)
@@ -125,16 +128,7 @@ class FiniteRelativeAlgebra:
         self.basis = basis
         self.index = index
         self.ops = clean
-        self._products = {
-            role: {
-                key: tuple(
-                    tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-                    for plane in block
-                )
-                for key, block in table.items()
-            }
-            for role, table in clean.items()
-        }
+        self._kernels = {role: {k: _kernel(b) for k, b in t.items()} for role, t in clean.items()}
         if unit_vector is not None and not isinstance(unit_vector, LinComb):
             unit_vector = LinComb(enumerate(unit_vector))
         self.unit_vector = unit_vector
@@ -152,15 +146,18 @@ class FiniteRelativeAlgebra:
 
     def apply(self, role, idx, x, y):
         """Apply a role at a fixed index tuple to two vectors."""
-        return lc_bilinear_extend(_product, x, y, self._products[role][idx])
+        return self._kernels[role][idx](x, y)
 
     def op(self, role):
         if role not in self.ops:
             raise ContractError(f"algebra has no operation for role {role!r}")
-        arity = self.role_arity(role)
-        if arity == 2:
-            return PairIndexedOp(self.index, lambda a, b, x, y, r=role: self.apply(r, (a, b), x, y))
-        return FamilyIndexedOp(self.index, lambda a, x, y, r=role: self.apply(r, (a,), x, y))
+        kernels = self._kernels[role]
+        n = self.index.size
+        if self.role_arity(role) == 2:
+            table = [[kernels[a, b] for b in range(n)] for a in range(n)]
+            return PairIndexedOp(self.index, lambda a, b, x, y: table[a][b](x, y))
+        table = [kernels[a,] for a in range(n)]
+        return FamilyIndexedOp(self.index, lambda a, x, y: table[a](x, y))
 
     def as_carrier(self, roles=None):
         names = self.roles() if roles is None else roles
@@ -174,28 +171,45 @@ class FiniteRelativeAlgebra:
         )
 
 
-def _product(i, j, products):
-    return products[i][j]
+def _kernel(block):
+    """The bilinear product ``(x, y) -> LinComb`` of one block, expanded
+    against its nonzero ``(k, coeff)`` terms.  The product of two basis
+    vectors with coefficient 1 is memoised on first use: at most dim² shared,
+    immutable values per block, held by the algebra and not by the module."""
+    rows = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in block]
+    memo = {}
+
+    def kernel(x, y):
+        if len(x) == 1 == len(y):
+            ((i, ci),), ((j, cj),) = x, y
+            if ci == 1 == cj:
+                value = memo.get((i, j))
+                if value is None:
+                    value = memo[i, j] = LinComb(rows[i][j])
+                return value
+        acc = {}
+        get = acc.get
+        for i, ci in x:
+            row = rows[i]
+            for j, cj in y:
+                weight = ci * cj
+                for k, c in row[j]:
+                    acc[k] = get(k, 0) + weight * c
+        return LinComb(acc)
+
+    return kernel
 
 
 def materialize_pair_op(op, dim, index):
     """Evaluate a pair-indexed operation on all basis pairs of a finite
     carrier, producing a structure-constant table."""
-    n = index.size
-    out = {}
-    for a, b in product(range(n), repeat=2):
-        block = []
-        for i in range(dim):
-            rows = []
-            for j in range(dim):
-                vec = op(a, b, LinComb.single(i), LinComb.single(j))
-                row = [0] * dim
-                for k, c in vec:
-                    row[k] = c
-                rows.append(tuple(row))
-            block.append(tuple(rows))
-        out[(a, b)] = tuple(block)
-    return out
+    units = [LinComb.single(i) for i in range(dim)]
+    return {
+        (a, b): tuple(
+            tuple(tuple(map(op(a, b, x, y).coeff, range(dim))) for y in units) for x in units
+        )
+        for a, b in product(range(index.size), repeat=2)
+    }
 
 
 class RotaBaxterFamily:

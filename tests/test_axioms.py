@@ -356,8 +356,35 @@ def ref_scan(check, equations, domain, ops, index, unit_vector):
     return report, per_equation
 
 
-def ref_check_axioms(carrier, suite, domain):
-    ops = {role: carrier.op(role) for role in suite.roles}
+def dense_op(alg, role):
+    """A role of a finite algebra as the dense triple sum over its blocks in
+    ``alg.ops``, so the reference walk shares no code with the kernels."""
+    blocks, dim = alg.ops[role], alg.dim
+
+    def apply(*args):
+        *idx, x, y = args
+        block = blocks[tuple(idx)]
+        return LinComb(
+            (k, x.coeff(i) * y.coeff(j) * block[i][j][k])
+            for i, j, k in product(range(dim), repeat=3)
+        )
+
+    return apply
+
+
+def ref_ops(carrier, roles, alg=None):
+    """The carrier's operations for the reference walk: the dense sums of
+    ``alg`` (by default the carrier, when it is a finite algebra), or else
+    the carrier's own operations."""
+    if alg is None and isinstance(carrier, FiniteRelativeAlgebra):
+        alg = carrier
+    if alg is None:
+        return {role: carrier.op(role) for role in roles}
+    return {role: dense_op(alg, role) for role in roles}
+
+
+def ref_check_axioms(carrier, suite, domain, alg=None):
+    ops = ref_ops(carrier, suite.roles, alg)
     report, per_equation = ref_scan(
         f"axioms:{suite.name}", suite.equations, domain, ops, carrier.index, carrier.unit_vector
     )
@@ -369,7 +396,7 @@ def ref_check_rota_baxter(rb, domain):
     pre = ref_check_axioms(carrier, SUITES["RelAssoc"], domain)
     if not pre.passed:
         return replace(pre, check="rota-baxter:precondition:RelAssoc")
-    ops = {"mul": carrier.op("mul"), "rb": rb.apply}
+    ops = {**ref_ops(carrier, ("mul",)), "rb": rb.apply}
     equations = (ROTA_BAXTER_EQUATION,)
     return ref_scan("rota-baxter", equations, domain, ops, carrier.index, None)[0]
 
@@ -445,19 +472,23 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
     pair = random_algebra(rng, index, dim, PAIR_ROLES, 2, unit)
     family = random_algebra(rng, index, dim, FAMILY_ROLES, 1, False)
     dimonoid = rng.choice([dimonoid_from_semigroup(index), matching_dimonoid(index.size)])
+    # each carrier with the algebra whose blocks the reference reads
     carriers = {
-        (2, "semigroup"): pair.as_carrier(),
-        (1, "semigroup"): family.as_carrier(),
-        (1, "dimonoid"): OpCarrier(
-            dimonoid, {r: family.op(r) for r in ("prec", "succ")}, basis=family.basis
+        (2, "semigroup"): (pair.as_carrier(), pair),
+        (1, "semigroup"): (family.as_carrier(), family),
+        (1, "dimonoid"): (
+            OpCarrier(dimonoid, {r: family.op(r) for r in ("prec", "succ")}, basis=family.basis),
+            family,
         ),
     }
     domain = finite_domain(pair)
     for suite in (*SUITES.values(), WEIGHTED):
         if suite.requires_unit and not unit:
             continue
-        carrier = carriers[suite.op_arity, suite.index_kind]
-        same_report(check_axioms(carrier, suite, domain), ref_check_axioms(carrier, suite, domain))
+        carrier, alg = carriers[suite.op_arity, suite.index_kind]
+        same_report(
+            check_axioms(carrier, suite, domain), ref_check_axioms(carrier, suite, domain, alg)
+        )
 
     # Rota-Baxter: random maps over a random carrier (RelAssoc mostly fails)
     # and over an associative one, e_i e_j = k e_max(i,j) at every index pair
@@ -542,11 +573,16 @@ def test_a_check_keeps_no_reference_to_its_carrier():
     op = ZeroProduct()
     alive = weakref.ref(op)
     carrier = OpCarrier(cyclic_monoid(2), {"mul": op}, basis=("u",))
+    # a finite algebra: its operations and kernels hold no reference back
+    alg = random_algebra(Random(0), cyclic_monoid(2), 2, ("mul", "ast"), 2, False)
+    alg_alive = weakref.ref(alg)
     gc.disable()
     try:
         assert check_axioms(carrier, "RelAssoc", FiniteDomain(("u",), range(2))).passed
-        del carrier, op
+        check_axioms(alg.as_carrier(), "RelAssoc", finite_domain(alg))
+        del carrier, op, alg
         assert alive() is None
+        assert alg_alive() is None
     finally:
         gc.enable()
 

@@ -1,4 +1,8 @@
+import json
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -15,8 +19,11 @@ from relalg import (
     lc_scale,
     parse_scalar,
 )
+from relalg.cli import main
 from relalg.errors import MalformedInputError
 from relalg.jsonio import load_algebra
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 scalars = st.fractions(min_value=-100, max_value=100, max_denominator=100)
 combs = st.dictionaries(st.integers(0, 5), scalars, max_size=6).map(LinComb)
@@ -34,6 +41,32 @@ def test_scalar_parse_rejects_garbage():
         parse_scalar("1/0")
     with pytest.raises(MalformedInputError):
         parse_scalar("seven")
+
+
+# Spellings Fraction accepts on some or all Python versions but the "p/q"
+# grammar does not: digit separators (3.11+ only), decimals, exponents (the
+# last one takes seconds to build), non-ASCII digits.
+OFF_GRAMMAR = ["1_000", "1.5", "1e3", "\u0661/2", "1e8000000"]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_scalar_grammar_is_sign_digits_and_slash_digits(text, tmp_path, capsys):
+    with pytest.raises(MalformedInputError, match="expected \"p/q\""):
+        parse_scalar(text)
+    doc = json.loads((DATA / "cocycle_algebra.json").read_text())
+    doc["ops"]["mul"]["(0,1)"] = [[[text]]]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-algebra", "--algebra", str(path), "--suite", "RelAssoc"]) == 2
+    assert "algebra.ops.mul.(0,1)[0][0][0]: bad scalar" in capsys.readouterr().err
+
+
+def test_scalar_grammar_keeps_signs_whitespace_and_expression_scalars(capsys):
+    assert parse_scalar(" +6/4 ") == Fraction(3, 2)
+    assert parse_scalar("-0") == 0 and type(parse_scalar("-7/1")) is int
+    expr = "1/2 * x[] + -2 * succ(a, x[], y[])"
+    assert main(["free-eval", "--expr", expr, "--dimonoid", str(DATA / "matching2.json")]) == 0
+    assert "1/2 * x[]" in capsys.readouterr().out
 
 
 def test_add_cancels_to_zero():
@@ -136,6 +169,53 @@ def test_finite_apply_matches_dense_reference(blocks, x, y):
             for k in range(DIM)
         ]
         assert alg.apply("ast", key, x, y) == LinComb(enumerate(dense))
+
+
+def _distinct_blocks(count):
+    rng = Random(0)
+    blocks = set()
+    while len(blocks) < count:
+        blocks.add(tuple(
+            tuple(tuple(rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(DIM))
+                  for _ in range(DIM))
+            for _ in range(DIM)
+        ))
+    return sorted(blocks)
+
+
+def test_kernels_and_memo_match_dense_reference():
+    # every block differs, across index tuples and across roles, so a memo
+    # shared between blocks or roles returns a wrong product
+    blocks = iter(_distinct_blocks(10))
+    pair_keys, family_keys = list(product(range(2), repeat=2)), [(0,), (1,)]
+    ops = {
+        "mul": {key: next(blocks) for key in pair_keys},
+        "bracket": {key: next(blocks) for key in pair_keys},
+        "ast": {key: next(blocks) for key in family_keys},
+    }
+    alg = FiniteRelativeAlgebra(["u", "v", "w"], cyclic_monoid(2), ops)
+    units = [LinComb.single(i) for i in range(DIM)]
+    scaled = [LinComb.single(1, 3), LinComb.single(2, Fraction(-1, 2)), LinComb.single(0, -1)]
+    pairs = (
+        # basis pairs twice: the second round reads the memo
+        [(x, y) for _ in range(2) for x in units for y in units]
+        + [(x, y) for x in scaled for y in units + scaled]
+        + [(x, y) for x in units for y in scaled]
+        + [(LinComb.zero(), y) for y in units] + [(x, LinComb.zero()) for x in units]
+    )
+    for role, table in ops.items():
+        op = alg.op(role)
+        for (key, block), (x, y) in product(table.items(), pairs):
+            dense = LinComb(
+                (k, x.coeff(i) * y.coeff(j) * block[i][j][k])
+                for i, j, k in product(range(DIM), repeat=3)
+            )
+            assert alg.apply(role, key, x, y) == dense
+            assert op.fn(*key, x, y) == dense
+            assert op(*key, x, y) == dense
+    # the memo shares one value per basis pair and block
+    e0, e1 = units[:2]
+    assert alg.apply("mul", (0, 1), e0, e1) is alg.op("mul")(0, 1, e0, e1)
 
 
 @given(combs)
