@@ -9,15 +9,19 @@ index structure).  The term trees are the source of truth (``family_form``
 rewrites them); a check compiles each equation it reaches once, into nested
 closures over the carrier's resolved operations, and runs those closures on
 every instance.  Evaluation is exact; two sides are equal iff their
-normalized linear combinations coincide.
+normalized linear combinations coincide.  A compiled term returns its value
+times a scale the compiler tracks; every operation is multilinear, so the
+two sides compare at their common scale, and a counterexample is divided back.
 """
 
 from dataclasses import dataclass, field, replace
 from itertools import product
+from math import lcm, prod
 from operator import itemgetter
 
 from .errors import ContractError
 from .lincomb import LinComb
+from .ops import divide_back
 from .reports import scan
 from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
 
@@ -152,19 +156,22 @@ _TABLE = {"mul": "product", "left": "left", "right": "right"}
 
 
 class _Compiler:
-    """Compiles the expressions of one check over its resolved ``ops``,
-    ``index`` and ``unit_vector``.  An expression becomes a closure
-    ``(vectors, idxs) -> LinComb`` and an index expression a closure
+    """Compiles the expressions of one check over its ``ops``, ``index`` and
+    ``unit_vector``.  An expression becomes a closure
+    ``(vectors, idxs) -> LinComb`` with its scale: the closure returns the
+    value times the scale.  An index expression becomes a closure
     ``idxs -> element``; x, y, z read positions 0, 1, 2 of ``vectors`` and
-    a, b, c the same positions of ``idxs``.  Subterms are evaluated in the
-    order the term tree lists them, indices before arguments, so a missing
-    unit raises at the same instance as a walk of the tree would.
+    a, b, c the same positions of ``idxs``.  An operation wrapper is called
+    through its ``fn``, which returns ``den`` times the product.  Subterms
+    are evaluated in the order the term tree lists them, indices before
+    arguments, so a missing unit raises at the same instance as a walk of
+    the tree would.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
 
     def __init__(self, ops, index, unit_vector):
-        self.ops = ops
+        self.ops = {r: (getattr(op, "fn", op), getattr(op, "den", 1)) for r, op in ops.items()}
         self.index = index
         self.unit_vector = unit_vector
 
@@ -186,22 +193,24 @@ class _Compiler:
         return lambda idxs: table[left(idxs)][right(idxs)]
 
     def expr(self, expr):
+        """The closure of ``expr`` and its scale."""
         if isinstance(expr, Var):
             k = _VAR_POSITION[expr.name]
-            return lambda vectors, idxs: vectors[k]
+            return (lambda vectors, idxs: vectors[k]), 1
         if isinstance(expr, UnitElem):
             unit_vector = self.unit_vector
             if unit_vector is None:
-                return _raises("suite requires a declared unit vector")
-            return lambda vectors, idxs: unit_vector
+                return _raises("suite requires a declared unit vector"), 1
+            return (lambda vectors, idxs: unit_vector), 1
         if isinstance(expr, App):
-            return _compile_app(
-                self.ops[expr.role],
-                [self.index_expr(ix) for ix in expr.idx],
-                [self.expr(arg) for arg in expr.args],
-            )
+            fn, den = self.ops[expr.role]
+            idx = [self.index_expr(ix) for ix in expr.idx]
+            args = [self.expr(arg) for arg in expr.args]
+            scale = den * prod(s for _, s in args)
+            return _compile_app(fn, idx, [f for f, _ in args]), scale
         if isinstance(expr, Lin):
-            return _compile_lin([(coeff, self.expr(e)) for coeff, e in expr.terms])
+            terms, scale = _common_scale([(coeff, *self.expr(e)) for coeff, e in expr.terms])
+            return _compile_lin(terms), scale
         raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -236,6 +245,13 @@ def _zero(vectors, idxs):
     return _ZERO
 
 
+def _common_scale(terms):
+    """``(coeff, closure, scale)`` terms as ``(coeff, closure)`` terms at the
+    lcm of their scales, each coefficient multiplied up, and that lcm."""
+    common = lcm(*(scale for _, _, scale in terms))
+    return [(coeff * (common // scale), term) for coeff, term, scale in terms], common
+
+
 def _compile_lin(terms):
     """A formal sum, folded term by term onto one shared zero: a coefficient
     of 1 or -1 is an add or a subtract, any other a scale and an add."""
@@ -265,7 +281,8 @@ def eval_expr(expr, elem_env, idx_env, ops, index, unit_vector):
     checks compile each equation once instead and never call this."""
     vectors = tuple(elem_env[name] for name in _VARS[: len(elem_env)])
     idxs = tuple(idx_env[name] for name in _IVARS[: len(idx_env)])
-    return _Compiler(ops, index, unit_vector).expr(expr)(vectors, idxs)
+    closure, scale = _Compiler(ops, index, unit_vector).expr(expr)
+    return divide_back(closure(vectors, idxs), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +609,7 @@ def _validate_carrier(carrier, suite):
                 f"role {role!r} has index arity {op.arity}, suite {suite.name} "
                 f"expects {suite.op_arity}"
             )
-        # an operation wrapper's function, so no product passes its __call__
-        ops[role] = getattr(op, "fn", op)
+        ops[role] = op
     if suite.requires_unit and carrier.unit_vector is None:
         raise ContractError(f"suite {suite.name} requires a declared unit vector")
     return ops
@@ -601,13 +617,16 @@ def _validate_carrier(carrier, suite):
 
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
     """Instances of each equation in turn: element tuples then index tuples
-    in domain order, both sides evaluated by the equation's compiled form.
+    in domain order, both sides evaluated by the equation's compiled form at
+    their common scale, and divided back only when they differ.
     ``per_equation`` counts the instances handed out per equation, including
     equations reached with none."""
     compiler = _Compiler(ops, index, unit_vector)
     for equation in equations:
         eqid = equation.eqid
-        lhs, rhs = compiler.expr(equation.lhs), compiler.expr(equation.rhs)
+        sides, scale = _common_scale([(1, *compiler.expr(equation.lhs)),
+                                      (1, *compiler.expr(equation.rhs))])
+        lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
         count = per_equation[eqid] = 0
         for elems in domain.elements(equation.n_elem):
             labels = tuple(label for label, _ in elems)
@@ -615,13 +634,10 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
             for idxs in domain.indices(equation.n_idx):
                 count += 1
                 per_equation[eqid] = count
-                yield (
-                    eqid,
-                    labels,
-                    map(domain.index_name, idxs),
-                    lhs(vectors, idxs),
-                    rhs(vectors, idxs),
-                )
+                left, right = lhs(vectors, idxs), rhs(vectors, idxs)
+                if scale > 1 and left != right:
+                    left, right = divide_back(left, scale), divide_back(right, scale)
+                yield eqid, labels, map(domain.index_name, idxs), left, right
 
 
 def _show(domain):

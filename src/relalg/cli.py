@@ -13,6 +13,7 @@ import argparse
 import sys
 import traceback
 from dataclasses import replace
+from functools import cache
 
 from . import jsonio
 from .axioms import SUITES, check_axioms, check_morphism, check_rota_baxter, finite_domain
@@ -49,7 +50,9 @@ def _positive_int(text):
     return value
 
 
+@cache
 def _parser():
+    """The argument parser, built once: argparse keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="relalg",
         description="exact checks and constructions for semigroup-indexed algebras",

@@ -7,10 +7,15 @@ wrappers around a function, tagged with the index structure they live over,
 so the axiom engine can validate arity and index compatibility; it calls
 ``fn`` directly.  A finite algebra takes every product through one kernel
 per structure-constant block (one role at one index tuple), which memoises
-the products of basis vectors an exhaustive scan hands it.
+the products of basis vectors an exhaustive scan hands it.  The kernels hold
+the integer constants ``den * c``, ``den`` the lcm of the algebra's
+denominators, so an operation's ``fn`` returns ``den`` times the product
+(``den`` is 1 off finite algebras) and ``__call__`` divides back.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import ContractError, MalformedInputError
 from .lincomb import LinComb, exact
@@ -20,29 +25,36 @@ from .semigroups import SemigroupTable
 class PairIndexedOp:
     """Bilinear operation indexed by a pair of semigroup elements."""
 
-    __slots__ = ("index", "fn")
+    __slots__ = ("index", "fn", "den")
     arity = 2
 
-    def __init__(self, index, fn):
+    def __init__(self, index, fn, den=1):
         self.index = index
         self.fn = fn
+        self.den = den
 
     def __call__(self, a, b, x, y):
-        return self.fn(a, b, x, y)
+        return divide_back(self.fn(a, b, x, y), self.den)
 
 
 class FamilyIndexedOp:
     """Bilinear operation indexed by a single semigroup (or dimonoid) element."""
 
-    __slots__ = ("index", "fn")
+    __slots__ = ("index", "fn", "den")
     arity = 1
 
-    def __init__(self, index, fn):
+    def __init__(self, index, fn, den=1):
         self.index = index
         self.fn = fn
+        self.den = den
 
     def __call__(self, a, x, y):
-        return self.fn(a, x, y)
+        return divide_back(self.fn(a, x, y), self.den)
+
+
+def divide_back(value, den):
+    """``value / den``: a product scaled by ``den`` brought back to itself."""
+    return value if den == 1 else value.scale(Fraction(1, den))
 
 
 class OpCarrier:
@@ -90,10 +102,11 @@ class FiniteRelativeAlgebra:
     Block ``[i][j][k]`` is the coefficient of basis element k in (e_i op e_j).
     Constants are held in ``lincomb``'s exact scalar form.  Every product,
     by ``apply`` or by an operation from ``op`` (which holds the kernels,
-    not the algebra), is taken by its block's ``_kernel``.
+    not the algebra), is taken by its block's ``_kernel``, built from the
+    integer constants ``den * c``.
     """
 
-    __slots__ = ("basis", "index", "ops", "unit_vector", "_kernels", "__weakref__")
+    __slots__ = ("basis", "index", "ops", "unit_vector", "den", "_kernels", "__weakref__")
 
     def __init__(self, basis, index, ops, unit_vector=None):
         basis = tuple(str(b) for b in basis)
@@ -128,7 +141,9 @@ class FiniteRelativeAlgebra:
         self.basis = basis
         self.index = index
         self.ops = clean
-        self._kernels = {role: {k: _kernel(b) for k, b in t.items()} for role, t in clean.items()}
+        self.den = den = lcm(*{c.denominator for t in clean.values() for b in t.values()
+                               for plane in b for row in plane for c in row})
+        self._kernels = {r: {k: _kernel(b, den) for k, b in t.items()} for r, t in clean.items()}
         if unit_vector is not None and not isinstance(unit_vector, LinComb):
             unit_vector = LinComb(enumerate(unit_vector))
         self.unit_vector = unit_vector
@@ -146,7 +161,7 @@ class FiniteRelativeAlgebra:
 
     def apply(self, role, idx, x, y):
         """Apply a role at a fixed index tuple to two vectors."""
-        return self._kernels[role][idx](x, y)
+        return divide_back(self._kernels[role][idx](x, y), self.den)
 
     def op(self, role):
         if role not in self.ops:
@@ -155,9 +170,9 @@ class FiniteRelativeAlgebra:
         n = self.index.size
         if self.role_arity(role) == 2:
             table = [[kernels[a, b] for b in range(n)] for a in range(n)]
-            return PairIndexedOp(self.index, lambda a, b, x, y: table[a][b](x, y))
+            return PairIndexedOp(self.index, lambda a, b, x, y: table[a][b](x, y), self.den)
         table = [kernels[a,] for a in range(n)]
-        return FamilyIndexedOp(self.index, lambda a, x, y: table[a](x, y))
+        return FamilyIndexedOp(self.index, lambda a, x, y: table[a](x, y), self.den)
 
     def as_carrier(self, roles=None):
         names = self.roles() if roles is None else roles
@@ -171,17 +186,19 @@ class FiniteRelativeAlgebra:
         )
 
 
-def _kernel(block):
-    """The bilinear product ``(x, y) -> LinComb`` of one block, expanded
-    against its nonzero ``(k, coeff)`` terms.  The product of two basis
-    vectors with coefficient 1 is memoised on first use: at most dim² shared,
-    immutable values per block, held by the algebra and not by the module."""
-    rows = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in block]
+def _kernel(block, den):
+    """``den`` times the bilinear product ``(x, y) -> LinComb`` of one block,
+    expanded against its nonzero integer ``(k, den * coeff)`` terms.  The
+    product of two basis vectors with coefficient 1 is memoised on first use:
+    at most dim² shared, immutable values per block, held by the algebra."""
+    rows = [[[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(row) if c]
+             for row in plane] for plane in block]
     memo = {}
 
     def kernel(x, y):
+        x, y = x._terms, y._terms
         if len(x) == 1 == len(y):
-            ((i, ci),), ((j, cj),) = x, y
+            ((i, ci),), ((j, cj),) = x.items(), y.items()
             if ci == 1 == cj:
                 value = memo.get((i, j))
                 if value is None:
@@ -189,9 +206,9 @@ def _kernel(block):
                 return value
         acc = {}
         get = acc.get
-        for i, ci in x:
+        for i, ci in x.items():
             row = rows[i]
-            for j, cj in y:
+            for j, cj in y.items():
                 weight = ci * cj
                 for k, c in row[j]:
                     acc[k] = get(k, 0) + weight * c

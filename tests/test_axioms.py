@@ -3,6 +3,7 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -47,14 +48,23 @@ from relalg.axioms import (
     ZERO_EXPR,
     app,
     dleft,
+    eval_expr,
     mul,
     window_domain,
 )
-from relalg.constructions import FAMILY_SYMMETRIC, PAIR_SYMMETRIC
+from relalg import jsonio
+from relalg.constructions import (
+    FAMILY_SYMMETRIC,
+    PAIR_SYMMETRIC,
+    dend_from_zinbiel,
+    zinbiel_from_symmetric_dend,
+)
 from relalg.errors import ContractError
 from relalg.reports import scan, to_json
 from relalg.samples import rational_line_carrier, reciprocal_rota_baxter
 from tests.conftest import one_dim_base
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def zero_block(dim):
@@ -518,6 +528,88 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
         check_rota_baxter(rb, window=window),
         ref_check_rota_baxter(rb, window_domain(("1",), window)),
     )
+
+
+# -- the scaled path: constants with denominators, compared in integers
+
+
+def test_scaled_counterexample_is_divided_back():
+    # u.u = 1/2 u, u.v = 1/3 v, v.u = 2/7 u: the kernels compute 42 times
+    # the products, and RelAssoc fails at (u, u, v) with 1/6 v against 1/9 v
+    third, half, two_sevenths = Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)
+    block = (((half, 0), (0, third)), ((two_sevenths, 0), (0, 0)))
+    alg = FiniteRelativeAlgebra(["u", "v"], trivial_monoid(), {"mul": {(0, 0): block}})
+    assert alg.den == 42
+    report = check_axioms(alg.as_carrier(), "RelAssoc", finite_domain(alg))
+    assert report.counterexample.elements == ("u", "u", "v")
+    assert (report.counterexample.lhs, report.counterexample.rhs) == (
+        [["1/6", "v"]],
+        [["1/9", "v"]],
+    )
+    same_report(report, ref_check_axioms(alg, SUITES["RelAssoc"], finite_domain(alg)))
+    u, v = LinComb.single(0), LinComb.single(1)
+    lhs = SUITES["RelAssoc"].equations[0].lhs
+    ops = {"mul": alg.op("mul")}
+    env = {"a": 0, "b": 0, "c": 0}
+    value = eval_expr(lhs, {"x": u, "y": u, "z": v}, env, ops, alg.index, None)
+    assert value == LinComb.single(1, Fraction(1, 6))
+
+
+@pytest.mark.parametrize(
+    "unit, passed", [((2, Fraction(7, 2)), True), ((2, Fraction(7, 3)), False)]
+)
+def test_scaled_sides_of_different_depths(unit, passed):
+    # mul(x, 1) = x has one application against none: the right side is
+    # multiplied up to the left's scale, den = 14, before they compare
+    blocks = {
+        key: (((Fraction(1, 2), 0), (0, 0)), ((0, 0), (0, Fraction(2, 7))))
+        for key in product(range(2), repeat=2)
+    }
+    alg = FiniteRelativeAlgebra(["e0", "e1"], cyclic_monoid(2), {"mul": blocks}, unit)
+    assert alg.den == 14
+    report = check_axioms(alg.as_carrier(), "RelUnital", finite_domain(alg))
+    assert report.passed is passed
+    same_report(report, ref_check_axioms(alg, SUITES["RelUnital"], finite_domain(alg)))
+
+
+@pytest.mark.parametrize("integration, passed", [(True, True), (False, False)])
+def test_scaled_product_feeds_a_rational_map(integration, passed):
+    # Q[t]/(t^3) with its product scaled by 2/7 (den 7), and the same map at
+    # every index: integration, t^n -> t^(n+1)/(n+1), is a Rota-Baxter
+    # family; a third of the identity is not
+    def monomial(n):
+        return tuple(Fraction(2, 7) if k == n else 0 for k in range(3))
+
+    block = tuple(tuple(monomial(i + j) for j in range(3)) for i in range(3))
+    index = cyclic_monoid(2)
+    alg = FiniteRelativeAlgebra(
+        ["1", "t", "t2"], index, {"mul": {key: block for key in product(range(2), repeat=2)}}
+    )
+    assert alg.den == 7
+    if integration:
+        matrix = ((0, 0, 0), (1, 0, 0), (0, Fraction(1, 2), 0))
+    else:
+        matrix = tuple(tuple(Fraction(1, 3) if i == j else 0 for j in range(3)) for i in range(3))
+    rb = RotaBaxterFamily(alg, {a: matrix for a in range(2)})
+    report = check_rota_baxter(rb)
+    assert report.check == "rota-baxter" and report.passed is passed
+    same_report(report, ref_check_rota_baxter(rb, finite_domain(alg)))
+
+
+def test_constructions_keep_the_scale_of_the_products_they_copy():
+    # zinbiel8's constants have den 840; an operation that copies a
+    # kernel-backed fn must divide back by the same den when called
+    alg = jsonio.load_algebra(jsonio.load_file(DATA / "zinbiel8.json"))
+    assert alg.den == 840
+    ast, dense = alg.op("ast"), dense_op(alg, "ast")
+    prec, succ = dend_from_zinbiel(ast)
+    zinbiel = zinbiel_from_symmetric_dend(prec, succ, finite_domain(alg))
+    units = [LinComb.single(i) for i in range(alg.dim)]
+    vectors = units + [LinComb(((0, Fraction(3, 5)), (4, -2))), LinComb.single(2, Fraction(1, 7))]
+    for (a, b), x, y in product(product(range(alg.index.size), repeat=2), vectors, vectors):
+        assert succ(a, b, x, y) == dense(a, b, x, y)
+        assert prec(a, b, x, y) == dense(b, a, y, x)
+        assert zinbiel(a, b, x, y) == dense(a, b, x, y)
 
 
 def test_compiled_application_of_another_shape():

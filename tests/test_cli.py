@@ -518,3 +518,38 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: malformed input: --out {out}: No such file or directory\n"
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # the parser is built once per process; an argparse error between two
+    # calls leaves the second call's output unchanged
+    import argparse
+
+    from relalg import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "relalg":  # not the subcommands' parsers
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    valid = ["check-algebra", "--algebra", str(DATA / "cocycle_algebra.json")]
+    valid += ["--suite", "RelAssoc"]
+    try:
+        assert cli.main(valid) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-algebra", "--suite", "NoSuchSuite"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert cli.main(valid) == 0
+        second = capsys.readouterr()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first.out and first.err
+    assert (second.out, second.err) == (first.out, first.err)

@@ -211,11 +211,12 @@ def test_kernels_and_memo_match_dense_reference():
                 for i, j, k in product(range(DIM), repeat=3)
             )
             assert alg.apply(role, key, x, y) == dense
-            assert op.fn(*key, x, y) == dense
+            assert op.fn(*key, x, y) == dense.scale(op.den)
             assert op(*key, x, y) == dense
-    # the memo shares one value per basis pair and block
+    # the memo shares one scaled value per basis pair and block
+    assert alg.den == 3
     e0, e1 = units[:2]
-    assert alg.apply("mul", (0, 1), e0, e1) is alg.op("mul")(0, 1, e0, e1)
+    assert alg.op("mul").fn(0, 1, e0, e1) is alg.op("mul").fn(0, 1, e0, e1)
 
 
 @given(combs)
