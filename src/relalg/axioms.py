@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .errors import ContractError
 from .lincomb import LinComb
-from .ops import divide_back
+from .ops import ZERO, divide_back
 from .reports import scan
 from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
 
@@ -238,11 +238,8 @@ def _compile_app(op, idx, args):
     )
 
 
-_ZERO = LinComb()
-
-
 def _zero(vectors, idxs):
-    return _ZERO
+    return ZERO
 
 
 def _common_scale(terms):
@@ -572,8 +569,11 @@ def finite_domain(algebra, basis_filter=None):
 
 def window_domain(basis_names, window):
     """Domain for virtual-index carriers: exhaustive basis, caller-chosen
-    finite index window."""
-    return FiniteDomain(basis_names, list(window), index_names=str)
+    finite, nonempty index window."""
+    window = list(window)
+    if not window:
+        raise ContractError("a window must hold at least one index element")
+    return FiniteDomain(basis_names, window, index_names=str)
 
 
 # ---------------------------------------------------------------------------
@@ -615,29 +615,37 @@ def _validate_carrier(carrier, suite):
     return ops
 
 
+_LABEL, _VECTOR = itemgetter(0), itemgetter(1)
+
+
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
     """Instances of each equation in turn: element tuples then index tuples
-    in domain order, both sides evaluated by the equation's compiled form at
-    their common scale, and divided back only when they differ.
+    in domain order, the index tuples listed once per equation and their
+    names rendered only if read.  Both sides are evaluated by the equation's
+    compiled form at their common scale and compared once: an equal instance
+    yields one value as both sides, a differing one both sides divided back.
     ``per_equation`` counts the instances handed out per equation, including
     equations reached with none."""
     compiler = _Compiler(ops, index, unit_vector)
+    index_name = domain.index_name
     for equation in equations:
         eqid = equation.eqid
         sides, scale = _common_scale([(1, *compiler.expr(equation.lhs)),
                                       (1, *compiler.expr(equation.rhs))])
         lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
+        indices = list(domain.indices(equation.n_idx))
         count = per_equation[eqid] = 0
         for elems in domain.elements(equation.n_elem):
-            labels = tuple(label for label, _ in elems)
-            vectors = tuple(vec for _, vec in elems)
-            for idxs in domain.indices(equation.n_idx):
+            labels, vectors = tuple(map(_LABEL, elems)), tuple(map(_VECTOR, elems))
+            for idxs in indices:
                 count += 1
                 per_equation[eqid] = count
                 left, right = lhs(vectors, idxs), rhs(vectors, idxs)
-                if scale > 1 and left != right:
-                    left, right = divide_back(left, scale), divide_back(right, scale)
-                yield eqid, labels, map(domain.index_name, idxs), left, right
+                names = map(index_name, idxs)
+                if left == right:
+                    yield eqid, labels, names, left, left
+                else:
+                    yield eqid, labels, names, divide_back(left, scale), divide_back(right, scale)
 
 
 def _show(domain):

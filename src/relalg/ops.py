@@ -186,24 +186,31 @@ class FiniteRelativeAlgebra:
         )
 
 
+ZERO = LinComb()  # the one shared zero vector
+
+
 def _kernel(block, den):
     """``den`` times the bilinear product ``(x, y) -> LinComb`` of one block,
-    expanded against its nonzero integer ``(k, den * coeff)`` terms.  The
-    product of two basis vectors with coefficient 1 is memoised on first use:
-    at most dim² shared, immutable values per block, held by the algebra."""
+    expanded against its nonzero integer ``(k, den * coeff)`` terms.  A zero
+    argument gives one shared zero.  The product of two basis vectors is
+    memoised on first use, at most dim² shared, immutable values per block
+    held by the algebra, and a pair of single-term vectors reads it scaled
+    by the product of their coefficients."""
     rows = [[[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(row) if c]
              for row in plane] for plane in block]
     memo = {}
 
     def kernel(x, y):
         x, y = x._terms, y._terms
+        if not x or not y:
+            return ZERO
         if len(x) == 1 == len(y):
             ((i, ci),), ((j, cj),) = x.items(), y.items()
-            if ci == 1 == cj:
-                value = memo.get((i, j))
-                if value is None:
-                    value = memo[i, j] = LinComb(rows[i][j])
-                return value
+            value = memo.get((i, j))
+            if value is None:
+                value = memo[i, j] = LinComb(rows[i][j]) or ZERO
+            weight = ci * cj
+            return value if weight == 1 or value is ZERO else value.scale(weight)
         acc = {}
         get = acc.get
         for i, ci in x.items():

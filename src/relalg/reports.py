@@ -70,13 +70,15 @@ def scan(check, instances, show):
 
     The scan stops at the first instance with ``lhs != rhs``, which becomes
     the counterexample with both sides rendered by ``show``; the instance
-    count includes it.  ``elements`` and ``indices`` are iterables of labels,
-    read only for the counterexample, so a caller may pass them lazily.
+    count includes it.  An instance whose two sides are one object passes
+    without a comparison.  ``elements`` and ``indices`` are iterables of
+    labels, read only for the counterexample, so a caller may pass them
+    lazily.
     """
     count = 0
     for equation, elements, indices, lhs, rhs in instances:
         count += 1
-        if lhs != rhs:
+        if lhs is not rhs and lhs != rhs:
             counterexample = Counterexample(
                 equation, tuple(elements), tuple(indices), show(lhs), show(rhs)
             )

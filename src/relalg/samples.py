@@ -2,8 +2,7 @@
 
 from fractions import Fraction
 
-from .lincomb import LinComb
-from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp, RotaBaxterFamily
+from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp, RotaBaxterFamily, _kernel
 from .semigroups import positive_integers_additive, trivial_monoid
 
 
@@ -30,13 +29,13 @@ def truncated_integration_zinbiel(degree):
 
 def rational_line_carrier():
     """The rationals as a one-dimensional carrier over the positive integers
-    under addition, with the index-independent product."""
+    under addition, with the index-independent product: the 1×1 block
+    ``1 * 1 = 1``, taken through a finite algebra's kernel."""
     index = positive_integers_additive()
-
-    def mul(a, b, x, y):
-        return LinComb.single(0, x.coeff(0) * y.coeff(0))
-
-    return OpCarrier(index, {"mul": PairIndexedOp(index, mul)}, basis=("1",))
+    line = _kernel((((1,),),), 1)
+    return OpCarrier(
+        index, {"mul": PairIndexedOp(index, lambda a, b, x, y: line(x, y))}, basis=("1",)
+    )
 
 
 def reciprocal_rota_baxter():

@@ -209,6 +209,8 @@ def check_semigroup(table, window=None):
         if window is None:
             raise ContractError("virtual semigroup check requires a finite window")
         elems = list(window)
+        if not elems:
+            raise ContractError("a window must hold at least one index element")
     else:
         elems = range(table.size)
     mul, name, unit = table.mul, table.name, table.unit

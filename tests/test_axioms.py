@@ -22,10 +22,12 @@ from relalg import (
     check_axioms,
     check_morphism,
     check_rota_baxter,
+    check_semigroup,
     cyclic_monoid,
     dimonoid_from_semigroup,
     finite_domain,
     matching_dimonoid,
+    positive_integers_additive,
     trivial_monoid,
 )
 from relalg.axioms import (
@@ -251,6 +253,20 @@ def test_rb_requires_window_when_virtual():
         check_rota_baxter(reciprocal_rota_baxter())
 
 
+def test_an_empty_window_is_refused_not_passed():
+    # a window with no index element has no instance to verify: a PASS of
+    # 0 instances would be vacuous
+    for check in (
+        lambda: check_rota_baxter(reciprocal_rota_baxter(), window=[]),
+        lambda: check_semigroup(positive_integers_additive(), window=[]),
+        lambda: check_axioms(
+            rational_line_carrier(), "RelAssoc", window_domain(("1",), [])
+        ),
+    ):
+        with pytest.raises(ContractError, match="at least one index element"):
+            check()
+
+
 def test_rb_precondition_reported():
     # e0.e0 = e1, e1.e1 = e0, everything else 0: not associative
     ops = {
@@ -382,12 +398,24 @@ def dense_op(alg, role):
     return apply
 
 
+def line_mul(a, b, x, y):
+    """The rational line's product written out here, apart from the kernel
+    that ``rational_line_carrier`` takes it through."""
+    return LinComb.single(0, x.coeff(0) * y.coeff(0))
+
+
+LINE_OPS = {"mul": line_mul}
+
+
 def ref_ops(carrier, roles, alg=None):
-    """The carrier's operations for the reference walk: the dense sums of
-    ``alg`` (by default the carrier, when it is a finite algebra), or else
-    the carrier's own operations."""
+    """The carrier's operations for the reference walk: those of ``alg``
+    when it is a dict of them, the dense sums of ``alg`` (by default the
+    carrier, when it is a finite algebra), or else the carrier's own
+    operations."""
     if alg is None and isinstance(carrier, FiniteRelativeAlgebra):
         alg = carrier
+    if isinstance(alg, dict):
+        return {role: alg[role] for role in roles}
     if alg is None:
         return {role: carrier.op(role) for role in roles}
     return {role: dense_op(alg, role) for role in roles}
@@ -401,12 +429,12 @@ def ref_check_axioms(carrier, suite, domain, alg=None):
     return replace(report, info={"suite": suite.name, "equation_instances": per_equation})
 
 
-def ref_check_rota_baxter(rb, domain):
+def ref_check_rota_baxter(rb, domain, alg=None):
     carrier = rb.carrier
-    pre = ref_check_axioms(carrier, SUITES["RelAssoc"], domain)
+    pre = ref_check_axioms(carrier, SUITES["RelAssoc"], domain, alg)
     if not pre.passed:
         return replace(pre, check="rota-baxter:precondition:RelAssoc")
-    ops = {**ref_ops(carrier, ("mul",)), "rb": rb.apply}
+    ops = {**ref_ops(carrier, ("mul",), alg), "rb": rb.apply}
     equations = (ROTA_BAXTER_EQUATION,)
     return ref_scan("rota-baxter", equations, domain, ops, carrier.index, None)[0]
 
@@ -526,8 +554,48 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
     window = range(1, rng.randint(1, 4) + 1)
     same_report(
         check_rota_baxter(rb, window=window),
-        ref_check_rota_baxter(rb, window_domain(("1",), window)),
+        ref_check_rota_baxter(rb, window_domain(("1",), window), LINE_OPS),
     )
+
+
+class CountingDomain(FiniteDomain):
+    """A finite domain that counts the calls to ``indices``."""
+
+    index_calls = 0
+
+    def indices(self, m):
+        self.index_calls += 1
+        return super().indices(m)
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_the_scan_lists_index_tuples_once_per_equation(passed):
+    # on Z/3, e_i e_j = 1/2 e_max(i,j) is associative and commutative, and
+    # e_i e_j = 1/2 e_i associative only: RelComm passes, or fails at its
+    # second equation after the 9 index pairs of (e0, e0), with both sides
+    # divided back from den = 2
+    def product_block(target):
+        return tuple(
+            tuple(tuple(Fraction(1, 2) if k == target(i, j) else 0 for k in range(2))
+                  for j in range(2))
+            for i in range(2)
+        )
+
+    block = product_block(max if passed else lambda i, j: i)
+    index = cyclic_monoid(3)
+    alg = FiniteRelativeAlgebra(
+        ["e0", "e1"], index, {"mul": {key: block for key in product(range(3), repeat=2)}}
+    )
+    assert alg.den == 2
+    suite = SUITES["RelComm"]
+    domain = CountingDomain(alg.basis, range(3), index.name)
+    report = check_axioms(alg.as_carrier(), suite, domain)
+    assert report.passed is passed
+    assert domain.index_calls == len(suite.equations)
+    assert report.info["equation_instances"] == (
+        {"assoc": 216, "comm": 36} if passed else {"assoc": 216, "comm": 10}
+    )
+    same_report(report, ref_check_axioms(alg, suite, finite_domain(alg)))
 
 
 # -- the scaled path: constants with denominators, compared in integers

@@ -183,6 +183,9 @@ def _distinct_blocks(count):
     return sorted(blocks)
 
 
+SINGLE_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
 def test_kernels_and_memo_match_dense_reference():
     # every block differs, across index tuples and across roles, so a memo
     # shared between blocks or roles returns a wrong product
@@ -194,29 +197,40 @@ def test_kernels_and_memo_match_dense_reference():
         "ast": {key: next(blocks) for key in family_keys},
     }
     alg = FiniteRelativeAlgebra(["u", "v", "w"], cyclic_monoid(2), ops)
-    units = [LinComb.single(i) for i in range(DIM)]
-    scaled = [LinComb.single(1, 3), LinComb.single(2, Fraction(-1, 2)), LinComb.single(0, -1)]
+    assert alg.den == 3
+    # every pair of single-term vectors, whatever their coefficients, reads
+    # its block's memo of basis products; a zero argument gives one shared
+    # zero; a vector of two terms is expanded against the constants
+    singles = [LinComb.single(i, c) for i in range(DIM) for c in SINGLE_COEFFS]
+    zero, mixed = LinComb.zero(), LinComb(((0, 3), (2, Fraction(-1, 2))))
+    vectors = singles + [mixed]
     pairs = (
-        # basis pairs twice: the second round reads the memo
-        [(x, y) for _ in range(2) for x in units for y in units]
-        + [(x, y) for x in scaled for y in units + scaled]
-        + [(x, y) for x in units for y in scaled]
-        + [(LinComb.zero(), y) for y in units] + [(x, LinComb.zero()) for x in units]
+        list(product(vectors, repeat=2))
+        + [(zero, y) for y in vectors + [zero]] + [(x, zero) for x in vectors]
     )
+    zeros = []
     for role, table in ops.items():
         op = alg.op(role)
-        for (key, block), (x, y) in product(table.items(), pairs):
-            dense = LinComb(
-                (k, x.coeff(i) * y.coeff(j) * block[i][j][k])
-                for i, j, k in product(range(DIM), repeat=3)
-            )
-            assert alg.apply(role, key, x, y) == dense
-            assert op.fn(*key, x, y) == dense.scale(op.den)
-            assert op(*key, x, y) == dense
-    # the memo shares one scaled value per basis pair and block
-    assert alg.den == 3
-    e0, e1 = units[:2]
-    assert alg.op("mul").fn(0, 1, e0, e1) is alg.op("mul").fn(0, 1, e0, e1)
+        for key, block in table.items():
+            unit_weight = []
+            for x, y in pairs:
+                dense = LinComb(
+                    (k, x.coeff(i) * y.coeff(j) * block[i][j][k])
+                    for i, j, k in product(range(DIM), repeat=3)
+                )
+                value = op.fn(*key, x, y)
+                assert value == dense.scale(op.den)
+                assert op(*key, x, y) == dense
+                assert alg.apply(role, key, x, y) == dense
+                if not x or not y:
+                    zeros.append(value)
+                elif len(x) == 1 == len(y) and x.items()[0][1] * y.items()[0][1] == 1:
+                    unit_weight.append(value)
+            # (1, 1), (-1, -1), (2, 1/2) and (1/2, 2) at each basis pair read
+            # one memoised value; all are held here, so their ids are distinct
+            assert len(unit_weight) == 4 * DIM**2
+            assert len({id(value) for value in unit_weight}) <= DIM**2
+    assert len({id(value) for value in zeros}) == 1
 
 
 @given(combs)
