@@ -13,7 +13,7 @@ the index structure is trivial.
 
 A carrier interns its trees: all the trees it builds or is given are
 canonical objects, one per structure, so products are cached by the trees'
-integer ``uid``s (see ``FreeDendCarrier``).
+integer ``uid``s; both tables share ``ENTRY_BUDGET`` (see ``FreeDendCarrier``).
 """
 
 from itertools import product
@@ -26,10 +26,9 @@ from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
 from .trees import EMPTY, DecoratedTree, random_tree_from, tree_parse, tree_print
 
 # The most entries one carrier's basis cache and intern table hold together.
-# free-session's working set at --seconds 20 (about 80,000 basis products and
-# 165,000 trees) fits in one generation, half of this, so it never evicts.
+# free-session's working set at --seconds 20 (about 240,000 entries: 80,000
+# basis products and 160,000 trees) never reaches it, so it never empties.
 ENTRY_BUDGET = 600_000
-_CACHE, _TREES = 0, 1  # the two tables of a generation
 
 
 def _tree_key(t):
@@ -53,11 +52,10 @@ class FreeDendCarrier:
     entry dropped or gone stale costs a recomputation, never a different
     result.
 
-    Memory: the two tables fill a young generation; when it reaches half of
-    ``ENTRY_BUDGET`` entries it becomes the old generation and the previous
-    old one is dropped as a whole, so the carrier never holds more than
-    ``ENTRY_BUDGET`` entries.  An entry found in the old generation is
-    stored in the young one again.
+    Memory: when the two tables together hold ``ENTRY_BUDGET`` entries,
+    both are emptied before the next entry is stored, so the carrier never
+    holds more.  Products after that recompute what they need, and a tree
+    held from before is interned again when next given to ``prec``/``succ``.
 
     The index is a dimonoid, or a semigroup read as the dimonoid whose two
     products are its product.  ``semigroup`` is the semigroup the family
@@ -86,46 +84,32 @@ class FreeDendCarrier:
         self.dimonoid = dimonoid
         self.semigroup = semigroup
         self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
-        self._young = ({}, {})  # (basis cache, intern table)
-        self._old = ({}, {})
-
-    @property
-    def _cache(self):
-        """The young generation's basis cache."""
-        return self._young[_CACHE]
-
-    def _get(self, table, key):
-        """The value for key in table (``_CACHE`` or ``_TREES``), or None; a
-        value found in the old generation is stored in the young one again."""
-        value = self._young[table].get(key)
-        if value is None:
-            value = self._old[table].get(key)
-            if value is not None:
-                self._put(table, key, value)
-        return value
+        self._cache = {}  # (kind, s.uid, t.uid, index) -> ((tree, coeff), ...)
+        self._trees = {}  # _tree_key(t) -> the canonical tree t
 
     def _put(self, table, key, value):
-        """Store value in the young generation and return it; a full young
-        generation becomes the old one."""
-        young = self._young
-        young[table][key] = value
-        if len(young[_CACHE]) + len(young[_TREES]) >= ENTRY_BUDGET // 2:
-            self._old, self._young = young, ({}, {})
+        """Store value in table (``_cache`` or ``_trees``) and return it; at
+        ``ENTRY_BUDGET`` entries both tables are emptied first."""
+        if len(self._cache) + len(self._trees) >= ENTRY_BUDGET:
+            self._cache.clear()
+            self._trees.clear()
+        table[key] = value
         return value
 
     def _node(self, label, left=EMPTY, left_edge=None, right=EMPTY, right_edge=None):
         """The canonical tree with this root over canonical subtrees; the
         labels must be the carrier's own."""
         key = (label, left.uid, left_edge, right.uid, right_edge)
-        tree = self._get(_TREES, key)
+        tree = self._trees.get(key)
         if tree is None:
-            tree = self._put(_TREES, key, DecoratedTree(label, left, left_edge, right, right_edge))
+            tree = DecoratedTree(label, left, left_edge, right, right_edge)
+            self._put(self._trees, key, tree)
         return tree
 
     def _interned(self, x):
         """The linear combination x over canonical trees."""
         for u, _ in x:
-            if self._get(_TREES, _tree_key(u)) is not u:
+            if self._trees.get(_tree_key(u)) is not u:
                 return LinComb((self.check_tree(u), c) for u, c in x)
         return x
 
@@ -149,7 +133,7 @@ class FreeDendCarrier:
         if t is EMPTY:
             return t
         key = _tree_key(t)
-        hit = self._get(_TREES, key)
+        hit = self._trees.get(key)
         if hit is not None:
             return hit
         if t.label not in self.decorations:
@@ -160,7 +144,7 @@ class FreeDendCarrier:
         left, right = self.check_tree(t.left), self.check_tree(t.right)
         if left is not t.left or right is not t.right:
             t = self._node(t.label, left, t.left_edge, right, t.right_edge)
-        return self._put(_TREES, key, t)
+        return self._put(self._trees, key, t)
 
     def parse(self, text):
         return self.check_tree(tree_parse(text, self.decorations, self.dimonoid.elements))
@@ -169,7 +153,7 @@ class FreeDendCarrier:
 
     def _basis_prec(self, s, t, a):
         key = ("p", s.uid, t.uid, a)
-        hit = self._get(_CACHE, key)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
         if t is EMPTY:
@@ -186,20 +170,20 @@ class FreeDendCarrier:
         else:
             sigma2 = self._sidx[s.right_edge]
             acc = {}
+            edge = self.dimonoid.name(self.dimonoid.left_mul(sigma2, a))
             for u, c in self._basis_prec(s.right, t, a):
-                edge = self.dimonoid.name(self.dimonoid.left_mul(sigma2, a))
                 grafted = self._node(s.label, s.left, s.left_edge, u, edge)
                 acc[grafted] = acc.get(grafted, 0) + c
+            edge = self.dimonoid.name(self.dimonoid.right_mul(sigma2, a))
             for u, c in self._basis_succ(s.right, t, sigma2):
-                edge = self.dimonoid.name(self.dimonoid.right_mul(sigma2, a))
                 grafted = self._node(s.label, s.left, s.left_edge, u, edge)
                 acc[grafted] = acc.get(grafted, 0) + c
             result = tuple(acc.items())
-        return self._put(_CACHE, key, result)
+        return self._put(self._cache, key, result)
 
     def _basis_succ(self, s, t, a):
         key = ("s", s.uid, t.uid, a)
-        hit = self._get(_CACHE, key)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
         if s is EMPTY:
@@ -214,16 +198,16 @@ class FreeDendCarrier:
         else:
             tau1 = self._sidx[t.left_edge]
             acc = {}
+            edge = self.dimonoid.name(self.dimonoid.left_mul(a, tau1))
             for u, c in self._basis_prec(s, t.left, tau1):
-                edge = self.dimonoid.name(self.dimonoid.left_mul(a, tau1))
                 grafted = self._node(t.label, u, edge, t.right, t.right_edge)
                 acc[grafted] = acc.get(grafted, 0) + c
+            edge = self.dimonoid.name(self.dimonoid.right_mul(a, tau1))
             for u, c in self._basis_succ(s, t.left, a):
-                edge = self.dimonoid.name(self.dimonoid.right_mul(a, tau1))
                 grafted = self._node(t.label, u, edge, t.right, t.right_edge)
                 acc[grafted] = acc.get(grafted, 0) + c
             result = tuple(acc.items())
-        return self._put(_CACHE, key, result)
+        return self._put(self._cache, key, result)
 
     # -- bilinear operations on linear combinations of trees
 
@@ -241,22 +225,23 @@ class FreeDendCarrier:
 
     # -- operation bundles
 
+    def _ops(self, index):
+        """Single-index prec/succ over index."""
+        return (
+            FamilyIndexedOp(index, lambda a, x, y: self.prec(x, y, a)),
+            FamilyIndexedOp(index, lambda a, x, y: self.succ(x, y, a)),
+        )
+
     def dimonoid_ops(self):
         """Single-index prec/succ over the dimonoid itself."""
-        return (
-            FamilyIndexedOp(self.dimonoid, lambda a, x, y: self.prec(x, y, a)),
-            FamilyIndexedOp(self.dimonoid, lambda a, x, y: self.succ(x, y, a)),
-        )
+        return self._ops(self.dimonoid)
 
     def family_ops(self):
         """Single-index prec/succ over ``semigroup``; only available when
         both dimonoid products coincide."""
         if self.semigroup is None:
             raise ContractError("family operations need a semigroup-form dimonoid")
-        return (
-            FamilyIndexedOp(self.semigroup, lambda a, x, y: self.prec(x, y, a)),
-            FamilyIndexedOp(self.semigroup, lambda a, x, y: self.succ(x, y, a)),
-        )
+        return self._ops(self.semigroup)
 
     def matching_ops(self):
         """Single-index prec/succ over a projection dimonoid."""
@@ -276,6 +261,8 @@ class SampledTreeDomain:
     sees the same tuples and repeated runs are bit-identical."""
 
     def __init__(self, carrier, index, samples=200, max_vertices=6, seed=0):
+        if samples < 1 or max_vertices < 1:
+            raise ContractError("a tree sample needs samples >= 1 and max_vertices >= 1")
         self.carrier = carrier
         self.index = index
         self.samples = samples

@@ -247,6 +247,14 @@ def test_sampled_domain_is_replayable(free_zmod2):
     assert first == second and len(first) == 7
 
 
+@pytest.mark.parametrize("counts", [{"samples": 0}, {"samples": -3}, {"max_vertices": 0}])
+def test_an_empty_tree_sample_is_refused_not_passed(free_zmod2, counts):
+    # no sample (or no vertex to build one from) has no instance to verify: a
+    # PASS of 0 instances would be vacuous, and randrange's ValueError a crash
+    with pytest.raises(ContractError, match="samples >= 1 and max_vertices >= 1"):
+        free_check(free_zmod2, "RelAssoc", **counts)
+
+
 def test_zero_input_bilinearity(free_zmod2):
     assert free_zmod2.prec(LinComb.zero(), Y, "0").is_zero()
     assert free_zmod2.succ(X, LinComb.zero(), "0").is_zero()
@@ -299,13 +307,14 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
         return reports
 
     unbounded = session(lambda carrier: None)
-    budget = 4000
-    monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
-    sizes = []
+    # at 64 entries the tables are emptied inside single products as well
+    for budget in (4000, 64):
+        monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
+        sizes = []
 
-    def entries(carrier):
-        sizes.append(sum(len(table) for gen in (carrier._young, carrier._old) for table in gen))
+        def entries(carrier):
+            sizes.append(len(carrier._cache) + len(carrier._trees))
 
-    assert session(entries) == unbounded
-    assert max(sizes) <= budget
-    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # generations dropped
+        assert session(entries) == unbounded
+        assert max(sizes) <= budget
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # tables emptied
