@@ -437,6 +437,44 @@ def test_free_carrier_non_associative_semigroup_report(tmp_path, capsys, command
     assert captured.err == "FAIL semigroup: 6 instances at associativity ('1', '0', '1')\n"
 
 
+# the README's commands on data/ files, each ending in exit 0
+README_COMMANDS = [
+    ["check-semigroup", "--semigroup", "zmod2.json"],
+    ["check-dimonoid", "--dimonoid", "matching2.json"],
+    ["check-cocycle", "--cocycle", "cocycle_sign.json"],
+    ["check-algebra", "--algebra", "cocycle_algebra.json", "--suite", "RelAssoc"],
+    ["check-algebra", "--algebra", "zinbiel8.json", "--suite", "RelZinbiel"],
+    ["check-rb", "--rb", "rb_reciprocal.json", "--window", "20"],
+    ["derive", "--construction", "dend-from-zinbiel", "--algebra", "zinbiel8.json"],
+    ["collapse", "--algebra", "cocycle_algebra.json", "--suite", "RelAssoc"],
+    ["free-eval", "--expr", "succ(a, x[], y[])", "--dimonoid", "matching2.json"],
+    ["free-check", "--suite", "DimonoidDendriform", "--dimonoid", "matching2.json",
+     "--samples", "200", "--max-vertices", "6", "--seed", "0"],
+    ["free-eval", "--expr", "mul(a,a, x[], y[])", "--semigroup", "trivial_a.json"],
+]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS + [["check-semigroup", "--semigroup", None]])
+def test_stderr_summary_lines_match_the_reports(tmp_path, capsys, command):
+    # one PASS/FAIL line per report, in report order; the last case fails
+    from relalg.cli import main
+
+    magma = tmp_path / "magma.json"
+    magma.write_text(json.dumps(NON_ASSOCIATIVE))
+    argv = [str(magma) if a is None else str(DATA / a) if a.endswith(".json") else a for a in command]
+    status = main(argv)
+    captured = capsys.readouterr()
+    expected = []
+    for report in json.loads(captured.out)["reports"]:
+        ce = report["counterexample"]
+        where = "" if ce is None else f" at {ce['equation']} {tuple(ce['indices'])}"
+        verdict = "PASS" if report["passed"] else "FAIL"
+        expected.append(f"{verdict} {report['check']}: {report['instances']} instances{where}")
+    lines = [line for line in captured.err.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert lines == expected
+    assert status == (0 if None not in command else 1)
+
+
 def test_free_carrier_checks_semigroup_once(monkeypatch, capsys):
     from relalg import cli, semigroups
 
