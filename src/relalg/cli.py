@@ -35,7 +35,7 @@ from .exprs import eval_expression
 from .freecheck import FREE_SUITES, free_check
 from .freedend import FreeDendCarrier
 from .ops import FiniteRelativeAlgebra, materialize_pair_op
-from .reports import to_json
+from .reports import summary, to_json
 from .semigroups import check_cocycle, check_dimonoid, check_semigroup
 from .trees import tree_print
 
@@ -59,49 +59,50 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kwargs):
+    def cmd(name, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--out", help="also write the JSON report to this file")
         return p
 
-    p = cmd("check-semigroup", help="associativity, unit and commutativity claims")
+    p = cmd("check-semigroup", run_check_semigroup, help="associativity, unit and commutativity claims")
     p.add_argument("--semigroup", required=True, metavar="FILE")
 
-    p = cmd("check-dimonoid", help="the five dimonoid identities")
+    p = cmd("check-dimonoid", run_check_dimonoid, help="the five dimonoid identities")
     p.add_argument("--dimonoid", required=True, metavar="FILE")
 
-    p = cmd("check-cocycle", help="the 2-cocycle identity")
+    p = cmd("check-cocycle", run_check_cocycle, help="the 2-cocycle identity")
     p.add_argument("--cocycle", required=True, metavar="FILE")
 
-    p = cmd("check-algebra", help="run an axiom suite on a finite algebra")
+    p = cmd("check-algebra", run_check_algebra, help="run an axiom suite on a finite algebra")
     p.add_argument("--algebra", required=True, metavar="FILE")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
 
-    p = cmd("check-rb", help="the Rota-Baxter family identity")
+    p = cmd("check-rb", run_check_rb, help="the Rota-Baxter family identity")
     p.add_argument("--rb", required=True, metavar="FILE")
     p.add_argument("--window", type=_positive_int, default=20, metavar="N")
 
-    p = cmd("check-morphism", help="structure preservation for a map family")
+    p = cmd("check-morphism", run_check_morphism, help="structure preservation for a map family")
     p.add_argument("--morphism", required=True, metavar="FILE")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
 
-    p = cmd("derive", help="run a named construction, emit the derived algebra")
+    p = cmd("derive", run_derive, help="run a named construction, emit the derived algebra")
     p.add_argument("--construction", required=True, choices=sorted(DERIVATIONS))
     p.add_argument("--algebra", metavar="FILE")
     p.add_argument("--cocycle", metavar="FILE")
     p.add_argument("--rb", metavar="FILE")
 
-    p = cmd("collapse", help="flatten a finite algebra to an ordinary one")
+    p = cmd("collapse", run_collapse, help="flatten a finite algebra to an ordinary one")
     p.add_argument("--algebra", required=True, metavar="FILE")
     p.add_argument("--suite", choices=sorted(SUITES))
 
-    p = cmd("free-eval", help="evaluate an expression over the free tree carrier")
+    p = cmd("free-eval", run_free_eval, help="evaluate an expression over the free tree carrier")
     p.add_argument("--expr", required=True)
     p.add_argument("--dimonoid", metavar="FILE")
     p.add_argument("--semigroup", metavar="FILE")
     p.add_argument("--decorations", default="x,y", metavar="X,Y,...")
 
-    p = cmd("free-check", help="sampled axiom checks on the free tree carrier")
+    p = cmd("free-check", run_free_check, help="sampled axiom checks on the free tree carrier")
     p.add_argument("--suite", required=True, choices=sorted(FREE_SUITES))
     p.add_argument("--dimonoid", metavar="FILE")
     p.add_argument("--semigroup", metavar="FILE")
@@ -312,20 +313,6 @@ def run_free_check(args):
     return _payload(args.command, [report])
 
 
-HANDLERS = {
-    "check-semigroup": run_check_semigroup,
-    "check-dimonoid": run_check_dimonoid,
-    "check-cocycle": run_check_cocycle,
-    "check-algebra": run_check_algebra,
-    "check-rb": run_check_rb,
-    "check-morphism": run_check_morphism,
-    "derive": run_derive,
-    "collapse": run_collapse,
-    "free-eval": run_free_eval,
-    "free-check": run_free_check,
-}
-
-
 def _emit(payload, args):
     text = to_json(payload)
     if getattr(args, "out", None):
@@ -335,11 +322,8 @@ def _emit(payload, args):
         except OSError as exc:
             raise MalformedInputError(f"--out {args.out}: {exc.strerror}") from None
     sys.stdout.write(text)
-    for report in payload.get("reports", []):
-        line = "PASS" if report["passed"] else "FAIL"
-        ce = report.get("counterexample")
-        where = "" if ce is None else f" at {ce['equation']} {tuple(ce['indices'])}"
-        print(f"{line} {report['check']}: {report['instances']} instances{where}", file=sys.stderr)
+    for report in payload["reports"]:
+        print(summary(report), file=sys.stderr)
     if "result" in payload:
         print(payload["result"], file=sys.stderr)
 
@@ -347,7 +331,7 @@ def _emit(payload, args):
 def _run(args):
     """Run the command, write its report out, and return its exit status."""
     try:
-        payload = HANDLERS[args.command](args)
+        payload = args.run(args)
     except ConstructionRefused as exc:
         payload = _payload(args.command, [exc.report])
     _emit(payload, args)

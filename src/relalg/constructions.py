@@ -104,16 +104,14 @@ def zinbiel_from_symmetric_dend(prec, succ, domain):
     """ast = succ, legitimate when succ is prec composed with the swap; the
     hypothesis is verified on the given domain before construction."""
     require(check_pair_symmetric(prec, succ, domain))
-    return PairIndexedOp(succ.index, succ.fn, succ.den)
+    return succ
 
 
 def dend_from_zinbiel(ast):
     """prec(a,b)(x,y) = ast(b,a)(y,x) and succ = ast; the symmetry clause
     succ(a,b)(x,y) = prec(b,a)(y,x) then holds identically."""
     index = _require_commutative(ast.index)
-    prec = PairIndexedOp(index, lambda a, b, x, y: ast(b, a, y, x))
-    succ = PairIndexedOp(index, ast.fn, ast.den)
-    return prec, succ
+    return PairIndexedOp(index, lambda a, b, x, y: ast(b, a, y, x)), ast
 
 
 def comm_from_zinbiel(ast):

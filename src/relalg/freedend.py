@@ -23,7 +23,7 @@ from .errors import ContractError, MalformedInputError
 from .lincomb import LinComb, lc_bilinear_extend
 from .ops import FamilyIndexedOp
 from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
-from .trees import EMPTY, DecoratedTree, random_tree_from, tree_parse, tree_print
+from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tree_print
 
 # The most entries one carrier's basis cache and intern table hold together.
 # free-session's working set at --seconds 20 (about 240,000 entries: 80,000
@@ -77,8 +77,11 @@ class FreeDendCarrier:
             semigroup = semigroup_from_dimonoid(index) if index.is_semigroup_form() else None
         else:
             raise MalformedInputError("free carrier requires a dimonoid or semigroup index")
-        bad = set(decorations) | set(dimonoid.elements)
-        if "e" in bad:
+        labels = decorations + dimonoid.elements
+        for label in labels:
+            if not LABEL.fullmatch(label):
+                raise MalformedInputError(f"label {label!r}: tree labels are letters, digits and _")
+        if "e" in labels:
             raise MalformedInputError('"e" is reserved for the empty tree')
         self.decorations = decorations
         self.dimonoid = dimonoid

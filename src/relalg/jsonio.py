@@ -18,8 +18,9 @@ the positive integers with R_n(x) = x/n, or ``{"algebra": {...}, "maps":
 Every nested list is read by one walker, ``_table``, which checks each
 level's JSON type (and its length where the format fixes one) and reads the
 innermost entries with one of three leaf readers: ``_scalars()`` (a "p/q"
-string, each distinct one parsed once per top-level load), ``_index`` (an
-integer table entry) or ``_name`` (an element or basis name).  Every
+string; each loader that reads scalars makes its own reader, which parses
+each distinct string once), ``_index`` (an integer table entry) or ``_name``
+(an element or basis name).  Every
 constructor is called through ``_build``, which refuses its ValueError at
 the object's path.  Every object is read through
 ``_object``, which refuses a key written twice in one object (``load_file``
@@ -101,8 +102,8 @@ def _build(path, cls, *args, **kwargs):
 
 
 def _scalars():
-    """The ``"p/q"`` leaf reader of one top-level load: each distinct string
-    is parsed once, then read from a dict local to that load."""
+    """A ``"p/q"`` leaf reader: each distinct string is parsed once, then
+    read from a dict local to the reader."""
     parsed = {}
 
     def scalar(value):
@@ -211,11 +212,8 @@ def _parse_op_key(key, semigroup, path):
 
 
 def load_algebra(obj, path="algebra"):
-    return _algebra(obj, path, _scalars())
-
-
-def _algebra(obj, path, scalar):
     _object(obj, path)
+    scalar = _scalars()
     dim = _need(obj, "dim", int, path)
     basis = _table(_need(obj, "basis", list, path), f"{path}.basis", _name, None)
     if len(basis) != dim:
@@ -264,9 +262,10 @@ def dump_algebra(alg):
     }
 
 
-def _maps(obj, path, index, rows, cols, scalar):
+def _maps(obj, path, index, rows, cols):
     """The ``maps`` object: index element -> rows x cols scalar matrix."""
     maps = {}
+    scalar = _scalars()
     for name, matrix in _need(obj, "maps", dict, path).items():
         where = f"{path}.maps.{name}"
         maps[_build(where, index.index_of, name)] = _table(matrix, where, scalar, rows, cols)
@@ -286,9 +285,8 @@ def load_rota_baxter(obj, path="rb"):
                 f"{path}.builtin: unknown builtin {name!r} (available: {sorted(RB_BUILTINS)})"
             )
         return RB_BUILTINS[name]()
-    scalar = _scalars()
-    algebra = _algebra(_need(obj, "algebra", dict, path), f"{path}.algebra", scalar)
-    maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim, scalar)
+    algebra = load_algebra(_need(obj, "algebra", dict, path), f"{path}.algebra")
+    maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim)
     if sorted(maps) != list(range(algebra.index.size)):
         raise MalformedInputError(f"{path}.maps: need exactly one matrix per semigroup element")
     return RotaBaxterFamily(algebra, maps)
@@ -296,8 +294,7 @@ def load_rota_baxter(obj, path="rb"):
 
 def load_morphism(obj, path="morphism"):
     _object(obj, path)
-    scalar = _scalars()
-    source = _algebra(_need(obj, "source", dict, path), f"{path}.source", scalar)
-    target = _algebra(_need(obj, "target", dict, path), f"{path}.target", scalar)
-    maps = _maps(obj, path, source.index, target.dim, source.dim, scalar)
+    source = load_algebra(_need(obj, "source", dict, path), f"{path}.source")
+    target = load_algebra(_need(obj, "target", dict, path), f"{path}.target")
+    maps = _maps(obj, path, source.index, target.dim, source.dim)
     return _build(path, MorphismFamily, source, target, maps)

@@ -49,19 +49,14 @@ class CheckReport:
             "info": self.info,
         }
 
-    def summary(self):
-        if self.passed:
-            return f"PASS {self.check}: {self.instances} instances verified"
-        ce = self.counterexample
-        where = ""
-        if ce is not None:
-            bits = [ce.equation]
-            if ce.indices:
-                bits.append("indices (" + ", ".join(ce.indices) + ")")
-            if ce.elements:
-                bits.append("elements (" + ", ".join(ce.elements) + ")")
-            where = " at " + ", ".join(bits)
-        return f"FAIL {self.check}{where}"
+
+def summary(payload):
+    """The one-line summary of a report's payload (``to_payload``), the line
+    the CLI writes to stderr for each report."""
+    ce = payload["counterexample"]
+    where = "" if ce is None else f" at {ce['equation']} {tuple(ce['indices'])}"
+    verdict = "PASS" if payload["passed"] else "FAIL"
+    return f"{verdict} {payload['check']}: {payload['instances']} instances{where}"
 
 
 def scan(check, instances, show):

@@ -11,7 +11,7 @@ from itertools import product
 
 from .errors import ContractError, MalformedInputError
 from .lincomb import format_scalar
-from .reports import scan
+from .reports import scan, summary
 
 
 def _validate_table(table, n, what):
@@ -106,20 +106,16 @@ class VirtualSemigroup:
     """Infinite index structure given by a computed product on opaque elements
     (integers in practice).  Exhaustive checks become windowed checks."""
 
-    __slots__ = ("description", "op", "unit", "commutative")
+    __slots__ = ("description", "op", "unit", "claims_commutative")
 
     def __init__(self, description, op, unit=None, commutative=False):
         object.__setattr__(self, "description", description)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "commutative", bool(commutative))
+        object.__setattr__(self, "claims_commutative", bool(commutative))
 
     def __setattr__(self, name, value):
         raise AttributeError("VirtualSemigroup is immutable")
-
-    @property
-    def claims_commutative(self):
-        return self.commutative
 
     def mul(self, i, j):
         return self.op(i, j)
@@ -275,7 +271,7 @@ def dimonoid_from_semigroup(table):
     """Both dimonoid products equal the semigroup product."""
     report = check_semigroup(table)
     if not report.passed:
-        raise ContractError(f"not a semigroup: {report.summary()}")
+        raise ContractError(f"not a semigroup: {summary(report.to_payload())}")
     dimonoid = DimonoidTable(table.elements, table.product, table.product)
     object.__setattr__(dimonoid, "semigroup", table)
     return dimonoid

@@ -15,13 +15,16 @@ preorder); its sort key is built on first use, since only rendering sorts.
 Text form: ``e`` is the empty tree; ``x[]`` a single vertex; otherwise
 ``label[edge: tree, edge: tree]`` with either side omissible, e.g.
 ``x[, a: y[]]`` for a root x whose only child is y, attached right via a.
+A label is one or more letters, digits and ``_`` (``LABEL``).
 """
 
+import re
 from itertools import count
 from random import Random
 
 from .errors import TreeParseError
 
+LABEL = re.compile(r"\w+")
 _EMPTY_KEY = (0, "", (), ())
 _uids = count()
 
@@ -154,14 +157,11 @@ class _Parser:
 
     def name(self):
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        match = LABEL.match(self.text, self.pos)
+        if match is None:
             self.error("expected a label")
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
 
     def tree(self):
         label = self.name()

@@ -475,6 +475,44 @@ def test_stderr_summary_lines_match_the_reports(tmp_path, capsys, command):
     assert status == (0 if None not in command else 1)
 
 
+def test_not_a_semigroup_error_carries_the_summary_line():
+    from relalg.errors import ContractError
+    from relalg.jsonio import load_semigroup
+    from relalg.semigroups import dimonoid_from_semigroup
+
+    expected = "not a semigroup: FAIL semigroup: 6 instances at associativity ('1', '0', '1')"
+    with pytest.raises(ContractError) as exc:
+        dimonoid_from_semigroup(load_semigroup(NON_ASSOCIATIVE))
+    assert str(exc.value) == expected
+
+
+UNSPELLABLE_DIMONOID = {"elements": ["a", "b: x[]"], "left": [[0, 0], [1, 1]], "right": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, label",
+    [
+        (["free-check", "--suite", "RelAssoc", "--semigroup", str(DATA / "zmod2.json"),
+          "--decorations", "x y,z"], "x y"),
+        (["free-eval", "--expr", "x[]", "--semigroup", str(DATA / "zmod2.json"),
+          "--decorations", "x y"], "x y"),
+        (["free-eval", "--expr", "succ(a, x[], y[])", "--dimonoid", None], "b: x[]"),
+    ],
+)
+def test_labels_the_tree_text_cannot_spell_exit_2(tmp_path, capsys, command, label):
+    # a report would name trees that no tree argument can spell back
+    from relalg.cli import main
+
+    path = tmp_path / "dimonoid.json"
+    path.write_text(json.dumps(UNSPELLABLE_DIMONOID))
+    assert main([str(path) if a is None else a for a in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed input: label {label!r}: tree labels are letters, digits and _\n"
+    )
+
+
 def test_free_carrier_checks_semigroup_once(monkeypatch, capsys):
     from relalg import cli, semigroups
 
@@ -532,10 +570,10 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     # a counterexample
     from relalg import cli
 
-    def broken(args):
+    def broken(obj):
         raise KeyError("planted")
 
-    monkeypatch.setitem(cli.HANDLERS, "check-semigroup", broken)
+    monkeypatch.setattr(cli.jsonio, "load_semigroup", broken)
     assert cli.main(["check-semigroup", "--semigroup", str(DATA / "zmod2.json")]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

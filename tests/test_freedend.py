@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -143,6 +144,25 @@ def test_undeclared_labels_rejected(free_zmod2):
         free_zmod2.check_tree(leaf("z"))
     with pytest.raises(MalformedInputError):
         FreeDendCarrier(["e"], matching_dimonoid(2))
+
+
+@pytest.mark.parametrize(
+    "decorations, elements, label",
+    [
+        (["x y", "z"], ["a"], "x y"),
+        (["x"], ["a", "b: x[]"], "b: x[]"),
+        ([""], ["a"], ""),
+        (["x"], ["a-b"], "a-b"),
+    ],
+)
+def test_labels_the_tree_text_cannot_spell_rejected(decorations, elements, label):
+    # with "b: x[]" an edge label, succ of x[] and y[] would print as the
+    # ambiguous y[b: x[]: x[], ]
+    n = len(elements)
+    index = DimonoidTable(elements, [[i] * n for i in range(n)], [list(range(n))] * n)
+    with pytest.raises(MalformedInputError, match=f"^label {re.escape(repr(label))}: "):
+        FreeDendCarrier(decorations, index)
+    assert FreeDendCarrier(["x", "y_2", "3"], matching_dimonoid(2)).parse("y_2[a: 3[], ]")
 
 
 def test_outside_trees_with_undeclared_labels_rejected(free_zmod2):
