@@ -13,9 +13,8 @@ and bracket take an index pair.  Trees use the text form of the trees module
 Scalars are "p/q" with an optional sign; whitespace is insignificant.
 """
 
-from .errors import TreeParseError
 from .freecheck import DERIVED_OPS, free_pair_ops
-from .lincomb import LinComb, parse_scalar
+from .lincomb import _SCALAR, LinComb, parse_scalar
 from .trees import _Parser
 
 SINGLE_INDEX_OPS = ("prec", "succ")
@@ -49,19 +48,15 @@ class _ExprParser(_Parser):
 
     def scalar(self):
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "/"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        match = _SCALAR.match(self.text, self.pos)
+        if match is None:
             self.error("expected a scalar")
         try:
-            return parse_scalar(self.text[start:self.pos])
+            value = parse_scalar(match.group())
         except ValueError as exc:
-            raise TreeParseError(str(exc), start) from None
+            self.error(str(exc))
+        self.pos = match.end()
+        return value
 
     def index_name(self):
         name = self.name()
@@ -93,12 +88,4 @@ def apply_op(carrier, op, indices, x, y):
 
 
 def eval_expression(text, carrier):
-    parser = _ExprParser(text, carrier)
-    try:
-        result = parser.expression()
-    except RecursionError:
-        raise TreeParseError("nesting too deep", parser.pos) from None
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input after expression")
-    return result
+    return _ExprParser(text, carrier).parse("expression")

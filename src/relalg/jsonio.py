@@ -200,7 +200,8 @@ def dump_cocycle(cocycle):
 
 
 def _parse_op_key(key, semigroup, path):
-    """The index tuple an ``ops`` key names: ``"(a,b)"`` or a bare ``a``."""
+    """The index tuple an ``ops`` key names: ``"(a,b)"`` or a bare ``a``.
+    Element names are tree labels, so no name holds the comma split on."""
     key = key.strip()
     if key.startswith("(") and key.endswith(")"):
         names = key[1:-1].split(",")

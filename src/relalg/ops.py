@@ -18,7 +18,7 @@ from itertools import product
 from math import lcm
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, exact
+from .lincomb import LinComb, exact, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
 
@@ -200,6 +200,9 @@ def _kernel(block, den):
              for row in plane] for plane in block]
     memo = {}
 
+    def entry(i, j):
+        return rows[i][j]
+
     def kernel(x, y):
         x, y = x._terms, y._terms
         if not x or not y:
@@ -211,15 +214,7 @@ def _kernel(block, den):
                 value = memo[i, j] = LinComb(rows[i][j]) or ZERO
             weight = ci * cj
             return value if weight == 1 or value is ZERO else value.scale(weight)
-        acc = {}
-        get = acc.get
-        for i, ci in x.items():
-            row = rows[i]
-            for j, cj in y.items():
-                weight = ci * cj
-                for k, c in row[j]:
-                    acc[k] = get(k, 0) + weight * c
-        return LinComb(acc)
+        return lc_bilinear_extend(entry, x.items(), y.items())
 
     return kernel
 

@@ -1,7 +1,7 @@
 """Finite semigroups, dimonoids and 2-cocycles given by multiplication tables,
 plus a windowed interface for infinite index monoids.
 
-Tables are validated structurally at construction (shapes, index ranges);
+Tables are validated structurally at construction (names, shapes, index ranges);
 the algebraic laws themselves are established by the ``check_*`` functions,
 which scan all triples in lexicographic order and report the first violation.
 """
@@ -12,6 +12,7 @@ from itertools import product
 from .errors import ContractError, MalformedInputError
 from .lincomb import format_scalar
 from .reports import scan, summary
+from .trees import LABEL
 
 
 def _validate_table(table, n, what):
@@ -28,7 +29,8 @@ def _validate_table(table, n, what):
 
 class _FiniteTable:
     """Distinct named elements 0..size-1, immutable once built; the shared
-    part of the finite index tables."""
+    part of the finite index tables.  A name is a tree label (``trees.LABEL``),
+    so op keys ``(a,b)`` and tree text spell every name unambiguously."""
 
     __slots__ = ("elements",)
 
@@ -38,6 +40,9 @@ class _FiniteTable:
             raise MalformedInputError(f"{kind} needs at least one element")
         if len(set(elements)) != len(elements):
             raise MalformedInputError("duplicate element names")
+        for name in elements:
+            if not LABEL.fullmatch(name):
+                raise MalformedInputError(f"label {name!r}: tree labels are letters, digits and _")
         object.__setattr__(self, "elements", elements)
 
     def __setattr__(self, name, value):

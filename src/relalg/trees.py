@@ -142,6 +142,18 @@ class _Parser:
     def error(self, message):
         raise TreeParseError(message, self.pos)
 
+    def parse(self, rule):
+        """The whole text read by the method named ``rule``: nesting beyond
+        the recursion limit and trailing input are refused."""
+        try:
+            result = getattr(self, rule)()
+        except RecursionError:
+            raise TreeParseError("nesting too deep", self.pos) from None
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error(f"trailing input after {rule}")
+        return result
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -195,15 +207,7 @@ class _Parser:
 def tree_parse(text, vertex_labels=None, edge_labels=None):
     """Parse the text form; optional label sets make undeclared labels an
     error.  The whole input must be consumed."""
-    parser = _Parser(text, vertex_labels, edge_labels)
-    try:
-        result = parser.tree()
-    except RecursionError:
-        raise TreeParseError("nesting too deep", parser.pos) from None
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input after tree")
-    return result
+    return _Parser(text, vertex_labels, edge_labels).parse("tree")
 
 
 def random_tree_from(rng, vertex_labels, edge_labels, max_vertices, make=DecoratedTree):

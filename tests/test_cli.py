@@ -508,8 +508,9 @@ def test_labels_the_tree_text_cannot_spell_exit_2(tmp_path, capsys, command, lab
     assert main([str(path) if a is None else a for a in command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    where = "dimonoid: " if "--dimonoid" in command else ""  # the loader's path
     assert captured.err == (
-        f"error: malformed input: label {label!r}: tree labels are letters, digits and _\n"
+        f"error: malformed input: {where}label {label!r}: tree labels are letters, digits and _\n"
     )
 
 

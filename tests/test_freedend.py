@@ -159,8 +159,8 @@ def test_labels_the_tree_text_cannot_spell_rejected(decorations, elements, label
     # with "b: x[]" an edge label, succ of x[] and y[] would print as the
     # ambiguous y[b: x[]: x[], ]
     n = len(elements)
-    index = DimonoidTable(elements, [[i] * n for i in range(n)], [list(range(n))] * n)
     with pytest.raises(MalformedInputError, match=f"^label {re.escape(repr(label))}: "):
+        index = DimonoidTable(elements, [[i] * n for i in range(n)], [list(range(n))] * n)
         FreeDendCarrier(decorations, index)
     assert FreeDendCarrier(["x", "y_2", "3"], matching_dimonoid(2)).parse("y_2[a: 3[], ]")
 

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from random import Random
 
@@ -74,6 +75,16 @@ def test_malformed_tables_rejected():
         SemigroupTable(["0"], [[0], [0]])
     with pytest.raises(MalformedInputError):
         SemigroupTable([], [])
+
+
+@pytest.mark.parametrize("name", ["a,b", "x y", "", "a-b", "b: x[]"])
+def test_element_names_outside_the_label_grammar_rejected(name):
+    # an op key "(a,b,c)" or an edge "a,b: y[]" would not read back as one name
+    message = f"^label {re.escape(repr(name))}: tree labels are letters, digits and _$"
+    with pytest.raises(MalformedInputError, match=message):
+        SemigroupTable([name, "c"], [[0, 1], [1, 1]], commutative=True)
+    with pytest.raises(MalformedInputError, match=message):
+        DimonoidTable([name, "c"], [[0, 0], [1, 1]], [[0, 1], [0, 1]])
 
 
 def test_check_reports_deterministic():
