@@ -5,16 +5,19 @@ Each suite is a closed list of equations over operation roles.  An equation's
 sides are expressions built from element variables x, y, z, index variables
 a, b, c, indexed applications of roles, and formal sums; index slots carry
 index expressions (variables, the unit, or products computed in the carrier's
-index structure).  The term trees are the source of truth (``family_form``
-rewrites them); a check compiles each equation it reaches once, into nested
-closures over the carrier's resolved operations, and runs those closures on
-every instance.  Evaluation is exact; two sides are equal iff their
-normalized linear combinations coincide.  A compiled term returns its value
-times a scale the compiler tracks; every operation is multilinear, so the
-two sides compare at their common scale, and a counterexample is divided back.
+index structure).  The term trees are the source of truth: ``graded_form``
+indexes the ``Rel*`` suites, stated as ordinary equations, by reading them in
+S-graded vector spaces, and ``family_form`` rewrites those into the ``Fam*``
+suites.  A check compiles each equation it reaches once, into nested closures
+over the carrier's resolved operations, and runs those closures on every
+instance.  Evaluation is exact; two sides are equal iff their normalized
+linear combinations coincide.  A compiled term returns its value times a scale
+the compiler tracks; every operation is multilinear, so the two sides compare
+at their common scale, and a counterexample is divided back.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from math import lcm, prod
 from operator import itemgetter
@@ -323,111 +326,65 @@ def family_form(equation):
     return replace(equation, lhs=lhs, rhs=rhs)
 
 
+def _graded_expr(expr):
+    """``expr`` with every application indexed, and the degree of ``expr``."""
+    if isinstance(expr, Var):
+        return expr, IxVar(_IVARS[_VAR_POSITION[expr.name]])
+    if isinstance(expr, UnitElem):
+        return expr, OMEGA
+    if isinstance(expr, Lin):
+        terms = [(c, *_graded_expr(e)) for c, e in expr.terms]
+        return Lin(tuple((c, e) for c, e, _ in terms)), (terms[0][2] if terms else None)
+    args, degrees = zip(*map(_graded_expr, expr.args))
+    return App(expr.role, degrees, args), (mul(*degrees) if len(degrees) == 2 else degrees[0])
+
+
+def graded_form(equation):
+    """The S-indexed reading of an ordinary equation in S-graded vector spaces.
+    x, y, z have degrees a, b, c, and the unit OMEGA.  An application is indexed
+    by its arguments' degrees; a binary one has their product as its degree, a
+    unary one its argument's.  A sum has the degree of its first term."""
+    lhs, rhs = (_graded_expr(side)[0] for side in (equation.lhs, equation.rhs))
+    return replace(equation, lhs=lhs, rhs=rhs)
+
+
 def _suite_table():
     eq = Equation
-    # pair-indexed associativity: (x.y).z = x.(y.z) with composed indices
-    assoc = eq(
-        "assoc",
-        app("mul", (mul(A, B), C), app("mul", (A, B), X, Y), Z),
-        app("mul", (A, mul(B, C)), X, app("mul", (B, C), Y, Z)),
-    )
-    comm = eq("comm", app("mul", (A, B), X, Y), app("mul", (B, A), Y, X))
-    unit_right = eq("unit_right", app("mul", (A, OMEGA), X, UNIT), X)
-    unit_left = eq("unit_left", app("mul", (OMEGA, A), UNIT, X), X)
-    skew = eq(
-        "skew",
-        add(app("bracket", (A, B), X, Y), app("bracket", (B, A), Y, X)),
-        ZERO_EXPR,
-    )
-    jacobi = eq(
-        "jacobi",
-        add(
-            app("bracket", (mul(A, B), C), app("bracket", (A, B), X, Y), Z),
-            app("bracket", (mul(C, A), B), app("bracket", (C, A), Z, X), Y),
-            app("bracket", (mul(B, C), A), app("bracket", (B, C), Y, Z), X),
-        ),
-        ZERO_EXPR,
-    )
-    leibniz = eq(
-        "leibniz",
-        app("bracket", (A, mul(B, C)), X, app("mul", (B, C), Y, Z)),
-        add(
-            app("mul", (mul(A, B), C), app("bracket", (A, B), X, Y), Z),
-            app("mul", (B, mul(A, C)), Y, app("bracket", (A, C), X, Z)),
-        ),
-    )
+
+    def rel(eqid, lhs, rhs):  # an ordinary equation, read in S-graded vector spaces
+        return graded_form(eq(eqid, lhs, rhs))
+
+    roles = ("mul", "bracket", "prec", "succ", "ast", "circ")
+    M, Br, P, S, Ast, Circ = (partial(app, role, ()) for role in roles)  # unindexed
+    assoc = rel("assoc", M(M(X, Y), Z), M(X, M(Y, Z)))
+    comm = rel("comm", M(X, Y), M(Y, X))
+    unit_right = rel("unit_right", M(X, UNIT), X)
+    unit_left = rel("unit_left", M(UNIT, X), X)
+    skew = rel("skew", add(Br(X, Y), Br(Y, X)), ZERO_EXPR)
+    jacobi = rel("jacobi", add(Br(Br(X, Y), Z), Br(Br(Z, X), Y), Br(Br(Y, Z), X)), ZERO_EXPR)
+    leibniz = rel("leibniz", Br(X, M(Y, Z)), add(M(Br(X, Y), Z), M(Y, Br(X, Z))))
     rel_dend = (
-        eq(
-            "dend1",
-            app("prec", (mul(A, B), C), app("prec", (A, B), X, Y), Z),
-            app(
-                "prec",
-                (A, mul(B, C)),
-                X,
-                add(app("prec", (B, C), Y, Z), app("succ", (B, C), Y, Z)),
-            ),
-        ),
-        eq(
-            "dend2",
-            app("prec", (mul(A, B), C), app("succ", (A, B), X, Y), Z),
-            app("succ", (A, mul(B, C)), X, app("prec", (B, C), Y, Z)),
-        ),
-        eq(
-            "dend3",
-            app(
-                "succ",
-                (mul(A, B), C),
-                add(app("prec", (A, B), X, Y), app("succ", (A, B), X, Y)),
-                Z,
-            ),
-            app("succ", (A, mul(B, C)), X, app("succ", (B, C), Y, Z)),
-        ),
+        rel("dend1", P(P(X, Y), Z), P(X, add(P(Y, Z), S(Y, Z)))),
+        rel("dend2", P(S(X, Y), Z), S(X, P(Y, Z))),
+        rel("dend3", S(add(P(X, Y), S(X, Y)), Z), S(X, S(Y, Z))),
     )
-    rel_zinbiel = eq(
-        "zinbiel",
-        app("ast", (A, mul(B, C)), X, app("ast", (B, C), Y, Z)),
-        add(
-            app("ast", (mul(A, B), C), app("ast", (A, B), X, Y), Z),
-            app("ast", (mul(B, A), C), app("ast", (B, A), Y, X), Z),
-        ),
-    )
-    rel_prelie = eq(
+    rel_zinbiel = rel("zinbiel", Ast(X, Ast(Y, Z)), add(Ast(Ast(X, Y), Z), Ast(Ast(Y, X), Z)))
+    rel_prelie = rel(
         "prelie",
-        sub(
-            app("circ", (A, mul(B, C)), X, app("circ", (B, C), Y, Z)),
-            app("circ", (mul(A, B), C), app("circ", (A, B), X, Y), Z),
-        ),
-        sub(
-            app("circ", (B, mul(A, C)), Y, app("circ", (A, C), X, Z)),
-            app("circ", (mul(B, A), C), app("circ", (B, A), Y, X), Z),
-        ),
+        sub(Circ(X, Circ(Y, Z)), Circ(Circ(X, Y), Z)),
+        sub(Circ(Y, Circ(X, Z)), Circ(Circ(Y, X), Z)),
     )
+    # sums of degrees ab and ba under ast and circ: these suites need a commutative index
     rel_prepoisson = (
-        eq(
+        rel(
             "prepoisson1",
-            app(
-                "ast",
-                (mul(A, B), C),
-                sub(app("circ", (A, B), X, Y), app("circ", (B, A), Y, X)),
-                Z,
-            ),
-            sub(
-                app("circ", (A, mul(B, C)), X, app("ast", (B, C), Y, Z)),
-                app("ast", (B, mul(A, C)), Y, app("circ", (A, C), X, Z)),
-            ),
+            Ast(sub(Circ(X, Y), Circ(Y, X)), Z),
+            sub(Circ(X, Ast(Y, Z)), Ast(Y, Circ(X, Z))),
         ),
-        eq(
+        rel(
             "prepoisson2",
-            app(
-                "circ",
-                (mul(A, B), C),
-                add(app("ast", (A, B), X, Y), app("ast", (B, A), Y, X)),
-                Z,
-            ),
-            add(
-                app("ast", (A, mul(B, C)), X, app("circ", (B, C), Y, Z)),
-                app("ast", (B, mul(A, C)), Y, app("circ", (A, C), X, Z)),
-            ),
+            Circ(add(Ast(X, Y), Ast(Y, X)), Z),
+            add(Ast(X, Circ(Y, Z)), Ast(Y, Circ(X, Z))),
         ),
     )
     # stated, not lifted: lifting gives ast_{ba} in term two; zinbiel_swap has no Rel form
@@ -511,17 +468,9 @@ def _suite_table():
 
 SUITES = _suite_table()
 
-ROTA_BAXTER_EQUATION = Equation(
-    "rota_baxter",
-    app("mul", (A, B), app("rb", (A,), X), app("rb", (B,), Y)),
-    app(
-        "rb",
-        (mul(A, B),),
-        add(
-            app("mul", (A, B), app("rb", (A,), X), Y),
-            app("mul", (A, B), X, app("rb", (B,), Y)),
-        ),
-    ),
+_M, _RB = partial(app, "mul", ()), partial(app, "rb", ())
+ROTA_BAXTER_EQUATION = graded_form(
+    Equation("rota_baxter", _M(_RB(X), _RB(Y)), _RB(add(_M(_RB(X), Y), _M(X, _RB(Y)))))
 )
 
 

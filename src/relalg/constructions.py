@@ -20,9 +20,9 @@ from .axioms import (
     check_axioms,
     check_rota_baxter,
     finite_domain,
+    graded_form,
     lifted_position,
     A,
-    B,
     X,
     Y,
 )
@@ -78,7 +78,7 @@ PAIR_SYMMETRIC = Suite(
     "PairSymmetric",
     2,
     ("prec", "succ"),
-    (Equation("succ_eq_swapped_prec", app("succ", (A, B), X, Y), app("prec", (B, A), Y, X)),),
+    (graded_form(Equation("succ_eq_swapped_prec", app("succ", (), X, Y), app("prec", (), Y, X))),),
     requires_commutative=True,
 )
 

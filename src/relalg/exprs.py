@@ -35,7 +35,7 @@ class _ExprParser(_Parser):
 
     def term(self):
         ch = self.peek()
-        if ch.isdigit() or ch == "-":
+        if ch.isdigit() or ch in ("+", "-"):
             coeff = self.scalar()
             self.expect("*")
             return self.term().scale(coeff)

@@ -36,6 +36,7 @@ from relalg.axioms import (
     UNIT,
     A,
     B,
+    C,
     App,
     Equation,
     FiniteDomain,
@@ -47,11 +48,15 @@ from relalg.axioms import (
     Var,
     X,
     Y,
+    Z,
     ZERO_EXPR,
+    add,
     app,
     dleft,
     eval_expr,
+    graded_form,
     mul,
+    sub,
     window_domain,
 )
 from relalg import jsonio
@@ -779,3 +784,82 @@ def test_equation_arities_are_read_off_the_terms():
     assert (only_y_b.n_elem, only_y_b.n_idx) == (2, 2)
     closed = Equation("closed", ZERO_EXPR, ZERO_EXPR)
     assert (closed.n_elem, closed.n_idx) == (0, 0)
+
+
+# The grading rule's edge cases, with every index written out: the unit's
+# degree, a cyclic sum, a sum mixing degrees ab and ba, a unary role, and a
+# swap of the arguments.
+GRADED_BY_HAND = {
+    ("RelUnital", "unit_right"): Equation("unit_right", app("mul", (A, OMEGA), X, UNIT), X),
+    ("RelLie", "jacobi"): Equation(
+        "jacobi",
+        add(
+            app("bracket", (mul(A, B), C), app("bracket", (A, B), X, Y), Z),
+            app("bracket", (mul(C, A), B), app("bracket", (C, A), Z, X), Y),
+            app("bracket", (mul(B, C), A), app("bracket", (B, C), Y, Z), X),
+        ),
+        ZERO_EXPR,
+    ),
+    ("RelPrePoisson", "prepoisson1"): Equation(
+        "prepoisson1",
+        app("ast", (mul(A, B), C), sub(app("circ", (A, B), X, Y), app("circ", (B, A), Y, X)), Z),
+        sub(
+            app("circ", (A, mul(B, C)), X, app("ast", (B, C), Y, Z)),
+            app("ast", (B, mul(A, C)), Y, app("circ", (A, C), X, Z)),
+        ),
+    ),
+}
+
+
+def test_the_grading_rule_indexes_its_edge_cases_as_written_by_hand():
+    for (suite, eqid), expected in GRADED_BY_HAND.items():
+        assert {e.eqid: e for e in SUITES[suite].equations}[eqid] == expected
+    assert ROTA_BAXTER_EQUATION == Equation(
+        "rota_baxter",
+        app("mul", (A, B), app("rb", (A,), X), app("rb", (B,), Y)),
+        app(
+            "rb",
+            (mul(A, B),),
+            add(app("mul", (A, B), app("rb", (A,), X), Y), app("mul", (A, B), X, app("rb", (B,), Y))),
+        ),
+    )
+    assert PAIR_SYMMETRIC.equations == (
+        Equation("succ_eq_swapped_prec", app("succ", (A, B), X, Y), app("prec", (B, A), Y, X)),
+    )
+    ordinary_assoc = Equation(
+        "assoc", app("mul", (), app("mul", (), X, Y), Z), app("mul", (), X, app("mul", (), Y, Z))
+    )
+    assert graded_form(ordinary_assoc) == SUITES["RelAssoc"].equations[0]
+
+
+def _degree(expr):
+    """The degree of a graded term that is not a sum."""
+    if isinstance(expr, Var):
+        return IxVar({"x": "a", "y": "b", "z": "c"}[expr.name])
+    if isinstance(expr, UnitElem):
+        return OMEGA
+    return mul(*expr.idx) if len(expr.idx) == 2 else expr.idx[0]
+
+
+def _mixes_degrees(expr):
+    """Whether a sum under an application has terms of different degrees."""
+    if isinstance(expr, Lin):
+        return any(_mixes_degrees(e) for _, e in expr.terms)
+    if not isinstance(expr, App):
+        return False
+    sums = [arg for arg in expr.args if isinstance(arg, Lin)]
+    mixed = any(len({_degree(e) for _, e in arg.terms}) > 1 for arg in sums)
+    return mixed or any(_mixes_degrees(arg) for arg in expr.args)
+
+
+def test_sums_under_an_application_mix_degrees_only_over_a_commutative_index():
+    # the rule gives a sum its first term's degree, which is the degree of
+    # every term unless the index is commutative
+    def mixes(equation):
+        return _mixes_degrees(equation.lhs) or _mixes_degrees(equation.rhs)
+
+    graded = [suite for suite in SUITES.values() if suite.op_arity == 2]
+    mixing = {(suite.name, e.eqid) for suite in graded for e in suite.equations if mixes(e)}
+    assert {eqid for _, eqid in mixing} == {"prepoisson1", "prepoisson2"}
+    assert all(SUITES[name].requires_commutative for name, _ in mixing)
+    assert not mixes(ROTA_BAXTER_EQUATION)

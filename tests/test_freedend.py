@@ -11,6 +11,7 @@ from relalg import (
     OpCarrier,
     SemigroupTable,
     check_axioms,
+    check_semigroup,
     cyclic_monoid,
     dimonoid_from_semigroup,
     free_check,
@@ -218,6 +219,48 @@ def test_axioms_over_irregular_dimonoid():
     carrier = FreeDendCarrier(["x"], irregular)
     report = free_check(carrier, "DimonoidDendriform", samples=40, max_vertices=5, seed=3)
     assert report.passed
+
+
+# The left-zero band {a, b} (xy = x): an index that is not commutative.
+LEFT_ZERO_BAND = (["a", "b"], [[0, 0], [1, 1]])
+NON_COMMUTATIVE_SUITES = [
+    ("DimonoidDendriform", 2400),
+    ("FamDendriform", 2400),
+    ("RelDendriform", 4800),
+    ("RelAssoc", 1600),
+]
+
+
+class TransposedReads(DimonoidTable):
+    """A dimonoid whose products read their tables at [j][i]: the same
+    dimonoid over a commutative index, a different one over the band."""
+
+    def left_mul(self, i, j):
+        return self.left[j][i]
+
+    def right_mul(self, i, j):
+        return self.right[j][i]
+
+
+@pytest.mark.parametrize("suite, instances", NON_COMMUTATIVE_SUITES)
+def test_axioms_over_a_non_commutative_index(suite, instances):
+    band = SemigroupTable(*LEFT_ZERO_BAND)
+    assert not band.claims_commutative and check_semigroup(band).passed
+    report = free_check(FreeDendCarrier(["x", "y"], band), suite, samples=200, max_vertices=6, seed=0)
+    assert report.passed and report.instances == instances
+
+
+@pytest.mark.parametrize("suite", [suite for suite, _ in NON_COMMUTATIVE_SUITES])
+def test_grafting_with_swapped_index_products_fails_only_over_the_band(suite):
+    # the band tells a grafting that multiplies its edge labels in the wrong
+    # order from a correct one; Z/2 cannot
+    elements, table = LEFT_ZERO_BAND
+    swapped = FreeDendCarrier(["x", "y"], TransposedReads(elements, table, table))
+    report = free_check(swapped, suite, samples=200, max_vertices=6, seed=0)
+    assert not report.passed and report.instances == 2
+    zmod2 = cyclic_monoid(2)
+    swapped = FreeDendCarrier(["x", "y"], TransposedReads(zmod2.elements, zmod2.product, zmod2.product))
+    assert free_check(swapped, suite, samples=200, max_vertices=6, seed=0).passed
 
 
 def test_family_ops_require_semigroup_form(free_matching2):

@@ -69,6 +69,14 @@ def test_scalar_grammar_keeps_signs_whitespace_and_expression_scalars(capsys):
     assert "1/2 * x[]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "expr, result", [("+1/2 * x[]", "1/2 * x[]"), ("x[] + +2 * y[]", "1/1 * x[] + 2/1 * y[]")]
+)
+def test_expression_scalars_take_a_plus_sign(capsys, expr, result):
+    assert main(["free-eval", "--expr", expr, "--semigroup", str(DATA / "zmod2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == result
+
+
 def test_add_cancels_to_zero():
     a = LinComb.single("b1", 2)
     b = LinComb.single("b1", -2)
