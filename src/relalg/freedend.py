@@ -148,7 +148,7 @@ class FreeDendCarrier:
                 raise MalformedInputError(f"undeclared edge label {edge!r}")
         left, right = self.check_tree(t.left), self.check_tree(t.right)
         if left is not t.left or right is not t.right:
-            t = self._node(t.label, left, t.left_edge, right, t.right_edge)
+            return self._node(t.label, left, t.left_edge, right, t.right_edge)
         return self._put(self._trees, key, t)
 
     def parse(self, text):

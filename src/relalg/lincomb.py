@@ -31,7 +31,9 @@ def parse_scalar(text):
     num, den = match.groups()
     try:
         return int(num) if den is None else exact(Fraction(int(num), int(den)))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise MalformedInputError(f"bad scalar {text!r}: zero denominator") from None
+    except ValueError as exc:  # more digits than int() reads
         raise MalformedInputError(f"bad scalar {text!r}: {exc}") from None
 
 

@@ -25,9 +25,9 @@ from relalg import (
 from relalg.errors import ContractError, MalformedInputError
 from relalg import freedend
 from relalg.freecheck import free_suite_carrier
-from relalg.freedend import SampledTreeDomain
+from relalg.freedend import SampledTreeDomain, _tree_key
 from relalg.reports import to_json
-from relalg.trees import random_tree_from
+from relalg.trees import DecoratedTree, random_tree_from
 
 
 def single(t):
@@ -195,6 +195,21 @@ def test_equal_trees_are_one_object_within_a_carrier():
     assert grafted is in_a
     sampled = a.random_tree(Random(2), 5)
     assert sampled is a.check_tree(random_tree_from(Random(2), ["x", "y"], ["0", "1"], 5))
+
+
+def test_every_carrier_tree_is_built_by_the_one_constructor(monkeypatch):
+    # perfbench's tracer counts trees.nodes_built by wrapping
+    # DecoratedTree.__init__, so no carrier tree may be built around it
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    init, built = DecoratedTree.__dict__["__init__"], []
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(DecoratedTree, "__init__", counted)
+    free_check(carrier, "RelLie", samples=3, max_vertices=6, seed=0)
+    assert len(built) == len(carrier._trees) > 0
 
 
 # -- axiom satisfaction at sampling scale (the module's main property)
@@ -377,6 +392,14 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
 
         def entries(carrier):
             sizes.append(len(carrier._cache) + len(carrier._trees))
+            # trees have no runtime write guard: a tree changed after it was
+            # built would sit under a stale intern key with a stale hash
+            assert all(
+                key == _tree_key(t)
+                and t.size == 1 + t.left.size + t.right.size
+                and t._hash == hash((t.label, t.left_edge, t.right_edge, t.left._hash, t.right._hash))
+                for key, t in carrier._trees.items()
+            )
 
         assert session(entries) == unbounded
         assert max(sizes) <= budget

@@ -37,7 +37,7 @@ def test_scalar_parse_format_roundtrip():
 
 
 def test_scalar_parse_rejects_garbage():
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match="zero denominator"):
         parse_scalar("1/0")
     with pytest.raises(MalformedInputError):
         parse_scalar("seven")
