@@ -61,12 +61,18 @@ def _json_object(pairs):
 
 def load_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise MalformedInputError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except ValueError:  # the one other ValueError: more digits than int() reads
+        raise MalformedInputError(f"{path}: invalid JSON: integer literal too long") from None
+    except RecursionError:
+        raise MalformedInputError(f"{path}: invalid JSON: nested too deep") from None
 
 
 def _object(value, path):

@@ -2,13 +2,13 @@
 
 Scalars are exact rationals: a Python ``int`` when the denominator is 1, a
 ``fractions.Fraction`` (denominator positive, gcd-reduced) otherwise, so the
-common integer coefficients never pay for ``Fraction`` arithmetic.  Both
-types have ``numerator`` and ``denominator``, so :func:`format_scalar`
-renders them alike, zero as ``0/1``.  A :class:`LinComb` is a finite formal
-rational combination over any totally ordered, hashable basis type; it is
-immutable and always kept in canonical form (no zero coefficients).  Its
-terms are unordered; they are sorted in basis order only when read out in
-order (``items``, ``support``, ``render``, ``to_pairs``, ``repr``).
+common integer coefficients never pay for ``Fraction`` arithmetic.  Both types
+have ``numerator`` and ``denominator``, so :func:`format_scalar` renders them
+alike, zero as ``0/1``.  A :class:`LinComb` is a finite formal rational
+combination over any totally ordered, hashable basis type; it is immutable by
+contract and always kept in canonical form (no zero coefficients).  Its terms
+are unordered; they are sorted in basis order only when read out in order
+(``items``, ``support``, ``render``, ``to_pairs``, ``repr``).
 """
 
 import re
@@ -25,16 +25,19 @@ def parse_scalar(text):
     """Parse ``"p/q"`` or ``"p"`` into an exact scalar: an optional sign,
     ASCII digits, optionally ``/`` and ASCII digits, with whitespace around.
     Anything else is refused before a number is built."""
-    match = _SCALAR.fullmatch(str(text).strip())
+    text = str(text)
+    match = _SCALAR.fullmatch(text.strip())
+    quoted = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
     if match is None:
-        raise MalformedInputError(f'bad scalar {text!r}: expected "p/q"')
+        raise MalformedInputError(f'bad scalar {quoted}: expected "p/q"')
     num, den = match.groups()
     try:
         return int(num) if den is None else exact(Fraction(int(num), int(den)))
     except ZeroDivisionError:
-        raise MalformedInputError(f"bad scalar {text!r}: zero denominator") from None
-    except ValueError as exc:  # more digits than int() reads
-        raise MalformedInputError(f"bad scalar {text!r}: {exc}") from None
+        raise MalformedInputError(f"bad scalar {quoted}: zero denominator") from None
+    except ValueError:  # more digits than int() reads
+        digits = max(len(num.lstrip("+-")), len(den or ""))
+        raise MalformedInputError(f"bad scalar {quoted}: {digits} digits, too many") from None
 
 
 def format_scalar(value):
@@ -68,12 +71,7 @@ class LinComb:
             for basis, coeff in terms:
                 acc[basis] = get(basis, 0) + coeff
             items = acc.items()
-        object.__setattr__(
-            self, "_terms", {b: c if type(c) is int else exact(c) for b, c in items if c}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinComb is immutable")
+        self._terms = {b: c if type(c) is int else exact(c) for b, c in items if c}
 
     @classmethod
     def zero(cls):

@@ -28,7 +28,7 @@ def _validate_table(table, n, what):
 
 
 class _FiniteTable:
-    """Distinct named elements 0..size-1, immutable once built; the shared
+    """Distinct named elements 0..size-1, immutable by contract; the shared
     part of the finite index tables.  A name is a tree label (``trees.LABEL``),
     so op keys ``(a,b)`` and tree text spell every name unambiguously."""
 
@@ -43,10 +43,7 @@ class _FiniteTable:
         for name in elements:
             if not LABEL.fullmatch(name):
                 raise MalformedInputError(f"label {name!r}: tree labels are letters, digits and _")
-        object.__setattr__(self, "elements", elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self.elements = elements
 
     @property
     def size(self):
@@ -73,11 +70,11 @@ class SemigroupTable(_FiniteTable):
     def __init__(self, elements, table, unit=None, commutative=False):
         super().__init__(elements, "semigroup")
         n = self.size
-        object.__setattr__(self, "product", _validate_table(table, n, "product"))
+        self.product = _validate_table(table, n, "product")
         if unit is not None and not 0 <= unit < n:
             raise MalformedInputError(f"unit index {unit} out of range")
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "claims_commutative", bool(commutative))
+        self.unit = unit
+        self.claims_commutative = bool(commutative)
 
     def mul(self, i, j):
         return self.product[i][j]
@@ -114,13 +111,10 @@ class VirtualSemigroup:
     __slots__ = ("description", "op", "unit", "claims_commutative")
 
     def __init__(self, description, op, unit=None, commutative=False):
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "claims_commutative", bool(commutative))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VirtualSemigroup is immutable")
+        self.description = description
+        self.op = op
+        self.unit = unit
+        self.claims_commutative = bool(commutative)
 
     def mul(self, i, j):
         return self.op(i, j)
@@ -151,9 +145,9 @@ class DimonoidTable(_FiniteTable):
 
     def __init__(self, elements, left, right):
         super().__init__(elements, "dimonoid")
-        object.__setattr__(self, "left", _validate_table(left, self.size, "left"))
-        object.__setattr__(self, "right", _validate_table(right, self.size, "right"))
-        object.__setattr__(self, "semigroup", None)
+        self.left = _validate_table(left, self.size, "left")
+        self.right = _validate_table(right, self.size, "right")
+        self.semigroup = None
 
     def left_mul(self, i, j):
         return self.left[i][j]
@@ -192,11 +186,8 @@ class Cocycle:
             for j, v in enumerate(row):
                 if v == 0:
                     raise MalformedInputError(f"values[{i}][{j}]: cocycle values must be nonzero")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "values", tuple(tuple(row) for row in values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cocycle is immutable")
+        self.base = base
+        self.values = tuple(tuple(row) for row in values)
 
     def __call__(self, i, j):
         return self.values[i][j]
@@ -278,7 +269,7 @@ def dimonoid_from_semigroup(table):
     if not report.passed:
         raise ContractError(f"not a semigroup: {summary(report.to_payload())}")
     dimonoid = DimonoidTable(table.elements, table.product, table.product)
-    object.__setattr__(dimonoid, "semigroup", table)
+    dimonoid.semigroup = table
     return dimonoid
 
 

@@ -1,16 +1,16 @@
 """Planar rooted binary trees with labeled vertices and labeled internal
 edges: the basis of the free dendriform algebra.
 
-Trees are immutable by contract, with no runtime guard (see
-``DecoratedTree``).  Construction computes the size, a structural hash (from
-the root label, the edge labels and the children's hashes) and a ``uid``: an
-integer from a process-wide counter that is never reused, so a ``uid`` names
-one tree object for the life of the process.  Equality and hashing are
-structural, with an identity fast path, so equal trees compare and hash equal
-wherever they were built; a free carrier interns its trees so that the equal
-trees it holds are one object (see ``freedend``).  An edge label is present
-exactly when the subtree on that side is nonempty.  The canonical total order
-is vertex count, then shape, then vertex labels, then edge labels (all in
+Trees are immutable by contract, like every value in the package.
+Construction computes the size, a structural hash (from the root label, the
+edge labels and the children's hashes) and a ``uid``: an integer from a
+process-wide counter that is never reused, so a ``uid`` names one tree
+object for the life of the process.  Equality and hashing are structural,
+with an identity fast path, so equal trees compare and hash equal wherever
+they were built; a free carrier interns its trees so that the equal trees it
+holds are one object (see ``freedend``).  An edge label is present exactly
+when the subtree on that side is nonempty.  The canonical total order is
+vertex count, then shape, then vertex labels, then edge labels (all in
 preorder); its sort key is built on first use, since only rendering sorts.
 
 Text form: ``e`` is the empty tree; ``x[]`` a single vertex; otherwise
@@ -30,7 +30,7 @@ _uids = count()
 
 
 class DecoratedTree:
-    """Immutable by contract; unguarded, since a ``__setattr__`` guard cost ~1.5 µs a tree."""
+    """A tree; after ``__init__`` only ``sort_key`` assigns, to fill its cache."""
 
     __slots__ = (
         "label", "left", "left_edge", "right", "right_edge", "size", "uid", "_hash", "_key"

@@ -337,6 +337,22 @@ def test_load_file_errors(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(MalformedInputError, match="invalid JSON"):
         load_file(bad)
+    # written as raw text: json.dumps cannot write an integer this long, and
+    # both once ended in a RecursionError or a bare ValueError (exit 4)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"elements": ["0"], "product": [[' + "1" * 5000 + ']], "unit": null}')
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"elements": ["\xff"]}')
+    for path, reason in [
+        (deep, "invalid JSON: nested too deep"),
+        (long_int, "invalid JSON: integer literal too long"),
+        (not_utf8, "not UTF-8: invalid start byte at byte 15"),
+    ]:
+        with pytest.raises(MalformedInputError) as info:
+            load_file(path)
+        assert str(info.value) == f"{path}: {reason}"
 
 
 def test_report_json_roundtrip_is_byte_identical():

@@ -41,6 +41,17 @@ def test_scalar_parse_rejects_garbage():
         parse_scalar("1/0")
     with pytest.raises(MalformedInputError):
         parse_scalar("seven")
+    # a long text is quoted by a prefix and its length, never echoed whole
+    for text, reason in [
+        ("1" * 5000 + "/3", "5000 digits, too many"),
+        ("x" * 10_000, 'expected "p/q"'),
+    ]:
+        with pytest.raises(MalformedInputError) as info:
+            parse_scalar(text)
+        message = str(info.value)
+        assert len(message) < 200
+        assert message.endswith(f"({len(text)} characters): {reason}")
+        assert "set_int_max_str_digits" not in message
 
 
 # Spellings Fraction accepts on some or all Python versions but the "p/q"
