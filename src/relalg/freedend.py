@@ -20,17 +20,17 @@ from itertools import product
 from random import Random
 
 from .errors import ContractError, MalformedInputError
-from .lincomb import LinComb, lc_bilinear_extend
+from .lincomb import LinComb
 from .ops import FamilyIndexedOp
 from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
 from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tree_print
 
-# The most entries one carrier's basis cache and intern table hold together.
-# free-session's working set at --seconds 20 (about 240,000 entries: 80,000
-# basis products and 160,000 trees) never reaches it, so it never empties.
-# The RelAssoc/RelPreLie/RelLie chain over Z/2 at 200 samples and 6 vertices
-# (acceptance criterion 3) does: the tables empty once during RelLie, and
-# 483,001 entries are live at its end.
+# The most entries one carrier's intern table and basis cache (one tuple of
+# trees per product) hold together.  free-session's working set at --seconds
+# 20 (about 240,000 entries: 80,000 basis products and 160,000 trees) never
+# reaches it, so it never empties.  The RelAssoc/RelPreLie/RelLie chain over
+# Z/2 at 200 samples and 6 vertices (acceptance criterion 3) does: the tables
+# empty once during RelLie, and 483,001 entries are live at its end.
 ENTRY_BUDGET = 600_000
 
 
@@ -54,6 +54,12 @@ class FreeDendCarrier:
     name the one tree it was made from, and cached products are pure: an
     entry dropped or gone stale costs a recomputation, never a different
     result.
+
+    Products: a product of basis trees is a sum of distinct trees with
+    coefficient 1, cached as a tuple of trees.  In ``_basis_prec``'s recursion
+    no tree of prec(s.right, t) (root left subtree s.right.left) is a tree of
+    succ(s.right, t) (root left subtree holding s.right), and grafting at one
+    edge is injective, whatever the edge labels; ``_basis_succ`` mirrors it.
 
     Memory: when the two tables together hold ``ENTRY_BUDGET`` entries,
     both are emptied before the next entry is stored, so the carrier never
@@ -89,7 +95,7 @@ class FreeDendCarrier:
         self.dimonoid = dimonoid
         self.semigroup = semigroup
         self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
-        self._cache = {}  # (kind, s.uid, t.uid, index) -> ((tree, coeff), ...)
+        self._cache = {}  # (kind, s.uid, t.uid, index) -> (tree, ...), coefficients 1
         self._trees = {}  # _tree_key(t) -> the canonical tree t
 
     def _put(self, table, key, value):
@@ -154,7 +160,7 @@ class FreeDendCarrier:
     def parse(self, text):
         return self.check_tree(tree_parse(text, self.decorations, self.dimonoid.elements))
 
-    # -- basis-level recursion on canonical trees; ((tree, coeff), ...) out
+    # -- basis-level recursion on canonical trees; (tree, ...) out
 
     def _basis_prec(self, s, t, a):
         key = ("p", s.uid, t.uid, a)
@@ -164,26 +170,22 @@ class FreeDendCarrier:
         if t is EMPTY:
             if s is EMPTY:
                 raise ContractError("the product of two empty trees is undefined")
-            result = ((s, 1),)
+            result = (s,)
         elif s is EMPTY:
             result = ()
         elif s.right is EMPTY:
             # right subtree empty: the recursive prec summand vanishes and the
             # succ summand grafts t whole, edge labeled by the bare index
-            grafted = self._node(s.label, s.left, s.left_edge, t, self.dimonoid.name(a))
-            result = ((grafted, 1),)
+            result = (self._node(s.label, s.left, s.left_edge, t, self.dimonoid.name(a)),)
         else:
             sigma2 = self._sidx[s.right_edge]
-            acc = {}
             edge = self.dimonoid.name(self.dimonoid.left_mul(sigma2, a))
-            for u, c in self._basis_prec(s.right, t, a):
-                grafted = self._node(s.label, s.left, s.left_edge, u, edge)
-                acc[grafted] = acc.get(grafted, 0) + c
+            grafts = [self._node(s.label, s.left, s.left_edge, u, edge)
+                      for u in self._basis_prec(s.right, t, a)]
             edge = self.dimonoid.name(self.dimonoid.right_mul(sigma2, a))
-            for u, c in self._basis_succ(s.right, t, sigma2):
-                grafted = self._node(s.label, s.left, s.left_edge, u, edge)
-                acc[grafted] = acc.get(grafted, 0) + c
-            result = tuple(acc.items())
+            grafts += [self._node(s.label, s.left, s.left_edge, u, edge)
+                       for u in self._basis_succ(s.right, t, sigma2)]
+            result = tuple(grafts)
         return self._put(self._cache, key, result)
 
     def _basis_succ(self, s, t, a):
@@ -194,39 +196,43 @@ class FreeDendCarrier:
         if s is EMPTY:
             if t is EMPTY:
                 raise ContractError("the product of two empty trees is undefined")
-            result = ((t, 1),)
+            result = (t,)
         elif t is EMPTY:
             result = ()
         elif t.left is EMPTY:
-            grafted = self._node(t.label, s, self.dimonoid.name(a), t.right, t.right_edge)
-            result = ((grafted, 1),)
+            result = (self._node(t.label, s, self.dimonoid.name(a), t.right, t.right_edge),)
         else:
             tau1 = self._sidx[t.left_edge]
-            acc = {}
             edge = self.dimonoid.name(self.dimonoid.left_mul(a, tau1))
-            for u, c in self._basis_prec(s, t.left, tau1):
-                grafted = self._node(t.label, u, edge, t.right, t.right_edge)
-                acc[grafted] = acc.get(grafted, 0) + c
+            grafts = [self._node(t.label, u, edge, t.right, t.right_edge)
+                      for u in self._basis_prec(s, t.left, tau1)]
             edge = self.dimonoid.name(self.dimonoid.right_mul(a, tau1))
-            for u, c in self._basis_succ(s, t.left, a):
-                grafted = self._node(t.label, u, edge, t.right, t.right_edge)
-                acc[grafted] = acc.get(grafted, 0) + c
-            result = tuple(acc.items())
+            grafts += [self._node(t.label, u, edge, t.right, t.right_edge)
+                       for u in self._basis_succ(s, t.left, a)]
+            result = tuple(grafts)
         return self._put(self._cache, key, result)
 
     # -- bilinear operations on linear combinations of trees
 
+    def _bilinear(self, basis, s, t, a):
+        """Add cu * cv to each tree of basis(u, v, a), over the terms of s and t."""
+        s, t, a = self._interned(s), self._interned(t), self.index_of(a)
+        acc = {}
+        get = acc.get
+        for u, cu in s:
+            for v, cv in t:
+                weight = cu * cv
+                for w in basis(u, v, a):
+                    acc[w] = get(w, 0) + weight
+        return LinComb(acc)
+
     def prec(self, s, t, a):
         """s below t: graft t into the right spine of s."""
-        return lc_bilinear_extend(
-            self._basis_prec, self._interned(s), self._interned(t), self.index_of(a)
-        )
+        return self._bilinear(self._basis_prec, s, t, a)
 
     def succ(self, s, t, a):
         """s above t: graft s into the left spine of t."""
-        return lc_bilinear_extend(
-            self._basis_succ, self._interned(s), self._interned(t), self.index_of(a)
-        )
+        return self._bilinear(self._basis_succ, s, t, a)
 
     # -- operation bundles
 

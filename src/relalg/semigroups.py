@@ -27,10 +27,27 @@ def _validate_table(table, n, what):
     return tuple(tuple(row) for row in table)
 
 
-class _FiniteTable:
+class _Value:
+    """Equality and hashing by value: the type and every slot."""
+
+    __slots__ = ()
+
+    def _value(self):
+        slots = [s for c in type(self).__mro__ for s in vars(c).get("__slots__", ())]
+        return (type(self), *map(self.__getattribute__, slots))
+
+    def __eq__(self, other):
+        return isinstance(other, _Value) and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+
+class _FiniteTable(_Value):
     """Distinct named elements 0..size-1, immutable by contract; the shared
-    part of the finite index tables.  A name is a tree label (``trees.LABEL``),
-    so op keys ``(a,b)`` and tree text spell every name unambiguously."""
+    part of the finite index tables, equal when their names, tables and claims
+    are.  A name is a tree label (``trees.LABEL``), so op keys ``(a,b)`` and
+    tree text spell every name unambiguously."""
 
     __slots__ = ("elements",)
 
@@ -83,15 +100,6 @@ class SemigroupTable(_FiniteTable):
         if kind != "mul":
             raise ContractError(f"semigroup index has no {kind!r} operation")
         return self.product[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemigroupTable)
-            and self.elements == other.elements
-            and self.product == other.product
-            and self.unit == other.unit
-            and self.claims_commutative == other.claims_commutative
-        )
 
 
 def trivial_monoid():
@@ -170,9 +178,9 @@ class DimonoidTable(_FiniteTable):
         return all(self.left[i][j] == i and self.right[i][j] == j for i in range(n) for j in range(n))
 
 
-class Cocycle:
-    """Nonzero scalar table over a semigroup; ``check_cocycle`` decides the
-    cocycle identity."""
+class Cocycle(_Value):
+    """Nonzero scalar table over a semigroup, equal when its base and values
+    are; ``check_cocycle`` decides the cocycle identity."""
 
     __slots__ = ("base", "values")
 

@@ -3,8 +3,11 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relalg import (
+    SUITES,
     Cocycle,
     FamilyIndexedOp,
     FiniteRelativeAlgebra,
@@ -33,7 +36,7 @@ from relalg import (
     zinbiel_from_symmetric_dend,
 )
 from relalg import SemigroupTable
-from relalg.axioms import FiniteDomain
+from relalg.axioms import FiniteDomain, eval_expr
 from relalg.errors import ConstructionRefused, ContractError
 from relalg.freecheck import free_pair_ops
 from relalg.freedend import SampledTreeDomain
@@ -443,6 +446,73 @@ def test_collapse_commutes_with_assoc_from_dend(zmod2):
 def test_collapse_rejects_non_finite():
     with pytest.raises(ContractError):
         collapse(reciprocal_rota_baxter().carrier)
+
+
+# -- the collapse oracle: A satisfies RelP over S exactly when collapse(A)
+# satisfies P over the trivial monoid, since every term of a graded equation
+# has the same degree; the collapsed check reads no index tuple
+
+
+# 2-dim bases on e0, e1 (block[i][j][k]: the coefficient of e_k in e_i e_j):
+# k[t]/(t^2), the nilpotent e0 e0 = e1, the Lie algebra [e0, e1] = e1, zero
+ORACLE_BASES = {
+    "dual": (((1, 0), (0, 1)), ((0, 1), (0, 0))),
+    "nilpotent": (((0, 1), (0, 0)), ((0, 0), (0, 0))),
+    "lie": (((0, 0), (0, 1)), ((0, -1), (0, 0))),
+    "zero": (((0, 0), (0, 0)), ((0, 0), (0, 0))),
+}
+ORACLE_INDICES = {
+    "band": lambda: SemigroupTable(["a", "b"], [[0, 0], [1, 1]]),  # xy = x
+    "Z/2": lambda: cyclic_monoid(2),
+    "Z/3": lambda: cyclic_monoid(3),
+}
+ORACLE_SCALARS = [Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_rel_verdict_is_the_plain_verdict_on_the_collapse(data):
+    index = ORACLE_INDICES[data.draw(st.sampled_from(sorted(ORACLE_INDICES)))]()
+    admitted = [
+        name for name, suite in sorted(SUITES.items())
+        if name.startswith("Rel")
+        and (index.claims_commutative or not suite.requires_commutative)
+        and (index.unit is not None or not suite.requires_unit)
+    ]
+    suite = SUITES[data.draw(st.sampled_from(admitted))]
+    pairs = list(product(range(index.size), repeat=2))
+    if data.draw(st.booleans()):  # a coboundary f(a) f(b) / f(ab): A is a graded base
+        f = data.draw(st.lists(st.sampled_from(ORACLE_SCALARS), min_size=index.size, max_size=index.size))
+        scale = {(a, b): f[a] * f[b] / f[index.mul(a, b)] for a, b in pairs}
+    else:
+        scale = {pair: data.draw(st.sampled_from([0, *ORACLE_SCALARS])) for pair in pairs}
+    ops = {}
+    for role in suite.roles:
+        base = ORACLE_BASES[data.draw(st.sampled_from(sorted(ORACLE_BASES)))]
+        ops[role] = {
+            pair: tuple(tuple(tuple(scale[pair] * c for c in row) for row in plane) for plane in base)
+            for pair in pairs
+        }
+    alg = FiniteRelativeAlgebra(["u", "t"], index, ops, unit_vector=[1, 0])
+    flat = collapse(alg)
+    graded = check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+    plain = check_axioms(flat.as_carrier(), suite, finite_domain(flat))
+    assert graded.passed == plain.passed
+    if plain.passed:
+        return
+    # the collapsed counterexample u@a, v@b, ... decodes to u, v, ... at
+    # indices a, b, ..., which fails the same equation in A
+    ce = plain.counterexample
+    (equation,) = [e for e in suite.equations if e.eqid == ce.equation]
+    decoded = [name.split("@") for name in ce.elements]
+    elem_env = {var: LinComb.single(alg.basis.index(u)) for var, (u, _) in zip("xyz", decoded)}
+    idx_env = {var: index.index_of(a) for var, (_, a) in zip("abc", decoded)}
+    carrier_ops = {role: alg.op(role) for role in suite.roles}
+    lhs, rhs = (
+        eval_expr(side, elem_env, idx_env, carrier_ops, index, alg.unit_vector)
+        for side in (equation.lhs, equation.rhs)
+    )
+    assert lhs != rhs
 
 
 # -- family_to_pair

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -27,7 +28,7 @@ from relalg import freedend
 from relalg.freecheck import free_suite_carrier
 from relalg.freedend import SampledTreeDomain, _tree_key
 from relalg.reports import to_json
-from relalg.trees import DecoratedTree, random_tree_from
+from relalg.trees import EMPTY, DecoratedTree, random_tree_from
 
 
 def single(t):
@@ -276,6 +277,114 @@ def test_grafting_with_swapped_index_products_fails_only_over_the_band(suite):
     zmod2 = cyclic_monoid(2)
     swapped = FreeDendCarrier(["x", "y"], TransposedReads(zmod2.elements, zmod2.product, zmod2.product))
     assert free_check(swapped, suite, samples=200, max_vertices=6, seed=0).passed
+
+
+# -- multiplicity-freeness: a product of basis trees is a sum of distinct trees
+
+
+def trees_by_size(carrier, most):
+    """Every canonical tree of the carrier with 1..most vertices, by size."""
+    by_size = [[EMPTY]]
+
+    def hanging(size):  # (subtree, edge label) pairs of that size
+        if size == 0:
+            return [(EMPTY, None)]
+        return [(u, e) for u in by_size[size] for e in carrier.dimonoid.elements]
+
+    for n in range(1, most + 1):
+        by_size.append([
+            carrier._node(x, left, left_edge, right, right_edge)
+            for k in range(n)
+            for left, left_edge in hanging(k)
+            for right, right_edge in hanging(n - 1 - k)
+            for x in carrier.decorations
+        ])
+    return by_size[1:]
+
+
+def reference_grafting(dimonoid):
+    """The grafting recursion with coefficients kept and each step's terms
+    merged through a dict: (kind, s, t, a) -> {tree: coeff}."""
+    memo = {}
+
+    def graft(kind, s, t, a):
+        key = (kind, s, t, a)
+        if key in memo:
+            return memo[key]
+        name, left_mul, right_mul = dimonoid.name, dimonoid.left_mul, dimonoid.right_mul
+        acc = {}
+        if kind == "p" and s.right is EMPTY:
+            acc = {node(s.label, s.left, s.left_edge, t, name(a)): 1}
+        elif kind == "p":
+            sigma2 = dimonoid.index_of(s.right_edge)
+            for sub, sub_index, mul in (("p", a, left_mul), ("s", sigma2, right_mul)):
+                for u, c in graft(sub, s.right, t, sub_index).items():
+                    grafted = node(s.label, s.left, s.left_edge, u, name(mul(sigma2, a)))
+                    acc[grafted] = acc.get(grafted, 0) + c
+        elif t.left is EMPTY:
+            acc = {node(t.label, s, name(a), t.right, t.right_edge): 1}
+        else:
+            tau1 = dimonoid.index_of(t.left_edge)
+            for sub, sub_index, mul in (("p", tau1, left_mul), ("s", a, right_mul)):
+                for u, c in graft(sub, s, t.left, sub_index).items():
+                    grafted = node(t.label, u, name(mul(a, tau1)), t.right, t.right_edge)
+                    acc[grafted] = acc.get(grafted, 0) + c
+        memo[key] = acc
+        return acc
+
+    return graft
+
+
+MULTIPLICITY_INDICES = {
+    "zmod2": lambda: cyclic_monoid(2),
+    "matching2": lambda: matching_dimonoid(2),
+    "band": lambda: SemigroupTable(*LEFT_ZERO_BAND),
+}
+
+
+def check_every_small_product(carrier, reference):
+    """Every pair of trees of 1-4 vertices, 5 at most together, every index
+    element and both kinds: each basis product repeats no tree and equals
+    the reference, and prec/succ on sums with distinct coefficients equal
+    the sums of the basis products (over the band two pairs can share a
+    tree, so the terms merge)."""
+    by_size = trees_by_size(carrier, 4)
+    assert [len(trees) for trees in by_size] == [2, 16, 160, 1792]
+    kinds = (("p", carrier._basis_prec, carrier.prec), ("s", carrier._basis_succ, carrier.succ))
+    products, wrong = 0, []
+    for i, left in enumerate(by_size, 1):
+        for right in by_size[: 5 - i]:
+            for a, (kind, basis, op) in product(range(2), kinds):
+                expected = {}
+                for (cs, s), (ct, t) in product(enumerate(left, 1), enumerate(right, 1)):
+                    trees = basis(s, t, a)
+                    repeats = len(set(trees)) != len(trees)
+                    if repeats or dict.fromkeys(trees, 1) != reference(kind, s, t, a):
+                        wrong.append((kind, tree_print(s), tree_print(t), a))
+                    for w in trees:
+                        expected[w] = expected.get(w, 0) + cs * ct
+                    products += 1
+                sums = (LinComb((u, c) for c, u in enumerate(trees, 1)) for trees in (left, right))
+                if op(*sums, a) != LinComb(expected):
+                    wrong.append((kind, f"all {i}-vertex trees", f"all {right[0].size}-vertex trees", a))
+    assert wrong == [] and products == 53008
+
+
+@pytest.mark.parametrize(
+    "index, variant",
+    # the argument holds for any edge labels and any budget, so one index
+    # stands for the others in the two variants; at 64 entries the tables
+    # empty inside single products, which then recompute from scratch (2.4 s)
+    [("zmod2", "default"), ("matching2", "default"), ("band", "default"), ("band", "budget64"), ("band", "swapped")],
+)
+def test_basis_products_are_multiplicity_free(index, variant, monkeypatch):
+    if variant == "budget64":
+        monkeypatch.setattr(freedend, "ENTRY_BUDGET", 64)
+    if variant == "swapped":  # the index tables read at [j][i]
+        monkeypatch.setattr(DimonoidTable, "left_mul", TransposedReads.left_mul)
+        monkeypatch.setattr(DimonoidTable, "right_mul", TransposedReads.right_mul)
+    carrier = FreeDendCarrier(["x", "y"], MULTIPLICITY_INDICES[index]())
+    check_every_small_product(carrier, reference_grafting(carrier.dimonoid))
 
 
 def test_family_ops_require_semigroup_form(free_matching2):

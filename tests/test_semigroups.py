@@ -199,3 +199,47 @@ def test_semigroup_from_dimonoid_roundtrip(zmod2):
     assert back.claims_commutative
     with pytest.raises(ContractError):
         semigroup_from_dimonoid(matching_dimonoid(2))
+
+
+def test_index_tables_and_cocycles_are_values():
+    # two builds are equal and hash alike; a change of type, names, tables or
+    # claims makes them unequal
+    table = cyclic_monoid(2).product
+    sign = [[1, 1], [1, -1]]
+    cases = [
+        (
+            lambda: cyclic_monoid(2),
+            [
+                cyclic_monoid(3),
+                SemigroupTable(["0", "1"], table, commutative=True),  # no unit claim
+                SemigroupTable(["0", "1"], table, unit=0),  # no commutativity claim
+                SemigroupTable(["e", "1"], table, unit=0, commutative=True),
+                DimonoidTable(["0", "1"], table, table),
+            ],
+        ),
+        (
+            lambda: matching_dimonoid(2),
+            [matching_dimonoid(3), DimonoidTable(["a", "b"], [[0, 1], [0, 1]], [[0, 0], [1, 1]])],
+        ),
+        (
+            lambda: dimonoid_from_semigroup(cyclic_monoid(2)),
+            [
+                DimonoidTable(["0", "1"], table, table),  # remembers no semigroup
+                dimonoid_from_semigroup(SemigroupTable(["0", "1"], table, unit=0)),
+            ],
+        ),
+        (
+            sign_cocycle,
+            [
+                Cocycle(cyclic_monoid(2), [[1, 1], [1, 1]]),
+                Cocycle(SemigroupTable(["0", "1"], table, unit=0), sign),
+            ],
+        ),
+    ]
+    for build, others in cases:
+        value, twin = build(), build()
+        assert value is not twin and value == twin and not value != twin
+        assert hash(value) == hash(twin) and {value: "found"}[twin] == "found"
+        for other in others:
+            assert value != other and other != value
+        assert value != None  # noqa: E711
