@@ -42,7 +42,7 @@ def _common_index(op1, op2):
     return op1.index
 
 
-def _require_commutative(index):
+def require_commutative(index):
     if not index.claims_commutative:
         raise ContractError("this construction requires a commutative index semigroup")
     return index
@@ -66,7 +66,7 @@ def assoc_from_dend(prec, succ):
 def prelie_from_dend(prec, succ):
     """circ(a,b)(x,y) = succ(a,b)(x,y) - prec(b,a)(y,x); needs commutativity
     since the swapped term lands in the same composite index."""
-    index = _require_commutative(_common_index(prec, succ))
+    index = require_commutative(_common_index(prec, succ))
     return PairIndexedOp(index, lambda a, b, x, y: succ(a, b, x, y) - prec(b, a, y, x))
 
 
@@ -110,28 +110,28 @@ def zinbiel_from_symmetric_dend(prec, succ, domain):
 def dend_from_zinbiel(ast):
     """prec(a,b)(x,y) = ast(b,a)(y,x) and succ = ast; the symmetry clause
     succ(a,b)(x,y) = prec(b,a)(y,x) then holds identically."""
-    index = _require_commutative(ast.index)
+    index = require_commutative(ast.index)
     return PairIndexedOp(index, lambda a, b, x, y: ast(b, a, y, x)), ast
 
 
 def comm_from_zinbiel(ast):
     """mul(a,b)(x,y) = ast(a,b)(x,y) + ast(b,a)(y,x), manifestly symmetric
     under swapping arguments together with indices."""
-    index = _require_commutative(ast.index)
+    index = require_commutative(ast.index)
     return PairIndexedOp(index, lambda a, b, x, y: ast(a, b, x, y) + ast(b, a, y, x))
 
 
 def lie_from_prelie(circ):
     """bracket(a,b)(x,y) = circ(a,b)(x,y) - circ(b,a)(y,x); skew-symmetry
     holds identically by construction."""
-    index = _require_commutative(circ.index)
+    index = require_commutative(circ.index)
     return PairIndexedOp(index, lambda a, b, x, y: circ(a, b, x, y) - circ(b, a, y, x))
 
 
 def poisson_from_prepoisson(circ, ast, domain):
     """The symmetrized zinbiel product together with the pre-Lie commutator;
     the pre-Poisson axioms are verified on the domain first."""
-    index = _require_commutative(_common_index(circ, ast))
+    index = require_commutative(_common_index(circ, ast))
     require(
         check_axioms(
             OpCarrier(index, {"ast": ast, "circ": circ}),

@@ -13,7 +13,7 @@ and bracket take an index pair.  Trees use the text form of the trees module
 Scalars are "p/q" with an optional sign; whitespace is insignificant.
 """
 
-from .freecheck import DERIVED_OPS, free_pair_ops
+from .freecheck import DERIVED_OPS, free_derived_op
 from .lincomb import _SCALAR, LinComb, parse_scalar
 from .trees import _Parser
 
@@ -81,9 +81,8 @@ class _ExprParser(_Parser):
 def apply_op(carrier, op, indices, x, y):
     if op in SINGLE_INDEX_OPS:
         return getattr(carrier, op)(x, y, indices[0])
-    prec, succ = free_pair_ops(carrier)
-    derived = DERIVED_OPS[op](prec, succ)
-    a, b = (prec.index.index_of(name) for name in indices)
+    derived = free_derived_op(carrier, op)
+    a, b = (derived.index.index_of(name) for name in indices)
     return derived(a, b, x, y)
 
 

@@ -3,15 +3,10 @@
 from dataclasses import replace
 
 from .axioms import check_axioms
-from .constructions import (
-    assoc_from_dend,
-    family_to_pair,
-    lie_from_prelie,
-    prelie_from_dend,
-)
+from .constructions import family_to_pair, require_commutative
 from .errors import ContractError
 from .freedend import SampledTreeDomain
-from .ops import OpCarrier
+from .ops import OpCarrier, PairIndexedOp
 
 FREE_SUITES = (
     "DimonoidDendriform",
@@ -30,14 +25,28 @@ def free_pair_ops(carrier):
     return family_to_pair("prec", prec_fam), family_to_pair("succ", succ_fam)
 
 
-# role -> builder of the derived operation from (prec, succ); the names are
-# looked up at call time, so rebinding them (as perfbench/tracing.py does) holds
+# role -> the signed graftings (k, kind, s, t, index) of the derived product
+# at (a, b)(x, y): assoc_from_dend, prelie_from_dend and lie_from_prelie
+# expanded over the family lifting, where prec reads b and succ reads a
 DERIVED_OPS = {
-    "mul": lambda prec, succ: assoc_from_dend(prec, succ),
-    "circ": lambda prec, succ: prelie_from_dend(prec, succ),
-    "bracket": lambda prec, succ: lie_from_prelie(prelie_from_dend(prec, succ)),
+    "mul": lambda a, b, x, y: ((1, "succ", x, y, a), (1, "prec", x, y, b)),
+    "circ": lambda a, b, x, y: ((1, "succ", x, y, a), (-1, "prec", y, x, a)),
+    "bracket": lambda a, b, x, y: (
+        (1, "succ", x, y, a), (-1, "prec", y, x, a), (-1, "succ", y, x, b), (1, "prec", x, y, b)
+    ),
 }
 DERIVED_SUITES = {"RelAssoc": "mul", "RelPreLie": "circ", "RelLie": "bracket"}
+
+
+def free_derived_op(carrier, role):
+    """The derived operation on the free carrier, one graft sum per product;
+    it is refused where its construction is (circ and bracket need a
+    commutative index)."""
+    index = carrier.family_ops()[0].index  # refuses a dimonoid not in semigroup form
+    if role != "mul":
+        require_commutative(index)
+    terms = DERIVED_OPS[role]
+    return PairIndexedOp(index, lambda a, b, x, y: carrier.graft_sum(terms(a, b, x, y)))
 
 
 def free_suite_carrier(carrier, suite_name):
@@ -49,12 +58,13 @@ def free_suite_carrier(carrier, suite_name):
     if suite_name == "FamDendriform":
         prec, succ = carrier.family_ops()
         return OpCarrier(prec.index, {"prec": prec, "succ": succ})
+    role = DERIVED_SUITES.get(suite_name)
+    if role is not None:
+        op = free_derived_op(carrier, role)
+        return OpCarrier(op.index, {role: op})
     prec, succ = free_pair_ops(carrier)
     if suite_name == "RelDendriform":
         return OpCarrier(prec.index, {"prec": prec, "succ": succ})
-    role = DERIVED_SUITES.get(suite_name)
-    if role is not None:
-        return OpCarrier(prec.index, {role: DERIVED_OPS[role](prec, succ)})
     raise ContractError(
         f"suite {suite_name!r} is not available on free carriers "
         f"(choose from {', '.join(FREE_SUITES)})"

@@ -214,25 +214,29 @@ class FreeDendCarrier:
 
     # -- bilinear operations on linear combinations of trees
 
-    def _bilinear(self, basis, s, t, a):
-        """Add cu * cv to each tree of basis(u, v, a), over the terms of s and t."""
-        s, t, a = self._interned(s), self._interned(t), self.index_of(a)
+    def graft_sum(self, terms):
+        """The sum of k * kind(s, t, a) over the (k, kind, s, t, a) terms, kind
+        "prec" or "succ": k * cu * cv is added to each tree of the basis
+        product of u and v, over the terms of s and t, all in one dict."""
         acc = {}
         get = acc.get
-        for u, cu in s:
-            for v, cv in t:
-                weight = cu * cv
-                for w in basis(u, v, a):
-                    acc[w] = get(w, 0) + weight
+        for k, kind, s, t, a in terms:
+            basis = getattr(self, "_basis_" + kind)
+            s, t, a = self._interned(s), self._interned(t), self.index_of(a)
+            for u, cu in s:
+                for v, cv in t:
+                    weight = k * cu * cv
+                    for w in basis(u, v, a):
+                        acc[w] = get(w, 0) + weight
         return LinComb(acc)
 
     def prec(self, s, t, a):
         """s below t: graft t into the right spine of s."""
-        return self._bilinear(self._basis_prec, s, t, a)
+        return self.graft_sum(((1, "prec", s, t, a),))
 
     def succ(self, s, t, a):
         """s above t: graft s into the left spine of t."""
-        return self._bilinear(self._basis_succ, s, t, a)
+        return self.graft_sum(((1, "succ", s, t, a),))
 
     # -- operation bundles
 

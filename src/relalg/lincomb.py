@@ -58,20 +58,27 @@ def exact(value):
 
 class LinComb:
     """Finite formal linear combination with exact rational coefficients,
-    held as an unordered ``{basis: coefficient}`` dict."""
+    held as an unordered ``{basis: coefficient}`` dict.
+
+    The dict accumulated from an iterable of pairs is kept, and a dict
+    argument is copied with ``dict``, so no basis is hashed again; only when
+    a coefficient is zero or not an ``int`` is the dict rebuilt in exact form."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         if isinstance(terms, dict):
-            items = terms.items()
+            acc = terms
         else:
             acc = {}
             get = acc.get
             for basis, coeff in terms:
                 acc[basis] = get(basis, 0) + coeff
-            items = acc.items()
-        self._terms = {b: c if type(c) is int else exact(c) for b, c in items if c}
+        for c in acc.values():
+            if type(c) is not int or not c:
+                self._terms = {b: c if type(c) is int else exact(c) for b, c in acc.items() if c}
+                return
+        self._terms = dict(acc) if acc is terms else acc
 
     @classmethod
     def zero(cls):

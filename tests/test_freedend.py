@@ -11,21 +11,24 @@ from relalg import (
     LinComb,
     OpCarrier,
     SemigroupTable,
+    assoc_from_dend,
     check_axioms,
     check_semigroup,
     cyclic_monoid,
     dimonoid_from_semigroup,
     free_check,
     leaf,
+    lie_from_prelie,
     matching_dimonoid,
     node,
+    prelie_from_dend,
     semigroup_from_dimonoid,
     tree_parse,
     tree_print,
 )
 from relalg.errors import ContractError, MalformedInputError
 from relalg import freedend
-from relalg.freecheck import free_suite_carrier
+from relalg.freecheck import free_derived_op, free_pair_ops, free_suite_carrier
 from relalg.freedend import SampledTreeDomain, _tree_key
 from relalg.reports import to_json
 from relalg.trees import EMPTY, DecoratedTree, random_tree_from
@@ -385,6 +388,51 @@ def test_basis_products_are_multiplicity_free(index, variant, monkeypatch):
         monkeypatch.setattr(DimonoidTable, "right_mul", TransposedReads.right_mul)
     carrier = FreeDendCarrier(["x", "y"], MULTIPLICITY_INDICES[index]())
     check_every_small_product(carrier, reference_grafting(carrier.dimonoid))
+
+
+# -- the derived products: one graft sum each, equal to their constructions
+
+CONSTRUCTIONS = {
+    "mul": assoc_from_dend,
+    "circ": prelie_from_dend,
+    "bracket": lambda prec, succ: lie_from_prelie(prelie_from_dend(prec, succ)),
+}
+
+
+@pytest.mark.parametrize("budget", [freedend.ENTRY_BUDGET, 64])
+@pytest.mark.parametrize(
+    "index, roles",
+    [
+        (lambda: cyclic_monoid(2), ("mul", "circ", "bracket")),
+        (lambda: cyclic_monoid(3), ("mul", "circ", "bracket")),
+        (lambda: SemigroupTable(*LEFT_ZERO_BAND), ("mul",)),
+    ],
+    ids=["zmod2", "zmod3", "band"],
+)
+def test_derived_graftings_equal_their_constructions(index, roles, budget, monkeypatch):
+    monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
+    carrier = FreeDendCarrier(["x", "y"], index())
+    trees = [t for by_size in trees_by_size(carrier, 4) for t in by_size]
+    rng = Random(0)
+    sums = [
+        LinComb((rng.choice(trees), rng.choice((-2, -1, 1, 3))) for _ in range(3))
+        for _ in range(5)
+    ]
+    prec, succ = free_pair_ops(carrier)
+    pairs = list(product(range(carrier.semigroup.size), repeat=2))
+    for role in roles:
+        derived, built = free_derived_op(carrier, role), CONSTRUCTIONS[role](prec, succ)
+        wrong = [
+            (a, b, x, y)
+            for a, b in pairs
+            for x, y in product(sums, repeat=2)
+            if derived(a, b, x, y) != built(a, b, x, y)
+        ]
+        assert wrong == [], role
+    for role in ("circ", "bracket"):
+        if role not in roles:  # refused as its construction is
+            with pytest.raises(ContractError, match="requires a commutative index semigroup"):
+                free_derived_op(carrier, role)
 
 
 def test_family_ops_require_semigroup_form(free_matching2):

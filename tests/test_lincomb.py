@@ -5,7 +5,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relalg import (
@@ -138,6 +138,29 @@ def test_canonical_order_and_no_zeros():
     lc = LinComb([(3, Fraction(1)), (1, Fraction(2)), (2, Fraction(0))])
     assert lc.support() == (1, 3)
     assert lc.coeff(2) == 0
+
+
+# dicts as callers hand them over: zeros of both types, a Fraction with
+# denominator 1, plain Fractions and ints
+raw_dicts = st.dictionaries(
+    st.integers(0, 5),
+    st.sampled_from([0, Fraction(0), Fraction(4, 2)]) | st.integers(-3, 3) | scalars,
+    max_size=6,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw_dicts, raw_dicts, scalars)
+def test_a_dict_is_kept_in_exact_form_and_owned(d, e, k):
+    a, b = LinComb(d), LinComb(e)
+    assert a == LinComb(d.items()) and dict(a) == {u: c for u, c in d.items() if c}
+    results = [a, b, a + b, a - b, a.scale(k), -a]
+    for value in results:
+        assert all(c != 0 and type(c) is (int if c.denominator == 1 else Fraction) for _, c in value)
+    before = [value.items() for value in results]
+    d.clear()
+    e[0] = 7
+    assert [value.items() for value in results] == before
 
 
 @given(combs, combs, combs)
