@@ -11,9 +11,9 @@ grafts with the bare index as its edge label, which is the unique choice
 consistent with all four base cases and with the classical operations when
 the index structure is trivial.
 
-A carrier interns its trees: all the trees it builds or is given are
-canonical objects, one per structure, so products are cached by the trees'
-integer ``uid``s; both tables share ``ENTRY_BUDGET`` (see ``FreeDendCarrier``).
+A carrier interns its trees, one object per structure, under their hashes
+and caches basis products under the trees; both tables share ``ENTRY_BUDGET``
+(see ``FreeDendCarrier``).
 """
 
 from itertools import product
@@ -27,16 +27,11 @@ from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tr
 
 # The most entries one carrier's intern table and basis cache (one tuple of
 # trees per product) hold together.  free-session's working set at --seconds
-# 20 (about 240,000 entries: 80,000 basis products and 160,000 trees) never
+# 20 (about 212,000 entries: 50,000 basis products and 162,000 trees) never
 # reaches it, so it never empties.  The RelAssoc/RelPreLie/RelLie chain over
 # Z/2 at 200 samples and 6 vertices (acceptance criterion 3) does: the tables
-# empty once during RelLie, and 483,001 entries are live at its end.
+# empty once during RelLie, and 298,219 entries are live at its end.
 ENTRY_BUDGET = 600_000
-
-
-def _tree_key(t):
-    """The intern-table key of t: its root labels and its children's uids."""
-    return (t.label, t.left.uid, t.left_edge, t.right.uid, t.right_edge)
 
 
 class FreeDendCarrier:
@@ -45,18 +40,21 @@ class FreeDendCarrier:
 
     Interning: every tree the carrier builds or receives is replaced by its
     canonical object, the one tree of that structure the intern table holds,
-    keyed by ``(label, left.uid, left_edge, right.uid, right_edge)``.  Since
-    a canonical tree's children are canonical, grafting looks a tree up by
-    that key before it constructs one, and the basis cache is keyed by
-    ``(kind, s.uid, t.uid, index)``.  A tree from outside (``trees.node``,
-    another carrier) has its labels checked when it is first interned
-    (``check_tree``).  A ``uid`` is never reused, so a key can only ever
-    name the one tree it was made from, and cached products are pure: an
-    entry dropped or gone stale costs a recomputation, never a different
-    result.
+    keyed by its own structural hash ``t._hash``.  Grafting looks a tree up
+    by the hash ``DecoratedTree.__init__`` gives it before constructing it,
+    and takes the entry if its labels match and its children are the same
+    objects or (children held from before the tables were emptied) equal
+    ones.  Any other entry is a 64-bit hash collision, and the caller gets
+    an equal tree that is not stored.  The basis cache is keyed by
+    ``(kind, s, t, index)``; trees compare by structure, so a key names one
+    pair of structures and cached products are pure: a dropped entry or a
+    collision costs a recomputation or sharing, never a different result.
+    A tree from outside (``trees.node``, another carrier) has its labels
+    checked when it is first interned (``check_tree``).
 
     Products: a product of basis trees is a sum of distinct trees with
-    coefficient 1, cached as a tuple of trees.  In ``_basis_prec``'s recursion
+    coefficient 1, cached as a tuple of trees when it recurses (a base case
+    grafts at most once, and is not cached).  In ``_basis_prec``'s recursion
     no tree of prec(s.right, t) (root left subtree s.right.left) is a tree of
     succ(s.right, t) (root left subtree holding s.right), and grafting at one
     edge is injective, whatever the edge labels; ``_basis_succ`` mirrors it.
@@ -95,8 +93,8 @@ class FreeDendCarrier:
         self.dimonoid = dimonoid
         self.semigroup = semigroup
         self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
-        self._cache = {}  # (kind, s.uid, t.uid, index) -> (tree, ...), coefficients 1
-        self._trees = {}  # _tree_key(t) -> the canonical tree t
+        self._cache = {}  # (kind, s, t, index) -> (tree, ...), coefficients 1
+        self._trees = {}  # t._hash -> the canonical tree t
 
     def _put(self, table, key, value):
         """Store value in table (``_cache`` or ``_trees``) and return it; at
@@ -108,19 +106,22 @@ class FreeDendCarrier:
         return value
 
     def _node(self, label, left=EMPTY, left_edge=None, right=EMPTY, right_edge=None):
-        """The canonical tree with this root over canonical subtrees; the
-        labels must be the carrier's own."""
-        key = (label, left.uid, left_edge, right.uid, right_edge)
-        tree = self._trees.get(key)
+        """The canonical tree with this root over these subtrees, or on a
+        hash collision an unshared one; the labels must be the carrier's own."""
+        tree = self._trees.get(hash((label, left_edge, right_edge, left._hash, right._hash)))
         if tree is None:
             tree = DecoratedTree(label, left, left_edge, right, right_edge)
-            self._put(self._trees, key, tree)
-        return tree
+            return self._put(self._trees, tree._hash, tree)  # its own int: no second one per tree
+        if (tree.left is left or tree.left == left) and (tree.right is right or tree.right == right) and (
+            tree.label == label and tree.left_edge == left_edge and tree.right_edge == right_edge
+        ):
+            return tree
+        return DecoratedTree(label, left, left_edge, right, right_edge)
 
     def _interned(self, x):
         """The linear combination x over canonical trees."""
         for u, _ in x:
-            if self._trees.get(_tree_key(u)) is not u:
+            if self._trees.get(u._hash) is not u:
                 return LinComb((self.check_tree(u), c) for u, c in x)
         return x
 
@@ -137,15 +138,14 @@ class FreeDendCarrier:
             raise MalformedInputError(f"undeclared edge label {a!r}") from None
 
     def check_tree(self, t):
-        """The canonical tree equal to t.  The labels of a tree the carrier
-        has not interned are checked first, so an undeclared label raises
-        MalformedInputError; t is then interned, itself when its children
-        are canonical."""
+        """The canonical tree equal to t (on a hash collision, an equal tree
+        that is not stored).  The labels of a tree the carrier has not
+        interned are checked first, so an undeclared label raises
+        MalformedInputError; t is then interned, itself if its children are canonical."""
         if t is EMPTY:
             return t
-        key = _tree_key(t)
-        hit = self._trees.get(key)
-        if hit is not None:
+        hit = self._trees.get(t._hash)
+        if hit is not None and hit == t:
             return hit
         if t.label not in self.decorations:
             raise MalformedInputError(f"undeclared vertex label {t.label!r}")
@@ -153,9 +153,9 @@ class FreeDendCarrier:
             if edge is not None and edge not in self._sidx:
                 raise MalformedInputError(f"undeclared edge label {edge!r}")
         left, right = self.check_tree(t.left), self.check_tree(t.right)
-        if left is not t.left or right is not t.right:
-            return self._node(t.label, left, t.left_edge, right, t.right_edge)
-        return self._put(self._trees, key, t)
+        if hit is None and left is t.left and right is t.right:
+            return self._put(self._trees, t._hash, t)
+        return self._node(t.label, left, t.left_edge, right, t.right_edge)
 
     def parse(self, text):
         return self.check_tree(tree_parse(text, self.decorations, self.dimonoid.elements))
@@ -163,66 +163,65 @@ class FreeDendCarrier:
     # -- basis-level recursion on canonical trees; (tree, ...) out
 
     def _basis_prec(self, s, t, a):
-        key = ("p", s.uid, t.uid, a)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if t is EMPTY:
             if s is EMPTY:
                 raise ContractError("the product of two empty trees is undefined")
-            result = (s,)
-        elif s is EMPTY:
-            result = ()
-        elif s.right is EMPTY:
+            return (s,)
+        if s is EMPTY:
+            return ()
+        if s.right is EMPTY:
             # right subtree empty: the recursive prec summand vanishes and the
             # succ summand grafts t whole, edge labeled by the bare index
-            result = (self._node(s.label, s.left, s.left_edge, t, self.dimonoid.name(a)),)
-        else:
-            sigma2 = self._sidx[s.right_edge]
-            edge = self.dimonoid.name(self.dimonoid.left_mul(sigma2, a))
-            grafts = [self._node(s.label, s.left, s.left_edge, u, edge)
-                      for u in self._basis_prec(s.right, t, a)]
-            edge = self.dimonoid.name(self.dimonoid.right_mul(sigma2, a))
-            grafts += [self._node(s.label, s.left, s.left_edge, u, edge)
-                       for u in self._basis_succ(s.right, t, sigma2)]
-            result = tuple(grafts)
-        return self._put(self._cache, key, result)
-
-    def _basis_succ(self, s, t, a):
-        key = ("s", s.uid, t.uid, a)
+            return (self._node(s.label, s.left, s.left_edge, t, self.dimonoid.name(a)),)
+        key = ("p", s, t, a)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        sigma2 = self._sidx[s.right_edge]
+        edge = self.dimonoid.name(self.dimonoid.left_mul(sigma2, a))
+        grafts = [self._node(s.label, s.left, s.left_edge, u, edge)
+                  for u in self._basis_prec(s.right, t, a)]
+        edge = self.dimonoid.name(self.dimonoid.right_mul(sigma2, a))
+        grafts += [self._node(s.label, s.left, s.left_edge, u, edge)
+                   for u in self._basis_succ(s.right, t, sigma2)]
+        return self._put(self._cache, key, tuple(grafts))
+
+    def _basis_succ(self, s, t, a):
         if s is EMPTY:
             if t is EMPTY:
                 raise ContractError("the product of two empty trees is undefined")
-            result = (t,)
-        elif t is EMPTY:
-            result = ()
-        elif t.left is EMPTY:
-            result = (self._node(t.label, s, self.dimonoid.name(a), t.right, t.right_edge),)
-        else:
-            tau1 = self._sidx[t.left_edge]
-            edge = self.dimonoid.name(self.dimonoid.left_mul(a, tau1))
-            grafts = [self._node(t.label, u, edge, t.right, t.right_edge)
-                      for u in self._basis_prec(s, t.left, tau1)]
-            edge = self.dimonoid.name(self.dimonoid.right_mul(a, tau1))
-            grafts += [self._node(t.label, u, edge, t.right, t.right_edge)
-                       for u in self._basis_succ(s, t.left, a)]
-            result = tuple(grafts)
-        return self._put(self._cache, key, result)
+            return (t,)
+        if t is EMPTY:
+            return ()
+        if t.left is EMPTY:
+            return (self._node(t.label, s, self.dimonoid.name(a), t.right, t.right_edge),)
+        key = ("s", s, t, a)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        tau1 = self._sidx[t.left_edge]
+        edge = self.dimonoid.name(self.dimonoid.left_mul(a, tau1))
+        grafts = [self._node(t.label, u, edge, t.right, t.right_edge)
+                  for u in self._basis_prec(s, t.left, tau1)]
+        edge = self.dimonoid.name(self.dimonoid.right_mul(a, tau1))
+        grafts += [self._node(t.label, u, edge, t.right, t.right_edge)
+                   for u in self._basis_succ(s, t.left, a)]
+        return self._put(self._cache, key, tuple(grafts))
 
     # -- bilinear operations on linear combinations of trees
 
     def graft_sum(self, terms):
         """The sum of k * kind(s, t, a) over the (k, kind, s, t, a) terms, kind
-        "prec" or "succ": k * cu * cv is added to each tree of the basis
-        product of u and v, over the terms of s and t, all in one dict."""
-        acc = {}
+        "prec" or "succ", in one dict: k * cu * cv is added to each tree of the
+        basis product of u and v, over the terms of s and t (interned once each)."""
+        acc, interned = {}, {}
         get = acc.get
         for k, kind, s, t, a in terms:
             basis = getattr(self, "_basis_" + kind)
-            s, t, a = self._interned(s), self._interned(t), self.index_of(a)
+            for x in (s, t):
+                if id(x) not in interned:
+                    interned[id(x)] = self._interned(x)
+            s, t, a = interned[id(s)], interned[id(t)], self.index_of(a)
             for u, cu in s:
                 for v, cv in t:
                     weight = k * cu * cv

@@ -61,8 +61,9 @@ class LinComb:
     held as an unordered ``{basis: coefficient}`` dict.
 
     The dict accumulated from an iterable of pairs is kept, and a dict
-    argument is copied with ``dict``, so no basis is hashed again; only when
-    a coefficient is zero or not an ``int`` is the dict rebuilt in exact form."""
+    argument is copied with ``dict``, so no basis is hashed again; a zero
+    ``int`` coefficient's key is deleted, and only when a coefficient is not
+    an ``int`` is the dict rebuilt in exact form."""
 
     __slots__ = ("_terms",)
 
@@ -74,11 +75,18 @@ class LinComb:
             get = acc.get
             for basis, coeff in terms:
                 acc[basis] = get(basis, 0) + coeff
+        zero = False
         for c in acc.values():
-            if type(c) is not int or not c:
+            if type(c) is not int:
                 self._terms = {b: c if type(c) is int else exact(c) for b, c in acc.items() if c}
                 return
-        self._terms = dict(acc) if acc is terms else acc
+            if not c:
+                zero = True
+        acc = dict(acc) if acc is terms else acc
+        if zero:
+            for b in [b for b, c in acc.items() if not c]:
+                del acc[b]
+        self._terms = acc
 
     @classmethod
     def zero(cls):

@@ -2,15 +2,13 @@
 edges: the basis of the free dendriform algebra.
 
 Trees are immutable by contract, like every value in the package.
-Construction computes the size, a structural hash (from the root label, the
-edge labels and the children's hashes) and a ``uid``: an integer from a
-process-wide counter that is never reused, so a ``uid`` names one tree
-object for the life of the process.  Equality and hashing are structural,
-with an identity fast path, so equal trees compare and hash equal wherever
-they were built; a free carrier interns its trees so that the equal trees it
-holds are one object (see ``freedend``).  An edge label is present exactly
-when the subtree on that side is nonempty.  The canonical total order is
-vertex count, then shape, then vertex labels, then edge labels (all in
+Construction computes the size and a structural hash (from the root label,
+the edge labels and the children's hashes).  Equality and hashing are
+structural, with an identity fast path, so equal trees compare and hash equal
+wherever they were built; a free carrier interns its trees so that the equal
+trees it holds are one object (see ``freedend``).  An edge label is present
+exactly when the subtree on that side is nonempty.  The canonical total order
+is vertex count, then shape, then vertex labels, then edge labels (all in
 preorder); its sort key is built on first use, since only rendering sorts.
 
 Text form: ``e`` is the empty tree; ``x[]`` a single vertex; otherwise
@@ -20,26 +18,21 @@ A label is one or more letters, digits and ``_`` (``LABEL``).
 """
 
 import re
-from itertools import count
 from random import Random
 
 from .errors import TreeParseError
 
 LABEL = re.compile(r"\w+")
-_uids = count()
 
 
 class DecoratedTree:
     """A tree; after ``__init__`` only ``sort_key`` assigns, to fill its cache."""
 
-    __slots__ = (
-        "label", "left", "left_edge", "right", "right_edge", "size", "uid", "_hash", "_key"
-    )
+    __slots__ = ("label", "left", "left_edge", "right", "right_edge", "size", "_hash", "_key")
 
     def __init__(self, label, left=None, left_edge=None, right=None, right_edge=None):
         left = EMPTY if left is None else left
         right = EMPTY if right is None else right
-        self.uid = next(_uids)
         if label is None:  # the empty tree; constructed once below
             if EMPTY is not None:
                 raise ValueError("use trees.EMPTY for the empty tree")

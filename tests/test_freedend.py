@@ -29,7 +29,7 @@ from relalg import (
 from relalg.errors import ContractError, MalformedInputError
 from relalg import freedend
 from relalg.freecheck import free_derived_op, free_pair_ops, free_suite_carrier
-from relalg.freedend import SampledTreeDomain, _tree_key
+from relalg.freedend import SampledTreeDomain
 from relalg.reports import to_json
 from relalg.trees import EMPTY, DecoratedTree, random_tree_from
 
@@ -199,6 +199,51 @@ def test_equal_trees_are_one_object_within_a_carrier():
     assert grafted is in_a
     sampled = a.random_tree(Random(2), 5)
     assert sampled is a.check_tree(random_tree_from(Random(2), ["x", "y"], ["0", "1"], 5))
+
+
+def test_a_hash_collision_costs_sharing_never_a_different_tree():
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    expected = FreeDendCarrier(["x", "y"], cyclic_monoid(2)).prec(X, Y, "0")
+    # another canonical tree, planted under the hash of the tree prec builds
+    built = node("x", right=leaf("y"), right_edge="0")
+    planted = carrier.parse("y[0: x[], ]")
+    carrier._trees[hash(built)] = planted
+    out = carrier.prec(X, Y, "0")
+    assert out == expected
+    assert carrier._trees[hash(built)] is planted
+    (tree, _), = out
+    assert tree is not planted and tree == built
+    interned = carrier.check_tree(built)
+    assert interned == built and interned is not planted
+    assert carrier._trees[hash(built)] is planted
+
+
+def test_children_from_before_an_emptying_find_the_canonical_tree():
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    old_y = carrier.parse("y[]")
+    carrier._cache.clear()
+    carrier._trees.clear()
+    canonical = carrier.parse("x[, 0: y[]]")
+    assert canonical.right is not old_y
+    assert carrier._node("x", EMPTY, None, old_y, "0") is canonical
+    (tree, _), = carrier.prec(X, single(old_y), "0")
+    assert tree is canonical
+
+
+def test_a_derived_product_interns_each_argument_once(monkeypatch):
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    interned, calls = FreeDendCarrier._interned, []
+
+    def counted(self, x):
+        calls.append(x)
+        return interned(self, x)
+
+    monkeypatch.setattr(FreeDendCarrier, "_interned", counted)
+    x, y = X + Y, single(carrier.parse("y[1: x[], ]"))
+    out = free_derived_op(carrier, "bracket")(0, 1, x, y)
+    assert len(calls) == 2
+    prec, succ = free_pair_ops(carrier)
+    assert out == lie_from_prelie(prelie_from_dend(prec, succ))(0, 1, x, y)
 
 
 def test_every_carrier_tree_is_built_by_the_one_constructor(monkeypatch):
@@ -552,11 +597,13 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
             # trees have no runtime write guard: a tree changed after it was
             # built would sit under a stale intern key with a stale hash
             assert all(
-                key == _tree_key(t)
+                key == t._hash
                 and t.size == 1 + t.left.size + t.right.size
                 and t._hash == hash((t.label, t.left_edge, t.right_edge, t.left._hash, t.right._hash))
                 for key, t in carrier._trees.items()
             )
+            # one entry per structure, children from before an emptying included
+            assert len(set(carrier._trees.values())) == len(carrier._trees)
 
         assert session(entries) == unbounded
         assert max(sizes) <= budget

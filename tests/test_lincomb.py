@@ -163,6 +163,25 @@ def test_a_dict_is_kept_in_exact_form_and_owned(d, e, k):
     assert [value.items() for value in results] == before
 
 
+def test_a_cancelled_int_coefficient_hashes_only_its_key():
+    hashed = []
+
+    class Basis:
+        def __init__(self, name):
+            self.name = name
+
+        def __hash__(self):
+            hashed.append(self.name)
+            return hash(self.name)
+
+    a, b, c = Basis("a"), Basis("b"), Basis("c")
+    d = {a: 1, b: 0, c: 2}
+    hashed.clear()
+    lc = LinComb(d)
+    assert hashed == ["b"]
+    assert dict(lc) == {a: 1, c: 2} and len(d) == 3
+
+
 @given(combs, combs, combs)
 def test_add_commutative_associative(a, b, c):
     assert a + b == b + a

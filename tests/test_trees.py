@@ -82,7 +82,7 @@ def test_equality_and_hash_are_structural():
     t1 = tree_parse("x[a: y[], b: x[]]")
     t2 = node("x", leaf("y"), "a", leaf("x"), "b")
     assert t1 == t2 and hash(t1) == hash(t2)
-    assert t1 is not t2 and t1.uid != t2.uid
+    assert t1 is not t2
     assert t1 != tree_parse("x[b: y[], b: x[]]")
     assert node("x", leaf("y"), "a") != node("x", right=leaf("y"), right_edge="a")
     assert leaf("x") != "x[]"
