@@ -32,12 +32,8 @@ from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
 from .semigroups import check_cocycle, trivial_monoid
 
 
-def _same_index(i1, i2):
-    return i1 is i2 or i1 == i2
-
-
 def _common_index(op1, op2):
-    if not _same_index(op1.index, op2.index):
+    if op1.index != op2.index:
         raise ContractError("operations live over different index structures")
     return op1.index
 
@@ -164,12 +160,10 @@ def cocycle_twist(base, cocycle):
     )
     require(check_cocycle(cocycle))
     semigroup = cocycle.base
-    ops = {}
+    ops = {"mul": {}}
     for a, b in product(range(semigroup.size), repeat=2):
         scale = cocycle(a, b)
-        ops.setdefault("mul", {})[(a, b)] = tuple(
-            tuple(tuple(scale * c for c in row) for row in plane) for plane in block
-        )
+        ops["mul"][a, b] = [[[scale * c for c in row] for row in plane] for plane in block]
     unit_vector = base.unit_vector
     if unit_vector is not None and semigroup.unit is not None:
         w = semigroup.unit
@@ -227,7 +221,7 @@ def collapse(alg):
                 row = block[flat(i, a)][flat(j, b)]
                 for k, c in enumerate(source[i][j]):
                     row[flat(k, ab)] = c
-        ops[role] = {(0, 0): tuple(tuple(tuple(r) for r in plane) for plane in block)}
+        ops[role] = {(0, 0): block}
     unit_vector = None
     if alg.unit_vector is not None and semigroup.unit is not None:
         unit_vector = LinComb(

@@ -1,9 +1,47 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_table``, the one
+reader of nested tables, which the JSON loaders and the constructors share."""
 
 
 class MalformedInputError(ValueError):
     """Structurally invalid data: bad table shapes, unparsable scalars, schema
-    violations.  Carries a human-readable path to the offending entry."""
+    violations.  Its message begins with the path of the offending entry."""
+
+
+def type_name(value):
+    """The type a refusal names: a ``dict``, whichever subclass a decoder made."""
+    return "dict" if isinstance(value, dict) else type(value).__name__
+
+
+def read_table(raw, path, leaf, length, *inner):
+    """``raw`` as nested tuples, one level per entry of the shape ``(length,
+    *inner)``: the length that level's list (or tuple) must have, or None for
+    any.  ``leaf`` reads each innermost entry and refuses one, every time, with
+    a ValueError.  The bottom one or two levels are read in one pass (a sweep
+    over row types and lengths, then one ``tuple(map(leaf, row))`` per row);
+    paths are formatted only when a refused level is walked again, entry by
+    entry, to name the refusal: ``product[1]: expected a list of length 2, got 3``."""
+    if type(raw) not in (list, tuple) or length not in (None, len(raw)):
+        got = len(raw) if type(raw) in (list, tuple) else type_name(raw)
+        expected = "a list" if length is None else f"a list of length {length}"
+        raise MalformedInputError(f"{path}: expected {expected}, got {got}")
+    try:
+        if not inner:
+            return tuple(map(leaf, raw))
+        if len(inner) > 1:  # a refusal inside is named again below, at its full path
+            return tuple([read_table(row, path, leaf, *inner) for row in raw])
+        (n,) = inner
+        if {*map(type, raw)} <= {list, tuple} and (n is None or {*map(len, raw)} <= {n}):
+            return tuple([tuple(map(leaf, row)) for row in raw])
+    except ValueError:
+        pass
+    for k, value in enumerate(raw):  # name the refusal
+        if inner:
+            read_table(value, f"{path}[{k}]", leaf, *inner)
+            continue
+        try:
+            leaf(value)
+        except ValueError as exc:
+            raise MalformedInputError(f"{path}[{k}]: {exc}") from None
 
 
 class ContractError(Exception):

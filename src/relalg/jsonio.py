@@ -15,12 +15,12 @@ the positive integers with R_n(x) = x/n, or ``{"algebra": {...}, "maps":
 {name: matrix, ...}}``.  Morphism files: ``{"source": {...}, "target":
 {...}, "maps": {name: matrix, ...}}``.
 
-Every nested list is read by one walker, ``_table``, which checks each
-level's JSON type (and its length where the format fixes one) and reads the
-innermost entries with one of three leaf readers: ``_scalars()`` (a "p/q"
-string; each loader that reads scalars makes its own reader, which parses
-each distinct string once), ``_index`` (an integer table entry) or ``_name``
-(an element or basis name).  Every
+Every nested list is read by ``errors.read_table``, the walker the
+constructors share, with each length the file fixes.  JSON leaves check JSON
+types: ``_scalars()`` (a "p/q" string; each loader that reads scalars makes
+its own reader, which parses each distinct string once) and ``_name``.  The
+constructors' leaves check values, here too: ``semigroups.index_leaf`` and
+``semigroups.nonzero``.  Every
 constructor is called through ``_build``, which refuses its ValueError at
 the object's path.  Every object is read through
 ``_object``, which refuses a key written twice in one object (``load_file``
@@ -31,10 +31,10 @@ path of the offending entry.
 
 import json
 
-from .errors import MalformedInputError
-from .lincomb import LinComb, format_scalar, parse_scalar
+from .errors import MalformedInputError, read_table, type_name
+from .lincomb import format_scalar, parse_scalar
 from .ops import FiniteRelativeAlgebra, MorphismFamily, RotaBaxterFamily
-from .semigroups import Cocycle, DimonoidTable, SemigroupTable
+from .semigroups import Cocycle, DimonoidTable, SemigroupTable, index_leaf, nonzero
 from .samples import reciprocal_rota_baxter
 
 
@@ -94,7 +94,7 @@ def _need(obj, key, types, path, optional=False):
         return None
     # bool is an int subclass; a JSON true is never read as the integer 1
     if not isinstance(value, types) or (type(value) is bool and types is not bool):
-        raise MalformedInputError(f"{path}.{key}: wrong type {type(value).__name__}")
+        raise MalformedInputError(f"{path}.{key}: wrong type {type_name(value)}")
     return _object(value, f"{path}.{key}") if types is dict else value
 
 
@@ -114,7 +114,7 @@ def _scalars():
 
     def scalar(value):
         if type(value) is not str:
-            raise MalformedInputError(f'expected a "p/q" string, got {type(value).__name__}')
+            raise MalformedInputError(f'expected a "p/q" string, got {type_name(value)}')
         out = parsed.get(value)
         if out is None:
             out = parsed[value] = parse_scalar(value)
@@ -123,43 +123,17 @@ def _scalars():
     return scalar
 
 
-def _index(value):
-    # type, not isinstance: a JSON true is not the index 1
-    if type(value) is not int:
-        raise MalformedInputError("expected an integer index")
-    return value
-
-
 def _name(value):
     if type(value) is not str:
-        raise MalformedInputError(f"expected a string, got {type(value).__name__}")
+        raise MalformedInputError(f"expected a string, got {type_name(value)}")
     return value
-
-
-def _table(raw, path, leaf, *shape):
-    """``raw`` as nested tuples with one level per entry of ``shape``, which
-    is the length that level must have or None for any length; ``leaf``
-    reads each innermost entry.  A leaf's path is formatted only when the
-    leaf is refused."""
-    length, *inner = shape
-    if not isinstance(raw, list) or length not in (None, len(raw)):
-        expected = "a list" if length is None else f"a list of length {length}"
-        raise MalformedInputError(f"{path}: expected {expected}")
-    if inner:
-        return tuple(_table(row, f"{path}[{k}]", leaf, *inner) for k, row in enumerate(raw))
-    out = []
-    for k, value in enumerate(raw):
-        try:
-            out.append(leaf(value))
-        except MalformedInputError as exc:
-            raise MalformedInputError(f"{path}[{k}]: {exc}") from None
-    return tuple(out)
 
 
 def load_semigroup(obj, path="semigroup"):
     _object(obj, path)
-    elements = _table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
-    table = _table(_need(obj, "product", list, path), f"{path}.product", _index, None, None)
+    elements = read_table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
+    n = len(elements)
+    table = read_table(_need(obj, "product", list, path), f"{path}.product", index_leaf(n), n, n)
     unit_name = _need(obj, "unit", str, path, optional=True)
     commutative = _need(obj, "commutative", bool, path, optional=True)
     if unit_name is not None and unit_name not in elements:
@@ -179,9 +153,10 @@ def dump_semigroup(semigroup):
 
 def load_dimonoid(obj, path="dimonoid"):
     _object(obj, path)
-    elements = _table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
-    left = _table(_need(obj, "left", list, path), f"{path}.left", _index, None, None)
-    right = _table(_need(obj, "right", list, path), f"{path}.right", _index, None, None)
+    elements = read_table(_need(obj, "elements", list, path), f"{path}.elements", _name, None)
+    n = len(elements)
+    left = read_table(_need(obj, "left", list, path), f"{path}.left", index_leaf(n), n, n)
+    right = read_table(_need(obj, "right", list, path), f"{path}.right", index_leaf(n), n, n)
     return _build(path, DimonoidTable, elements, left, right)
 
 
@@ -195,7 +170,9 @@ def dump_dimonoid(dimonoid):
 
 def load_cocycle(obj, path="cocycle"):
     base = load_semigroup(obj, path)
-    values = _table(_need(obj, "values", list, path), f"{path}.values", _scalars(), None, None)
+    scalar, n = _scalars(), base.size
+    values = _need(obj, "values", list, path)
+    values = read_table(values, f"{path}.values", lambda v: nonzero(scalar(v)), n, n)
     return _build(path, Cocycle, base, values)
 
 
@@ -222,9 +199,7 @@ def load_algebra(obj, path="algebra"):
     _object(obj, path)
     scalar = _scalars()
     dim = _need(obj, "dim", int, path)
-    basis = _table(_need(obj, "basis", list, path), f"{path}.basis", _name, None)
-    if len(basis) != dim:
-        raise MalformedInputError(f"{path}.basis: expected {dim} names, got {len(basis)}")
+    basis = read_table(_need(obj, "basis", list, path), f"{path}.basis", _name, dim)
     semigroup = load_semigroup(_need(obj, "semigroup", dict, path), f"{path}.semigroup")
     ops = {}
     for role, table in _need(obj, "ops", dict, path).items():
@@ -236,10 +211,10 @@ def load_algebra(obj, path="algebra"):
             # "(1,1)" and "( 1 , 1 )" name one index tuple
             if idx in blocks:
                 raise MalformedInputError(f"{where}: index {idx} already given")
-            blocks[idx] = _table(block, where, scalar, None, None, None)
+            blocks[idx] = read_table(block, where, scalar, dim, dim, dim)
     unit = _need(obj, "unit", list, path, optional=True)
     if unit is not None:
-        unit = LinComb(enumerate(_table(unit, f"{path}.unit", scalar, dim)))
+        unit = read_table(unit, f"{path}.unit", scalar, dim)
     return _build(path, FiniteRelativeAlgebra, basis, semigroup, ops, unit)
 
 
@@ -275,7 +250,7 @@ def _maps(obj, path, index, rows, cols):
     scalar = _scalars()
     for name, matrix in _need(obj, "maps", dict, path).items():
         where = f"{path}.maps.{name}"
-        maps[_build(where, index.index_of, name)] = _table(matrix, where, scalar, rows, cols)
+        maps[_build(where, index.index_of, name)] = read_table(matrix, where, scalar, rows, cols)
     return maps
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import ContractError, MalformedInputError
+from .errors import ContractError, MalformedInputError, read_table
 from .lincomb import LinComb, exact, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
@@ -77,22 +77,6 @@ class OpCarrier:
             raise ContractError(f"carrier has no operation for role {role!r}") from None
 
 
-def _validate_constants(block, dim, where):
-    if len(block) != dim:
-        raise MalformedInputError(f"{where}: expected {dim} slices, got {len(block)}")
-    out = []
-    for i, plane in enumerate(block):
-        if len(plane) != dim:
-            raise MalformedInputError(f"{where}[{i}]: expected {dim} rows")
-        rows = []
-        for j, row in enumerate(plane):
-            if len(row) != dim:
-                raise MalformedInputError(f"{where}[{i}][{j}]: expected {dim} coefficients")
-            rows.append(tuple(map(exact, row)))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
 class FiniteRelativeAlgebra:
     """Finite-dimensional algebra over a finite index semigroup, with one
     structure-constant block per operation role and index tuple.
@@ -135,7 +119,7 @@ class FiniteRelativeAlgebra:
                     f"ops[{role}]: wrong index keys (missing {missing}, extra {extra})"
                 )
             clean[role] = {
-                key: _validate_constants(block, dim, f"ops[{role}][{key}]")
+                key: read_table(block, f"ops[{role}][{key}]", exact, dim, dim, dim)
                 for key, block in table.items()
             }
         self.basis = basis
@@ -145,7 +129,7 @@ class FiniteRelativeAlgebra:
                                for plane in b for row in plane for c in row})
         self._kernels = {r: {k: _kernel(b, den) for k, b in t.items()} for r, t in clean.items()}
         if unit_vector is not None and not isinstance(unit_vector, LinComb):
-            unit_vector = LinComb(enumerate(unit_vector))
+            unit_vector = LinComb(enumerate(read_table(unit_vector, "unit_vector", exact, dim)))
         self.unit_vector = unit_vector
 
     @property
@@ -237,12 +221,17 @@ class RotaBaxterFamily:
 
     ``maps`` is either a dict from index element to a square matrix (rows =
     output coordinates) or a callable ``(alpha, vector) -> vector``; the dict
-    form raises a window-closure error when asked outside its keys.
-    """
+    form needs a carrier with a finite basis, and raises a window-closure
+    error when asked outside its keys."""
 
     __slots__ = ("carrier", "maps")
 
     def __init__(self, carrier, maps):
+        if not callable(maps):
+            if getattr(carrier, "basis", None) is None:
+                raise ContractError("a carrier without a finite basis takes callable maps only")
+            dim = len(carrier.basis)
+            maps = {a: read_table(m, f"maps[{a}]", exact, dim, dim) for a, m in maps.items()}
         self.carrier = carrier
         self.maps = maps
 
@@ -277,18 +266,12 @@ class MorphismFamily:
     def __init__(self, source, target, maps):
         if source.index != target.index:
             raise MalformedInputError("morphism endpoints use different index semigroups")
-        n = source.index.size
-        if sorted(maps) != list(range(n)):
+        if sorted(maps) != list(range(source.index.size)):
             raise MalformedInputError("morphism needs exactly one map per index element")
-        for a, matrix in maps.items():
-            if len(matrix) != target.dim or any(len(row) != source.dim for row in matrix):
-                raise MalformedInputError(
-                    f"maps[{a}]: expected {target.dim}x{source.dim} matrix"
-                )
         self.source = source
         self.target = target
         self.maps = {
-            a: tuple(tuple(map(exact, row)) for row in matrix) for a, matrix in maps.items()
+            a: read_table(m, f"maps[{a}]", exact, target.dim, source.dim) for a, m in maps.items()
         }
 
     def apply(self, alpha, x):

@@ -1,6 +1,7 @@
 """Canonical small carriers used by the test suite and the CLI builtins."""
 
 from fractions import Fraction
+from itertools import product
 
 from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp, RotaBaxterFamily, _kernel
 from .semigroups import positive_integers_additive, trivial_monoid
@@ -11,19 +12,12 @@ def truncated_integration_zinbiel(degree):
     on the basis t^0 .. t^degree, products past the top degree truncated to
     zero: t^m * t^n = t^(m+n+1) / (m+1)."""
     dim = degree + 1
-    block = []
-    for m in range(dim):
-        rows = []
-        for n in range(dim):
-            row = [Fraction(0)] * dim
-            if m + n + 1 <= degree:
-                row[m + n + 1] = Fraction(1, m + 1)
-            rows.append(tuple(row))
-        block.append(tuple(rows))
+    block = [[[0] * dim for n in range(dim)] for m in range(dim)]
+    for m, n in product(range(dim), repeat=2):
+        if m + n + 1 <= degree:
+            block[m][n][m + n + 1] = Fraction(1, m + 1)
     return FiniteRelativeAlgebra(
-        [f"t^{m}" for m in range(dim)],
-        trivial_monoid(),
-        {"ast": {(0, 0): tuple(block)}},
+        [f"t^{m}" for m in range(dim)], trivial_monoid(), {"ast": {(0, 0): block}}
     )
 
 

@@ -9,22 +9,30 @@ which scan all triples in lexicographic order and report the first violation.
 from dataclasses import replace
 from itertools import product
 
-from .errors import ContractError, MalformedInputError
-from .lincomb import format_scalar
+from .errors import ContractError, MalformedInputError, read_table, type_name
+from .lincomb import exact, format_scalar
 from .reports import scan, summary
 from .trees import LABEL
 
 
-def _validate_table(table, n, what):
-    if len(table) != n:
-        raise MalformedInputError(f"{what}: expected {n} rows, got {len(table)}")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise MalformedInputError(f"{what}[{i}]: expected {n} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise MalformedInputError(f"{what}[{i}][{j}]: entry {v!r} out of range 0..{n - 1}")
-    return tuple(tuple(row) for row in table)
+def index_leaf(n):
+    """The leaf reader of an n-element index table: an ``int`` (not a bool) in 0..n-1."""
+
+    def entry(value):
+        if type(value) is int and 0 <= value < n:
+            return value
+        got = value if type(value) is int else type_name(value)
+        raise MalformedInputError(f"expected an index in 0..{n - 1}, got {got}")
+
+    return entry
+
+
+def nonzero(value):
+    """The leaf reader of a cocycle's values: a nonzero scalar, exact."""
+    value = exact(value)
+    if value == 0:
+        raise MalformedInputError("expected a nonzero scalar, got 0")
+    return value
 
 
 class _Value:
@@ -87,7 +95,7 @@ class SemigroupTable(_FiniteTable):
     def __init__(self, elements, table, unit=None, commutative=False):
         super().__init__(elements, "semigroup")
         n = self.size
-        self.product = _validate_table(table, n, "product")
+        self.product = read_table(table, "product", index_leaf(n), n, n)
         if unit is not None and not 0 <= unit < n:
             raise MalformedInputError(f"unit index {unit} out of range")
         self.unit = unit
@@ -153,8 +161,9 @@ class DimonoidTable(_FiniteTable):
 
     def __init__(self, elements, left, right):
         super().__init__(elements, "dimonoid")
-        self.left = _validate_table(left, self.size, "left")
-        self.right = _validate_table(right, self.size, "right")
+        n = self.size
+        self.left = read_table(left, "left", index_leaf(n), n, n)
+        self.right = read_table(right, "right", index_leaf(n), n, n)
         self.semigroup = None
 
     def left_mul(self, i, j):
@@ -187,15 +196,8 @@ class Cocycle(_Value):
     def __init__(self, base, values):
         if not isinstance(base, SemigroupTable):
             raise MalformedInputError("cocycle base must be a finite semigroup table")
-        n = base.size
-        if len(values) != n or any(len(row) != n for row in values):
-            raise MalformedInputError(f"values: expected {n}x{n} table")
-        for i, row in enumerate(values):
-            for j, v in enumerate(row):
-                if v == 0:
-                    raise MalformedInputError(f"values[{i}][{j}]: cocycle values must be nonzero")
         self.base = base
-        self.values = tuple(tuple(row) for row in values)
+        self.values = read_table(values, "values", nonzero, base.size, base.size)
 
     def __call__(self, i, j):
         return self.values[i][j]

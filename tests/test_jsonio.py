@@ -360,3 +360,65 @@ def test_report_json_roundtrip_is_byte_identical():
     report = check_axioms(alg.as_carrier(), "RelAssoc", finite_domain(alg))
     text = to_json(report.to_payload())
     assert to_json(json.loads(text)) == text
+
+
+def _table_refusal_files():
+    # JSON text, so that an object with a key written twice can stand where
+    # a list or a scalar belongs
+    def semigroup(product):
+        return f'{{"elements": ["0", "1"], "product": {product}, "unit": null}}'
+
+    yield load_semigroup, semigroup("[[0, 1], [1, 0, 1]]"), (
+        "semigroup.product[1]: expected a list of length 2, got 3")
+    yield load_semigroup, semigroup("[[0, 1]]"), (
+        "semigroup.product: expected a list of length 2, got 1")
+    yield load_semigroup, semigroup("[[0, 1], [1, 2]]"), (
+        "semigroup.product[1][1]: expected an index in 0..1, got 2")
+    yield load_semigroup, semigroup("[[0, true], [1, 0]]"), (
+        "semigroup.product[0][1]: expected an index in 0..1, got bool")
+    yield load_semigroup, semigroup('[[0, 1], {"a": 1, "a": 2}]'), (
+        "semigroup.product[1]: expected a list of length 2, got dict")
+    yield load_semigroup, semigroup('{"a": 1, "a": 2}'), "semigroup.product: wrong type dict"
+    doc = {"elements": ["a", "b"], "left": [[0, 0], [1]], "right": [[0, 1], [0, 1]]}
+    yield load_dimonoid, json.dumps(doc), "dimonoid.left[1]: expected a list of length 2, got 1"
+    doc = dict(ZMOD2, values=[["1/1", "1/1"], ["1/1"]])
+    yield load_cocycle, json.dumps(doc), "cocycle.values[1]: expected a list of length 2, got 1"
+    doc = dict(ZMOD2, values=[["1/1", "0/1"], ["1/1", "1/1"]])
+    yield load_cocycle, json.dumps(doc), "cocycle.values[0][1]: expected a nonzero scalar, got 0"
+    doc = cocycle_algebra_doc()
+    doc["ops"]["mul"]["(0,1)"] = [[["1/1"], ["1/1"]]]
+    yield load_algebra, json.dumps(doc), (
+        "algebra.ops.mul.(0,1)[0]: expected a list of length 1, got 2")
+    text = json.dumps(cocycle_algebra_doc()).replace('[[["-1/1"]]]', '[[[{"p": 1, "p": 1}]]]')
+    yield load_algebra, text, 'algebra.ops.mul.(1,1)[0][0][0]: expected a "p/q" string, got dict'
+    doc = dict(cocycle_algebra_doc(), dim=2)
+    yield load_algebra, json.dumps(doc), "algebra.basis: expected a list of length 2, got 1"
+    doc = dict(cocycle_algebra_doc(), unit=["1/1", "0/1"])
+    yield load_algebra, json.dumps(doc), "algebra.unit: expected a list of length 1, got 2"
+    doc = {"algebra": cocycle_algebra_doc(), "maps": {"0": [["0/1"]], "1": "0/1"}}
+    yield load_rota_baxter, json.dumps(doc), "rb.maps.1: expected a list of length 1, got str"
+    doc = {
+        "source": cocycle_algebra_doc(),
+        "target": cocycle_algebra_doc(),
+        "maps": {"0": [["1/1"]], "1": [["-1/1", "0/1"]]},
+    }
+    yield load_morphism, json.dumps(doc), "morphism.maps.1[0]: expected a list of length 1, got 2"
+
+
+TABLE_REFUSALS = list(_table_refusal_files())
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    TABLE_REFUSALS,
+    ids=[message.split(":")[0] for _, _, message in TABLE_REFUSALS],
+)
+def test_table_refusals_begin_with_their_json_path(tmp_path, loader, text, message):
+    # shape, range and value refusals come from the JSON layer, so each names
+    # the offending list or entry by its JSON path; a JSON object is a dict
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(MalformedInputError) as info:
+        loader(load_file(path))
+    assert str(info.value) == message
+    assert "_KeyGivenTwice" not in str(info.value)

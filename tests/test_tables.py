@@ -1,0 +1,148 @@
+"""``errors.read_table``, the one reader of nested tables, and the in-memory
+constructors that read their tables through it: every malformed table is
+refused at the full path of the refused list or entry."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from relalg import FiniteRelativeAlgebra, LinComb, cyclic_monoid, trivial_monoid
+from relalg.cli import main
+from relalg.errors import ContractError, MalformedInputError, read_table
+from relalg.ops import MorphismFamily, OpCarrier, RotaBaxterFamily
+from relalg.samples import reciprocal_rota_baxter
+from relalg.semigroups import Cocycle, DimonoidTable, SemigroupTable
+
+
+def small_int(value):
+    """A test leaf: an int in 0..9."""
+    if type(value) is not int or not 0 <= value < 10:
+        raise MalformedInputError(f"expected a digit, got {value!r}")
+    return value
+
+
+CUBE = tuple(tuple(tuple(4 * i + 2 * j + k for k in range(2)) for j in range(2)) for i in range(2))
+
+
+def test_a_well_formed_table_reads_back_as_nested_tuples():
+    assert read_table(CUBE, "t", small_int, 2, 2, 2) == CUBE
+    as_lists = [[list(row) for row in plane] for plane in CUBE]
+    assert read_table(as_lists, "t", small_int, 2, 2, 2) == CUBE
+    assert read_table([[], [7]], "t", small_int, None, None) == ((), (7,))
+    assert read_table([], "t", small_int, 0, 3, 3) == ()
+
+
+def _mutated(path, value):
+    """CUBE as lists with the entry at ``path`` replaced by ``value``."""
+    table = [[list(row) for row in plane] for plane in CUBE]
+    if not path:
+        return value
+    parent = table
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return table
+
+
+# one refusal at each depth of a 3-level table, and where the walk finds it
+REFUSALS = [
+    ((), "abc", "t: expected a list of length 2, got str"),
+    ((), [[[0, 1], [2, 3]]], "t: expected a list of length 2, got 1"),
+    ((1,), {"a": 1}, "t[1]: expected a list of length 2, got dict"),
+    ((1,), [[4, 5]], "t[1]: expected a list of length 2, got 1"),
+    ((1, 0), (4, 5, 6), "t[1][0]: expected a list of length 2, got 3"),
+    ((0, 1), 5, "t[0][1]: expected a list of length 2, got int"),
+    ((1, 1, 1), 10, "t[1][1][1]: expected a digit, got 10"),
+    ((0, 0, 0), "0", "t[0][0][0]: expected a digit, got '0'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message", REFUSALS, ids=[message.split(":")[0] for _, _, message in REFUSALS]
+)
+def test_a_refusal_at_every_depth_names_its_full_path(path, value, message):
+    # the one-pass read of the bottom levels refuses without paths; the walk
+    # that names the refusal must find it, at its full path
+    with pytest.raises(MalformedInputError) as info:
+        read_table(_mutated(path, value), "t", small_int, 2, 2, 2)
+    assert str(info.value) == message
+
+
+def test_the_first_refusal_depth_first_is_named():
+    # row [0] holds a bad entry and row [1] a bad length: the entry comes first
+    with pytest.raises(MalformedInputError, match=r"^t\[0\]\[1\]: expected a digit, got 11$"):
+        read_table([[0, 11], [1]], "t", small_int, 2, 2)
+
+
+BLOCK = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+ZMOD2 = cyclic_monoid(2)
+
+
+def _algebra(**kwargs):
+    return FiniteRelativeAlgebra(["u", "v"], trivial_monoid(), {"mul": {(0, 0): BLOCK}}, **kwargs)
+
+
+def _refusals():
+    yield "semigroup-row", lambda: SemigroupTable(["0", "1"], [[0, 1], [1, 0, 1]]), (
+        "product[1]: expected a list of length 2, got 3")
+    yield "semigroup-rows", lambda: SemigroupTable(["0"], [[0], [0]]), (
+        "product: expected a list of length 1, got 2")
+    yield "semigroup-entry", lambda: SemigroupTable(["0", "1"], [[0, 2], [1, 0]]), (
+        "product[0][1]: expected an index in 0..1, got 2")
+    yield "semigroup-bool", lambda: SemigroupTable(["0", "1"], [[0, 1], [1, False]]), (
+        "product[1][1]: expected an index in 0..1, got bool")
+    yield "dimonoid-left", lambda: DimonoidTable(["a", "b"], [[0, 0], "ab"], [[0, 1], [0, 1]]), (
+        "left[1]: expected a list of length 2, got str")
+    yield "dimonoid-right", lambda: DimonoidTable(["a", "b"], [[0, 0], [1, 1]], [[0, 1]]), (
+        "right: expected a list of length 2, got 1")
+    yield "algebra-block", lambda: FiniteRelativeAlgebra(
+        ["u"], trivial_monoid(), {"mul": {(0, 0): [[[1], [0]]]}}), (
+        "ops[mul][(0, 0)][0]: expected a list of length 1, got 2")
+    yield "algebra-unit", lambda: _algebra(unit_vector=[1, 0, 5]), (
+        "unit_vector: expected a list of length 2, got 3")
+    yield "cocycle-shape", lambda: Cocycle(ZMOD2, [[1, 1], [1]]), (
+        "values[1]: expected a list of length 2, got 1")
+    yield "cocycle-zero", lambda: Cocycle(ZMOD2, [[1, 0], [1, 1]]), (
+        "values[0][1]: expected a nonzero scalar, got 0")
+    yield "morphism", lambda: MorphismFamily(_algebra(), _algebra(), {0: [[1, 0], [0]]}), (
+        "maps[0][1]: expected a list of length 2, got 1")
+    # a 2-dimensional algebra over Z/2
+    ops = {"mul": {(a, b): BLOCK for a in (0, 1) for b in (0, 1)}}
+    alg = FiniteRelativeAlgebra(["u", "v"], ZMOD2, ops)
+    yield "rota-baxter", lambda: RotaBaxterFamily(alg, {0: [[1, 2, 3]], 1: [[0]]}), (
+        "maps[0]: expected a list of length 2, got 1")
+
+
+REFUSED = list(_refusals())
+
+
+@pytest.mark.parametrize("build, message", [r[1:] for r in REFUSED], ids=[r[0] for r in REFUSED])
+def test_in_memory_constructors_refuse_a_malformed_table_at_its_path(build, message):
+    with pytest.raises(MalformedInputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_in_memory_tables_are_held_in_exact_form():
+    alg = _algebra(unit_vector=(Fraction(1), 0.5))
+    assert alg.unit_vector == LinComb([(0, 1), (1, Fraction(1, 2))])
+    rb = RotaBaxterFamily(alg, {0: [[Fraction(2), 0], [0, 0.25]]})
+    assert rb.maps == {0: ((2, 0), (0, Fraction(1, 4)))}
+    assert Cocycle(ZMOD2, [[Fraction(1), 1], [1, -1.0]]).values == ((1, 1), (1, -1))
+
+
+def test_dict_maps_need_a_carrier_with_a_finite_basis():
+    line = reciprocal_rota_baxter().carrier
+    with pytest.raises(ContractError, match="without a finite basis takes callable maps only"):
+        RotaBaxterFamily(OpCarrier(line.index, line.ops), {1: [[1]]})
+    assert RotaBaxterFamily(line, {1: [[1]]}).maps == {1: ((1,),)}
+
+
+def test_the_cli_names_a_long_product_row_by_its_json_path(tmp_path, capsys):
+    path = tmp_path / "row.json"
+    doc = {"elements": ["0", "1"], "product": [[0, 1], [1, 0, 1]], "unit": None}
+    path.write_text(json.dumps(doc))
+    assert main(["check-semigroup", "--semigroup", str(path)]) == 2
+    expected = "error: malformed input: semigroup.product[1]: expected a list of length 2, got 3\n"
+    assert capsys.readouterr().err == expected
