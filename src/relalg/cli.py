@@ -96,17 +96,20 @@ def _parser():
     p.add_argument("--algebra", required=True, metavar="FILE")
     p.add_argument("--suite", choices=sorted(SUITES))
 
+    def free_carrier(p):
+        """The free carrier's index, exactly one of two files, and its decorations."""
+        index = p.add_mutually_exclusive_group(required=True)
+        index.add_argument("--dimonoid", metavar="FILE")
+        index.add_argument("--semigroup", metavar="FILE")
+        p.add_argument("--decorations", default="x,y", metavar="X,Y,...")
+
     p = cmd("free-eval", run_free_eval, help="evaluate an expression over the free tree carrier")
     p.add_argument("--expr", required=True)
-    p.add_argument("--dimonoid", metavar="FILE")
-    p.add_argument("--semigroup", metavar="FILE")
-    p.add_argument("--decorations", default="x,y", metavar="X,Y,...")
+    free_carrier(p)
 
     p = cmd("free-check", run_free_check, help="sampled axiom checks on the free tree carrier")
     p.add_argument("--suite", required=True, choices=sorted(FREE_SUITES))
-    p.add_argument("--dimonoid", metavar="FILE")
-    p.add_argument("--semigroup", metavar="FILE")
-    p.add_argument("--decorations", default="x,y", metavar="X,Y,...")
+    free_carrier(p)
     p.add_argument("--samples", type=_positive_int, default=200, metavar="N")
     p.add_argument("--max-vertices", type=_positive_int, default=6, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
@@ -126,14 +129,12 @@ def _payload(command, reports, **extra):
 
 
 def _load_free_carrier(args):
-    if args.dimonoid:
+    if args.dimonoid is not None:
         index = jsonio.load_dimonoid(jsonio.load_file(args.dimonoid))
         require(check_dimonoid(index))
-    elif args.semigroup:
+    else:
         index = jsonio.load_semigroup(jsonio.load_file(args.semigroup))
         require(check_semigroup(index))
-    else:
-        raise MalformedInputError("free carrier needs --dimonoid or --semigroup")
     decorations = [d for d in args.decorations.split(",") if d]
     return FreeDendCarrier(decorations, index)
 

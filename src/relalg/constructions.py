@@ -27,7 +27,6 @@ from .axioms import (
     Y,
 )
 from .errors import ContractError, require
-from .lincomb import LinComb
 from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
 from .semigroups import check_cocycle, trivial_monoid
 
@@ -164,17 +163,11 @@ def cocycle_twist(base, cocycle):
     for a, b in product(range(semigroup.size), repeat=2):
         scale = cocycle(a, b)
         ops["mul"][a, b] = [[[scale * c for c in row] for row in plane] for plane in block]
-    unit_vector = base.unit_vector
-    if unit_vector is not None and semigroup.unit is not None:
-        w = semigroup.unit
-        normalized = all(
-            cocycle(a, w) == 1 and cocycle(w, a) == 1 for a in range(semigroup.size)
-        )
-        if not normalized:
-            unit_vector = None
-    else:
-        unit_vector = None
-    return FiniteRelativeAlgebra(base.basis, semigroup, ops, unit_vector)
+    unit, w = base.unit_coordinates(), semigroup.unit
+    # the unit survives only a cocycle normalised at the semigroup's unit
+    if w is None or not all(cocycle(a, w) == 1 == cocycle(w, a) for a in range(semigroup.size)):
+        unit = None
+    return FiniteRelativeAlgebra(base.basis, semigroup, ops, unit)
 
 
 def dend_from_rb(rb, window=None):
@@ -222,9 +215,9 @@ def collapse(alg):
                 for k, c in enumerate(source[i][j]):
                     row[flat(k, ab)] = c
         ops[role] = {(0, 0): block}
-    unit_vector = None
+    unit = None
     if alg.unit_vector is not None and semigroup.unit is not None:
-        unit_vector = LinComb(
-            (flat(k, semigroup.unit), c) for k, c in alg.unit_vector
-        )
-    return FiniteRelativeAlgebra(basis, trivial_monoid(), ops, unit_vector)
+        unit = [0] * big
+        for k, c in alg.unit_vector:
+            unit[flat(k, semigroup.unit)] = c
+    return FiniteRelativeAlgebra(basis, trivial_monoid(), ops, unit)

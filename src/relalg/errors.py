@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``read_table``, the one
-reader of nested tables, which the JSON loaders and the constructors share."""
+"""Exception types shared across the package, and the readers the JSON
+loaders and the constructors share: ``read_table``, the one reader of nested
+tables, and ``read_names``, the one reader of a list of names."""
 
 
 class MalformedInputError(ValueError):
@@ -42,6 +43,22 @@ def read_table(raw, path, leaf, length, *inner):
             leaf(value)
         except ValueError as exc:
             raise MalformedInputError(f"{path}[{k}]: {exc}") from None
+
+
+def read_names(values, what, label=None):
+    """``values`` as a tuple of ``str`` names, at least one and no name twice;
+    ``label``, a compiled pattern, is the grammar every name must match."""
+    names = tuple(map(str, values))
+    if not names:
+        raise MalformedInputError(f"{what}: expected at least one name")
+    if len(set(names)) != len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise MalformedInputError(f"{what}: name {twice!r} given twice")
+    if label is not None:
+        for name in names:
+            if not label.fullmatch(name):
+                raise MalformedInputError(f"label {name!r}: tree labels are letters, digits and _")
+    return names
 
 
 class ContractError(Exception):

@@ -19,7 +19,7 @@ and caches basis products under the trees; both tables share ``ENTRY_BUDGET``
 from itertools import product
 from random import Random
 
-from .errors import ContractError, MalformedInputError
+from .errors import ContractError, MalformedInputError, read_names
 from .lincomb import LinComb
 from .ops import FamilyIndexedOp
 from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
@@ -71,11 +71,7 @@ class FreeDendCarrier:
     other dimonoid)."""
 
     def __init__(self, decorations, index):
-        decorations = tuple(str(x) for x in decorations)
-        if not decorations:
-            raise MalformedInputError("need at least one decoration label")
-        if len(set(decorations)) != len(decorations):
-            raise MalformedInputError("duplicate decoration labels")
+        decorations = read_names(decorations, "decorations", LABEL)
         if isinstance(index, SemigroupTable):
             semigroup = index
             dimonoid = DimonoidTable(index.elements, index.product, index.product)
@@ -84,9 +80,6 @@ class FreeDendCarrier:
             semigroup = semigroup_from_dimonoid(index) if index.is_semigroup_form() else None
         else:
             raise MalformedInputError("free carrier requires a dimonoid or semigroup index")
-        for label in decorations:  # the index checked its own element names
-            if not LABEL.fullmatch(label):
-                raise MalformedInputError(f"label {label!r}: tree labels are letters, digits and _")
         if "e" in decorations + dimonoid.elements:
             raise MalformedInputError('"e" is reserved for the empty tree')
         self.decorations = decorations

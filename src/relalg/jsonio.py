@@ -33,7 +33,7 @@ import json
 
 from .errors import MalformedInputError, read_table, type_name
 from .lincomb import format_scalar, parse_scalar
-from .ops import FiniteRelativeAlgebra, MorphismFamily, RotaBaxterFamily
+from .ops import NO_BLOCKS, FiniteRelativeAlgebra, MorphismFamily, RotaBaxterFamily
 from .semigroups import Cocycle, DimonoidTable, SemigroupTable, index_leaf, nonzero
 from .samples import reciprocal_rota_baxter
 
@@ -212,6 +212,8 @@ def load_algebra(obj, path="algebra"):
             if idx in blocks:
                 raise MalformedInputError(f"{where}: index {idx} already given")
             blocks[idx] = read_table(block, where, scalar, dim, dim, dim)
+        if not blocks:
+            raise MalformedInputError(f"{path}.ops.{role}: {NO_BLOCKS}")
     unit = _need(obj, "unit", list, path, optional=True)
     if unit is not None:
         unit = read_table(unit, f"{path}.unit", scalar, dim)
@@ -232,15 +234,13 @@ def dump_algebra(alg):
                 [[format_scalar(c) for c in row] for row in plane] for plane in block
             ]
         ops[role] = table
-    unit = alg.unit_vector
-    if unit is not None:
-        unit = [format_scalar(unit.coeff(k)) for k in range(alg.dim)]
+    unit = alg.unit_coordinates()
     return {
         "dim": alg.dim,
         "basis": list(alg.basis),
         "semigroup": dump_semigroup(semigroup),
         "ops": ops,
-        "unit": unit,
+        "unit": None if unit is None else [format_scalar(c) for c in unit],
     }
 
 

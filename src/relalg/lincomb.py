@@ -8,7 +8,7 @@ alike, zero as ``0/1``.  A :class:`LinComb` is a finite formal rational
 combination over any totally ordered, hashable basis type; it is immutable by
 contract and always kept in canonical form (no zero coefficients).  Its terms
 are unordered; they are sorted in basis order only when read out in order
-(``items``, ``support``, ``render``, ``to_pairs``, ``repr``).
+(``items``, ``render``, ``to_pairs``, ``repr``).
 """
 
 import re
@@ -46,13 +46,20 @@ def format_scalar(value):
 
 
 def exact(value):
-    """Any rational scalar (an ``int``, a ``Fraction``, a float, ...) in the
-    one exact form: an ``int`` when its denominator is 1, else a Fraction.
-    Every scalar the package holds is coerced here."""
+    """Any rational scalar (an ``int``, a ``Fraction``, a finite float, a
+    ``"p/q"`` string read by :func:`parse_scalar`, ...) in the one exact form:
+    an ``int`` when its denominator is 1, else a Fraction.  Anything else is
+    refused as :class:`MalformedInputError`.  Every scalar the package holds
+    is coerced here; an ``int`` or a ``Fraction`` pays for no other test."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
-        value = Fraction(value)
+        if isinstance(value, str):
+            return parse_scalar(value)
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise MalformedInputError(f"bad scalar {value!r:.40}: not a rational number") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -98,9 +105,6 @@ class LinComb:
 
     def items(self):
         return tuple(sorted(self._terms.items(), key=_by_basis))
-
-    def support(self):
-        return tuple(sorted(self._terms))
 
     def coeff(self, basis):
         return self._terms.get(basis, 0)
@@ -149,9 +153,6 @@ class LinComb:
         if k == 0:
             return LinComb()
         return LinComb({b: k * c for b, c in self._terms.items()})
-
-    def __rmul__(self, k):
-        return self.scale(k)
 
     def __eq__(self, other):
         return isinstance(other, LinComb) and self._terms == other._terms

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import ContractError, MalformedInputError, read_table
+from .errors import ContractError, MalformedInputError, read_names, read_table
 from .lincomb import LinComb, exact, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
@@ -77,6 +77,9 @@ class OpCarrier:
             raise ContractError(f"carrier has no operation for role {role!r}") from None
 
 
+NO_BLOCKS = "expected one block per index tuple, got none"
+
+
 class FiniteRelativeAlgebra:
     """Finite-dimensional algebra over a finite index semigroup, with one
     structure-constant block per operation role and index tuple.
@@ -84,20 +87,18 @@ class FiniteRelativeAlgebra:
     ``ops`` maps a role name to a dict keyed by index tuples: pairs ``(i, j)``
     for pair-indexed roles, singletons ``(i,)`` for family-indexed roles.
     Block ``[i][j][k]`` is the coefficient of basis element k in (e_i op e_j).
-    Constants are held in ``lincomb``'s exact scalar form.  Every product,
-    by ``apply`` or by an operation from ``op`` (which holds the kernels,
-    not the algebra), is taken by its block's ``_kernel``, built from the
-    integer constants ``den * c``.
+    ``unit_vector`` is None or a list of ``dim`` coordinates, read as the
+    blocks are and held as a LinComb (``unit_coordinates`` gives the list
+    back).  Constants are held in ``lincomb``'s exact scalar form.  Every
+    product, by ``apply`` or by an operation from ``op`` (which holds the
+    kernels, not the algebra), is taken by its block's ``_kernel``, built
+    from the integer constants ``den * c``.
     """
 
     __slots__ = ("basis", "index", "ops", "unit_vector", "den", "_kernels", "__weakref__")
 
     def __init__(self, basis, index, ops, unit_vector=None):
-        basis = tuple(str(b) for b in basis)
-        if not basis:
-            raise MalformedInputError("algebra needs at least one basis element")
-        if len(set(basis)) != len(basis):
-            raise MalformedInputError("duplicate basis names")
+        basis = read_names(basis, "basis")
         if not isinstance(index, SemigroupTable):
             raise MalformedInputError("finite algebra requires a finite semigroup index")
         dim = len(basis)
@@ -105,6 +106,8 @@ class FiniteRelativeAlgebra:
         clean = {}
         for role, table in ops.items():
             keys = set(table)
+            if not keys:
+                raise MalformedInputError(f"ops[{role}]: {NO_BLOCKS}")
             arities = {len(k) for k in keys}
             if len(arities) != 1:
                 raise MalformedInputError(f"ops[{role}]: mixed index arities")
@@ -128,7 +131,7 @@ class FiniteRelativeAlgebra:
         self.den = den = lcm(*{c.denominator for t in clean.values() for b in t.values()
                                for plane in b for row in plane for c in row})
         self._kernels = {r: {k: _kernel(b, den) for k, b in t.items()} for r, t in clean.items()}
-        if unit_vector is not None and not isinstance(unit_vector, LinComb):
+        if unit_vector is not None:
             unit_vector = LinComb(enumerate(read_table(unit_vector, "unit_vector", exact, dim)))
         self.unit_vector = unit_vector
 
@@ -164,10 +167,13 @@ class FiniteRelativeAlgebra:
             self.index, {r: self.op(r) for r in names}, self.unit_vector, basis=self.basis
         )
 
-    def with_ops(self, ops, unit_vector=None):
-        return FiniteRelativeAlgebra(
-            self.basis, self.index, ops, self.unit_vector if unit_vector is None else unit_vector
-        )
+    def unit_coordinates(self):
+        """The unit vector as the list of coordinates the constructor reads, or None."""
+        unit = self.unit_vector
+        return None if unit is None else [unit.coeff(k) for k in range(self.dim)]
+
+    def with_ops(self, ops):
+        return FiniteRelativeAlgebra(self.basis, self.index, ops, self.unit_coordinates())
 
 
 ZERO = LinComb()  # the one shared zero vector

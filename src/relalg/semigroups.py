@@ -9,7 +9,7 @@ which scan all triples in lexicographic order and report the first violation.
 from dataclasses import replace
 from itertools import product
 
-from .errors import ContractError, MalformedInputError, read_table, type_name
+from .errors import ContractError, MalformedInputError, read_names, read_table, type_name
 from .lincomb import exact, format_scalar
 from .reports import scan, summary
 from .trees import LABEL
@@ -59,16 +59,8 @@ class _FiniteTable(_Value):
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, kind):
-        elements = tuple(str(e) for e in elements)
-        if not elements:
-            raise MalformedInputError(f"{kind} needs at least one element")
-        if len(set(elements)) != len(elements):
-            raise MalformedInputError("duplicate element names")
-        for name in elements:
-            if not LABEL.fullmatch(name):
-                raise MalformedInputError(f"label {name!r}: tree labels are letters, digits and _")
-        self.elements = elements
+    def __init__(self, elements):
+        self.elements = read_names(elements, "elements", LABEL)
 
     @property
     def size(self):
@@ -93,7 +85,7 @@ class SemigroupTable(_FiniteTable):
     __slots__ = ("product", "unit", "claims_commutative")
 
     def __init__(self, elements, table, unit=None, commutative=False):
-        super().__init__(elements, "semigroup")
+        super().__init__(elements)
         n = self.size
         self.product = read_table(table, "product", index_leaf(n), n, n)
         if unit is not None and not 0 <= unit < n:
@@ -160,7 +152,7 @@ class DimonoidTable(_FiniteTable):
     __slots__ = ("left", "right", "semigroup")
 
     def __init__(self, elements, left, right):
-        super().__init__(elements, "dimonoid")
+        super().__init__(elements)
         n = self.size
         self.left = read_table(left, "left", index_leaf(n), n, n)
         self.right = read_table(right, "right", index_leaf(n), n, n)

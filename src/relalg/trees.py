@@ -18,7 +18,6 @@ A label is one or more letters, digits and ``_`` (``LABEL``).
 """
 
 import re
-from random import Random
 
 from .errors import TreeParseError
 
@@ -225,16 +224,3 @@ def random_tree_from(rng, vertex_labels, edge_labels, max_vertices, make=Decorat
         )
 
     return build(1 + rng.randrange(max_vertices))
-
-
-def random_tree(x_count, s_count, max_vertices, seed):
-    """Seeded sampler over generic labels x0..x{n-1} / s0..s{m-1}."""
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be >= 1")
-    rng = Random(seed)
-    return random_tree_from(
-        rng,
-        [f"x{i}" for i in range(x_count)],
-        [f"s{i}" for i in range(s_count)],
-        max_vertices,
-    )

@@ -656,3 +656,63 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert len(built) == 1
     assert first.out and first.err
     assert (second.out, second.err) == (first.out, first.err)
+
+
+INDEX_FILES = ["--dimonoid", str(DATA / "matching2.json"), "--semigroup", str(DATA / "zmod2.json")]
+
+
+@pytest.mark.parametrize("command", [["free-eval", "--expr", "x[]"], ["free-check", "--suite", "RelAssoc"]])
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (INDEX_FILES, "argument --semigroup: not allowed with argument --dimonoid"),
+        ([], "one of the arguments --dimonoid --semigroup is required"),
+    ],
+    ids=["both", "neither"],
+)
+def test_free_commands_take_exactly_one_index_file(command, index, message):
+    proc = run_cli(*command, *index)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f": error: {message}\n")
+    assert "Traceback" not in proc.stderr
+
+
+# the dual numbers k[t]/(t^2) over the trivial monoid, with R(1) = t and R(t) = 0
+DUAL_NUMBERS_RB = {
+    "algebra": {
+        "dim": 2,
+        "basis": ["one", "t"],
+        "semigroup": {"elements": ["e"], "product": [[0]], "unit": "e", "commutative": True},
+        "ops": {"mul": {"(e,e)": [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["0/1", "0/1"]]]}},
+        "unit": ["1/1", "0/1"],
+    },
+    "maps": {"e": [["0/1", "0/1"], ["1/1", "0/1"]]},
+}
+
+
+def test_derive_dend_from_rb_on_a_finite_file(tmp_path):
+    rb = tmp_path / "dual_rb.json"
+    rb.write_text(json.dumps(DUAL_NUMBERS_RB))
+    proc = run_cli("check-rb", "--rb", str(rb))
+    assert proc.returncode == 0
+    assert payload_of(proc)["reports"][0]["instances"] == 4
+    out = tmp_path / "derived.json"
+    proc = run_cli("derive", "--construction", "dend-from-rb", "--rb", str(rb), "--out", str(out))
+    assert proc.returncode == 0
+    assert out.read_bytes() == proc.stdout.encode()
+    algebra = payload_of(proc)["algebra"]
+    # prec(1, 1) = 1 . R(1) = t and succ(1, 1) = R(1) . 1 = t
+    assert algebra["ops"]["prec"]["(e,e)"][0][0] == ["0/1", "1/1"]
+    assert algebra["ops"]["succ"]["(e,e)"][0][0] == ["0/1", "1/1"]
+    derived = tmp_path / "dend.json"
+    derived.write_text(json.dumps(algebra))
+    proc = run_cli("check-algebra", "--algebra", str(derived), "--suite", "RelDendriform")
+    assert proc.returncode == 0
+    assert payload_of(proc)["reports"][0]["instances"] == 24
+
+
+def test_derive_dend_from_rb_on_the_builtin_line_exits_3():
+    proc = run_cli("derive", "--construction", "dend-from-rb", "--rb", str(DATA / "rb_reciprocal.json"))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "can only be materialized over a finite carrier" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -272,6 +272,15 @@ def test_constant_cocycle_twist_is_base(zmod2):
         assert block == base.ops["mul"][(0, 0)]
 
 
+def test_twist_keeps_the_unit_only_under_a_normalised_cocycle(zmod2):
+    base = one_dim_base()
+    assert cocycle_twist(base, Cocycle(zmod2, [[1, 1], [1, 1]])).unit_vector == base.unit_vector
+    # the constant 2 is a cocycle, but c(0, 0) = 2 at the unit 0
+    assert cocycle_twist(base, Cocycle(zmod2, [[2, 2], [2, 2]])).unit_vector is None
+    no_unit = FiniteRelativeAlgebra(["u"], trivial_monoid(), base.ops)
+    assert cocycle_twist(no_unit, Cocycle(zmod2, [[1, 1], [1, 1]])).unit_vector is None
+
+
 def test_non_cocycle_refused(zmod2):
     bad = Cocycle(zmod2, [[1, 2], [1, 1]])
     with pytest.raises(ConstructionRefused):
@@ -441,6 +450,20 @@ def test_collapse_commutes_with_assoc_from_dend(zmod2):
         assoc_from_dend(flat.op("prec"), flat.op("succ")), flat.dim, flat.index
     )[(0, 0)]
     assert route1 == route2
+
+
+def test_collapse_of_a_family_indexed_role(zmod2):
+    # prec over Z/2 with u u = v at index 0 only; prec at (a, b) reads index b
+    zero = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    nilpotent = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
+    alg = FiniteRelativeAlgebra(["u", "v"], zmod2, {"prec": {(0,): nilpotent, (1,): zero}})
+    flat = collapse(alg)
+    assert flat.basis == ("u@0", "u@1", "v@0", "v@1")
+    block = flat.ops["prec"][(0, 0)]
+    for a in range(2):
+        # u@a prec u@0 = v@a, and u@a prec u@1 = 0
+        assert block[a][0] == tuple(int(k == 2 + a) for k in range(4))
+        assert block[a][1] == (0, 0, 0, 0)
 
 
 def test_collapse_rejects_non_finite():

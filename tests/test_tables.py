@@ -1,13 +1,16 @@
 """``errors.read_table``, the one reader of nested tables, and the in-memory
 constructors that read their tables through it: every malformed table is
-refused at the full path of the refused list or entry."""
+refused at the full path of the refused list or entry.  The constructors read
+their name lists through ``errors.read_names`` and their scalars through
+``lincomb.exact``, which refuses what is not a rational as malformed input."""
 
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from relalg import FiniteRelativeAlgebra, LinComb, cyclic_monoid, trivial_monoid
+from relalg import FiniteRelativeAlgebra, FreeDendCarrier, LinComb, cyclic_monoid, trivial_monoid
 from relalg.cli import main
 from relalg.errors import ContractError, MalformedInputError, read_table
 from relalg.ops import MorphismFamily, OpCarrier, RotaBaxterFamily
@@ -83,6 +86,10 @@ def _algebra(**kwargs):
     return FiniteRelativeAlgebra(["u", "v"], trivial_monoid(), {"mul": {(0, 0): BLOCK}}, **kwargs)
 
 
+def _one_dim(ops):
+    return FiniteRelativeAlgebra(["u"], trivial_monoid(), ops)
+
+
 def _refusals():
     yield "semigroup-row", lambda: SemigroupTable(["0", "1"], [[0, 1], [1, 0, 1]]), (
         "product[1]: expected a list of length 2, got 3")
@@ -101,6 +108,10 @@ def _refusals():
         "ops[mul][(0, 0)][0]: expected a list of length 1, got 2")
     yield "algebra-unit", lambda: _algebra(unit_vector=[1, 0, 5]), (
         "unit_vector: expected a list of length 2, got 3")
+    yield "algebra-unit-lincomb", lambda: _algebra(unit_vector=LinComb.single(5)), (
+        "unit_vector: expected a list of length 2, got LinComb")
+    yield "algebra-no-blocks", lambda: _one_dim({"mul": {}}), (
+        "ops[mul]: expected one block per index tuple, got none")
     yield "cocycle-shape", lambda: Cocycle(ZMOD2, [[1, 1], [1]]), (
         "values[1]: expected a list of length 2, got 1")
     yield "cocycle-zero", lambda: Cocycle(ZMOD2, [[1, 0], [1, 1]]), (
@@ -112,6 +123,36 @@ def _refusals():
     alg = FiniteRelativeAlgebra(["u", "v"], ZMOD2, ops)
     yield "rota-baxter", lambda: RotaBaxterFamily(alg, {0: [[1, 2, 3]], 1: [[0]]}), (
         "maps[0]: expected a list of length 2, got 1")
+    # name lists, read by errors.read_names
+    label = "tree labels are letters, digits and _"
+    yield "semigroup-no-names", lambda: SemigroupTable([], []), (
+        "elements: expected at least one name")
+    yield "semigroup-name-twice", lambda: SemigroupTable(["a", "b", "a"], [[0] * 3] * 3), (
+        "elements: name 'a' given twice")
+    yield "semigroup-label", lambda: SemigroupTable(["a b"], [[0]]), f"label 'a b': {label}"
+    yield "dimonoid-name-twice", lambda: DimonoidTable(["0", "0"], [[0, 0]] * 2, [[0, 0]] * 2), (
+        "elements: name '0' given twice")
+    yield "algebra-no-names", lambda: FiniteRelativeAlgebra([], trivial_monoid(), {}), (
+        "basis: expected at least one name")
+    yield "algebra-name-twice", lambda: FiniteRelativeAlgebra(["u", "u"], trivial_monoid(), {}), (
+        "basis: name 'u' given twice")
+    yield "free-no-names", lambda: FreeDendCarrier([], ZMOD2), (
+        "decorations: expected at least one name")
+    yield "free-name-twice", lambda: FreeDendCarrier(["x", "y", "x"], ZMOD2), (
+        "decorations: name 'x' given twice")
+    yield "free-label", lambda: FreeDendCarrier(["x", "y-1"], ZMOD2), f"label 'y-1': {label}"
+    # scalars outside the files' "p/q" grammar and the rationals, read by lincomb.exact
+    for value, message in [
+        ("1_000", "bad scalar '1_000': expected \"p/q\""),
+        ("1e3", "bad scalar '1e3': expected \"p/q\""),
+        ("1/0", "bad scalar '1/0': zero denominator"),
+        (None, "bad scalar None: not a rational number"),
+        ([1], "bad scalar [1]: not a rational number"),
+        (1j, "bad scalar 1j: not a rational number"),
+        (float("inf"), "bad scalar inf: not a rational number"),
+    ]:
+        yield f"algebra-scalar-{value!r}", partial(_one_dim, {"mul": {(0, 0): [[[value]]]}}), (
+            f"ops[mul][(0, 0)][0][0][0]: {message}")
 
 
 REFUSED = list(_refusals())
@@ -146,3 +187,13 @@ def test_the_cli_names_a_long_product_row_by_its_json_path(tmp_path, capsys):
     assert main(["check-semigroup", "--semigroup", str(path)]) == 2
     expected = "error: malformed input: semigroup.product[1]: expected a list of length 2, got 3\n"
     assert capsys.readouterr().err == expected
+
+
+def test_the_cli_names_a_role_table_with_no_blocks_by_its_json_path(tmp_path, capsys):
+    path = tmp_path / "no_blocks.json"
+    doc = {"dim": 1, "basis": ["u"], "unit": None, "ops": {"mul": {}},
+           "semigroup": {"elements": ["e"], "product": [[0]], "unit": "e"}}
+    path.write_text(json.dumps(doc))
+    assert main(["check-algebra", "--algebra", str(path), "--suite", "RelAssoc"]) == 2
+    message = "algebra.ops.mul: expected one block per index tuple, got none"
+    assert capsys.readouterr().err == f"error: malformed input: {message}\n"

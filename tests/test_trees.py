@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from relalg import EMPTY, DecoratedTree, leaf, node, random_tree, tree_parse, tree_print
+from relalg import EMPTY, DecoratedTree, leaf, node, tree_parse, tree_print
 from relalg.errors import TreeParseError
 from relalg.trees import random_tree_from
 
@@ -89,13 +89,13 @@ def test_equality_and_hash_are_structural():
 
 
 def test_random_tree_deterministic():
-    assert random_tree(2, 2, 6, seed=9) == random_tree(2, 2, 6, seed=9)
-    assert random_tree(2, 2, 1, seed=0).size == 1
+    assert random_tree_from(Random(9), "xy", "ab", 6) == random_tree_from(Random(9), "xy", "ab", 6)
+    assert random_tree_from(Random(0), "xy", "ab", 1).size == 1
 
 
 def test_random_tree_rejects_bad_size():
     with pytest.raises(ValueError):
-        random_tree(1, 1, 0, seed=0)
+        random_tree_from(Random(0), "x", "a", 0)
 
 
 def test_random_trees_cover_shapes():
