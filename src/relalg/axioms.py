@@ -108,17 +108,22 @@ _VAR_POSITION = {name: k for k, name in enumerate(_VARS)}
 _IVAR_POSITION = {name: k for k, name in enumerate(_IVARS)}
 
 
-def _variables(node):
-    """The names of the element and index variables a term or index tree reads."""
-    if isinstance(node, (Var, IxVar)):
-        return {node.name}
+def _nodes(node):
+    """``node`` and every node under it, an application's indices first."""
+    yield node
     if isinstance(node, IxProd):
-        return _variables(node.a) | _variables(node.b)
-    if isinstance(node, App):
-        return set().union(*map(_variables, node.idx + node.args))
-    if isinstance(node, Lin):
-        return set().union(*(_variables(e) for _, e in node.terms))
-    return set()
+        children = (node.a, node.b)
+    elif isinstance(node, App):
+        children = node.idx + node.args
+    else:
+        children = [e for _, e in node.terms] if isinstance(node, Lin) else ()
+    for child in children:
+        yield from _nodes(child)
+
+
+def _variables(node, kinds=(Var, IxVar)):
+    """The names of the variables of ``kinds`` a term or index tree reads."""
+    return {n.name for n in _nodes(node) if isinstance(n, kinds)}
 
 
 @dataclass(frozen=True)
@@ -143,15 +148,43 @@ def _arity(names, used):
     return max((k + 1 for k, name in enumerate(names) if name in used), default=0)
 
 
+def _reads_out_of_order(application):
+    """Whether a monomial through ``application`` reads x, y, z out of order:
+    one argument reads a variable that precedes one an earlier argument reads."""
+    read = [[_VAR_POSITION[v] for v in _variables(arg, Var)] for arg in application.args]
+    return any(max(r) > min(s) for k, r in enumerate(read) if r for s in read[k + 1 :] if s)
+
+
 @dataclass(frozen=True)
 class Suite:
+    """A name and equations; the other facts are read off the terms, once:
+    the roles applied, in order of first use; their index count; "dimonoid"
+    when an index product is a dimonoid's left or right one; whether the
+    unit or the index unit is named; and whether a monomial reads x, y, z
+    out of order.  Read in S-graded vector spaces, one that reads y before
+    x has degree ba, not ab, and the two match only when S is commutative."""
+
     name: str
-    op_arity: int  # 1 = family-indexed ops, 2 = pair-indexed ops
-    roles: tuple
     equations: tuple
-    index_kind: str = "semigroup"  # or "dimonoid"
-    requires_commutative: bool = False
-    requires_unit: bool = False
+    roles: tuple = field(init=False)
+    op_arity: int = field(init=False)
+    index_kind: str = field(init=False)
+    requires_unit: bool = field(init=False)
+    requires_commutative: bool = field(init=False)
+
+    def __post_init__(self):
+        nodes = [n for e in self.equations for side in (e.lhs, e.rhs) for n in _nodes(side)]
+        apps = [n for n in nodes if isinstance(n, App)]
+        arities = {len(n.idx) for n in apps}
+        if len(arities) > 1:
+            raise ContractError(f"suite {self.name} applies roles at {sorted(arities)} indices")
+        dimonoid = any(isinstance(n, IxProd) and n.kind != "mul" for n in nodes)
+        object.__setattr__(self, "roles", tuple(dict.fromkeys(n.role for n in apps)))
+        object.__setattr__(self, "op_arity", max(arities, default=0))
+        object.__setattr__(self, "index_kind", "dimonoid" if dimonoid else "semigroup")
+        unit = any(isinstance(n, (UnitElem, IxUnit)) for n in nodes)
+        object.__setattr__(self, "requires_unit", unit)
+        object.__setattr__(self, "requires_commutative", any(map(_reads_out_of_order, apps)))
 
 
 # The attribute under which a finite index stores each product kind's table.
@@ -165,10 +198,8 @@ class _Compiler:
     value times the scale.  An index expression becomes a closure
     ``idxs -> element``; x, y, z read positions 0, 1, 2 of ``vectors`` and
     a, b, c the same positions of ``idxs``.  An operation wrapper is called
-    through its ``fn``, which returns ``den`` times the product.  Subterms
-    are evaluated in the order the term tree lists them, indices before
-    arguments, so a missing unit raises at the same instance as a walk of
-    the tree would.
+    through its ``fn``, which returns ``den`` times the product.  A unit the
+    carrier lacks is refused when the term is compiled.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
@@ -184,7 +215,7 @@ class _Compiler:
         if isinstance(ix, IxUnit):
             unit = self.index.unit
             if unit is None:
-                return _raises("suite requires a unit element in the index structure")
+                raise ContractError("suite requires a unit element in the index structure")
             return lambda idxs: unit
         kind, left, right = ix.kind, self.index_expr(ix.a), self.index_expr(ix.b)
         # an index that stores no such table (a virtual one, or one lacking
@@ -203,7 +234,7 @@ class _Compiler:
         if isinstance(expr, UnitElem):
             unit_vector = self.unit_vector
             if unit_vector is None:
-                return _raises("suite requires a declared unit vector"), 1
+                raise ContractError("suite requires a declared unit vector")
             return (lambda vectors, idxs: unit_vector), 1
         if isinstance(expr, App):
             fn, den = self.ops[expr.role]
@@ -215,15 +246,6 @@ class _Compiler:
             terms, scale = _common_scale([(coeff, *self.expr(e)) for coeff, e in expr.terms])
             return _compile_lin(terms), scale
         raise TypeError(f"unknown expression node {expr!r}")
-
-
-def _raises(message):
-    """A closure that raises ContractError(message) when an instance reads it."""
-
-    def missing(*_):
-        raise ContractError(message)
-
-    return missing
 
 
 def _compile_app(op, idx, args):
@@ -430,38 +452,22 @@ def _suite_table():
     )
 
     suites = [
-        Suite("RelAssoc", 2, ("mul",), (assoc,)),
-        Suite("RelUnital", 2, ("mul",), (unit_right, unit_left), requires_unit=True),
-        Suite("RelComm", 2, ("mul",), (assoc, comm), requires_commutative=True),
-        Suite("RelLie", 2, ("bracket",), (skew, jacobi), requires_commutative=True),
+        Suite("RelAssoc", (assoc,)),
+        Suite("RelUnital", (unit_right, unit_left)),
+        Suite("RelComm", (assoc, comm)),
+        Suite("RelLie", (skew, jacobi)),
+        Suite("RelPoisson", (assoc, comm, skew, jacobi, leibniz)),
+        Suite("RelDendriform", rel_dend),
+        Suite("RelZinbiel", (rel_zinbiel,)),
+        Suite("RelPreLie", (rel_prelie,)),
+        Suite("RelPrePoisson", (rel_zinbiel, rel_prelie) + rel_prepoisson),
+        Suite("FamDendriform", tuple(map(family_form, rel_dend))),
+        Suite("FamZinbiel", fam_zinbiel),
+        Suite("FamPreLie", (family_form(rel_prelie),)),
         Suite(
-            "RelPoisson",
-            2,
-            ("mul", "bracket"),
-            (assoc, comm, skew, jacobi, leibniz),
-            requires_commutative=True,
+            "FamPrePoisson", fam_zinbiel + tuple(map(family_form, (rel_prelie,) + rel_prepoisson))
         ),
-        Suite("RelDendriform", 2, ("prec", "succ"), rel_dend),
-        Suite("RelZinbiel", 2, ("ast",), (rel_zinbiel,), requires_commutative=True),
-        Suite("RelPreLie", 2, ("circ",), (rel_prelie,), requires_commutative=True),
-        Suite(
-            "RelPrePoisson",
-            2,
-            ("ast", "circ"),
-            (rel_zinbiel, rel_prelie) + rel_prepoisson,
-            requires_commutative=True,
-        ),
-        Suite("FamDendriform", 1, ("prec", "succ"), tuple(map(family_form, rel_dend))),
-        Suite("FamZinbiel", 1, ("ast",), fam_zinbiel, requires_commutative=True),
-        Suite("FamPreLie", 1, ("circ",), (family_form(rel_prelie),), requires_commutative=True),
-        Suite(
-            "FamPrePoisson",
-            1,
-            ("ast", "circ"),
-            fam_zinbiel + tuple(map(family_form, (rel_prelie,) + rel_prepoisson)),
-            requires_commutative=True,
-        ),
-        Suite("DimonoidDendriform", 1, ("prec", "succ"), dimo_dend, index_kind="dimonoid"),
+        Suite("DimonoidDendriform", dimo_dend),
     ]
     return {s.name: s for s in suites}
 
@@ -540,16 +546,14 @@ def _resolve_suite(suite):
 
 def _validate_carrier(carrier, suite):
     index = carrier.index
-    if suite.index_kind == "dimonoid":
-        if not isinstance(index, DimonoidTable):
-            raise ContractError(f"suite {suite.name} needs a dimonoid index structure")
-    else:
-        if not isinstance(index, (SemigroupTable, VirtualSemigroup)):
-            raise ContractError(f"suite {suite.name} needs a semigroup index structure")
-        if suite.requires_commutative and not index.claims_commutative:
-            raise ContractError(f"suite {suite.name} requires a commutative index semigroup")
-        if suite.requires_unit and index.unit is None:
-            raise ContractError(f"suite {suite.name} requires a monoid index")
+    kinds = DimonoidTable if suite.index_kind == "dimonoid" else (SemigroupTable, VirtualSemigroup)
+    if not isinstance(index, kinds):
+        raise ContractError(f"suite {suite.name} needs a {suite.index_kind} index structure")
+    # a dimonoid index claims neither commutativity nor a unit
+    if suite.requires_commutative and not getattr(index, "claims_commutative", False):
+        raise ContractError(f"suite {suite.name} requires a commutative index semigroup")
+    if suite.requires_unit and getattr(index, "unit", None) is None:
+        raise ContractError(f"suite {suite.name} requires a monoid index")
     ops = {}
     for role in suite.roles:
         op = carrier.op(role)

@@ -10,6 +10,7 @@ outcome (the traceback goes to stderr).
 """
 
 import argparse
+import inspect
 import sys
 import traceback
 from dataclasses import replace
@@ -225,43 +226,30 @@ def _derive_dend_from_rb(args):
     return _with_materialized(rb.carrier, ("prec", "succ"), dend_from_rb(rb))
 
 
-def _on_algebra(roles, build):
-    """A derivation from a checked --algebra: ``build`` maps the algebra to
-    the pair-indexed operations, one per role, of the derived algebra."""
+def _on_algebra(construction, roles):
+    """A derivation from a checked --algebra: ``construction`` takes the
+    algebra's role named by each parameter, lifted to a pair-indexed one, or
+    its domain for ``domain``, and returns the operation of each of ``roles``."""
+    params = inspect.signature(construction).parameters
 
     def derive(args):
         alg = _load_algebra(_require_file(args, "algebra"))
-        return _with_materialized(alg, roles, build(alg))
+        inputs = [finite_domain(alg) if p == "domain" else _pair_role(alg, p) for p in params]
+        ops = construction(*inputs)
+        return _with_materialized(alg, roles, ops if len(roles) > 1 else [ops])
 
     return derive
 
 
-def _dend_pair(alg):
-    return _pair_role(alg, "prec"), _pair_role(alg, "succ")
-
-
 # construction name -> builder of the derived algebra from the parsed arguments
 DERIVATIONS = {
-    "assoc-from-dend": _on_algebra(("mul",), lambda alg: [assoc_from_dend(*_dend_pair(alg))]),
-    "prelie-from-dend": _on_algebra(("circ",), lambda alg: [prelie_from_dend(*_dend_pair(alg))]),
-    "zinbiel-from-symmetric-dend": _on_algebra(
-        ("ast",), lambda alg: [zinbiel_from_symmetric_dend(*_dend_pair(alg), finite_domain(alg))]
-    ),
-    "dend-from-zinbiel": _on_algebra(
-        ("prec", "succ"), lambda alg: dend_from_zinbiel(_pair_role(alg, "ast"))
-    ),
-    "comm-from-zinbiel": _on_algebra(
-        ("mul",), lambda alg: [comm_from_zinbiel(_pair_role(alg, "ast"))]
-    ),
-    "lie-from-prelie": _on_algebra(
-        ("bracket",), lambda alg: [lie_from_prelie(_pair_role(alg, "circ"))]
-    ),
-    "poisson-from-prepoisson": _on_algebra(
-        ("mul", "bracket"),
-        lambda alg: poisson_from_prepoisson(
-            _pair_role(alg, "circ"), _pair_role(alg, "ast"), finite_domain(alg)
-        ),
-    ),
+    "assoc-from-dend": _on_algebra(assoc_from_dend, ("mul",)),
+    "prelie-from-dend": _on_algebra(prelie_from_dend, ("circ",)),
+    "zinbiel-from-symmetric-dend": _on_algebra(zinbiel_from_symmetric_dend, ("ast",)),
+    "dend-from-zinbiel": _on_algebra(dend_from_zinbiel, ("prec", "succ")),
+    "comm-from-zinbiel": _on_algebra(comm_from_zinbiel, ("mul",)),
+    "lie-from-prelie": _on_algebra(lie_from_prelie, ("bracket",)),
+    "poisson-from-prepoisson": _on_algebra(poisson_from_prepoisson, ("mul", "bracket")),
     "cocycle-twist": _derive_cocycle_twist,
     "dend-from-rb": _derive_dend_from_rb,
 }

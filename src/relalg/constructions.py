@@ -71,16 +71,11 @@ def prelie_from_dend(prec, succ):
 # two operations, kept as a distinct named check.
 PAIR_SYMMETRIC = Suite(
     "PairSymmetric",
-    2,
-    ("prec", "succ"),
     (graded_form(Equation("succ_eq_swapped_prec", app("succ", (), X, Y), app("prec", (), Y, X))),),
-    requires_commutative=True,
 )
 
 FAMILY_SYMMETRIC = Suite(
     "FamilySymmetric",
-    1,
-    ("prec", "succ"),
     (Equation("succ_eq_prec", app("succ", (A,), X, Y), app("prec", (A,), X, Y)),),
 )
 

@@ -46,8 +46,11 @@ def read_table(raw, path, leaf, length, *inner):
 
 
 def read_names(values, what, label=None):
-    """``values`` as a tuple of ``str`` names, at least one and no name twice;
-    ``label``, a compiled pattern, is the grammar every name must match."""
+    """``values``, an iterable other than a ``str``, as a tuple of ``str``
+    names, at least one and no name twice; ``label``, a compiled pattern, is
+    the grammar every name must match."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise MalformedInputError(f"{what}: expected a list of names, got {type_name(values)}")
     names = tuple(map(str, values))
     if not names:
         raise MalformedInputError(f"{what}: expected at least one name")

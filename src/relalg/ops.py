@@ -108,6 +108,9 @@ class FiniteRelativeAlgebra:
             keys = set(table)
             if not keys:
                 raise MalformedInputError(f"ops[{role}]: {NO_BLOCKS}")
+            for key in table:
+                if type(key) is not tuple or {*map(type, key)} - {int}:
+                    raise MalformedInputError(f"ops[{role}]: expected int tuple keys, got {key!r}")
             arities = {len(k) for k in keys}
             if len(arities) != 1:
                 raise MalformedInputError(f"ops[{role}]: mixed index arities")

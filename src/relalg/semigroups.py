@@ -88,8 +88,11 @@ class SemigroupTable(_FiniteTable):
         super().__init__(elements)
         n = self.size
         self.product = read_table(table, "product", index_leaf(n), n, n)
-        if unit is not None and not 0 <= unit < n:
-            raise MalformedInputError(f"unit index {unit} out of range")
+        if unit is not None:
+            try:
+                unit = index_leaf(n)(unit)
+            except MalformedInputError as exc:
+                raise MalformedInputError(f"unit: {exc}") from None
         self.unit = unit
         self.claims_commutative = bool(commutative)
 

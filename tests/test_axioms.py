@@ -2,6 +2,7 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -477,8 +478,6 @@ def random_algebra(rng, index, dim, roles, arity, unit):
 # other than 1 and -1, and a sum that is a single scaled term.
 WEIGHTED = Suite(
     "Weighted",
-    2,
-    ("mul",),
     (
         Equation(
             "weighted",
@@ -696,33 +695,46 @@ def test_compiled_application_of_another_shape():
 
     carrier = OpCarrier(cyclic_monoid(2), {"f": IndexWeightedMap()}, basis=("u",))
     equation = Equation("shape", app("f", (A, B), X), app("f", (B, A), X))
-    suite = Suite("Shape", 2, ("f",), (equation,))
+    suite = Suite("Shape", (equation,))
     domain = FiniteDomain(carrier.basis, range(2))
     report = check_axioms(carrier, suite, domain)
     assert not report.passed and report.instances == 2
     same_report(report, ref_check_axioms(carrier, suite, domain))
 
 
-def test_missing_index_structure_raises_only_at_an_instance():
+def test_missing_index_structure_is_refused_before_any_instance():
     # custom suites reading the index unit, the unit vector, or a product
-    # the index lacks: on such a carrier the check raises at the first
-    # instance, and a domain with no instance leaves nothing to raise at
+    # the index lacks: the suite's facts name what it needs, so such a
+    # carrier is refused up front, even over a domain with no instance
     no_unit = SemigroupTable(["p", "q"], [[0, 1], [0, 1]])
     alg = random_algebra(Random(0), no_unit, 1, ("mul",), 2, False)
+    monoid_alg = random_algebra(Random(0), trivial_monoid(), 1, ("mul",), 2, False)
     reads_index_unit = Equation("index_unit", app("mul", (A, OMEGA), X, Y), X)
     reads_unit_vector = Equation("unit_vector", app("mul", (A, A), X, UNIT), X)
     reads_left = Equation("left", app("mul", (dleft(A, A), A), X, Y), X)
-    for equation, message in (
-        (reads_index_unit, "unit element in the index structure"),
-        (reads_unit_vector, "declared unit vector"),
-        (reads_left, "semigroup index has no 'left' operation"),
+    for equation, carrier_alg, message in (
+        (reads_index_unit, alg, "suite Custom requires a monoid index"),
+        (reads_unit_vector, alg, "suite Custom requires a monoid index"),
+        (reads_unit_vector, monoid_alg, "suite Custom requires a declared unit vector"),
+        (reads_left, alg, "suite Custom needs a dimonoid index structure"),
     ):
-        suite = Suite("Custom", 2, ("mul",), (equation,))
-        empty = FiniteDomain(alg.basis, [])
-        report = check_axioms(alg.as_carrier(), suite, empty)
-        assert report.passed and report.instances == 0
-        with pytest.raises(ContractError, match=message):
-            check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+        suite = Suite("Custom", (equation,))
+        for domain in (FiniteDomain(carrier_alg.basis, []), finite_domain(carrier_alg)):
+            with pytest.raises(ContractError, match=f"^{message}$"):
+                check_axioms(carrier_alg.as_carrier(), suite, domain)
+    # a dimonoid has no unit, so a dimonoid suite that names one is refused
+    dimonoid = matching_dimonoid(2)
+    prec = FamilyIndexedOp(dimonoid, lambda a, x, y: x)
+    carrier = OpCarrier(dimonoid, {"prec": prec}, LinComb.single(0), basis=("u",))
+    suite = Suite("Custom", (Equation("u", app("prec", (dleft(A, OMEGA),), X, Y), X),))
+    with pytest.raises(ContractError, match="^suite Custom requires a monoid index$"):
+        check_axioms(carrier, suite, FiniteDomain(carrier.basis, range(2)))
+    # one evaluation compiles its term, and refuses a missing unit there
+    env, ops = {"x": LinComb.single(0), "y": LinComb.single(0)}, {"mul": alg.op("mul")}
+    with pytest.raises(ContractError, match="^suite requires a unit element in the index"):
+        eval_expr(reads_index_unit.lhs, env, {"a": 0}, ops, no_unit, None)
+    with pytest.raises(ContractError, match="^suite requires a declared unit vector$"):
+        eval_expr(reads_unit_vector.lhs, env, {"a": 0}, ops, no_unit, None)
 
 
 def test_a_check_keeps_no_reference_to_its_carrier():
@@ -784,6 +796,70 @@ def test_equation_arities_are_read_off_the_terms():
     assert (only_y_b.n_elem, only_y_b.n_idx) == (2, 2)
     closed = Equation("closed", ZERO_EXPR, ZERO_EXPR)
     assert (closed.n_elem, closed.n_idx) == (0, 0)
+
+
+# Each suite's (roles, op_arity, index_kind, requires_unit,
+# requires_commutative), written out here independently of the terms they
+# are read off.
+PM, PS = ("prec", "succ"), ("succ", "prec")
+STATED_SUITE_FACTS = {
+    "RelAssoc": (("mul",), 2, "semigroup", False, False),
+    "RelUnital": (("mul",), 2, "semigroup", True, False),
+    "RelComm": (("mul",), 2, "semigroup", False, True),
+    "RelLie": (("bracket",), 2, "semigroup", False, True),
+    "RelPoisson": (("mul", "bracket"), 2, "semigroup", False, True),
+    "RelDendriform": (PM, 2, "semigroup", False, False),
+    "RelZinbiel": (("ast",), 2, "semigroup", False, True),
+    "RelPreLie": (("circ",), 2, "semigroup", False, True),
+    "RelPrePoisson": (("ast", "circ"), 2, "semigroup", False, True),
+    "FamDendriform": (PM, 1, "semigroup", False, False),
+    "FamZinbiel": (("ast",), 1, "semigroup", False, True),
+    "FamPreLie": (("circ",), 1, "semigroup", False, True),
+    "FamPrePoisson": (("ast", "circ"), 1, "semigroup", False, True),
+    "DimonoidDendriform": (PM, 1, "dimonoid", False, False),
+    "PairSymmetric": (PS, 2, "semigroup", False, True),
+    "FamilySymmetric": (PS, 1, "semigroup", False, False),
+}
+
+
+def _facts(suite):
+    return (suite.roles, suite.op_arity, suite.index_kind, suite.requires_unit,
+            suite.requires_commutative)
+
+
+def test_suite_facts_are_read_off_the_terms():
+    suites = {**SUITES, "PairSymmetric": PAIR_SYMMETRIC, "FamilySymmetric": FAMILY_SYMMETRIC}
+    assert set(suites) == set(STATED_SUITE_FACTS)
+    for name, suite in suites.items():
+        assert _facts(suite) == STATED_SUITE_FACTS[name], name
+    # the rule is per monomial: mul(a, ω)(x, y) = x reads x, y on one side
+    # and x alone on the other, each in order, so it needs no commutative index
+    unit_slot = Suite("UnitSlot", (Equation("u", app("mul", (A, OMEGA), X, Y), X),))
+    assert _facts(unit_slot) == (("mul",), 2, "semigroup", True, False)
+    with pytest.raises(ContractError, match=r"^suite Mixed applies roles at \[1, 2\] indices$"):
+        Suite("Mixed", (Equation("m", app("f", (A,), X, Y), app("f", (A, B), X, Y)),))
+
+
+def test_a_swapped_monomial_is_refused_over_a_non_commutative_index():
+    # the left-zero band: ab = a, so degree ab and degree ba differ
+    band = SemigroupTable(["0", "1"], [[0, 0], [1, 1]])
+    assert check_semigroup(band).passed and not band.claims_commutative
+    alg = zero_algebra(band, ("mul",))
+    M = partial(app, "mul", ())
+    in_order = graded_form(Equation("in_order", M(M(X, Y), Z), M(X, M(Y, Z))))
+    swapped = graded_form(Equation("swapped", M(M(X, Y), Z), M(M(Y, X), Z)))
+    assert check_axioms(alg.as_carrier(), Suite("InOrder", (in_order,)), finite_domain(alg)).passed
+    suite = Suite("Swapped", (in_order, swapped))
+    assert suite.requires_commutative
+    message = "^suite Swapped requires a commutative index semigroup$"
+    with pytest.raises(ContractError, match=message):
+        check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+    # a dimonoid claims no commutativity: a dimonoid suite that swaps is refused too
+    dimonoid = matching_dimonoid(2)
+    carrier = OpCarrier(dimonoid, {"prec": FamilyIndexedOp(dimonoid, lambda a, x, y: x)})
+    swap = Equation("swap", app("prec", (dleft(A, B),), X, Y), app("prec", (dleft(B, A),), Y, X))
+    with pytest.raises(ContractError, match=message.replace("Swapped", "DimonoidSwap")):
+        check_axioms(carrier, Suite("DimonoidSwap", (swap,)), FiniteDomain(("u",), range(2)))
 
 
 # The grading rule's edge cases, with every index written out: the unit's

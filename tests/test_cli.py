@@ -208,6 +208,35 @@ def test_derive_without_input_role_exits_3(construction, algebra):
     assert "Traceback" not in proc.stderr
 
 
+# The role each algebra construction names first on an algebra that has none
+# of its roles, and the role it names next on one that has only that first
+# role (None: the construction reads one role).
+NAMED_ROLES = {
+    "assoc-from-dend": ("prec", "succ"),
+    "prelie-from-dend": ("prec", "succ"),
+    "zinbiel-from-symmetric-dend": ("prec", "succ"),
+    "dend-from-zinbiel": ("ast", None),
+    "comm-from-zinbiel": ("ast", None),
+    "lie-from-prelie": ("circ", None),
+    "poisson-from-prepoisson": ("circ", "ast"),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(NAMED_ROLES))
+def test_derive_names_the_first_role_its_input_lacks(construction, tmp_path, capsys):
+    from relalg.cli import main
+
+    first, second = NAMED_ROLES[construction]
+    doc = json.loads((DATA / "cocycle_algebra.json").read_text())
+    only_first = tmp_path / "only_first.json"
+    only_first.write_text(json.dumps({**doc, "ops": {first: doc["ops"]["mul"]}}))
+    for algebra, role in ((DATA / "cocycle_algebra.json", first), (only_first, second)):
+        if role is not None:
+            assert main(["derive", "--construction", construction, "--algebra", str(algebra)]) == 3
+            message = f"algebra has no operation for role {role!r}"
+            assert capsys.readouterr().err == f"error: contract violation: {message}\n"
+
+
 # A one-dimensional algebra with zero product over the index table
 # [[1,1],[1,0]], which is not associative: (0*0)*1 = 0 but 0*(0*1) = 1.
 # Every identity of the algebra itself holds, since all products vanish.

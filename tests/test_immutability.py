@@ -31,7 +31,7 @@ ALLOWED_STORES = {
         "the back-pointer of a dimonoid built a line above, before anyone else sees it",
 }
 # a frozen dataclass computes its derived fields only this way
-ALLOWED_SETATTR_CALLS = {("axioms", "Equation.__post_init__")}
+ALLOWED_SETATTR_CALLS = {("axioms", "Equation.__post_init__"), ("axioms", "Suite.__post_init__")}
 SETATTR_NAMES = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 

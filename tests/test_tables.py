@@ -141,6 +141,22 @@ def _refusals():
     yield "free-name-twice", lambda: FreeDendCarrier(["x", "y", "x"], ZMOD2), (
         "decorations: name 'x' given twice")
     yield "free-label", lambda: FreeDendCarrier(["x", "y-1"], ZMOD2), f"label 'y-1': {label}"
+    yield "free-bare-string", lambda: FreeDendCarrier("xy", ZMOD2), (
+        "decorations: expected a list of names, got str")
+    yield "free-not-iterable", lambda: FreeDendCarrier(5, ZMOD2), (
+        "decorations: expected a list of names, got int")
+    yield "semigroup-bare-string", lambda: SemigroupTable("ab", [[0, 1], [1, 0]]), (
+        "elements: expected a list of names, got str")
+    # a semigroup's unit, read as an index
+    z2 = partial(SemigroupTable, ["a", "b"], [[0, 1], [1, 0]])
+    for unit, got in (("a", "str"), (True, "bool"), (1.0, "float"), (5, "5")):
+        yield f"semigroup-unit-{unit!r}", partial(z2, unit), (
+            f"unit: expected an index in 0..1, got {got}")
+    yield "algebra-key-not-tuple", lambda: _one_dim({"mul": {0: [[[1]]]}}), (
+        "ops[mul]: expected int tuple keys, got 0")
+    named = {(0, 0): [[[1]]], ("a", "b"): [[[1]]], (0, 5): [[[1]]]}
+    yield "algebra-key-of-names", lambda: _one_dim({"mul": named}), (
+        "ops[mul]: expected int tuple keys, got ('a', 'b')")
     # scalars outside the files' "p/q" grammar and the rationals, read by lincomb.exact
     for value, message in [
         ("1_000", "bad scalar '1_000': expected \"p/q\""),
