@@ -485,18 +485,18 @@ ROTA_BAXTER_EQUATION = graded_form(
 
 
 class FiniteDomain:
-    """Exhaustive basis tuples and index tuples for a finite carrier; an
-    optional predicate on basis-position tuples restricts the element side."""
+    """Exhaustive basis tuples and index tuples for a finite carrier:
+    ``elements`` yields tuples of basis vectors, and an optional predicate on
+    basis-position tuples restricts them; ``render_basis`` names a position."""
 
-    def __init__(self, basis_names, index_elems, index_names=str, basis_filter=None):
+    def __init__(self, basis_names, index_elems, basis_filter=None):
         self.basis_names = list(basis_names)
         self.index_elems = list(index_elems)
-        self.index_names = index_names
         self.basis_filter = basis_filter
 
     def elements(self, k):
         # one basis vector per position, shared by every tuple of the scan
-        points = [(name, LinComb.single(i)) for i, name in enumerate(self.basis_names)]
+        points = [LinComb.single(i) for i in range(len(self.basis_names))]
         if self.basis_filter is None:
             return product(points, repeat=k)
         return (
@@ -508,18 +508,12 @@ class FiniteDomain:
     def indices(self, m):
         return product(self.index_elems, repeat=m)
 
-    def index_name(self, i):
-        return self.index_names(i)
-
     def render_basis(self, b):
         return self.basis_names[b]
 
 
 def finite_domain(algebra, basis_filter=None):
-    index = algebra.index
-    return FiniteDomain(
-        _carrier_basis_names(algebra), range(index.size), index.name, basis_filter
-    )
+    return FiniteDomain(_carrier_basis_names(algebra), range(algebra.index.size), basis_filter)
 
 
 def window_domain(basis_names, window):
@@ -528,7 +522,7 @@ def window_domain(basis_names, window):
     window = list(window)
     if not window:
         raise ContractError("a window must hold at least one index element")
-    return FiniteDomain(basis_names, window, index_names=str)
+    return FiniteDomain(basis_names, window)
 
 
 # ---------------------------------------------------------------------------
@@ -568,19 +562,17 @@ def _validate_carrier(carrier, suite):
     return ops
 
 
-_LABEL, _VECTOR = itemgetter(0), itemgetter(1)
-
-
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
     """Instances of each equation in turn: element tuples then index tuples
-    in domain order, the index tuples listed once per equation and their
-    names rendered only if read.  Both sides are evaluated by the equation's
-    compiled form at their common scale and compared once: an equal instance
-    yields one value as both sides, a differing one both sides divided back.
-    ``per_equation`` counts the instances handed out per equation, including
-    equations reached with none."""
+    in domain order, the index tuples listed once per equation.  An instance
+    names its elements (by ``domain.render_basis``) and index elements (by
+    ``index.name``) lazily, so only a counterexample is named.  Both sides
+    are evaluated by the equation's compiled form at their common scale and
+    compared once: an equal instance yields one value as both sides, a
+    differing one both sides divided back.  ``per_equation`` counts the
+    instances handed out per equation, including equations reached with none."""
     compiler = _Compiler(ops, index, unit_vector)
-    index_name = domain.index_name
+    label, name = _basis_name(domain), index.name
     for equation in equations:
         eqid = equation.eqid
         sides, scale = _common_scale([(1, *compiler.expr(equation.lhs)),
@@ -588,17 +580,21 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
         lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
         indices = list(domain.indices(equation.n_idx))
         count = per_equation[eqid] = 0
-        for elems in domain.elements(equation.n_elem):
-            labels, vectors = tuple(map(_LABEL, elems)), tuple(map(_VECTOR, elems))
+        for vectors in domain.elements(equation.n_elem):
             for idxs in indices:
                 count += 1
                 per_equation[eqid] = count
                 left, right = lhs(vectors, idxs), rhs(vectors, idxs)
-                names = map(index_name, idxs)
+                labels, names = map(label, vectors), map(name, idxs)
                 if left == right:
                     yield eqid, labels, names, left, left
                 else:
                     yield eqid, labels, names, divide_back(left, scale), divide_back(right, scale)
+
+
+def _basis_name(domain):
+    """The name of a basis vector: its basis element's, by ``domain``."""
+    return lambda vector: domain.render_basis(vector.items()[0][0])
 
 
 def _show(domain):
@@ -668,21 +664,19 @@ def check_morphism(f, suite):
         )
         if not rep.passed:
             return rep
-    index = source.index
+    index, domain = source.index, finite_domain(source)
+    label = _basis_name(domain)
 
     def instances():
         for role in suite.roles:
             eqid = f"morphism_{role}"
-            for a, b in product(range(index.size), repeat=2):
+            for a, b in domain.indices(2):
                 ab = index.mul(a, b)
-                labels = (index.name(a), index.name(b))
-                for i, j in product(range(source.dim), repeat=2):
-                    x = LinComb.single(i)
-                    y = LinComb.single(j)
+                for x, y in domain.elements(2):
                     yield (
                         eqid,
-                        (source.basis[i], source.basis[j]),
-                        labels,
+                        map(label, (x, y)),
+                        map(index.name, (a, b)),
                         f.apply(ab, source.apply(role, (a, b), x, y)),
                         target.apply(role, (a, b), f.apply(a, x), f.apply(b, y)),
                     )

@@ -119,14 +119,8 @@ def _parser():
 
 
 def _payload(command, reports, **extra):
-    passed = all(r.passed for r in reports)
-    out = {
-        "command": command,
-        "passed": passed,
-        "reports": [r.to_payload() for r in reports],
-    }
-    out.update(extra)
-    return out
+    passed, payloads = all(r.passed for r in reports), [r.to_payload() for r in reports]
+    return {"command": command, "passed": passed, "reports": payloads, **extra}
 
 
 def _load_free_carrier(args):

@@ -263,9 +263,11 @@ class FreeDendCarrier:
 
 
 class SampledTreeDomain:
-    """Seeded random tree tuples with exhaustive index tuples.  Each call to
-    ``elements`` replays the same sample stream, so every equation of a suite
-    sees the same tuples and repeated runs are bit-identical."""
+    """Seeded random tree tuples with exhaustive index tuples: ``elements``
+    yields tuples of trees as basis vectors, and ``render_basis`` prints a
+    tree.  Each call to ``elements`` replays the same sample stream, so every
+    equation of a suite sees the same tuples and repeated runs are
+    bit-identical."""
 
     def __init__(self, carrier, index, samples=200, max_vertices=6, seed=0):
         if samples < 1 or max_vertices < 1:
@@ -280,17 +282,11 @@ class SampledTreeDomain:
         rng = Random(self.seed)
         for _ in range(self.samples):
             yield tuple(
-                (tree_print(t), LinComb.single(t))
-                for t in (
-                    self.carrier.random_tree(rng, self.max_vertices) for _ in range(k)
-                )
+                LinComb.single(self.carrier.random_tree(rng, self.max_vertices)) for _ in range(k)
             )
 
     def indices(self, m):
         return product(range(self.index.size), repeat=m)
-
-    def index_name(self, i):
-        return self.index.name(i)
 
     def render_basis(self, b):
         return tree_print(b)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import ContractError, MalformedInputError, read_names, read_table
+from .errors import ContractError, MalformedInputError, read_names, read_table, type_name
 from .lincomb import LinComb, exact, lc_bilinear_extend
 from .semigroups import SemigroupTable
 
@@ -104,7 +104,11 @@ class FiniteRelativeAlgebra:
         dim = len(basis)
         n = index.size
         clean = {}
+        if not isinstance(ops, dict):
+            raise MalformedInputError(f"ops: expected a dict, got {type_name(ops)}")
         for role, table in ops.items():
+            if not isinstance(table, dict):
+                raise MalformedInputError(f"ops[{role}]: expected a dict, got {type_name(table)}")
             keys = set(table)
             if not keys:
                 raise MalformedInputError(f"ops[{role}]: {NO_BLOCKS}")
@@ -236,11 +240,13 @@ class RotaBaxterFamily:
     __slots__ = ("carrier", "maps")
 
     def __init__(self, carrier, maps):
-        if not callable(maps):
+        if isinstance(maps, dict):
             if getattr(carrier, "basis", None) is None:
                 raise ContractError("a carrier without a finite basis takes callable maps only")
             dim = len(carrier.basis)
             maps = {a: read_table(m, f"maps[{a}]", exact, dim, dim) for a, m in maps.items()}
+        elif not callable(maps):
+            raise MalformedInputError(f"maps: expected a dict or a callable, got {type_name(maps)}")
         self.carrier = carrier
         self.maps = maps
 

@@ -9,7 +9,7 @@ check's instances and picks its counterexample.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -19,15 +19,6 @@ class Counterexample:
     indices: tuple = ()
     lhs: object = None
     rhs: object = None
-
-    def to_payload(self):
-        return {
-            "equation": self.equation,
-            "elements": list(self.elements),
-            "indices": list(self.indices),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
 
 
 @dataclass(frozen=True)
@@ -39,15 +30,8 @@ class CheckReport:
     info: dict = field(default_factory=dict)
 
     def to_payload(self):
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "instances": self.instances,
-            "counterexample": None
-            if self.counterexample is None
-            else self.counterexample.to_payload(),
-            "info": self.info,
-        }
+        """The report's fields as a dict, the counterexample's nested in it."""
+        return asdict(self)
 
 
 def summary(payload):
@@ -67,8 +51,8 @@ def scan(check, instances, show):
     the counterexample with both sides rendered by ``show``; the instance
     count includes it.  An instance whose two sides are one object passes
     without a comparison.  ``elements`` and ``indices`` are iterables of
-    labels, read only for the counterexample, so a caller may pass them
-    lazily.
+    names, read only for the counterexample, so a caller passes them lazily:
+    the axiom checks map each vector and index element to its name there.
     """
     count = 0
     for equation, elements, indices, lhs, rhs in instances:

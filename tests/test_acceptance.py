@@ -126,7 +126,6 @@ def test_criterion_6_zinbiel_chain():
     in_range = FiniteDomain(
         zalg.basis,
         range(zalg.index.size),
-        index_names=zalg.index.name,
         basis_filter=lambda combo: sum(combo) + len(combo) - 1 <= degree,
     )
     fam = FamilyIndexedOp(zalg.index, lambda a, x, y: zalg.apply("ast", (a, a), x, y))

@@ -273,6 +273,18 @@ def test_an_empty_window_is_refused_not_passed():
             check()
 
 
+def test_a_window_names_index_elements_as_the_carriers_index_does():
+    # a counterexample's index elements are named by the carrier's index,
+    # over a window as over the whole index: (p, q) are never ("0", "1")
+    index = SemigroupTable(["p", "q"], [[0, 1], [1, 0]], unit=0, commutative=True)
+    blocks = {key: [[[-1 if key == (0, 1) else 1]]] for key in product(range(2), repeat=2)}
+    alg = FiniteRelativeAlgebra(["u"], index, {"mul": blocks})
+    for domain in (finite_domain(alg), window_domain(alg.basis, range(2))):
+        report = check_axioms(alg.as_carrier(), "RelAssoc", domain)
+        assert not report.passed
+        assert report.counterexample.indices == ("p", "p", "q")
+
+
 def test_rb_precondition_reported():
     # e0.e0 = e1, e1.e1 = e0, everything else 0: not associative
     ops = {
@@ -370,16 +382,16 @@ def ref_scan(check, equations, domain, ops, index, unit_vector):
     def instances():
         for equation in equations:
             count = per_equation[equation.eqid] = 0
-            for elems in domain.elements(equation.n_elem):
-                elem_env = dict(zip("xyz", (vec for _, vec in elems)))
+            for vectors in domain.elements(equation.n_elem):
+                elem_env = dict(zip("xyz", vectors))
                 for idxs in domain.indices(equation.n_idx):
                     idx_env = dict(zip("abc", idxs))
                     count += 1
                     per_equation[equation.eqid] = count
                     yield (
                         equation.eqid,
-                        tuple(label for label, _ in elems),
-                        map(domain.index_name, idxs),
+                        tuple(domain.render_basis(b) for vec in vectors for b, _ in vec),
+                        map(index.name, idxs),
                         ref_expr(equation.lhs, elem_env, idx_env, ops, index, unit_vector),
                         ref_expr(equation.rhs, elem_env, idx_env, ops, index, unit_vector),
                     )
@@ -592,7 +604,7 @@ def test_the_scan_lists_index_tuples_once_per_equation(passed):
     )
     assert alg.den == 2
     suite = SUITES["RelComm"]
-    domain = CountingDomain(alg.basis, range(3), index.name)
+    domain = CountingDomain(alg.basis, range(3))
     report = check_axioms(alg.as_carrier(), suite, domain)
     assert report.passed is passed
     assert domain.index_calls == len(suite.equations)

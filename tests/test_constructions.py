@@ -79,7 +79,6 @@ def in_range_domain(zalg):
     return FiniteDomain(
         zalg.basis,
         range(zalg.index.size),
-        index_names=zalg.index.name,
         basis_filter=lambda combo: sum(combo) + len(combo) - 1 <= DEGREE,
     )
 

@@ -327,6 +327,20 @@ def test_grafting_with_swapped_index_products_fails_only_over_the_band(suite):
     assert free_check(swapped, suite, samples=200, max_vertices=6, seed=0).passed
 
 
+def test_a_counterexample_names_its_trees_and_a_pass_names_none(free_zmod2, monkeypatch):
+    # a sample is a tuple of trees, printed only to name a counterexample
+    printed = []
+    monkeypatch.setattr(freedend, "tree_print", lambda t: printed.append(t) or tree_print(t))
+    report = free_check(free_zmod2, "RelAssoc", samples=5, max_vertices=4, seed=0)
+    assert report.passed and report.instances == 40 and printed == []
+    elements, table = LEFT_ZERO_BAND
+    swapped = FreeDendCarrier(["x", "y"], TransposedReads(elements, table, table))
+    report = free_check(swapped, "DimonoidDendriform", samples=20, max_vertices=2, seed=0)
+    assert not report.passed and report.instances == 2
+    assert report.counterexample.elements == ("y[, b: y[]]", "y[a: y[], ]", "y[]")
+    assert report.counterexample.indices == ("a", "b")
+
+
 # -- multiplicity-freeness: a product of basis trees is a sum of distinct trees
 
 
@@ -522,8 +536,8 @@ def test_derived_chain_needs_commutative_index(free_matching2):
 
 def test_sampled_domain_is_replayable(free_zmod2):
     domain = SampledTreeDomain(free_zmod2, free_zmod2.dimonoid, samples=7, max_vertices=4, seed=5)
-    first = [tuple(name for name, _ in row) for row in domain.elements(3)]
-    second = [tuple(name for name, _ in row) for row in domain.elements(3)]
+    first = [tuple(vec.items() for vec in row) for row in domain.elements(3)]
+    second = [tuple(vec.items() for vec in row) for row in domain.elements(3)]
     assert first == second and len(first) == 7
 
 

@@ -123,6 +123,13 @@ def _refusals():
     alg = FiniteRelativeAlgebra(["u", "v"], ZMOD2, ops)
     yield "rota-baxter", lambda: RotaBaxterFamily(alg, {0: [[1, 2, 3]], 1: [[0]]}), (
         "maps[0]: expected a list of length 2, got 1")
+    # a role table or a map family given in a shape other than a dict
+    yield "algebra-ops-not-dict", lambda: _one_dim([("mul", {})]), (
+        "ops: expected a dict, got list")
+    yield "algebra-role-not-dict", lambda: _one_dim({"mul": [[[1]]]}), (
+        "ops[mul]: expected a dict, got list")
+    yield "rota-baxter-maps-not-dict", lambda: RotaBaxterFamily(alg, [[[1]]]), (
+        "maps: expected a dict or a callable, got list")
     # name lists, read by errors.read_names
     label = "tree labels are letters, digits and _"
     yield "semigroup-no-names", lambda: SemigroupTable([], []), (
