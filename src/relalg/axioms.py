@@ -9,11 +9,12 @@ index structure).  The term trees are the source of truth: ``graded_form``
 indexes the ``Rel*`` suites, stated as ordinary equations, by reading them in
 S-graded vector spaces, and ``family_form`` rewrites those into the ``Fam*``
 suites.  A check compiles each equation it reaches once, into nested closures
-over the carrier's resolved operations, and runs those closures on every
-instance.  Evaluation is exact; two sides are equal iff their normalized
-linear combinations coincide.  A compiled term returns its value times a scale
-the compiler tracks; every operation is multilinear, so the two sides compare
-at their common scale, and a counterexample is divided back.
+over the carrier's resolved operations, and runs them on every instance; a
+subterm that does not read the scan's innermost variable is evaluated once per
+change of the variables it reads.  Evaluation is exact; two sides are equal
+iff their normalized linear combinations coincide.  A compiled term returns its
+value times a scale the compiler tracks; every operation is multilinear, so the
+two sides compare at their common scale, and a counterexample is divided back.
 """
 
 from dataclasses import dataclass, field, replace
@@ -105,7 +106,6 @@ def sub(e1, e2):
 _VARS = ("x", "y", "z")
 _IVARS = ("a", "b", "c")
 _VAR_POSITION = {name: k for k, name in enumerate(_VARS)}
-_IVAR_POSITION = {name: k for k, name in enumerate(_IVARS)}
 
 
 def _nodes(node):
@@ -193,13 +193,13 @@ _TABLE = {"mul": "product", "left": "left", "right": "right"}
 
 class _Compiler:
     """Compiles the expressions of one check over its ``ops``, ``index`` and
-    ``unit_vector``.  An expression becomes a closure
-    ``(vectors, idxs) -> LinComb`` with its scale: the closure returns the
-    value times the scale.  An index expression becomes a closure
-    ``idxs -> element``; x, y, z read positions 0, 1, 2 of ``vectors`` and
-    a, b, c the same positions of ``idxs``.  An operation wrapper is called
-    through its ``fn``, which returns ``den`` times the product.  A unit the
-    carrier lacks is refused when the term is compiled.
+    ``unit_vector``.  An instance is one tuple ``env``: index elements a, b, c,
+    then vectors x, y, z from position ``n_idx``, each an ``itemgetter`` read.
+    An expression becomes a closure ``env -> LinComb`` returning its value
+    times its scale, the scale, and the positions it reads; an index
+    expression a closure ``env -> element`` and its positions.  An operation
+    wrapper is called through its ``fn``, which returns ``den`` times the
+    product.  A unit the carrier lacks is refused when the term is compiled.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
@@ -211,59 +211,94 @@ class _Compiler:
 
     def index_expr(self, ix):
         if isinstance(ix, IxVar):
-            return itemgetter(_IVAR_POSITION[ix.name])
+            k = _IVARS.index(ix.name)
+            return itemgetter(k), {k}
         if isinstance(ix, IxUnit):
             unit = self.index.unit
             if unit is None:
                 raise ContractError("suite requires a unit element in the index structure")
-            return lambda idxs: unit
-        kind, left, right = ix.kind, self.index_expr(ix.a), self.index_expr(ix.b)
-        # an index that stores no such table (a virtual one, or one lacking
-        # this kind) is asked at each instance, and raises there if it lacks it
+            return (lambda env: unit), set()
+        (left, left_reads), (right, right_reads) = map(self.index_expr, (ix.a, ix.b))
+        kind, reads = ix.kind, left_reads | right_reads
         table = getattr(self.index, _TABLE[kind], None)
-        if table is None:
-            prod = self.index.prod
-            return lambda idxs: prod(kind, left(idxs), right(idxs))
-        return lambda idxs: table[left(idxs)][right(idxs)]
+        if table is not None:
+            return (lambda env: table[left(env)][right(env)]), reads
+        if kind == "mul" and isinstance(self.index, VirtualSemigroup):
+            op = self.index.op
+            return (lambda env: op(left(env), right(env))), reads
+        # an index lacking this kind is asked at each instance, and raises there
+        prod = self.index.prod
+        return (lambda env: prod(kind, left(env), right(env))), reads
 
-    def expr(self, expr):
-        """The closure of ``expr`` and its scale."""
+    def expr(self, expr, n_idx, inner):
+        """The closure of ``expr``, its scale and the positions it reads."""
         if isinstance(expr, Var):
-            k = _VAR_POSITION[expr.name]
-            return (lambda vectors, idxs: vectors[k]), 1
+            k = n_idx + _VAR_POSITION[expr.name]
+            return itemgetter(k), 1, {k}
         if isinstance(expr, UnitElem):
             unit_vector = self.unit_vector
             if unit_vector is None:
                 raise ContractError("suite requires a declared unit vector")
-            return (lambda vectors, idxs: unit_vector), 1
+            return (lambda env: unit_vector), 1, set()
         if isinstance(expr, App):
             fn, den = self.ops[expr.role]
             idx = [self.index_expr(ix) for ix in expr.idx]
-            args = [self.expr(arg) for arg in expr.args]
-            scale = den * prod(s for _, s in args)
-            return _compile_app(fn, idx, [f for f, _ in args]), scale
+            args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
+            scale = den * prod(s for _, s, _ in args)
+            return _compile_app(fn, [f for f, _ in idx], [f for f, _, _ in args]), scale, reads
         if isinstance(expr, Lin):
-            terms, scale = _common_scale([(coeff, *self.expr(e)) for coeff, e in expr.terms])
-            return _compile_lin(terms), scale
+            args, reads = self.subterms([e for _, e in expr.terms], n_idx, inner)
+            terms = [(c, f, s) for (c, _), (f, s, _) in zip(expr.terms, args)]
+            terms, scale = _common_scale(terms)
+            return _compile_lin(terms), scale, reads
         raise TypeError(f"unknown expression node {expr!r}")
+
+    def subterms(self, nodes, n_idx, inner, reads=frozenset()):
+        """The compiled ``nodes``, and the positions they and ``reads`` read.
+        If these include ``inner``, the position the scan changes on every
+        instance, each application or formal sum among the nodes that reads
+        variables but not ``inner`` is evaluated once per change of them."""
+        compiled = [self.expr(node, n_idx, inner) for node in nodes]
+        reads = reads.union(*(r for _, _, r in compiled))
+        return [
+            (_last_value(f, r), s, r)
+            if inner in reads and r and inner not in r and isinstance(node, (App, Lin))
+            else (f, s, r)
+            for node, (f, s, r) in zip(nodes, compiled)
+        ], reads
+
+
+def _last_value(closure, reads):
+    """``closure``, returning its last value while the key read at ``reads``
+    compares equal to the last key (at first a fresh object, equal to none);
+    a changed key recomputes, whatever the scan order."""
+    key, last_key, last_value = itemgetter(*sorted(reads)), object(), None
+
+    def hoisted(env):
+        nonlocal last_key, last_value
+        k = key(env)
+        if k != last_key:
+            last_value, last_key = closure(env), k
+        return last_value
+
+    return hoisted
 
 
 def _compile_app(op, idx, args):
     if len(idx) == 2 and len(args) == 2:  # pair-indexed operation
         (a, b), (x, y) = idx, args
-        return lambda vectors, idxs: op(a(idxs), b(idxs), x(vectors, idxs), y(vectors, idxs))
+        return lambda env: op(a(env), b(env), x(env), y(env))
     if len(idx) == 1 and len(args) == 2:  # family-indexed operation
         (a,), (x, y) = idx, args
-        return lambda vectors, idxs: op(a(idxs), x(vectors, idxs), y(vectors, idxs))
+        return lambda env: op(a(env), x(env), y(env))
     if len(idx) == 1 and len(args) == 1:  # family of linear maps
         (a,), (x,) = idx, args
-        return lambda vectors, idxs: op(a(idxs), x(vectors, idxs))
-    return lambda vectors, idxs: op(
-        *[f(idxs) for f in idx], *[f(vectors, idxs) for f in args]
-    )
+        return lambda env: op(a(env), x(env))
+    parts = idx + args
+    return lambda env: op(*[f(env) for f in parts])
 
 
-def _zero(vectors, idxs):
+def _zero(env):
     return ZERO
 
 
@@ -285,26 +320,26 @@ def _compile_lin(terms):
 
 def _add_term(acc, coeff, term):
     if coeff == 1:
-        return lambda vectors, idxs: acc(vectors, idxs) + term(vectors, idxs)
+        return lambda env: acc(env) + term(env)
     if coeff == -1:
-        return lambda vectors, idxs: acc(vectors, idxs) - term(vectors, idxs)
-    return lambda vectors, idxs: acc(vectors, idxs) + term(vectors, idxs).scale(coeff)
+        return lambda env: acc(env) - term(env)
+    return lambda env: acc(env) + term(env).scale(coeff)
 
 
 def eval_index(ix, env, index):
     """One index expression under ``env`` (variable name -> element),
     compiled and run once."""
     idxs = tuple(env[name] for name in _IVARS[: len(env)])
-    return _Compiler({}, index, None).index_expr(ix)(idxs)
+    return _Compiler({}, index, None).index_expr(ix)[0](idxs)
 
 
 def eval_expr(expr, elem_env, idx_env, ops, index, unit_vector):
-    """One expression under name environments, compiled and run once.  The
-    checks compile each equation once instead and never call this."""
-    vectors = tuple(elem_env[name] for name in _VARS[: len(elem_env)])
-    idxs = tuple(idx_env[name] for name in _IVARS[: len(idx_env)])
-    closure, scale = _Compiler(ops, index, unit_vector).expr(expr)
-    return divide_back(closure(vectors, idxs), scale)
+    """One expression under name environments, compiled and run once, so
+    nothing hoisted.  The checks compile each equation once instead."""
+    env = tuple(idx_env[name] for name in _IVARS[: len(idx_env)])
+    env += tuple(elem_env[name] for name in _VARS[: len(elem_env)])
+    closure, scale, _ = _Compiler(ops, index, unit_vector).expr(expr, len(idx_env), None)
+    return divide_back(closure(env), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +609,21 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     compiler = _Compiler(ops, index, unit_vector)
     label, name = _basis_name(domain), index.name
     for equation in equations:
-        eqid = equation.eqid
-        sides, scale = _common_scale([(1, *compiler.expr(equation.lhs)),
-                                      (1, *compiler.expr(equation.rhs))])
+        eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
+        indices = list(domain.indices(n_idx))
+        # the last index variable changes on every instance, or with one
+        # index tuple the last element variable; the sides hoist as subterms
+        inner = n_idx - 1 if len(indices) > 1 else n_idx + n_elem - 1
+        sides, _ = compiler.subterms((equation.lhs, equation.rhs), n_idx, inner, {inner})
+        sides, scale = _common_scale([(1, f, s) for f, s, _ in sides])
         lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
-        indices = list(domain.indices(equation.n_idx))
         count = per_equation[eqid] = 0
-        for vectors in domain.elements(equation.n_elem):
+        for vectors in domain.elements(n_elem):
             for idxs in indices:
                 count += 1
                 per_equation[eqid] = count
-                left, right = lhs(vectors, idxs), rhs(vectors, idxs)
+                env = idxs + vectors
+                left, right = lhs(env), rhs(env)
                 labels, names = map(label, vectors), map(name, idxs)
                 if left == right:
                     yield eqid, labels, names, left, left

@@ -279,10 +279,16 @@ class MorphismFamily:
     __slots__ = ("source", "target", "maps")
 
     def __init__(self, source, target, maps):
+        for what, alg in (("source", source), ("target", target)):
+            if not isinstance(alg, FiniteRelativeAlgebra):
+                got = type_name(alg)
+                raise MalformedInputError(f"{what}: expected a finite algebra, got {got}")
+        if not isinstance(maps, dict):
+            raise MalformedInputError(f"maps: expected a dict, got {type_name(maps)}")
         if source.index != target.index:
             raise MalformedInputError("morphism endpoints use different index semigroups")
-        if sorted(maps) != list(range(source.index.size)):
-            raise MalformedInputError("morphism needs exactly one map per index element")
+        if set(maps) != set(range(source.index.size)):
+            raise MalformedInputError("maps: expected exactly one map per index element")
         self.source = source
         self.target = target
         self.maps = {

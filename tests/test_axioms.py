@@ -55,6 +55,7 @@ from relalg.axioms import (
     app,
     dleft,
     eval_expr,
+    eval_index,
     graded_form,
     mul,
     sub,
@@ -69,7 +70,11 @@ from relalg.constructions import (
 )
 from relalg.errors import ContractError
 from relalg.reports import scan, to_json
-from relalg.samples import rational_line_carrier, reciprocal_rota_baxter
+from relalg.samples import (
+    rational_line_carrier,
+    reciprocal_rota_baxter,
+    truncated_integration_zinbiel,
+)
 from tests.conftest import one_dim_base
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -535,8 +540,15 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
             family,
         ),
     }
-    domain = finite_domain(pair)
-    for suite in (*SUITES.values(), WEIGHTED):
+    # the full domain, one with exactly one index tuple (so the last element
+    # variable is the scan's innermost), and one whose basis tuples are
+    # filtered (so that variable does not change on every instance)
+    domains = (
+        finite_domain(pair),
+        FiniteDomain(pair.basis, [rng.randrange(index.size)]),
+        finite_domain(pair, basis_filter=lambda combo: list(combo) == sorted(combo)),
+    )
+    for suite, domain in product((*SUITES.values(), WEIGHTED), domains):
         if suite.requires_unit and not unit:
             continue
         carrier, alg = carriers[suite.op_arity, suite.index_kind]
@@ -612,6 +624,85 @@ def test_the_scan_lists_index_tuples_once_per_equation(passed):
         {"assoc": 216, "comm": 36} if passed else {"assoc": 216, "comm": 10}
     )
     same_report(report, ref_check_axioms(alg, suite, finite_domain(alg)))
+
+
+# -- hoisting: a subterm that does not read the scan's innermost variable
+
+
+def counted(op):
+    """``op`` with its ``fn`` wrapped in a call counter, and the counter."""
+    calls = [0]
+
+    def fn(*args):
+        calls[0] += 1
+        return op.fn(*args)
+
+    return type(op)(op.index, fn, op.den), calls
+
+
+@pytest.mark.parametrize("n, products", [(4, 208), (5, 400)])
+def test_an_inner_product_is_taken_once_per_change_of_what_it_reads(n, products):
+    # RelAssoc over a window of N on the rational line: in
+    # mul_{ab,c}(mul_{a,b}(x, y), z), c is innermost and mul_{a,b}(x, y) does
+    # not read it, so that product is taken N^2 times, the other three N^3
+    # times each: 3N^3 + N^2 products, where each instance took 4
+    line = rational_line_carrier()
+    mul, calls = counted(line.op("mul"))
+    carrier = OpCarrier(line.index, {"mul": mul}, basis=line.basis)
+    report = check_axioms(carrier, "RelAssoc", window_domain(line.basis, range(1, n + 1)))
+    assert report.passed and report.instances == n**3
+    assert calls == [3 * n**3 + n**2] == [products]
+
+
+def test_with_one_index_tuple_the_last_element_variable_is_innermost():
+    # over the trivial monoid z is innermost: ast(x, y) and ast(y, x), which
+    # do not read it, are taken once per (x, y), the other four products on
+    # each of the 6^3 instances
+    alg = truncated_integration_zinbiel(5)
+    ast, calls = counted(alg.op("ast"))
+    carrier = OpCarrier(alg.index, {"ast": ast}, basis=alg.basis)
+    report = check_axioms(carrier, "RelZinbiel", finite_domain(alg))
+    assert report.passed and report.instances == 6**3
+    assert calls == [4 * 6**3 + 2 * 6**2] == [936]
+
+
+def test_a_subterm_that_reads_the_innermost_variable_is_taken_on_every_instance():
+    # f_{a,c}(x, y) reads c, the innermost variable; g_{a,b}(x, y) does not
+    class Zero:
+        arity = 2
+        calls = 0
+
+        def __call__(self, a, b, x, y):
+            self.calls += 1
+            return LinComb.zero()
+
+    f, g = Zero(), Zero()
+    carrier = OpCarrier(cyclic_monoid(3), {"f": f, "g": g}, basis=("u", "v"))
+    suite = Suite("Inner", (Equation("inner", app("f", (A, C), X, Y), app("g", (A, B), X, Y)),))
+    report = check_axioms(carrier, suite, FiniteDomain(carrier.basis, range(3)))
+    assert report.passed and report.instances == 2**2 * 3**3
+    assert (f.calls, g.calls) == (2**2 * 3**3, 2**2 * 3**2)
+
+
+class FreshDomain(FiniteDomain):
+    """A finite domain whose every tuple holds fresh copies of its basis
+    vectors: consecutive instances read equal vectors that are not shared."""
+
+    def elements(self, k):
+        shared = super().elements(k)
+        return (tuple(LinComb(vec.items()) for vec in vectors) for vectors in shared)
+
+
+@pytest.mark.parametrize("index", [trivial_monoid(), cyclic_monoid(2)], ids=["trivial", "Z/2"])
+def test_fresh_equal_vectors_give_the_report_of_shared_ones(index):
+    rng = Random(7)
+    for suite in ("RelAssoc", "RelDendriform", "RelZinbiel", "RelPreLie", "RelLie", "RelPoisson"):
+        alg = random_algebra(rng, index, 2, SUITES[suite].roles, 2, False)
+        shared, fresh = (cls(alg.basis, range(index.size)) for cls in (FiniteDomain, FreshDomain))
+        same_report(
+            check_axioms(alg.as_carrier(), suite, fresh),
+            check_axioms(alg.as_carrier(), suite, shared),
+        )
 
 
 # -- the scaled path: constants with denominators, compared in integers
@@ -747,6 +838,11 @@ def test_missing_index_structure_is_refused_before_any_instance():
         eval_expr(reads_index_unit.lhs, env, {"a": 0}, ops, no_unit, None)
     with pytest.raises(ContractError, match="^suite requires a declared unit vector$"):
         eval_expr(reads_unit_vector.lhs, env, {"a": 0}, ops, no_unit, None)
+    # a product kind a virtual index lacks is asked for, and refused, at an instance
+    virtual = positive_integers_additive()
+    assert eval_index(mul(A, B), {"a": 1, "b": 2}, virtual) == 3
+    with pytest.raises(ContractError, match="^semigroup index has no 'left' operation$"):
+        eval_index(dleft(A, B), {"a": 1, "b": 2}, virtual)
 
 
 def test_a_check_keeps_no_reference_to_its_carrier():

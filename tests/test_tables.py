@@ -130,6 +130,16 @@ def _refusals():
         "ops[mul]: expected a dict, got list")
     yield "rota-baxter-maps-not-dict", lambda: RotaBaxterFamily(alg, [[[1]]]), (
         "maps: expected a dict or a callable, got list")
+    # a morphism's operands and maps, each named
+    line = FiniteRelativeAlgebra(["u"], ZMOD2, {"mul": dict.fromkeys(ops["mul"], [[[1]]])})
+    yield "morphism-maps-not-dict", lambda: MorphismFamily(line, line, 7), (
+        "maps: expected a dict, got int")
+    yield "morphism-target-not-algebra", lambda: MorphismFamily(line, 5, {0: [[1]], 1: [[1]]}), (
+        "target: expected a finite algebra, got int")
+    yield "morphism-source-not-algebra", lambda: MorphismFamily(5, line, {0: [[1]], 1: [[1]]}), (
+        "source: expected a finite algebra, got int")
+    yield "morphism-key-not-index", lambda: MorphismFamily(line, line, {0: [[1]], "1": [[1]]}), (
+        "maps: expected exactly one map per index element")
     # name lists, read by errors.read_names
     label = "tree labels are letters, digits and _"
     yield "semigroup-no-names", lambda: SemigroupTable([], []), (
