@@ -55,6 +55,6 @@ from .semigroups import (
     semigroup_from_dimonoid,
     trivial_monoid,
 )
-from .trees import EMPTY, DecoratedTree, leaf, node, tree_parse, tree_print
+from .trees import EMPTY, DecoratedTree, tree_parse, tree_print
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -644,7 +644,8 @@ def check_axioms(carrier, suite, domain, check_name=None):
     """Verify every equation of the suite over the domain, exactly.
 
     The scan is deterministic: equations in suite order, element tuples then
-    index tuples in domain order; the first violation is reported.
+    index tuples in domain order; the first violation is reported.  A scan
+    that would pass with no instance of some equation is refused instead.
     """
     suite = _resolve_suite(suite)
     ops = _validate_carrier(carrier, suite)
@@ -653,6 +654,9 @@ def check_axioms(carrier, suite, domain, check_name=None):
         suite.equations, domain, ops, carrier.index, carrier.unit_vector, per_equation
     )
     report = scan(check_name or f"axioms:{suite.name}", instances, _show(domain))
+    empty = [eqid for eqid, count in per_equation.items() if not count]
+    if report.passed and empty:
+        raise ContractError(f"suite {suite.name}: the domain has no instance of {empty[0]}")
     return replace(report, info={"suite": suite.name, "equation_instances": per_equation})
 
 
@@ -696,7 +700,7 @@ def check_morphism(f, suite):
     source, target = f.source, f.target
     for side, alg in (("source", source), ("target", target)):
         rep = check_axioms(
-            alg.as_carrier(suite.roles),
+            alg,
             suite,
             finite_domain(alg),
             check_name=f"morphism:precondition:{side}:{suite.name}",

@@ -164,7 +164,7 @@ def run_check_cocycle(args):
 
 def run_check_algebra(args):
     alg = _load_algebra(args.algebra)
-    report = check_axioms(alg.as_carrier(), args.suite, finite_domain(alg))
+    report = check_axioms(alg, args.suite, finite_domain(alg))
     return _payload(args.command, [report])
 
 
@@ -265,7 +265,7 @@ def run_collapse(args):
     if args.suite:
         reports.append(
             check_axioms(
-                flat.as_carrier(),
+                flat,
                 args.suite,
                 finite_domain(flat),
                 check_name=f"collapse:{args.suite}",

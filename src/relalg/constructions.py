@@ -146,7 +146,7 @@ def cocycle_twist(base, cocycle):
     block = blocks.pop()
     require(
         check_axioms(
-            base.as_carrier(("mul",)),
+            base,
             "RelAssoc",
             finite_domain(base),
             check_name="construction:cocycle-twist:precondition:RelAssoc",

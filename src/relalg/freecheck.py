@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from .axioms import check_axioms
+from .axioms import SUITES, check_axioms
 from .constructions import family_to_pair, require_commutative
 from .errors import ContractError
 from .freedend import SampledTreeDomain
@@ -35,40 +35,36 @@ DERIVED_OPS = {
         (1, "succ", x, y, a), (-1, "prec", y, x, a), (-1, "succ", y, x, b), (1, "prec", x, y, b)
     ),
 }
-DERIVED_SUITES = {"RelAssoc": "mul", "RelPreLie": "circ", "RelLie": "bracket"}
 
 
 def free_derived_op(carrier, role):
-    """The derived operation on the free carrier, one graft sum per product;
-    it is refused where its construction is (circ and bracket need a
-    commutative index)."""
+    """The derived operation on the free carrier, one graft sum per product,
+    refused where its construction is: a term grafting y onto x reads its
+    arguments out of order and needs a commutative index (circ, bracket)."""
     index = carrier.family_ops()[0].index  # refuses a dimonoid not in semigroup form
-    if role != "mul":
-        require_commutative(index)
     terms = DERIVED_OPS[role]
+    if any(s == "y" for _, _, s, _, _ in terms(0, 0, "x", "y")):
+        require_commutative(index)
     return PairIndexedOp(index, lambda a, b, x, y: carrier.graft_sum(terms(a, b, x, y)))
 
 
 def free_suite_carrier(carrier, suite_name):
-    """Operation bundle on the free carrier appropriate for the suite, and
-    the index structure the suite runs over."""
-    if suite_name == "DimonoidDendriform":
-        prec, succ = carrier.dimonoid_ops()
-        return OpCarrier(carrier.dimonoid, {"prec": prec, "succ": succ})
-    if suite_name == "FamDendriform":
-        prec, succ = carrier.family_ops()
-        return OpCarrier(prec.index, {"prec": prec, "succ": succ})
-    role = DERIVED_SUITES.get(suite_name)
-    if role is not None:
-        op = free_derived_op(carrier, role)
-        return OpCarrier(op.index, {role: op})
-    prec, succ = free_pair_ops(carrier)
-    if suite_name == "RelDendriform":
-        return OpCarrier(prec.index, {"prec": prec, "succ": succ})
-    raise ContractError(
-        f"suite {suite_name!r} is not available on free carriers "
-        f"(choose from {', '.join(FREE_SUITES)})"
-    )
+    """The operations on the free carrier for a suite of ``FREE_SUITES``, read
+    off the suite: at one index prec/succ over the dimonoid or the semigroup,
+    at two each role's ``DERIVED_OPS`` sum or else the lifted prec/succ."""
+    if suite_name not in FREE_SUITES:
+        raise ContractError(
+            f"suite {suite_name!r} is not available on free carriers "
+            f"(choose from {', '.join(FREE_SUITES)})"
+        )
+    suite = SUITES[suite_name]
+    if suite.op_arity == 1:
+        ops = carrier.dimonoid_ops() if suite.index_kind == "dimonoid" else carrier.family_ops()
+    elif suite.roles[0] in DERIVED_OPS:
+        ops = [free_derived_op(carrier, role) for role in suite.roles]
+    else:
+        ops = free_pair_ops(carrier)
+    return OpCarrier(ops[0].index, dict(zip(suite.roles, ops)))
 
 
 def free_check(carrier, suite_name, samples=200, max_vertices=6, seed=0):

@@ -49,8 +49,8 @@ class FreeDendCarrier:
     ``(kind, s, t, index)``; trees compare by structure, so a key names one
     pair of structures and cached products are pure: a dropped entry or a
     collision costs a recomputation or sharing, never a different result.
-    A tree from outside (``trees.node``, another carrier) has its labels
-    checked when it is first interned (``check_tree``).
+    A tree from outside (``DecoratedTree(...)``, another carrier) has its
+    labels checked when it is first interned (``check_tree``).
 
     Products: a product of basis trees is a sum of distinct trees with
     coefficient 1, cached as a tuple of trees when it recurses (a base case
@@ -269,7 +269,7 @@ class SampledTreeDomain:
     equation of a suite sees the same tuples and repeated runs are
     bit-identical."""
 
-    def __init__(self, carrier, index, samples=200, max_vertices=6, seed=0):
+    def __init__(self, carrier, index, samples, max_vertices, seed):
         if samples < 1 or max_vertices < 1:
             raise ContractError("a tree sample needs samples >= 1 and max_vertices >= 1")
         self.carrier = carrier

@@ -254,19 +254,15 @@ def _maps(obj, path, index, rows, cols):
     return maps
 
 
-RB_BUILTINS = {"reciprocal": reciprocal_rota_baxter}
-
-
 def load_rota_baxter(obj, path="rb"):
     _object(obj, path)
     if "builtin" in obj:
         name = obj["builtin"]
-        # a list or object is unhashable: test the type before the lookup
-        if not isinstance(name, str) or name not in RB_BUILTINS:
+        if name != "reciprocal":
             raise MalformedInputError(
-                f"{path}.builtin: unknown builtin {name!r} (available: {sorted(RB_BUILTINS)})"
+                f"{path}.builtin: unknown builtin {name!r} (available: ['reciprocal'])"
             )
-        return RB_BUILTINS[name]()
+        return reciprocal_rota_baxter()
     algebra = load_algebra(_need(obj, "algebra", dict, path), f"{path}.algebra")
     maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim)
     if sorted(maps) != list(range(algebra.index.size)):

@@ -96,10 +96,6 @@ class LinComb:
         self._terms = acc
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def single(cls, basis, coeff=1):
         return cls(((basis, coeff),))
 

@@ -107,6 +107,8 @@ class FiniteRelativeAlgebra:
         if not isinstance(ops, dict):
             raise MalformedInputError(f"ops: expected a dict, got {type_name(ops)}")
         for role, table in ops.items():
+            if type(role) is not str:
+                raise MalformedInputError(f"ops: expected str role names, got {role!r}")
             if not isinstance(table, dict):
                 raise MalformedInputError(f"ops[{role}]: expected a dict, got {type_name(table)}")
             keys = set(table)

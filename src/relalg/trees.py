@@ -104,14 +104,6 @@ EMPTY = None
 EMPTY = DecoratedTree(None)
 
 
-def node(label, left=None, left_edge=None, right=None, right_edge=None):
-    return DecoratedTree(label, left, left_edge, right, right_edge)
-
-
-def leaf(label):
-    return DecoratedTree(label)
-
-
 def tree_print(t):
     if t.size == 0:
         return "e"

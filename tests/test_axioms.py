@@ -110,7 +110,7 @@ def test_zero_algebra_passes_family_suites(suite, zmod2):
 
 def test_zero_ops_pass_dimonoid_suite(zmod2):
     dim = dimonoid_from_semigroup(zmod2)
-    zero = FamilyIndexedOp(dim, lambda a, x, y: LinComb.zero())
+    zero = FamilyIndexedOp(dim, lambda a, x, y: LinComb())
     carrier = OpCarrier(dim, {"prec": zero, "succ": zero})
     domain = finite_domain(zero_algebra(zmod2, ()))
     assert check_axioms(carrier, "DimonoidDendriform", domain).passed
@@ -230,7 +230,7 @@ def test_unknown_suite_rejected(cocycle_algebra):
 
 
 def test_zero_rb_passes(cocycle_algebra):
-    rb = RotaBaxterFamily(cocycle_algebra, lambda a, x: LinComb.zero())
+    rb = RotaBaxterFamily(cocycle_algebra, lambda a, x: LinComb())
     assert check_rota_baxter(rb).passed
 
 
@@ -262,6 +262,20 @@ def test_rb_window_closure_error():
 def test_rb_requires_window_when_virtual():
     with pytest.raises(ContractError):
         check_rota_baxter(reciprocal_rota_baxter())
+
+
+def test_a_scan_with_no_instance_of_an_equation_is_refused_not_passed():
+    # a PASS would claim an equation that no instance verified
+    one = FiniteRelativeAlgebra(["u"], trivial_monoid(), {"mul": {(0, 0): [[[1]]]}})
+    for suite, domain in (
+        ("RelComm", finite_domain(one, basis_filter=lambda combo: len(combo) != 3)),
+        ("RelAssoc", finite_domain(one, basis_filter=lambda combo: False)),
+        ("RelAssoc", FiniteDomain(["u"], [])),
+        ("RelAssoc", FiniteDomain([], range(1))),
+    ):
+        with pytest.raises(ContractError) as info:
+            check_axioms(one, suite, domain)
+        assert str(info.value) == f"suite {suite}: the domain has no instance of assoc"
 
 
 def test_an_empty_window_is_refused_not_passed():
@@ -299,7 +313,7 @@ def test_rb_precondition_reported():
         )
     }
     alg = FiniteRelativeAlgebra(["e0", "e1"], trivial_monoid(), {"mul": ops})
-    rb = RotaBaxterFamily(alg, lambda a, x: LinComb.zero())
+    rb = RotaBaxterFamily(alg, lambda a, x: LinComb())
     report = check_rota_baxter(rb)
     assert not report.passed
     assert report.check == "rota-baxter:precondition:RelAssoc"
@@ -374,7 +388,7 @@ def ref_expr(expr, elem_env, idx_env, ops, index, unit_vector):
         args = tuple(ref_expr(e, elem_env, idx_env, ops, index, unit_vector) for e in expr.args)
         return ops[expr.role](*idx, *args)
     if isinstance(expr, Lin):
-        out = LinComb.zero()
+        out = LinComb()
         for coeff, sub_expr in expr.terms:
             out = out + ref_expr(sub_expr, elem_env, idx_env, ops, index, unit_vector).scale(coeff)
         return out
@@ -674,7 +688,7 @@ def test_a_subterm_that_reads_the_innermost_variable_is_taken_on_every_instance(
 
         def __call__(self, a, b, x, y):
             self.calls += 1
-            return LinComb.zero()
+            return LinComb()
 
     f, g = Zero(), Zero()
     carrier = OpCarrier(cyclic_monoid(3), {"f": f, "g": g}, basis=("u", "v"))
@@ -853,7 +867,7 @@ def test_a_check_keeps_no_reference_to_its_carrier():
         arity = 2
 
         def __call__(self, a, b, x, y):
-            return LinComb.zero()
+            return LinComb()
 
     op = ZeroProduct()
     alive = weakref.ref(op)

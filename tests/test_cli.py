@@ -237,6 +237,16 @@ def test_derive_names_the_first_role_its_input_lacks(construction, tmp_path, cap
             assert capsys.readouterr().err == f"error: contract violation: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["check-algebra", "collapse"])
+def test_a_role_the_algebra_lacks_is_named_as_derive_names_it(command, capsys):
+    from relalg.cli import main
+
+    argv = [command, "--algebra", str(DATA / "cocycle_algebra.json"), "--suite", "RelDendriform"]
+    assert main(argv) == 3
+    message = "algebra has no operation for role 'prec'"
+    assert capsys.readouterr().err == f"error: contract violation: {message}\n"
+
+
 # A one-dimensional algebra with zero product over the index table
 # [[1,1],[1,0]], which is not associative: (0*0)*1 = 0 but 0*(0*1) = 1.
 # Every identity of the algebra itself holds, since all products vanish.

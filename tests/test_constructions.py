@@ -137,7 +137,7 @@ def test_comm_from_zinbiel(zalg):
 
 
 def test_zero_zinbiel_degenerates():
-    zero = PairIndexedOp(trivial_monoid(), lambda a, b, x, y: LinComb.zero())
+    zero = PairIndexedOp(trivial_monoid(), lambda a, b, x, y: LinComb())
     prec, succ = dend_from_zinbiel(zero)
     one = LinComb.single(0)
     assert prec(0, 0, one, one).is_zero() and succ(0, 0, one, one).is_zero()
@@ -315,7 +315,7 @@ def test_dend_from_rb_reciprocal():
 
 def test_zero_rb_gives_zero_dendriform():
     base = one_dim_base()
-    rb = RotaBaxterFamily(base, lambda a, x: LinComb.zero())
+    rb = RotaBaxterFamily(base, lambda a, x: LinComb())
     prec, succ = dend_from_rb(rb)
     one = LinComb.single(0)
     assert prec(0, 0, one, one).is_zero() and succ(0, 0, one, one).is_zero()
@@ -341,7 +341,7 @@ def test_rb_and_zinbiel_routes_agree(reciprocal_zinbiel):
 
 def test_poisson_from_zero_prelie(zalg):
     index = zalg.index
-    zero = PairIndexedOp(index, lambda a, b, x, y: LinComb.zero())
+    zero = PairIndexedOp(index, lambda a, b, x, y: LinComb())
     mul, bracket = poisson_from_prepoisson(zero, zalg.op("ast"), in_range_domain(zalg))
     carrier = OpCarrier(index, {"mul": mul, "bracket": bracket})
     assert check_axioms(carrier, "RelPoisson", in_range_domain(zalg)).passed
@@ -354,7 +354,7 @@ def test_poisson_from_zero_zinbiel(free_zmod2):
     prec, succ = free_pair_ops(free_zmod2)
     index = prec.index
     circ = prelie_from_dend(prec, succ)
-    zero = PairIndexedOp(index, lambda a, b, x, y: LinComb.zero())
+    zero = PairIndexedOp(index, lambda a, b, x, y: LinComb())
     domain = SampledTreeDomain(free_zmod2, index, samples=10, max_vertices=3, seed=1)
     mul, bracket = poisson_from_prepoisson(circ, zero, domain)
     carrier = OpCarrier(index, {"mul": mul, "bracket": bracket})
@@ -379,7 +379,7 @@ def test_lie_skew_identically(zalg):
 def test_commutative_index_gates():
     # associative but non-commutative index: left-zero semigroup
     left_zero = SemigroupTable(["0", "1"], [[0, 0], [1, 1]])
-    left_zero_like = PairIndexedOp(left_zero, lambda a, b, x, y: LinComb.zero())
+    left_zero_like = PairIndexedOp(left_zero, lambda a, b, x, y: LinComb())
     for build in (prelie_from_dend, dend_from_zinbiel, comm_from_zinbiel, lie_from_prelie):
         with pytest.raises(ContractError):
             if build is prelie_from_dend:

@@ -91,7 +91,7 @@ def test_expression_scalars_take_a_plus_sign(capsys, expr, result):
 def test_add_cancels_to_zero():
     a = LinComb.single("b1", 2)
     b = LinComb.single("b1", -2)
-    assert lc_add(a, b) == LinComb.zero()
+    assert lc_add(a, b) == LinComb()
     assert lc_add(a, b).is_zero()
 
 
@@ -117,7 +117,7 @@ def test_scale_annihilates_and_identity():
 
 def test_bilinear_zero_and_singletons():
     f = lambda b1, b2: LinComb.single("c")
-    assert lc_bilinear_extend(f, LinComb.zero(), LinComb.single("b2")).is_zero()
+    assert lc_bilinear_extend(f, LinComb(), LinComb.single("b2")).is_zero()
     assert lc_bilinear_extend(f, LinComb.single("b1"), LinComb.single("b2")) == LinComb.single("c")
 
 
@@ -263,7 +263,7 @@ def test_kernels_and_memo_match_dense_reference():
     # its block's memo of basis products; a zero argument gives one shared
     # zero; a vector of two terms is expanded against the constants
     singles = [LinComb.single(i, c) for i in range(DIM) for c in SINGLE_COEFFS]
-    zero, mixed = LinComb.zero(), LinComb(((0, 3), (2, Fraction(-1, 2))))
+    zero, mixed = LinComb(), LinComb(((0, 3), (2, Fraction(-1, 2))))
     vectors = singles + [mixed]
     pairs = (
         list(product(vectors, repeat=2))
@@ -303,7 +303,7 @@ def test_serialization_roundtrip(a):
 
 @given(combs)
 def test_neg_sub(a):
-    assert a - a == LinComb.zero()
+    assert a - a == LinComb()
     assert -(-a) == a
 
 
@@ -350,7 +350,7 @@ def test_unordered_terms_with_int_or_fraction_coefficients(data):
     assert format_scalar(mixed.coeff(11)) == "0/1"
     assert mixed.scale(1) is mixed
     assert mixed.scale(Fraction(1)) is mixed
-    assert mixed.scale(0) == LinComb.zero()
+    assert mixed.scale(0) == LinComb()
     assert mixed.scale(0).is_zero()
 
 

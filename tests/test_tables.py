@@ -169,6 +169,10 @@ def _refusals():
     for unit, got in (("a", "str"), (True, "bool"), (1.0, "float"), (5, "5")):
         yield f"semigroup-unit-{unit!r}", partial(z2, unit), (
             f"unit: expected an index in 0..1, got {got}")
+    # beside "mul", a role 5 made sorting the roles raise a bare TypeError
+    two_roles = {"mul": {(0, 0): [[[1]]]}, 5: {(0, 0): [[[1]]]}}
+    yield "algebra-role-not-str", lambda: _one_dim(two_roles), (
+        "ops: expected str role names, got 5")
     yield "algebra-key-not-tuple", lambda: _one_dim({"mul": {0: [[[1]]]}}), (
         "ops[mul]: expected int tuple keys, got 0")
     named = {(0, 0): [[[1]]], ("a", "b"): [[[1]]], (0, 5): [[[1]]]}

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from relalg import EMPTY, DecoratedTree, leaf, node, tree_parse, tree_print
+from relalg import EMPTY, DecoratedTree, tree_parse, tree_print
 from relalg.errors import TreeParseError
 from relalg.trees import random_tree_from
 
@@ -13,7 +13,7 @@ def test_empty_roundtrip():
 
 
 def test_single_vertex_roundtrip():
-    t = leaf("x")
+    t = DecoratedTree("x")
     assert tree_print(t) == "x[]"
     assert tree_parse("x[]") == t
     assert tree_parse("x[,]") == t
@@ -21,17 +21,17 @@ def test_single_vertex_roundtrip():
 
 
 def test_right_child_form():
-    t = node("x", right=leaf("y"), right_edge="a")
+    t = DecoratedTree("x", right=DecoratedTree("y"), right_edge="a")
     assert tree_parse("x[ , a: y[]]") == t
     assert tree_print(t) == "x[, a: y[]]"
     assert tree_parse(tree_print(t)) == t
 
 
 def test_left_child_and_full_forms():
-    t = node("x", left=leaf("y"), left_edge="a")
+    t = DecoratedTree("x", left=DecoratedTree("y"), left_edge="a")
     assert tree_print(t) == "x[a: y[], ]"
     assert tree_parse(tree_print(t)) == t
-    full = node("z", left=t, left_edge="b", right=leaf("y"), right_edge="a")
+    full = DecoratedTree("z", left=t, left_edge="b", right=DecoratedTree("y"), right_edge="a")
     assert tree_parse(tree_print(full)) == full
     assert full.size == 4
 
@@ -58,34 +58,39 @@ def test_label_validation():
 
 def test_edge_label_invariant_enforced():
     with pytest.raises(ValueError):
-        DecoratedTree("x", left=leaf("y"))  # nonempty subtree without a label
+        DecoratedTree("x", left=DecoratedTree("y"))  # nonempty subtree without a label
     with pytest.raises(ValueError):
         DecoratedTree("x", left_edge="a")  # label without a subtree
 
 
 def test_canonical_order():
     # vertex count dominates
-    assert EMPTY < leaf("z")
-    assert leaf("z") < node("a", right=leaf("a"), right_edge="s")
+    assert EMPTY < DecoratedTree("z")
+    assert DecoratedTree("z") < DecoratedTree("a", right=DecoratedTree("a"), right_edge="s")
     # same size: shape before labels; a left-leaning two-vertex tree and a
     # right-leaning one differ in shape
-    left_two = node("a", left=leaf("a"), left_edge="s")
-    right_two = node("a", right=leaf("a"), right_edge="s")
+    left_two = DecoratedTree("a", left=DecoratedTree("a"), left_edge="s")
+    right_two = DecoratedTree("a", right=DecoratedTree("a"), right_edge="s")
     assert (left_two < right_two) != (right_two < left_two)
     # same shape: vertex labels in preorder
-    assert node("a", right=leaf("b"), right_edge="s") < node("b", right=leaf("a"), right_edge="s")
+    assert DecoratedTree("a", right=DecoratedTree("b"), right_edge="s") < DecoratedTree(
+        "b", right=DecoratedTree("a"), right_edge="s"
+    )
     # same shape and vertex labels: edge labels decide
-    assert node("a", right=leaf("a"), right_edge="s") < node("a", right=leaf("a"), right_edge="t")
+    assert DecoratedTree("a", right=DecoratedTree("a"), right_edge="s") < DecoratedTree(
+        "a", right=DecoratedTree("a"), right_edge="t"
+    )
 
 
 def test_equality_and_hash_are_structural():
     t1 = tree_parse("x[a: y[], b: x[]]")
-    t2 = node("x", leaf("y"), "a", leaf("x"), "b")
+    t2 = DecoratedTree("x", DecoratedTree("y"), "a", DecoratedTree("x"), "b")
     assert t1 == t2 and hash(t1) == hash(t2)
     assert t1 is not t2
     assert t1 != tree_parse("x[b: y[], b: x[]]")
-    assert node("x", leaf("y"), "a") != node("x", right=leaf("y"), right_edge="a")
-    assert leaf("x") != "x[]"
+    left_child = DecoratedTree("x", DecoratedTree("y"), "a")
+    assert left_child != DecoratedTree("x", right=DecoratedTree("y"), right_edge="a")
+    assert DecoratedTree("x") != "x[]"
 
 
 def test_random_tree_deterministic():
