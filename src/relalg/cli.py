@@ -199,7 +199,7 @@ def _pair_role(alg, role):
 
 def _with_materialized(alg, roles, ops):
     return alg.with_ops(
-        {role: materialize_pair_op(op, alg.dim, alg.index) for role, op in zip(roles, ops)}
+        {role: materialize_pair_op(op, alg.dim) for role, op in zip(roles, ops)}
     )
 
 
@@ -223,13 +223,14 @@ def _derive_dend_from_rb(args):
 def _on_algebra(construction, roles):
     """A derivation from a checked --algebra: ``construction`` takes the
     algebra's role named by each parameter, lifted to a pair-indexed one, or
-    its domain for ``domain``, and returns the operation of each of ``roles``."""
-    params = inspect.signature(construction).parameters
+    its domain for ``domain``, and returns the operation of each of ``roles``;
+    it is called through its module-level name, so a wrapper bound there sees it."""
+    params, name = inspect.signature(construction).parameters, construction.__name__
 
     def derive(args):
         alg = _load_algebra(_require_file(args, "algebra"))
         inputs = [finite_domain(alg) if p == "domain" else _pair_role(alg, p) for p in params]
-        ops = construction(*inputs)
+        ops = globals()[name](*inputs)
         return _with_materialized(alg, roles, ops if len(roles) > 1 else [ops])
 
     return derive

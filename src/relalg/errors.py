@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the readers the JSON
 loaders and the constructors share: ``read_table``, the one reader of nested
-tables, and ``read_names``, the one reader of a list of names."""
+tables, ``read_names``, the one reader of a list of names, and
+``read_keyed``, the one reader of a table keyed by index elements or tuples."""
 
 
 class MalformedInputError(ValueError):
@@ -43,6 +44,19 @@ def read_table(raw, path, leaf, length, *inner):
             leaf(value)
         except ValueError as exc:
             raise MalformedInputError(f"{path}[{k}]: {exc}") from None
+
+
+def read_keyed(table, what, keys, leaf, *shape):
+    """``table``, a dict whose keys equal ``keys``, each value read by ``read_table``
+    at ``{what}[{key}]``.  Another key set is refused naming the missing keys,
+    sorted, and the extra ones in table order: mixed-type keys are never sorted."""
+    if not isinstance(table, dict):
+        raise MalformedInputError(f"{what}: expected a dict, got {type_name(table)}")
+    keys = set(keys)
+    if table.keys() != keys:
+        missing, extra = sorted(keys - table.keys()), [k for k in table if k not in keys]
+        raise MalformedInputError(f"{what}: wrong index keys (missing {missing}, extra {extra})")
+    return {key: read_table(value, f"{what}[{key}]", leaf, *shape) for key, value in table.items()}
 
 
 def read_names(values, what, label=None):

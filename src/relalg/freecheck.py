@@ -70,7 +70,7 @@ def free_suite_carrier(carrier, suite_name):
 def free_check(carrier, suite_name, samples=200, max_vertices=6, seed=0):
     """Run a suite over seeded random tree tuples and all index tuples."""
     opc = free_suite_carrier(carrier, suite_name)
-    domain = SampledTreeDomain(carrier, opc.index, samples, max_vertices, seed)
+    domain = SampledTreeDomain(carrier, samples, max_vertices, seed)
     report = check_axioms(opc, suite_name, domain, check_name=f"free-check:{suite_name}")
     info = {
         **report.info,

@@ -263,17 +263,16 @@ class FreeDendCarrier:
 
 
 class SampledTreeDomain:
-    """Seeded random tree tuples with exhaustive index tuples: ``elements``
-    yields tuples of trees as basis vectors, and ``render_basis`` prints a
-    tree.  Each call to ``elements`` replays the same sample stream, so every
-    equation of a suite sees the same tuples and repeated runs are
-    bit-identical."""
+    """Seeded random tree tuples with every tuple of the carrier's index
+    elements: ``elements`` yields tuples of trees as basis vectors, and
+    ``render_basis`` prints a tree.  Each call to ``elements`` replays the same
+    sample stream, so every equation of a suite sees the same tuples and
+    repeated runs are bit-identical."""
 
-    def __init__(self, carrier, index, samples, max_vertices, seed):
+    def __init__(self, carrier, samples, max_vertices, seed):
         if samples < 1 or max_vertices < 1:
             raise ContractError("a tree sample needs samples >= 1 and max_vertices >= 1")
         self.carrier = carrier
-        self.index = index
         self.samples = samples
         self.max_vertices = max_vertices
         self.seed = seed
@@ -286,7 +285,7 @@ class SampledTreeDomain:
             )
 
     def indices(self, m):
-        return product(range(self.index.size), repeat=m)
+        return product(range(self.carrier.dimonoid.size), repeat=m)
 
     def render_basis(self, b):
         return tree_print(b)

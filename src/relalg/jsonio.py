@@ -265,9 +265,7 @@ def load_rota_baxter(obj, path="rb"):
         return reciprocal_rota_baxter()
     algebra = load_algebra(_need(obj, "algebra", dict, path), f"{path}.algebra")
     maps = _maps(obj, path, algebra.index, algebra.dim, algebra.dim)
-    if sorted(maps) != list(range(algebra.index.size)):
-        raise MalformedInputError(f"{path}.maps: need exactly one matrix per semigroup element")
-    return RotaBaxterFamily(algebra, maps)
+    return _build(path, RotaBaxterFamily, algebra, maps)
 
 
 def load_morphism(obj, path="morphism"):

@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import ContractError, MalformedInputError, read_names, read_table, type_name
+from .errors import ContractError, MalformedInputError, read_keyed, read_names, read_table, type_name
 from .lincomb import LinComb, exact, lc_bilinear_extend
-from .semigroups import SemigroupTable
+from .semigroups import SemigroupTable, VirtualSemigroup
 
 
 class PairIndexedOp:
@@ -111,29 +111,15 @@ class FiniteRelativeAlgebra:
                 raise MalformedInputError(f"ops: expected str role names, got {role!r}")
             if not isinstance(table, dict):
                 raise MalformedInputError(f"ops[{role}]: expected a dict, got {type_name(table)}")
-            keys = set(table)
-            if not keys:
+            if not table:
                 raise MalformedInputError(f"ops[{role}]: {NO_BLOCKS}")
+            # read_keyed compares keys by equality, which takes (0, 0.0) and (True,) for int tuples
             for key in table:
                 if type(key) is not tuple or {*map(type, key)} - {int}:
                     raise MalformedInputError(f"ops[{role}]: expected int tuple keys, got {key!r}")
-            arities = {len(k) for k in keys}
-            if len(arities) != 1:
-                raise MalformedInputError(f"ops[{role}]: mixed index arities")
-            arity = arities.pop()
-            if arity not in (1, 2):
-                raise MalformedInputError(f"ops[{role}]: index tuples must have 1 or 2 entries")
-            expected = set(product(range(n), repeat=arity))
-            if keys != expected:
-                missing = sorted(expected - keys)
-                extra = sorted(keys - expected)
-                raise MalformedInputError(
-                    f"ops[{role}]: wrong index keys (missing {missing}, extra {extra})"
-                )
-            clean[role] = {
-                key: read_table(block, f"ops[{role}][{key}]", exact, dim, dim, dim)
-                for key, block in table.items()
-            }
+            pairs = set(product(range(n), repeat=2))  # the first key picks pairs or singletons
+            keys = pairs if next(iter(table)) in pairs else set(product(range(n)))
+            clean[role] = read_keyed(table, f"ops[{role}]", keys, exact, dim, dim, dim)
         self.basis = basis
         self.index = index
         self.ops = clean
@@ -218,15 +204,15 @@ def _kernel(block, den):
     return kernel
 
 
-def materialize_pair_op(op, dim, index):
+def materialize_pair_op(op, dim):
     """Evaluate a pair-indexed operation on all basis pairs of a finite
-    carrier, producing a structure-constant table."""
+    carrier and all pairs of its index, producing a structure-constant table."""
     units = [LinComb.single(i) for i in range(dim)]
     return {
         (a, b): tuple(
             tuple(tuple(map(op(a, b, x, y).coeff, range(dim))) for y in units) for x in units
         )
-        for a, b in product(range(index.size), repeat=2)
+        for a, b in product(range(op.index.size), repeat=2)
     }
 
 
@@ -235,9 +221,9 @@ class RotaBaxterFamily:
     with a pair-indexed product.
 
     ``maps`` is either a dict from index element to a square matrix (rows =
-    output coordinates) or a callable ``(alpha, vector) -> vector``; the dict
-    form needs a carrier with a finite basis, and raises a window-closure
-    error when asked outside its keys."""
+    output coordinates) or a callable ``(alpha, vector) -> vector``.  The dict
+    form needs a carrier with a finite basis and one matrix per index element;
+    over a virtual index its keys are a window, outside which ``apply`` refuses."""
 
     __slots__ = ("carrier", "maps")
 
@@ -245,8 +231,9 @@ class RotaBaxterFamily:
         if isinstance(maps, dict):
             if getattr(carrier, "basis", None) is None:
                 raise ContractError("a carrier without a finite basis takes callable maps only")
-            dim = len(carrier.basis)
-            maps = {a: read_table(m, f"maps[{a}]", exact, dim, dim) for a, m in maps.items()}
+            dim, index = len(carrier.basis), carrier.index
+            keys = maps if isinstance(index, VirtualSemigroup) else range(index.size)
+            maps = read_keyed(maps, "maps", keys, exact, dim, dim)
         elif not callable(maps):
             raise MalformedInputError(f"maps: expected a dict or a callable, got {type_name(maps)}")
         self.carrier = carrier
@@ -285,17 +272,11 @@ class MorphismFamily:
             if not isinstance(alg, FiniteRelativeAlgebra):
                 got = type_name(alg)
                 raise MalformedInputError(f"{what}: expected a finite algebra, got {got}")
-        if not isinstance(maps, dict):
-            raise MalformedInputError(f"maps: expected a dict, got {type_name(maps)}")
         if source.index != target.index:
             raise MalformedInputError("morphism endpoints use different index semigroups")
-        if set(maps) != set(range(source.index.size)):
-            raise MalformedInputError("maps: expected exactly one map per index element")
         self.source = source
         self.target = target
-        self.maps = {
-            a: read_table(m, f"maps[{a}]", exact, target.dim, source.dim) for a, m in maps.items()
-        }
+        self.maps = read_keyed(maps, "maps", range(source.index.size), exact, target.dim, source.dim)
 
     def apply(self, alpha, x):
         return apply_matrix(self.maps[alpha], x)

@@ -253,10 +253,11 @@ def test_identity_rb_fails():
 
 
 def test_rb_window_closure_error():
-    base = one_dim_base()
-    rb = RotaBaxterFamily(base, {})  # no operators at all
-    with pytest.raises(ContractError):
-        check_rota_baxter(rb)
+    # dict maps over a virtual index are a window: a product index outside it
+    # is refused, not read as zero
+    rb = RotaBaxterFamily(rational_line_carrier(), {1: [[1]]})
+    with pytest.raises(ContractError, match="^window closure: no operator defined for index 2$"):
+        check_rota_baxter(rb, window=range(1, 3))
 
 
 def test_rb_requires_window_when_virtual():

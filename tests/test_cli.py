@@ -596,6 +596,27 @@ def test_free_carrier_checks_semigroup_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_derive_calls_its_construction_through_the_module_name(monkeypatch, capsys):
+    # a wrapper bound to the construction's name in relalg.cli, as the
+    # benchmark's tracer binds one, sees the call
+    from relalg import cli
+
+    argv = ["derive", "--construction", "dend-from-zinbiel", "--algebra", str(DATA / "zinbiel8.json")]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = []
+    original = cli.dend_from_zinbiel
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "dend_from_zinbiel", counted)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -149,7 +149,7 @@ def test_zero_zinbiel_degenerates():
 
 def test_asymmetric_dendriform_refused(zalg, free_zmod2):
     prec, succ = free_pair_ops(free_zmod2)
-    domain = SampledTreeDomain(free_zmod2, prec.index, samples=5, max_vertices=2, seed=0)
+    domain = SampledTreeDomain(free_zmod2, samples=5, max_vertices=2, seed=0)
     with pytest.raises(ConstructionRefused) as err:
         zinbiel_from_symmetric_dend(prec, succ, domain)
     assert err.value.report.counterexample is not None
@@ -355,7 +355,7 @@ def test_poisson_from_zero_zinbiel(free_zmod2):
     index = prec.index
     circ = prelie_from_dend(prec, succ)
     zero = PairIndexedOp(index, lambda a, b, x, y: LinComb())
-    domain = SampledTreeDomain(free_zmod2, index, samples=10, max_vertices=3, seed=1)
+    domain = SampledTreeDomain(free_zmod2, samples=10, max_vertices=3, seed=1)
     mul, bracket = poisson_from_prepoisson(circ, zero, domain)
     carrier = OpCarrier(index, {"mul": mul, "bracket": bracket})
     assert check_axioms(carrier, "RelPoisson", domain).passed
@@ -438,15 +438,11 @@ def test_collapse_commutes_with_assoc_from_dend(zmod2):
     flat = collapse(alg)
     route1 = collapse(
         alg.with_ops(
-            {
-                "mul": materialize_pair_op(
-                    assoc_from_dend(alg.op("prec"), alg.op("succ")), alg.dim, alg.index
-                )
-            }
+            {"mul": materialize_pair_op(assoc_from_dend(alg.op("prec"), alg.op("succ")), alg.dim)}
         )
     ).ops["mul"][(0, 0)]
     route2 = materialize_pair_op(
-        assoc_from_dend(flat.op("prec"), flat.op("succ")), flat.dim, flat.index
+        assoc_from_dend(flat.op("prec"), flat.op("succ")), flat.dim
     )[(0, 0)]
     assert route1 == route2
 
@@ -552,7 +548,7 @@ def test_family_to_pair_trivial_monoid(zalg):
 
 def test_lifted_family_dendriform_passes_pair_suite(free_zmod2):
     prec, succ = free_pair_ops(free_zmod2)
-    domain = SampledTreeDomain(free_zmod2, prec.index, samples=30, max_vertices=5, seed=2)
+    domain = SampledTreeDomain(free_zmod2, samples=30, max_vertices=5, seed=2)
     carrier = OpCarrier(prec.index, {"prec": prec, "succ": succ})
     assert check_axioms(carrier, "RelDendriform", domain).passed
 

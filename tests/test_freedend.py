@@ -517,7 +517,7 @@ def test_family_axioms_sampled(free_zmod2):
 def test_matching_ops_pass_dimonoid_axioms(free_matching2):
     prec, succ = free_matching2.matching_ops()
     carrier = OpCarrier(free_matching2.dimonoid, {"prec": prec, "succ": succ})
-    domain = SampledTreeDomain(free_matching2, free_matching2.dimonoid, 30, 5, 0)
+    domain = SampledTreeDomain(free_matching2, 30, 5, 0)
     assert check_axioms(carrier, "DimonoidDendriform", domain).passed
 
 
@@ -541,7 +541,7 @@ def test_derived_chain_needs_commutative_index(free_matching2):
 
 
 def test_sampled_domain_is_replayable(free_zmod2):
-    domain = SampledTreeDomain(free_zmod2, free_zmod2.dimonoid, samples=7, max_vertices=4, seed=5)
+    domain = SampledTreeDomain(free_zmod2, samples=7, max_vertices=4, seed=5)
     first = [tuple(vec.items() for vec in row) for row in domain.elements(3)]
     second = [tuple(vec.items() for vec in row) for row in domain.elements(3)]
     assert first == second and len(first) == 7

@@ -7,15 +7,20 @@ their name lists through ``errors.read_names`` and their scalars through
 import json
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from relalg import FiniteRelativeAlgebra, FreeDendCarrier, LinComb, cyclic_monoid, trivial_monoid
 from relalg.cli import main
 from relalg.errors import ContractError, MalformedInputError, read_table
+from relalg.jsonio import load_algebra
 from relalg.ops import MorphismFamily, OpCarrier, RotaBaxterFamily
 from relalg.samples import reciprocal_rota_baxter
 from relalg.semigroups import Cocycle, DimonoidTable, SemigroupTable
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def small_int(value):
@@ -123,6 +128,18 @@ def _refusals():
     alg = FiniteRelativeAlgebra(["u", "v"], ZMOD2, ops)
     yield "rota-baxter", lambda: RotaBaxterFamily(alg, {0: [[1, 2, 3]], 1: [[0]]}), (
         "maps[0]: expected a list of length 2, got 1")
+    # a map family over a finite index names every element exactly once
+    eye = [[1, 0], [0, 1]]
+    yield "rota-baxter-missing-key", lambda: RotaBaxterFamily(alg, {0: eye}), (
+        "maps: wrong index keys (missing [1], extra [])")
+    yield "rota-baxter-extra-key", lambda: RotaBaxterFamily(alg, {0: eye, 1: eye, 5: eye}), (
+        "maps: wrong index keys (missing [], extra [5])")
+    yield "algebra-mixed-arities", lambda: FiniteRelativeAlgebra(
+        ["u", "v"], ZMOD2, {"mul": {**ops["mul"], (1,): BLOCK}}), (
+        "ops[mul]: wrong index keys (missing [], extra [(1,)])")
+    # keys are compared by equality, where (0, 0.0) is (0, 0): the key type is checked first
+    yield "algebra-key-float", lambda: _one_dim({"mul": {(0, 0.0): [[[1]]]}}), (
+        "ops[mul]: expected int tuple keys, got (0, 0.0)")
     # a role table or a map family given in a shape other than a dict
     yield "algebra-ops-not-dict", lambda: _one_dim([("mul", {})]), (
         "ops: expected a dict, got list")
@@ -139,7 +156,7 @@ def _refusals():
     yield "morphism-source-not-algebra", lambda: MorphismFamily(5, line, {0: [[1]], 1: [[1]]}), (
         "source: expected a finite algebra, got int")
     yield "morphism-key-not-index", lambda: MorphismFamily(line, line, {0: [[1]], "1": [[1]]}), (
-        "maps: expected exactly one map per index element")
+        "maps: wrong index keys (missing [1], extra ['1'])")
     # name lists, read by errors.read_names
     label = "tree labels are letters, digits and _"
     yield "semigroup-no-names", lambda: SemigroupTable([], []), (
@@ -215,6 +232,19 @@ def test_dict_maps_need_a_carrier_with_a_finite_basis():
     with pytest.raises(ContractError, match="without a finite basis takes callable maps only"):
         RotaBaxterFamily(OpCarrier(line.index, line.ops), {1: [[1]]})
     assert RotaBaxterFamily(line, {1: [[1]]}).maps == {1: ((1,),)}
+
+
+def test_a_map_family_is_refused_alike_in_memory_and_from_a_file(tmp_path, capsys):
+    # one matrix for the two elements of Z/2
+    algebra = json.loads((DATA / "cocycle_algebra.json").read_text())
+    with pytest.raises(MalformedInputError) as info:
+        RotaBaxterFamily(load_algebra(algebra), {0: [[0]]})
+    message = "maps: wrong index keys (missing [1], extra [])"
+    assert str(info.value) == message
+    path = tmp_path / "rb.json"
+    path.write_text(json.dumps({"algebra": algebra, "maps": {"0": [["0/1"]]}}))
+    assert main(["check-rb", "--rb", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: malformed input: rb: {message}\n"
 
 
 def test_the_cli_names_a_long_product_row_by_its_json_path(tmp_path, capsys):
