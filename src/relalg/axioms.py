@@ -586,9 +586,10 @@ def _validate_carrier(carrier, suite):
     ops = {}
     for role in suite.roles:
         op = carrier.op(role)
-        if op.arity != suite.op_arity:
+        arity = getattr(op, "arity", None)
+        if arity != suite.op_arity:
             raise ContractError(
-                f"role {role!r} has index arity {op.arity}, suite {suite.name} "
+                f"role {role!r} has index arity {arity}, suite {suite.name} "
                 f"expects {suite.op_arity}"
             )
         ops[role] = op

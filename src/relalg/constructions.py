@@ -27,7 +27,8 @@ from .axioms import (
     Y,
 )
 from .errors import ContractError, require
-from .ops import FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
+from .lincomb import LinComb
+from .ops import FamilyIndexedOp, FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
 from .semigroups import check_cocycle, trivial_monoid
 
 
@@ -50,6 +51,15 @@ def family_to_pair(role, fam):
     if lifted_position(role) == 1:
         return PairIndexedOp(fam.index, lambda a, b, x, y: fam(b, x, y))
     return PairIndexedOp(fam.index, lambda a, b, x, y: fam(a, x, y))
+
+
+def dend_graftings(construction, index):
+    """The construction's product of symbolic prec/succ over index at (0, 1, 0, 1), as its
+    signed graftings (k, kind, s, t, i): s, t are positions in (x, y), i one in (a, b)."""
+    prec, succ = (FamilyIndexedOp(index, lambda i, s, t, kind=kind: LinComb.single((kind, s, t, i)))
+                  for kind in ("prec", "succ"))
+    built = construction(family_to_pair("prec", prec), family_to_pair("succ", succ))(0, 1, 0, 1)
+    return [(k, *term) for term, k in built]
 
 
 def assoc_from_dend(prec, succ):

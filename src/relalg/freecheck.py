@@ -3,7 +3,8 @@
 from dataclasses import replace
 
 from .axioms import SUITES, check_axioms
-from .constructions import family_to_pair, require_commutative
+from .constructions import (assoc_from_dend, dend_graftings, family_to_pair, lie_from_prelie,
+                            prelie_from_dend)
 from .errors import ContractError
 from .freedend import SampledTreeDomain
 from .ops import OpCarrier, PairIndexedOp
@@ -25,33 +26,27 @@ def free_pair_ops(carrier):
     return family_to_pair("prec", prec_fam), family_to_pair("succ", succ_fam)
 
 
-# role -> the signed graftings (k, kind, s, t, index) of the derived product
-# at (a, b)(x, y): assoc_from_dend, prelie_from_dend and lie_from_prelie
-# expanded over the family lifting, where prec reads b and succ reads a
+# role -> the construction of the derived product from lifted prec/succ
 DERIVED_OPS = {
-    "mul": lambda a, b, x, y: ((1, "succ", x, y, a), (1, "prec", x, y, b)),
-    "circ": lambda a, b, x, y: ((1, "succ", x, y, a), (-1, "prec", y, x, a)),
-    "bracket": lambda a, b, x, y: (
-        (1, "succ", x, y, a), (-1, "prec", y, x, a), (-1, "succ", y, x, b), (1, "prec", x, y, b)
-    ),
+    "mul": assoc_from_dend,
+    "circ": prelie_from_dend,
+    "bracket": lambda prec, succ: lie_from_prelie(prelie_from_dend(prec, succ)),
 }
 
 
 def free_derived_op(carrier, role):
-    """The derived operation on the free carrier, one graft sum per product,
-    refused where its construction is: a term grafting y onto x reads its
-    arguments out of order and needs a commutative index (circ, bracket)."""
+    """The derived operation on the free carrier: one graft sum per product, of
+    the graftings read off its construction (which refuses an index as anywhere)."""
     index = carrier.family_ops()[0].index  # refuses a dimonoid not in semigroup form
-    terms = DERIVED_OPS[role]
-    if any(s == "y" for _, _, s, _, _ in terms(0, 0, "x", "y")):
-        require_commutative(index)
-    return PairIndexedOp(index, lambda a, b, x, y: carrier.graft_sum(terms(a, b, x, y)))
+    terms = dend_graftings(DERIVED_OPS[role], index)
+    return PairIndexedOp(index, lambda a, b, x, y: carrier.graft_sum(
+        [(k, kind, (x, y)[s], (x, y)[t], (a, b)[i]) for k, kind, s, t, i in terms]))
 
 
 def free_suite_carrier(carrier, suite_name):
     """The operations on the free carrier for a suite of ``FREE_SUITES``, read
     off the suite: at one index prec/succ over the dimonoid or the semigroup,
-    at two each role's ``DERIVED_OPS`` sum or else the lifted prec/succ."""
+    at two each role's ``DERIVED_OPS`` product or else the lifted prec/succ."""
     if suite_name not in FREE_SUITES:
         raise ContractError(
             f"suite {suite_name!r} is not available on free carriers "

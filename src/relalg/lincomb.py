@@ -181,10 +181,6 @@ class LinComb:
         """Serialize to ``[[coeff "p/q", basis], ...]`` in basis order."""
         return [[format_scalar(c), basis_str(b)] for b, c in self.items()]
 
-    @classmethod
-    def from_pairs(cls, pairs, basis_parse=lambda s: s):
-        return cls((basis_parse(b), parse_scalar(c)) for c, b in pairs)
-
 
 def lc_add(a, b):
     return a + b

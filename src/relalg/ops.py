@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import ContractError, MalformedInputError, read_keyed, read_names, read_table, type_name
 from .lincomb import LinComb, exact, lc_bilinear_extend
-from .semigroups import SemigroupTable, VirtualSemigroup
+from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
 
 
 class PairIndexedOp:
@@ -65,6 +65,10 @@ class OpCarrier:
     __slots__ = ("index", "ops", "unit_vector", "basis")
 
     def __init__(self, index, ops, unit_vector=None, basis=None):
+        if not isinstance(index, (SemigroupTable, DimonoidTable, VirtualSemigroup)):
+            raise MalformedInputError(f"index: expected an index structure, got {type_name(index)}")
+        if not isinstance(ops, dict):
+            raise MalformedInputError(f"ops: expected a dict, got {type_name(ops)}")
         self.index = index
         self.ops = dict(ops)
         self.unit_vector = unit_vector

@@ -11,17 +11,21 @@ document.
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relalg import (
     Cocycle,
     DimonoidTable,
+    FiniteDomain,
     FiniteRelativeAlgebra,
     FreeDendCarrier,
     MorphismFamily,
+    OpCarrier,
     RotaBaxterFamily,
     SemigroupTable,
+    check_axioms,
     cyclic_monoid,
     matching_dimonoid,
 )
@@ -45,6 +49,7 @@ CASES = {
     RotaBaxterFamily: (ALGEBRA, MAPS),
     MorphismFamily: (ALGEBRA, ALGEBRA, MAPS),
     FreeDendCarrier: (["x", "y"], matching_dimonoid(2)),
+    OpCarrier: (ZMOD2, {"mul": ALGEBRA.op("mul")}, None, ("u", "v")),
 }
 
 REPLACEMENTS = [
@@ -117,3 +122,18 @@ def test_every_constructor_call_ends_in_a_documented_outcome(data):
     if isinstance(built, FiniteRelativeAlgebra):
         doc = dump_algebra(built)
         assert dump_algebra(load_algebra(json.loads(json.dumps(doc)))) == doc
+
+
+def test_an_op_carrier_refuses_an_index_or_ops_of_another_kind():
+    with pytest.raises(MalformedInputError, match="^index: expected an index structure, got int$"):
+        RotaBaxterFamily(OpCarrier(5, {}, basis=("u",)), {0: [[1]]})
+    with pytest.raises(MalformedInputError, match="^ops: expected a dict, got int$"):
+        OpCarrier(ZMOD2, 5)
+
+
+def test_a_role_bound_to_what_is_not_an_operation_is_refused_by_the_check():
+    # operations are duck-typed: the check reads an arity off each one
+    carrier = OpCarrier(ZMOD2, {"mul": 5}, basis=("u",))
+    message = "^role 'mul' has index arity None, suite RelAssoc expects 2$"
+    with pytest.raises(ContractError, match=message):
+        check_axioms(carrier, "RelAssoc", FiniteDomain(("u",), range(2)))

@@ -19,6 +19,7 @@ from relalg import (
     free_check,
     lie_from_prelie,
     matching_dimonoid,
+    parse_scalar,
     prelie_from_dend,
     semigroup_from_dimonoid,
     tree_parse,
@@ -26,7 +27,8 @@ from relalg import (
 )
 from relalg.errors import ContractError, MalformedInputError
 from relalg import freedend
-from relalg.freecheck import free_derived_op, free_pair_ops, free_suite_carrier
+from relalg.constructions import dend_graftings
+from relalg.freecheck import DERIVED_OPS, free_derived_op, free_pair_ops, free_suite_carrier
 from relalg.freedend import SampledTreeDomain
 from relalg.reports import to_json
 from relalg.trees import EMPTY, DecoratedTree, random_tree_from
@@ -497,6 +499,29 @@ def test_derived_graftings_equal_their_constructions(index, roles, budget, monke
                 free_derived_op(carrier, role)
 
 
+# the signed graftings (k, kind, s, t, i) of each derived product, expanded
+# by hand over the family lifting (prec reads b, succ reads a): s and t are
+# positions in (x, y) and i a position in (a, b)
+HAND_GRAFTINGS = {
+    "mul": {(1, "succ", 0, 1, 0), (1, "prec", 0, 1, 1)},
+    "circ": {(1, "succ", 0, 1, 0), (-1, "prec", 1, 0, 0)},
+    "bracket": {
+        (1, "succ", 0, 1, 0), (-1, "prec", 1, 0, 0), (-1, "succ", 1, 0, 1), (1, "prec", 0, 1, 1)
+    },
+}
+
+
+def test_the_graftings_read_off_each_construction_are_the_hand_written_ones():
+    assert set(DERIVED_OPS) == set(HAND_GRAFTINGS)
+    for role, construction in DERIVED_OPS.items():
+        assert set(dend_graftings(construction, cyclic_monoid(2))) == HAND_GRAFTINGS[role]
+    band = SemigroupTable(*LEFT_ZERO_BAND)
+    assert set(dend_graftings(DERIVED_OPS["mul"], band)) == HAND_GRAFTINGS["mul"]
+    for role in ("circ", "bracket"):
+        with pytest.raises(ContractError, match="requires a commutative index semigroup"):
+            dend_graftings(DERIVED_OPS[role], band)
+
+
 def test_family_ops_require_semigroup_form(free_matching2):
     with pytest.raises(ContractError):
         free_matching2.family_ops()
@@ -575,7 +600,7 @@ def test_tree_lincomb_serialization_roundtrip(free_zmod2):
         free_zmod2.prec(X, Y, "0"), single(free_zmod2.parse("y[1: x[], ]")), "1"
     )
     pairs = out.to_pairs(tree_print)
-    back = LinComb.from_pairs(pairs, tree_parse)
+    back = LinComb((tree_parse(b), parse_scalar(c)) for c, b in pairs)
     assert back == out and not out.is_zero()
 
 

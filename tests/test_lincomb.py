@@ -297,7 +297,7 @@ def test_kernels_and_memo_match_dense_reference():
 @given(combs)
 def test_serialization_roundtrip(a):
     pairs = a.to_pairs(basis_str=str)
-    back = LinComb.from_pairs(pairs, basis_parse=int)
+    back = LinComb((int(b), parse_scalar(c)) for c, b in pairs)
     assert back == a
 
 
