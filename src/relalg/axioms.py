@@ -199,13 +199,15 @@ class _Compiler:
     times its scale, the scale, and the positions it reads; an index
     expression a closure ``env -> element`` and its positions.  An operation
     wrapper is called through its ``fn``, which returns ``den`` times the
-    product.  A unit the carrier lacks is refused when the term is compiled.
+    product, handed only the indices in its ``reads`` (all when it has none).
+    A unit the carrier lacks is refused when the term is compiled.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
 
     def __init__(self, ops, index, unit_vector):
-        self.ops = {r: (getattr(op, "fn", op), getattr(op, "den", 1)) for r, op in ops.items()}
+        self.ops = {r: (getattr(op, "fn", op), getattr(op, "den", 1), getattr(op, "reads", None))
+                    for r, op in ops.items()}
         self.index = index
         self.unit_vector = unit_vector
 
@@ -241,8 +243,9 @@ class _Compiler:
                 raise ContractError("suite requires a declared unit vector")
             return (lambda env: unit_vector), 1, set()
         if isinstance(expr, App):
-            fn, den = self.ops[expr.role]
+            fn, den, op_reads = self.ops[expr.role]
             idx = [self.index_expr(ix) for ix in expr.idx]
+            idx = idx if op_reads is None else [idx[k] for k in op_reads]
             args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
             scale = den * prod(s for _, s, _ in args)
             return _compile_app(fn, [f for f, _ in idx], [f for f, _, _ in args]), scale, reads
@@ -285,10 +288,13 @@ def _last_value(closure, reads):
 
 
 def _compile_app(op, idx, args):
+    if not idx and len(args) == 2:  # an operation that reads no index
+        x, y = args
+        return lambda env: op(x(env), y(env))
     if len(idx) == 2 and len(args) == 2:  # pair-indexed operation
         (a, b), (x, y) = idx, args
         return lambda env: op(a(env), b(env), x(env), y(env))
-    if len(idx) == 1 and len(args) == 2:  # family-indexed operation
+    if len(idx) == 1 and len(args) == 2:  # family-indexed, or reads one index of its pair
         (a,), (x, y) = idx, args
         return lambda env: op(a(env), x(env), y(env))
     if len(idx) == 1 and len(args) == 1:  # family of linear maps

@@ -47,10 +47,8 @@ def require_commutative(index):
 def family_to_pair(role, fam):
     """Lift a single-index operation to a pair-indexed one by the role's
     independence pattern: prec reads the second index, succ / ast / circ read
-    the first."""
-    if lifted_position(role) == 1:
-        return PairIndexedOp(fam.index, lambda a, b, x, y: fam(b, x, y))
-    return PairIndexedOp(fam.index, lambda a, b, x, y: fam(a, x, y))
+    the first.  The lift is the family's own ``fn``, handed that index."""
+    return PairIndexedOp(fam.index, fam.fn, fam.den, reads=(lifted_position(role),))
 
 
 def dend_graftings(construction, index):

@@ -36,11 +36,15 @@ DERIVED_OPS = {
 
 def free_derived_op(carrier, role):
     """The derived operation on the free carrier: one graft sum per product, of
-    the graftings read off its construction (which refuses an index as anywhere)."""
+    the graftings read off its construction (which refuses an index as anywhere),
+    reading the index positions they use."""
     index = carrier.family_ops()[0].index  # refuses a dimonoid not in semigroup form
     terms = dend_graftings(DERIVED_OPS[role], index)
-    return PairIndexedOp(index, lambda a, b, x, y: carrier.graft_sum(
-        [(k, kind, (x, y)[s], (x, y)[t], (a, b)[i]) for k, kind, s, t, i in terms]))
+    reads = tuple(sorted({i for *_, i in terms}))
+    # as positions in fn's arguments, the indices read then x, y: s, t counted from the end
+    terms = [(k, kind, s - 2, t - 2, reads.index(i)) for k, kind, s, t, i in terms]
+    return PairIndexedOp(index, lambda *args: carrier.graft_sum(
+        [(k, kind, args[s], args[t], args[i]) for k, kind, s, t, i in terms]), reads=reads)
 
 
 def free_suite_carrier(carrier, suite_name):

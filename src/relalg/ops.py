@@ -5,12 +5,13 @@ A pair-indexed operation takes two index elements and two vectors; a
 family-indexed operation takes a single index element.  Both are thin
 wrappers around a function, tagged with the index structure they live over,
 so the axiom engine can validate arity and index compatibility; it calls
-``fn`` directly.  A finite algebra takes every product through one kernel
-per structure-constant block (one role at one index tuple), which memoises
-the products of basis vectors an exhaustive scan hands it.  The kernels hold
-the integer constants ``den * c``, ``den`` the lcm of the algebra's
-denominators, so an operation's ``fn`` returns ``den`` times the product
-(``den`` is 1 off finite algebras) and ``__call__`` divides back.
+``fn`` directly, handing a pair-indexed one only the indices in its ``reads``.
+A finite algebra takes every product through one kernel per structure-constant
+block (one role at one index tuple), which memoises the products of basis
+vectors an exhaustive scan hands it.  The kernels hold the integer constants
+``den * c``, ``den`` the lcm of the algebra's denominators, so an operation's
+``fn`` returns ``den`` times the product (``den`` is 1 off finite algebras)
+and ``__call__`` divides back.
 """
 
 from fractions import Fraction
@@ -23,18 +24,22 @@ from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
 
 
 class PairIndexedOp:
-    """Bilinear operation indexed by a pair of semigroup elements."""
+    """Bilinear operation indexed by a pair of semigroup elements.  ``fn``
+    takes the index positions in ``reads``, in order, then the two vectors."""
 
-    __slots__ = ("index", "fn", "den")
+    __slots__ = ("index", "fn", "den", "reads")
     arity = 2
 
-    def __init__(self, index, fn, den=1):
-        self.index = index
+    def __init__(self, index, fn, den=1, reads=(0, 1)):
+        if reads not in ((), (0,), (1,), (0, 1)) or {*map(type, reads)} - {int}:
+            raise MalformedInputError(f"reads: expected (), (0,), (1,) or (0, 1), got {reads!r}")
+        self.index = _index_structure(index)
         self.fn = fn
         self.den = den
+        self.reads = reads
 
     def __call__(self, a, b, x, y):
-        return divide_back(self.fn(a, b, x, y), self.den)
+        return divide_back(self.fn(*[(a, b)[k] for k in self.reads], x, y), self.den)
 
 
 class FamilyIndexedOp:
@@ -44,12 +49,19 @@ class FamilyIndexedOp:
     arity = 1
 
     def __init__(self, index, fn, den=1):
-        self.index = index
+        self.index = _index_structure(index)
         self.fn = fn
         self.den = den
 
     def __call__(self, a, x, y):
         return divide_back(self.fn(a, x, y), self.den)
+
+
+def _index_structure(index):
+    """``index``, refused unless it is a semigroup, dimonoid or virtual index."""
+    if not isinstance(index, (SemigroupTable, DimonoidTable, VirtualSemigroup)):
+        raise MalformedInputError(f"index: expected an index structure, got {type_name(index)}")
+    return index
 
 
 def divide_back(value, den):
@@ -65,11 +77,9 @@ class OpCarrier:
     __slots__ = ("index", "ops", "unit_vector", "basis")
 
     def __init__(self, index, ops, unit_vector=None, basis=None):
-        if not isinstance(index, (SemigroupTable, DimonoidTable, VirtualSemigroup)):
-            raise MalformedInputError(f"index: expected an index structure, got {type_name(index)}")
+        self.index = _index_structure(index)
         if not isinstance(ops, dict):
             raise MalformedInputError(f"ops: expected a dict, got {type_name(ops)}")
-        self.index = index
         self.ops = dict(ops)
         self.unit_vector = unit_vector
         self.basis = basis
@@ -155,6 +165,8 @@ class FiniteRelativeAlgebra:
         kernels = self._kernels[role]
         n = self.index.size
         if self.role_arity(role) == 2:
+            if len(set(self.ops[role].values())) == 1:  # one block at every index pair
+                return PairIndexedOp(self.index, kernels[0, 0], self.den, reads=())
             table = [[kernels[a, b] for b in range(n)] for a in range(n)]
             return PairIndexedOp(self.index, lambda a, b, x, y: table[a][b](x, y), self.den)
         table = [kernels[a,] for a in range(n)]

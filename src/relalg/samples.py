@@ -24,12 +24,10 @@ def truncated_integration_zinbiel(degree):
 def rational_line_carrier():
     """The rationals as a one-dimensional carrier over the positive integers
     under addition, with the index-independent product: the 1×1 block
-    ``1 * 1 = 1``, taken through a finite algebra's kernel."""
+    ``1 * 1 = 1``, taken through a finite algebra's kernel, which reads no index."""
     index = positive_integers_additive()
     line = _kernel((((1,),),), 1)
-    return OpCarrier(
-        index, {"mul": PairIndexedOp(index, lambda a, b, x, y: line(x, y))}, basis=("1",)
-    )
+    return OpCarrier(index, {"mul": PairIndexedOp(index, line, reads=())}, basis=("1",))
 
 
 def reciprocal_rota_baxter():

@@ -18,6 +18,7 @@ from relalg import (
     MorphismFamily,
     OpCarrier,
     FamilyIndexedOp,
+    PairIndexedOp,
     RotaBaxterFamily,
     SemigroupTable,
     check_axioms,
@@ -66,6 +67,7 @@ from relalg.constructions import (
     FAMILY_SYMMETRIC,
     PAIR_SYMMETRIC,
     dend_from_zinbiel,
+    family_to_pair,
     zinbiel_from_symmetric_dend,
 )
 from relalg.errors import ContractError
@@ -563,6 +565,9 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
         FiniteDomain(pair.basis, [rng.randrange(index.size)]),
         finite_domain(pair, basis_filter=lambda combo: list(combo) == sorted(combo)),
     )
+    # the family's roles lifted to pairs, each handed the one index it reads;
+    # the walk calls each lift through __call__
+    lifted = OpCarrier(index, {r: family_to_pair(r, family.op(r)) for r in FAMILY_ROLES})
     for suite, domain in product((*SUITES.values(), WEIGHTED), domains):
         if suite.requires_unit and not unit:
             continue
@@ -570,6 +575,8 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
         same_report(
             check_axioms(carrier, suite, domain), ref_check_axioms(carrier, suite, domain, alg)
         )
+        if suite.op_arity == 2 and set(suite.roles) <= set(FAMILY_ROLES):
+            same_report(check_axioms(lifted, suite, domain), ref_check_axioms(lifted, suite, domain))
 
     # Rota-Baxter: random maps over a random carrier (RelAssoc mostly fails)
     # and over an associative one, e_i e_j = k e_max(i,j) at every index pair
@@ -652,21 +659,48 @@ def counted(op):
         calls[0] += 1
         return op.fn(*args)
 
-    return type(op)(op.index, fn, op.den), calls
+    return type(op)(op.index, fn, op.den, op.reads), calls
 
 
 @pytest.mark.parametrize("n, products", [(4, 208), (5, 400)])
 def test_an_inner_product_is_taken_once_per_change_of_what_it_reads(n, products):
-    # RelAssoc over a window of N on the rational line: in
-    # mul_{ab,c}(mul_{a,b}(x, y), z), c is innermost and mul_{a,b}(x, y) does
-    # not read it, so that product is taken N^2 times, the other three N^3
-    # times each: 3N^3 + N^2 products, where each instance took 4
+    # RelAssoc over a window of N on the rational line, its kernel wrapped as
+    # an op that reads both indices: in mul_{ab,c}(mul_{a,b}(x, y), z), c is
+    # innermost and mul_{a,b}(x, y) does not read it, so that product is taken
+    # N^2 times, the other three N^3 times each: 3N^3 + N^2 products, where
+    # each instance took 4
+    line = rational_line_carrier()
+    kernel = line.op("mul").fn
+    mul, calls = counted(PairIndexedOp(line.index, lambda a, b, x, y: kernel(x, y)))
+    carrier = OpCarrier(line.index, {"mul": mul}, basis=line.basis)
+    report = check_axioms(carrier, "RelAssoc", window_domain(line.basis, range(1, n + 1)))
+    assert report.passed and report.instances == n**3
+    assert calls == [3 * n**3 + n**2] == [products]
+
+
+@pytest.mark.parametrize("n", [4, 5, 23])
+def test_a_product_that_reads_no_index_is_taken_once_per_change_of_its_vectors(n):
+    # the rational line's own mul reads no index, and the window's one basis
+    # tuple never changes: each of RelAssoc's four products is taken once
     line = rational_line_carrier()
     mul, calls = counted(line.op("mul"))
     carrier = OpCarrier(line.index, {"mul": mul}, basis=line.basis)
     report = check_axioms(carrier, "RelAssoc", window_domain(line.basis, range(1, n + 1)))
     assert report.passed and report.instances == n**3
-    assert calls == [3 * n**3 + n**2] == [products]
+    assert calls == [4]
+
+
+def test_a_role_with_one_block_at_every_index_pair_reads_no_index():
+    # every role over a one-element index has one block, and so has a role
+    # given the same block at each pair of Z/2; the sign twist's mul has two
+    # blocks, and reads both indices
+    assert truncated_integration_zinbiel(3).op("ast").reads == ()
+    assert one_dim_base().op("mul").reads == ()
+    block = (((Fraction(1, 2),),),)
+    shared = {key: block for key in product(range(2), repeat=2)}
+    assert FiniteRelativeAlgebra(["u"], cyclic_monoid(2), {"mul": shared}).op("mul").reads == ()
+    twisted = jsonio.load_algebra(jsonio.load_file(DATA / "cocycle_algebra.json"))
+    assert twisted.op("mul").reads == (0, 1)
 
 
 def test_with_one_index_tuple_the_last_element_variable_is_innermost():

@@ -36,7 +36,7 @@ from relalg import (
     zinbiel_from_symmetric_dend,
 )
 from relalg import SemigroupTable
-from relalg.axioms import FiniteDomain, eval_expr
+from relalg.axioms import FiniteDomain, eval_expr, lifted_position
 from relalg.errors import ConstructionRefused, ContractError
 from relalg.freecheck import free_pair_ops
 from relalg.freedend import SampledTreeDomain
@@ -544,6 +544,18 @@ def test_family_to_pair_trivial_monoid(zalg):
         assert pair(0, 0, x, y) == fam(0, x, y)
     with pytest.raises(ContractError):
         family_to_pair("bracket", fam)
+
+
+@pytest.mark.parametrize("role", ["prec", "succ", "ast", "circ"])
+def test_a_lift_is_the_family_fn_handed_the_index_its_role_reads(role):
+    blocks = {(0,): [[[Fraction(1, 2)]]], (1,): [[[Fraction(1, 3)]]]}
+    fam = FiniteRelativeAlgebra(["u"], cyclic_monoid(2), {role: blocks}).op(role)
+    pair = family_to_pair(role, fam)
+    assert pair.fn is fam.fn and pair.den == fam.den == 6
+    assert pair.reads == (lifted_position(role),)
+    x, y = LinComb.single(0, 2), LinComb.single(0, 3)
+    for a, b in product(range(2), repeat=2):
+        assert pair(a, b, x, y) == fam((a, b)[lifted_position(role)], x, y)
 
 
 def test_lifted_family_dendriform_passes_pair_suite(free_zmod2):

@@ -19,10 +19,12 @@ from relalg import (
     Cocycle,
     DimonoidTable,
     FiniteDomain,
+    FamilyIndexedOp,
     FiniteRelativeAlgebra,
     FreeDendCarrier,
     MorphismFamily,
     OpCarrier,
+    PairIndexedOp,
     RotaBaxterFamily,
     SemigroupTable,
     check_axioms,
@@ -50,6 +52,8 @@ CASES = {
     MorphismFamily: (ALGEBRA, ALGEBRA, MAPS),
     FreeDendCarrier: (["x", "y"], matching_dimonoid(2)),
     OpCarrier: (ZMOD2, {"mul": ALGEBRA.op("mul")}, None, ("u", "v")),
+    PairIndexedOp: (ZMOD2, lambda a, b, x, y: x, 2, (0, 1)),
+    FamilyIndexedOp: (ZMOD2, lambda a, x, y: x, 2),
 }
 
 REPLACEMENTS = [
@@ -129,6 +133,19 @@ def test_an_op_carrier_refuses_an_index_or_ops_of_another_kind():
         RotaBaxterFamily(OpCarrier(5, {}, basis=("u",)), {0: [[1]]})
     with pytest.raises(MalformedInputError, match="^ops: expected a dict, got int$"):
         OpCarrier(ZMOD2, 5)
+
+
+@pytest.mark.parametrize("cls", [PairIndexedOp, FamilyIndexedOp])
+def test_an_operation_wrapper_refuses_an_index_of_another_kind(cls):
+    with pytest.raises(MalformedInputError, match="^index: expected an index structure, got int$"):
+        cls(5, lambda *args: args[-1])
+
+
+@pytest.mark.parametrize("reads", [(1, 0), (0, 0), (0, 1, 0), [0, 1], (0, True), (0.0,), 1, None])
+def test_a_pair_indexed_operation_reads_the_first_index_the_second_both_or_none(reads):
+    message = r"^reads: expected \(\), \(0,\), \(1,\) or \(0, 1\), got "
+    with pytest.raises(MalformedInputError, match=message):
+        PairIndexedOp(ZMOD2, lambda *args: args[-1], reads=reads)
 
 
 def test_a_role_bound_to_what_is_not_an_operation_is_refused_by_the_check():

@@ -522,6 +522,30 @@ def test_the_graftings_read_off_each_construction_are_the_hand_written_ones():
             dend_graftings(DERIVED_OPS[role], band)
 
 
+def test_a_derived_product_reads_the_index_positions_of_its_graftings():
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    reads = {role: free_derived_op(carrier, role).reads for role in DERIVED_OPS}
+    assert reads == {"mul": (0, 1), "circ": (0,), "bracket": (0, 1)}
+
+
+@pytest.mark.parametrize("suite, sums", [("RelAssoc", 84), ("RelPreLie", 96), ("RelLie", 156)])
+def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(suite, sums, monkeypatch):
+    # circ reads its first index alone, so a circ is taken again only when
+    # that index or an argument changes, not on every change of the innermost
+    # index c; mul and bracket read both indices, and their counts stay
+    calls = []
+    graft_sum = FreeDendCarrier.graft_sum
+
+    def counted(self, terms):
+        calls.append(terms)
+        return graft_sum(self, terms)
+
+    monkeypatch.setattr(FreeDendCarrier, "graft_sum", counted)
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
+    assert len(calls) == sums
+
+
 def test_family_ops_require_semigroup_form(free_matching2):
     with pytest.raises(ContractError):
         free_matching2.family_ops()
