@@ -685,7 +685,7 @@ def check_rota_baxter(rb, window=None):
     pre = check_axioms(carrier, "RelAssoc", domain, check_name="rota-baxter:precondition:RelAssoc")
     if not pre.passed:
         return pre
-    ops = {**_validate_carrier(carrier, SUITES["RelAssoc"]), "rb": rb.apply}
+    ops = {"mul": carrier.op("mul"), "rb": rb.apply}  # the precondition validated mul
     instances = _equation_instances((ROTA_BAXTER_EQUATION,), domain, ops, index, None, {})
     return scan("rota-baxter", instances, _show(domain))
 

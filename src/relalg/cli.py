@@ -25,8 +25,8 @@ from .constructions import (
     comm_from_zinbiel,
     dend_from_rb,
     dend_from_zinbiel,
-    family_to_pair,
     lie_from_prelie,
+    pair_role,
     poisson_from_prepoisson,
     prelie_from_dend,
     zinbiel_from_symmetric_dend,
@@ -188,15 +188,6 @@ def _require_file(args, attr):
     return path
 
 
-def _pair_role(alg, role):
-    """The role as a pair-indexed operation, lifting a family-indexed table
-    through its canonical independence pattern when necessary."""
-    op = alg.op(role)
-    if op.arity == 2:
-        return op
-    return family_to_pair(role, op)
-
-
 def _with_materialized(alg, roles, ops):
     return alg.with_ops(
         {role: materialize_pair_op(op, alg.dim) for role, op in zip(roles, ops)}
@@ -229,7 +220,7 @@ def _on_algebra(construction, roles):
 
     def derive(args):
         alg = _load_algebra(_require_file(args, "algebra"))
-        inputs = [finite_domain(alg) if p == "domain" else _pair_role(alg, p) for p in params]
+        inputs = [finite_domain(alg) if p == "domain" else pair_role(alg, p) for p in params]
         ops = globals()[name](*inputs)
         return _with_materialized(alg, roles, ops if len(roles) > 1 else [ops])
 

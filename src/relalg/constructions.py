@@ -28,7 +28,7 @@ from .axioms import (
 )
 from .errors import ContractError, require
 from .lincomb import LinComb
-from .ops import FamilyIndexedOp, FiniteRelativeAlgebra, OpCarrier, PairIndexedOp
+from .ops import FamilyIndexedOp, FiniteRelativeAlgebra, OpCarrier, PairIndexedOp, materialize_pair_op
 from .semigroups import check_cocycle, trivial_monoid
 
 
@@ -49,6 +49,13 @@ def family_to_pair(role, fam):
     independence pattern: prec reads the second index, succ / ast / circ read
     the first.  The lift is the family's own ``fn``, handed that index."""
     return PairIndexedOp(fam.index, fam.fn, fam.den, reads=(lifted_position(role),))
+
+
+def pair_role(alg, role):
+    """A finite algebra's role as a pair-indexed operation: its own operation,
+    or a single-index one lifted by ``family_to_pair``."""
+    op = alg.op(role)
+    return op if op.arity == 2 else family_to_pair(role, op)
 
 
 def dend_graftings(construction, index):
@@ -146,12 +153,12 @@ def cocycle_twist(base, cocycle):
     producing an algebra over the cocycle's semigroup."""
     if not isinstance(base, FiniteRelativeAlgebra) or "mul" not in base.ops:
         raise ContractError("cocycle twist needs a finite algebra with a 'mul' operation")
-    if base.role_arity("mul") != 2:
+    mul = base.op("mul")
+    if mul.arity != 2:
         raise ContractError("cocycle twist needs a pair-indexed 'mul'")
-    blocks = set(base.ops["mul"].values())
-    if len(blocks) != 1:
+    if mul.reads:  # () exactly when one block serves every index pair
         raise ContractError("cocycle twist needs an index-independent product")
-    block = blocks.pop()
+    block = base.ops["mul"][0, 0]
     require(
         check_axioms(
             base,
@@ -187,8 +194,8 @@ def dend_from_rb(rb, window=None):
 def collapse(alg):
     """Flatten a finite carrier over a finite index semigroup into an
     ordinary algebra of dimension dim * |S|: basis elements are (vector
-    basis, index) pairs and every role acts componentwise with the index
-    product folded in."""
+    basis, index) pairs and every role, read through ``pair_role``, acts
+    componentwise with the index product folded in."""
     if not isinstance(alg, FiniteRelativeAlgebra):
         raise ContractError("collapse is only offered for finite carriers")
     semigroup = alg.index
@@ -204,11 +211,7 @@ def collapse(alg):
 
     ops = {}
     for role in alg.roles():
-        table = alg.ops[role]
-        if alg.role_arity(role) == 1:
-            # fold the single-index role through its canonical pair lifting
-            position = lifted_position(role)
-            table = {pair: table[(pair[position],)] for pair in product(range(n), repeat=2)}
+        table = materialize_pair_op(pair_role(alg, role), dim)
         block = [[[0] * big for _ in range(big)] for _ in range(big)]
         for a, b in product(range(n), repeat=2):
             ab = semigroup.mul(a, b)

@@ -151,10 +151,6 @@ class FiniteRelativeAlgebra:
     def roles(self):
         return sorted(self.ops)
 
-    def role_arity(self, role):
-        table = self.ops[role]
-        return len(next(iter(table)))
-
     def apply(self, role, idx, x, y):
         """Apply a role at a fixed index tuple to two vectors."""
         return divide_back(self._kernels[role][idx](x, y), self.den)
@@ -164,7 +160,7 @@ class FiniteRelativeAlgebra:
             raise ContractError(f"algebra has no operation for role {role!r}")
         kernels = self._kernels[role]
         n = self.index.size
-        if self.role_arity(role) == 2:
+        if len(next(iter(self.ops[role]))) == 2:
             if len(set(self.ops[role].values())) == 1:  # one block at every index pair
                 return PairIndexedOp(self.index, kernels[0, 0], self.den, reads=())
             table = [[kernels[a, b] for b in range(n)] for a in range(n)]

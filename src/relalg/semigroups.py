@@ -122,6 +122,8 @@ class VirtualSemigroup:
     __slots__ = ("description", "op", "unit", "claims_commutative")
 
     def __init__(self, description, op, unit=None, commutative=False):
+        if not callable(op):
+            raise MalformedInputError(f"op: expected a callable, got {type_name(op)}")
         self.description = description
         self.op = op
         self.unit = unit

@@ -197,22 +197,23 @@ def random_tree_from(rng, vertex_labels, edge_labels, max_vertices, make=Decorat
     uniform recursive splitting, labels uniform.  Integer randomness only.
     Each vertex is built by ``make``, which takes ``DecoratedTree``'s
     arguments and is given children that it returned."""
-    vertex_labels = list(vertex_labels)
-    edge_labels = list(edge_labels)
+    vertex_labels, edge_labels = list(vertex_labels), list(edge_labels)
+    return _random_tree(rng, vertex_labels, edge_labels, make, 1 + rng.randrange(max_vertices))
 
-    def build(n):
-        label = vertex_labels[rng.randrange(len(vertex_labels))]
-        if n == 1:
-            return make(label)
-        k = rng.randrange(n)  # vertices in the left subtree
-        left = build(k) if k else EMPTY
-        right = build(n - 1 - k) if n - 1 - k else EMPTY
-        return make(
-            label,
-            left,
-            edge_labels[rng.randrange(len(edge_labels))] if k else None,
-            right,
-            edge_labels[rng.randrange(len(edge_labels))] if n - 1 - k else None,
-        )
 
-    return build(1 + rng.randrange(max_vertices))
+def _random_tree(rng, vertex_labels, edge_labels, make, n):
+    """A random tree of ``n`` vertices.  A module-level function, not a
+    closure over itself, so that no reference cycle holds ``make``."""
+    label = vertex_labels[rng.randrange(len(vertex_labels))]
+    if n == 1:
+        return make(label)
+    k = rng.randrange(n)  # vertices in the left subtree
+    left = _random_tree(rng, vertex_labels, edge_labels, make, k) if k else EMPTY
+    right = _random_tree(rng, vertex_labels, edge_labels, make, n - 1 - k) if n - 1 - k else EMPTY
+    return make(
+        label,
+        left,
+        edge_labels[rng.randrange(len(edge_labels))] if k else None,
+        right,
+        edge_labels[rng.randrange(len(edge_labels))] if n - 1 - k else None,
+    )

@@ -287,8 +287,15 @@ def test_non_cocycle_refused(zmod2):
 
 
 def test_twist_needs_index_independent_mul(cocycle_algebra):
-    with pytest.raises(ContractError):
+    # its mul blocks differ between index pairs
+    with pytest.raises(ContractError, match="^cocycle twist needs an index-independent product$"):
         cocycle_twist(cocycle_algebra, sign_cocycle())
+
+
+def test_twist_needs_pair_indexed_mul():
+    single_index = FiniteRelativeAlgebra(["u"], trivial_monoid(), {"mul": {(0,): [[[1]]]}})
+    with pytest.raises(ContractError, match="^cocycle twist needs a pair-indexed 'mul'$"):
+        cocycle_twist(single_index, sign_cocycle())
 
 
 # -- Rota-Baxter derived dendriform

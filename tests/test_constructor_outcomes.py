@@ -27,6 +27,7 @@ from relalg import (
     PairIndexedOp,
     RotaBaxterFamily,
     SemigroupTable,
+    VirtualSemigroup,
     check_axioms,
     cyclic_monoid,
     matching_dimonoid,
@@ -54,6 +55,7 @@ CASES = {
     OpCarrier: (ZMOD2, {"mul": ALGEBRA.op("mul")}, None, ("u", "v")),
     PairIndexedOp: (ZMOD2, lambda a, b, x, y: x, 2, (0, 1)),
     FamilyIndexedOp: (ZMOD2, lambda a, x, y: x, 2),
+    VirtualSemigroup: ("x", lambda i, j: i + j, None, True),
 }
 
 REPLACEMENTS = [
@@ -133,6 +135,11 @@ def test_an_op_carrier_refuses_an_index_or_ops_of_another_kind():
         RotaBaxterFamily(OpCarrier(5, {}, basis=("u",)), {0: [[1]]})
     with pytest.raises(MalformedInputError, match="^ops: expected a dict, got int$"):
         OpCarrier(ZMOD2, 5)
+
+
+def test_a_virtual_semigroup_refuses_a_product_that_is_not_callable():
+    with pytest.raises(MalformedInputError, match="^op: expected a callable, got int$"):
+        VirtualSemigroup("x", 5)
 
 
 @pytest.mark.parametrize("cls", [PairIndexedOp, FamilyIndexedOp])

@@ -1,6 +1,9 @@
+import gc
 import re
+import weakref
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -26,12 +29,15 @@ from relalg import (
     tree_print,
 )
 from relalg.errors import ContractError, MalformedInputError
-from relalg import freedend
+from relalg import cli, freedend
 from relalg.constructions import dend_graftings
-from relalg.freecheck import DERIVED_OPS, free_derived_op, free_pair_ops, free_suite_carrier
+from relalg.freecheck import (DERIVED_OPS, FREE_SUITES, free_derived_op, free_pair_ops,
+                              free_suite_carrier)
 from relalg.freedend import SampledTreeDomain
 from relalg.reports import to_json
 from relalg.trees import EMPTY, DecoratedTree, random_tree_from
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def single(t):
@@ -677,3 +683,37 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
         assert session(entries) == unbounded
         assert max(sizes) <= budget
         assert any(after < before for before, after in zip(sizes, sizes[1:]))  # tables emptied
+
+
+def test_a_free_carrier_is_freed_by_reference_counting_alone(monkeypatch, capsys):
+    # with the cyclic collector off, nothing a check or a command leaves
+    # behind (a sampled tree's builder among them) may keep the carrier alive
+    refs = []
+
+    def tracked(*args):
+        carrier = FreeDendCarrier(*args)
+        refs.append(weakref.ref(carrier))
+        return carrier
+
+    monkeypatch.setattr(cli, "FreeDendCarrier", tracked)
+    zmod2 = str(DATA / "zmod2.json")
+    commands = [
+        ["free-check", "--suite", "RelLie", "--samples", "3", "--semigroup", zmod2],
+        ["free-eval", "--expr", "succ(0, x[], y[])", "--semigroup", zmod2],
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for suite in FREE_SUITES:
+            carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+            assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
+            ref = weakref.ref(carrier)
+            del carrier
+            assert ref() is None, suite
+        for argv in commands:
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -99,6 +99,33 @@ def test_no_attribute_is_rebound_after_its_constructor():
     assert calls == ALLOWED_SETATTR_CALLS
 
 
+def _self_referencing_closures():
+    """module.qualified name of every function nested in another function
+    that names itself: a closure that refers to itself through its own cell
+    is a reference cycle, which keeps whatever it captures alive until the
+    cyclic collector runs."""
+    out = []
+
+    def walk(node, module, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                is_function = not isinstance(child, ast.ClassDef)
+                names = {n.id for n in ast.walk(child) if isinstance(n, ast.Name)}
+                if in_function and is_function and child.name in names:
+                    out.append(".".join((module, *scope, child.name)))
+                walk(child, module, scope + (child.name,), in_function or is_function)
+            else:
+                walk(child, module, scope, in_function)
+
+    for module, tree in MODULES.items():
+        walk(tree, module, (), False)
+    return out
+
+
+def test_no_nested_function_refers_to_itself():
+    assert _self_referencing_closures() == []
+
+
 def test_every_dataclass_is_frozen():
     decorators = [
         node

@@ -111,7 +111,7 @@ def test_algebra_family_keys():
         "unit": None,
     }
     alg = load_algebra(doc)
-    assert alg.role_arity("ast") == 1
+    assert alg.op("ast").arity == 1
     assert dump_algebra(alg)["ops"]["ast"]["1"] == [[["1/2"]]]
 
 
