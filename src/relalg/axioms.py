@@ -9,17 +9,18 @@ index structure).  The term trees are the source of truth: ``graded_form``
 indexes the ``Rel*`` suites, stated as ordinary equations, by reading them in
 S-graded vector spaces, and ``family_form`` rewrites those into the ``Fam*``
 suites.  A check compiles each equation it reaches once, into nested closures
-over the carrier's resolved operations, and runs them on every instance; a
-subterm that does not read the scan's innermost variable is evaluated once per
-change of the variables it reads.  Evaluation is exact; two sides are equal
-iff their normalized linear combinations coincide.  A compiled term returns its
-value times a scale the compiler tracks; every operation is multilinear, so the
-two sides compare at their common scale, and a counterexample is divided back.
+over the carrier's resolved operations, and runs them on every instance, or
+once per element tuple when the sides read no index; a subterm that does not
+read the scan's innermost variable is evaluated once per change of the
+variables it reads.  Evaluation is exact; two sides are equal iff their
+normalized linear combinations coincide.  A compiled term returns its value
+times a scale the compiler tracks; every operation is multilinear, so the two
+sides compare at their common scale, and a counterexample is divided back.
 """
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import lcm, prod
 from operator import itemgetter
 
@@ -533,6 +534,7 @@ class FiniteDomain:
     def __init__(self, basis_names, index_elems, basis_filter=None):
         self.basis_names = list(basis_names)
         self.index_elems = list(index_elems)
+        self.index_size = len(self.index_elems)
         self.basis_filter = basis_filter
 
     def elements(self, k):
@@ -606,36 +608,40 @@ def _validate_carrier(carrier, suite):
 
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
     """Instances of each equation in turn: element tuples then index tuples
-    in domain order, the index tuples listed once per equation.  An instance
-    names its elements (by ``domain.render_basis``) and index elements (by
-    ``index.name``) lazily, so only a counterexample is named.  Both sides
-    are evaluated by the equation's compiled form at their common scale and
-    compared once: an equal instance yields one value as both sides, a
-    differing one both sides divided back.  ``per_equation`` counts the
+    in domain order, the index tuples taken afresh for each element tuple, or
+    only the first, which counts for all, when the sides read no index.  The
+    compiled sides are compared at their common scale.  Passing instances are
+    yielded as a run count before a counterexample and at each equation's
+    end; a counterexample as both sides divided back, named by
+    ``domain.render_basis`` and ``index.name``.  ``per_equation`` counts the
     instances handed out per equation, including equations reached with none."""
     compiler = _Compiler(ops, index, unit_vector)
     label, name = _basis_name(domain), index.name
     for equation in equations:
         eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
-        indices = list(domain.indices(n_idx))
+        pair, tuples = (equation.lhs, equation.rhs), domain.index_size**n_idx
         # the last index variable changes on every instance, or with one
         # index tuple the last element variable; the sides hoist as subterms
-        inner = n_idx - 1 if len(indices) > 1 else n_idx + n_elem - 1
-        sides, _ = compiler.subterms((equation.lhs, equation.rhs), n_idx, inner, {inner})
+        inner = n_idx - 1 if tuples > 1 else n_idx + n_elem - 1
+        sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
+        once = tuples <= 1 or all(min(r, default=n_idx) >= n_idx for _, _, r in sides)
         sides, scale = _common_scale([(1, f, s) for f, s, _ in sides])
         lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
-        count = per_equation[eqid] = 0
+        first, step = (list(islice(domain.indices(n_idx), 1)), tuples) if once else (None, 1)
+        count = 0
         for vectors in domain.elements(n_elem):
-            for idxs in indices:
-                count += 1
-                per_equation[eqid] = count
+            for idxs in domain.indices(n_idx) if first is None else first:
                 env = idxs + vectors
                 left, right = lhs(env), rhs(env)
-                labels, names = map(label, vectors), map(name, idxs)
-                if left == right:
-                    yield eqid, labels, names, left, left
-                else:
+                if left._terms != right._terms:
+                    per_equation[eqid] = count + 1
+                    yield count
+                    labels, names = map(label, vectors), map(name, idxs)
                     yield eqid, labels, names, divide_back(left, scale), divide_back(right, scale)
+                    return
+                count += step
+        per_equation[eqid] = count
+        yield count
 
 
 def _basis_name(domain):

@@ -276,6 +276,7 @@ class SampledTreeDomain:
         self.samples = samples
         self.max_vertices = max_vertices
         self.seed = seed
+        self.index_size = carrier.dimonoid.size
 
     def elements(self, k):
         rng = Random(self.seed)
@@ -285,7 +286,7 @@ class SampledTreeDomain:
             )
 
     def indices(self, m):
-        return product(range(self.carrier.dimonoid.size), repeat=m)
+        return product(range(self.index_size), repeat=m)
 
     def render_basis(self, b):
         return tree_print(b)

@@ -44,20 +44,23 @@ def summary(payload):
 
 
 def scan(check, instances, show):
-    """Verify a stream of ``(equation, elements, indices, lhs, rhs)``
-    instances in the order given and report on it.
+    """Verify a stream of instances in the order given and report on it: an
+    ``int`` n stands for n instances that passed, and a tuple
+    ``(equation, elements, indices, lhs, rhs)`` for one instance.
 
     The scan stops at the first instance with ``lhs != rhs``, which becomes
     the counterexample with both sides rendered by ``show``; the instance
-    count includes it.  An instance whose two sides are one object passes
-    without a comparison.  ``elements`` and ``indices`` are iterables of
-    names, read only for the counterexample, so a caller passes them lazily:
-    the axiom checks map each vector and index element to its name there.
+    count includes it.  ``elements`` and ``indices`` are iterables of names,
+    read only for the counterexample, so a caller may pass them lazily.
     """
     count = 0
-    for equation, elements, indices, lhs, rhs in instances:
+    for item in instances:
+        if type(item) is int:
+            count += item
+            continue
         count += 1
-        if lhs is not rhs and lhs != rhs:
+        equation, elements, indices, lhs, rhs = item
+        if lhs != rhs:
             counterexample = Counterexample(
                 equation, tuple(elements), tuple(indices), show(lhs), show(rhs)
             )

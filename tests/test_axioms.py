@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -71,7 +72,7 @@ from relalg.constructions import (
     zinbiel_from_symmetric_dend,
 )
 from relalg.errors import ContractError
-from relalg.reports import scan, to_json
+from relalg.reports import CheckReport, Counterexample, scan, to_json
 from relalg.samples import (
     rational_line_carrier,
     reciprocal_rota_baxter,
@@ -490,9 +491,12 @@ PAIR_ROLES = ("mul", "bracket", "prec", "succ", "ast", "circ")
 FAMILY_ROLES = ("prec", "succ", "ast", "circ")
 
 
-def random_algebra(rng, index, dim, roles, arity, unit):
+def random_algebra(rng, index, dim, roles, arity, unit, shared=None):
+    """``shared`` names the roles given one block at every index tuple; by
+    default all roles are, or none."""
     keys = list(product(range(index.size), repeat=arity))
-    shared = rng.random() < 0.5  # one block at every index tuple, or one each
+    if shared is None:
+        shared = roles if rng.random() < 0.5 else ()
 
     def block():
         return tuple(
@@ -503,7 +507,7 @@ def random_algebra(rng, index, dim, roles, arity, unit):
     ops = {}
     for role in roles:
         one = block()
-        ops[role] = {key: one if shared else block() for key in keys}
+        ops[role] = {key: one if role in shared else block() for key in keys}
     unit_vector = [Fraction(rng.choice(CONSTANTS)) for _ in range(dim)] if unit else None
     return FiniteRelativeAlgebra([f"e{i}" for i in range(dim)], index, ops, unit_vector)
 
@@ -608,6 +612,79 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
     )
 
 
+@pytest.mark.parametrize("size", [2, 3])
+def test_operations_that_read_no_index_match_the_reference_walk(size):
+    # a role with one block at every index pair reads no index, and an
+    # equation whose sides read none is taken once per element tuple; with
+    # some roles shared and others not, a shared application may hold one
+    # that reads its indices, and that equation is taken at every index tuple
+    rng = Random(size)
+    index = cyclic_monoid(size)
+    outcomes = set()
+    for trial in range(12):
+        shared = PAIR_ROLES if trial % 3 == 0 else {r for r in PAIR_ROLES if rng.random() < 0.5}
+        alg = random_algebra(rng, index, 1 + trial % 2, PAIR_ROLES, 2, False, shared)
+        for suite in (*SUITES.values(), WEIGHTED):
+            if suite.op_arity != 2 or suite.requires_unit:
+                continue
+            report = check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+            same_report(report, ref_check_axioms(alg, suite, finite_domain(alg)))
+            outcomes.add(report.passed)
+    # mul reads no index and bracket both: with u u = u, and [u, u] = 0 at
+    # the index pair (0, 0) alone, (u u) [u, u] = 0 holds at the first index
+    # tuples and fails at (0, 1, 0), although the outer mul reads no index
+    lhs = app("mul", (mul(A, B), C), app("bracket", (A, B), X, Y), Z)
+    nested = Suite("Nested", (Equation("nested", lhs, ZERO_EXPR),))
+    one, zero = (((Fraction(1),),),), (((Fraction(0),),),)
+    keys = list(product(range(size), repeat=2))
+    bracket = {key: zero if key == (0, 0) else one for key in keys}
+    alg = FiniteRelativeAlgebra(["u"], index, {"mul": dict.fromkeys(keys, one), "bracket": bracket})
+    report = check_axioms(alg.as_carrier(), nested, finite_domain(alg))
+    assert not report.passed and report.instances == size + 1
+    same_report(report, ref_check_axioms(alg, nested, finite_domain(alg)))
+    # e_i e_j = 1/2 e_max(i,j) at every index pair: associative and commutative
+    block = tuple(
+        tuple(tuple(Fraction(1, 2) if k == max(i, j) else 0 for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+    alg = FiniteRelativeAlgebra(
+        ["e0", "e1"], index, {"mul": {key: block for key in product(range(size), repeat=2)}}
+    )
+    assert alg.op("mul").reads == ()
+    for suite in ("RelAssoc", "RelComm"):
+        report = check_axioms(alg.as_carrier(), suite, finite_domain(alg))
+        comm = 4 * size**2 if suite == "RelComm" else 0
+        assert report.passed and report.instances == 8 * size**3 + comm
+        same_report(report, ref_check_axioms(alg, SUITES[suite], finite_domain(alg)))
+    assert outcomes == {True, False}
+
+
+def test_a_windowed_scan_does_not_list_its_index_tuples():
+    # RelAssoc over a window of 80 has 80^3 = 512,000 index tuples, none of
+    # which the line's mul reads, and the Rota-Baxter identity's 6,400 index
+    # pairs are taken afresh for its one element tuple: nothing is listed
+    tracemalloc.start()
+    try:
+        report = check_rota_baxter(reciprocal_rota_baxter(), window=range(1, 81))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.instances == 80**2
+    assert peak < 4 * 2**20
+
+
+def test_scan_counts_runs_of_passing_instances():
+    # an int stands for that many passing instances; a tuple is one instance
+    failing = ("eq", iter(["u"]), iter(["0"]), LinComb.single(0), LinComb())
+    report = scan("mixed", iter([2, 0, failing, 5]), lambda vec: vec.to_pairs(str))
+    assert not report.passed and report.instances == 3
+    assert report.counterexample == Counterexample("eq", ("u",), ("0",), [["1/1", "0"]], [])
+    passing = ("eq", (), (), LinComb.single(0), LinComb.single(0))
+    assert scan("runs", iter([4, 0, 3]), str) == CheckReport("runs", True, 7)
+    assert scan("mixed", iter([4, passing, 3]), str) == CheckReport("mixed", True, 8)
+    assert scan("empty", iter([]), str) == CheckReport("empty", True, 0)
+
+
 class CountingDomain(FiniteDomain):
     """A finite domain that counts the calls to ``indices``."""
 
@@ -623,7 +700,9 @@ def test_the_scan_lists_index_tuples_once_per_equation(passed):
     # on Z/3, e_i e_j = 1/2 e_max(i,j) is associative and commutative, and
     # e_i e_j = 1/2 e_i associative only: RelComm passes, or fails at its
     # second equation after the 9 index pairs of (e0, e0), with both sides
-    # divided back from den = 2
+    # divided back from den = 2; mul has one block at every index pair and
+    # reads no index, so each equation asks the domain for its index tuples
+    # once, and takes only the first
     def product_block(target):
         return tuple(
             tuple(tuple(Fraction(1, 2) if k == target(i, j) else 0 for k in range(2))
@@ -687,6 +766,7 @@ def test_a_product_that_reads_no_index_is_taken_once_per_change_of_its_vectors(n
     carrier = OpCarrier(line.index, {"mul": mul}, basis=line.basis)
     report = check_axioms(carrier, "RelAssoc", window_domain(line.basis, range(1, n + 1)))
     assert report.passed and report.instances == n**3
+    assert report.info["equation_instances"] == {"assoc": n**3}
     assert calls == [4]
 
 

@@ -776,3 +776,50 @@ def test_derive_dend_from_rb_on_the_builtin_line_exits_3():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "can only be materialized over a finite carrier" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# one block at every index pair of zmod2, so mul reads no index:
+# u x = 0, v u = u, v v = u + v
+SHARED_BLOCK = [[["0/1", "0/1"], ["0/1", "0/1"]], [["1/1", "0/1"], ["1/1", "1/1"]]]
+
+
+def test_equation_instances_add_up_to_the_report_instances(tmp_path, capsys):
+    # every suite on each finite algebra of data/, on the cocycle algebra with
+    # one constant's sign flipped, and on an algebra whose mul reads no index;
+    # the collapse and the Rota-Baxter window; suites a carrier refuses give
+    # no report
+    from relalg.axioms import SUITES
+    from relalg.cli import main
+
+    mutant = json.loads((DATA / "cocycle_algebra.json").read_text())
+    mutant["ops"]["mul"]["(0,1)"] = [[["-1/1"]]]
+    (tmp_path / "mutant.json").write_text(json.dumps(mutant))
+    shared = {
+        "dim": 2,
+        "basis": ["u", "v"],
+        "semigroup": json.loads((DATA / "zmod2.json").read_text()),
+        "ops": {"mul": dict.fromkeys(["(0,0)", "(0,1)", "(1,0)", "(1,1)"], SHARED_BLOCK)},
+    }
+    (tmp_path / "shared.json").write_text(json.dumps(shared))
+    algebras = [DATA / "cocycle_algebra.json", DATA / "zinbiel8.json"]
+    algebras += [tmp_path / "mutant.json", tmp_path / "shared.json"]
+    commands = [
+        ["check-algebra", "--algebra", str(path), "--suite", suite]
+        for path in algebras
+        for suite in SUITES
+    ]
+    commands += [
+        ["collapse", "--algebra", str(DATA / "cocycle_algebra.json"), "--suite", "RelAssoc"],
+        ["check-rb", "--rb", str(DATA / "rb_reciprocal.json"), "--window", "20"],
+    ]
+    counted = {}
+    for argv in commands:
+        main(argv)
+        out = capsys.readouterr().out
+        for report in json.loads(out)["reports"] if out else []:
+            if "equation_instances" in report["info"]:
+                assert sum(report["info"]["equation_instances"].values()) == report["instances"]
+                counted[argv[2], report["check"]] = report["instances"]
+    assert counted[str(tmp_path / "mutant.json"), "axioms:RelAssoc"] == 2
+    assert counted[str(tmp_path / "shared.json"), "axioms:RelAssoc"] == 57
+    assert len(counted) == 10
