@@ -10,9 +10,9 @@ indexes the ``Rel*`` suites, stated as ordinary equations, by reading them in
 S-graded vector spaces, and ``family_form`` rewrites those into the ``Fam*``
 suites.  A check compiles each equation it reaches once, into nested closures
 over the carrier's resolved operations, and runs them on every instance, or
-once per element tuple when the sides read no index; a subterm that does not
-read the scan's innermost variable is evaluated once per change of the
-variables it reads.  Evaluation is exact; two sides are equal iff their
+once per element tuple when no operation applied reads an index; a subterm
+that does not read the scan's innermost variable is evaluated once per change
+of the variables it reads.  Evaluation is exact; two sides are equal iff their
 normalized linear combinations coincide.  A compiled term returns its value
 times a scale the compiler tracks; every operation is multilinear, so the two
 sides compare at their common scale, and a counterexample is divided back.
@@ -200,8 +200,8 @@ class _Compiler:
     times its scale, the scale, and the positions it reads; an index
     expression a closure ``env -> element`` and its positions.  An operation
     wrapper is called through its ``fn``, which returns ``den`` times the
-    product, handed only the indices in its ``reads`` (all when it has none).
-    A unit the carrier lacks is refused when the term is compiled.
+    product; an application compiles only the index expressions its ``reads``
+    hands it (all when it has none).  A unit the carrier lacks is refused.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
@@ -245,8 +245,8 @@ class _Compiler:
             return (lambda env: unit_vector), 1, set()
         if isinstance(expr, App):
             fn, den, op_reads = self.ops[expr.role]
-            idx = [self.index_expr(ix) for ix in expr.idx]
-            idx = idx if op_reads is None else [idx[k] for k in op_reads]
+            handed = expr.idx if op_reads is None else [expr.idx[k] for k in op_reads]
+            idx = [self.index_expr(ix) for ix in handed]
             args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
             scale = den * prod(s for _, s, _ in args)
             return _compile_app(fn, [f for f, _ in idx], [f for f, _, _ in args]), scale, reads
@@ -586,10 +586,9 @@ def _validate_carrier(carrier, suite):
     kinds = DimonoidTable if suite.index_kind == "dimonoid" else (SemigroupTable, VirtualSemigroup)
     if not isinstance(index, kinds):
         raise ContractError(f"suite {suite.name} needs a {suite.index_kind} index structure")
-    # a dimonoid index claims neither commutativity nor a unit
-    if suite.requires_commutative and not getattr(index, "claims_commutative", False):
+    if suite.requires_commutative and not index.claims_commutative:
         raise ContractError(f"suite {suite.name} requires a commutative index semigroup")
-    if suite.requires_unit and getattr(index, "unit", None) is None:
+    if suite.requires_unit and index.unit is None:
         raise ContractError(f"suite {suite.name} requires a monoid index")
     ops = {}
     for role in suite.roles:
@@ -607,12 +606,12 @@ def _validate_carrier(carrier, suite):
 
 
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
-    """Instances of each equation in turn: element tuples then index tuples
-    in domain order, the index tuples taken afresh for each element tuple, or
-    only the first, which counts for all, when the sides read no index.  The
-    compiled sides are compared at their common scale.  Passing instances are
-    yielded as a run count before a counterexample and at each equation's
-    end; a counterexample as both sides divided back, named by
+    """Instances of each equation in turn: element tuples then index tuples in
+    domain order, the index tuples taken afresh for each element tuple, or only
+    the first, counting for all, when no operation applied reads an index.  The
+    sides, compiled for that loop, compare at their common scale.  Passing
+    instances come as a run count before a counterexample and at each
+    equation's end; a counterexample as both sides divided back, named by
     ``domain.render_basis`` and ``index.name``.  ``per_equation`` counts the
     instances handed out per equation, including equations reached with none."""
     compiler = _Compiler(ops, index, unit_vector)
@@ -620,11 +619,10 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     for equation in equations:
         eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
         pair, tuples = (equation.lhs, equation.rhs), domain.index_size**n_idx
-        # the last index variable changes on every instance, or with one
-        # index tuple the last element variable; the sides hoist as subterms
-        inner = n_idx - 1 if tuples > 1 else n_idx + n_elem - 1
+        roles = {n.role for side in pair for n in _nodes(side) if isinstance(n, App)}
+        once = tuples <= 1 or all(getattr(ops[r], "reads", None) == () for r in roles)
+        inner = n_idx + n_elem - 1 if once else n_idx - 1  # the last one the loop changes
         sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
-        once = tuples <= 1 or all(min(r, default=n_idx) >= n_idx for _, _, r in sides)
         sides, scale = _common_scale([(1, f, s) for f, s, _ in sides])
         lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
         first, step = (list(islice(domain.indices(n_idx), 1)), tuples) if once else (None, 1)

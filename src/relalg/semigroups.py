@@ -155,6 +155,8 @@ class DimonoidTable(_FiniteTable):
     the semigroup ``dimonoid_from_semigroup`` made it from, else None."""
 
     __slots__ = ("left", "right", "semigroup")
+    unit = None
+    claims_commutative = False
 
     def __init__(self, elements, left, right):
         super().__init__(elements)

@@ -632,16 +632,20 @@ def test_operations_that_read_no_index_match_the_reference_walk(size):
             outcomes.add(report.passed)
     # mul reads no index and bracket both: with u u = u, and [u, u] = 0 at
     # the index pair (0, 0) alone, (u u) [u, u] = 0 holds at the first index
-    # tuples and fails at (0, 1, 0), although the outer mul reads no index
-    lhs = app("mul", (mul(A, B), C), app("bracket", (A, B), X, Y), Z)
-    nested = Suite("Nested", (Equation("nested", lhs, ZERO_EXPR),))
+    # tuples and fails at (0, 1, 0), although the outer mul reads no index;
+    # so it does with the nested application on the right side, and inside a
+    # formal sum beside a term that reads no index
+    term = app("mul", (mul(A, B), C), app("bracket", (A, B), X, Y), Z)
+    plain = app("mul", (mul(A, B), C), app("mul", (A, B), X, Y), Z)
     one, zero = (((Fraction(1),),),), (((Fraction(0),),),)
     keys = list(product(range(size), repeat=2))
     bracket = {key: zero if key == (0, 0) else one for key in keys}
     alg = FiniteRelativeAlgebra(["u"], index, {"mul": dict.fromkeys(keys, one), "bracket": bracket})
-    report = check_axioms(alg.as_carrier(), nested, finite_domain(alg))
-    assert not report.passed and report.instances == size + 1
-    same_report(report, ref_check_axioms(alg, nested, finite_domain(alg)))
+    for lhs, rhs in ((term, ZERO_EXPR), (ZERO_EXPR, term), (add(plain, term), plain)):
+        nested = Suite("Nested", (Equation("nested", lhs, rhs),))
+        report = check_axioms(alg.as_carrier(), nested, finite_domain(alg))
+        assert not report.passed and report.instances == size + 1
+        same_report(report, ref_check_axioms(alg, nested, finite_domain(alg)))
     # e_i e_j = 1/2 e_max(i,j) at every index pair: associative and commutative
     block = tuple(
         tuple(tuple(Fraction(1, 2) if k == max(i, j) else 0 for k in range(2)) for j in range(2))
@@ -793,6 +797,25 @@ def test_with_one_index_tuple_the_last_element_variable_is_innermost():
     report = check_axioms(carrier, "RelZinbiel", finite_domain(alg))
     assert report.passed and report.instances == 6**3
     assert calls == [4 * 6**3 + 2 * 6**2] == [936]
+
+
+def test_an_equation_that_reads_no_index_keeps_the_last_element_variable_innermost():
+    # e_i e_j = 1/2 e_max(i,j) at all four index pairs of Z/2 reads no index,
+    # so RelAssoc is taken once per (x, y, z) with z innermost: mul(x, y) is
+    # taken once per (x, y), the other three products on each of the 3^3
+    # element tuples, and the 8 index tuples of each count as passed
+    block = tuple(
+        tuple(tuple(Fraction(1, 2) if k == max(i, j) else 0 for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+    blocks = dict.fromkeys(product(range(2), repeat=2), block)
+    alg = FiniteRelativeAlgebra(["e0", "e1", "e2"], cyclic_monoid(2), {"mul": blocks})
+    mul, calls = counted(alg.op("mul"))
+    carrier = OpCarrier(alg.index, {"mul": mul}, basis=alg.basis)
+    report = check_axioms(carrier, "RelAssoc", finite_domain(alg))
+    assert report.passed and report.instances == 216
+    assert report.info["equation_instances"] == {"assoc": 216}
+    assert calls == [3 * 3**3 + 3**2] == [90]
 
 
 def test_a_subterm_that_reads_the_innermost_variable_is_taken_on_every_instance():
@@ -972,6 +995,20 @@ def test_missing_index_structure_is_refused_before_any_instance():
     assert eval_index(mul(A, B), {"a": 1, "b": 2}, virtual) == 3
     with pytest.raises(ContractError, match="^semigroup index has no 'left' operation$"):
         eval_index(dleft(A, B), {"a": 1, "b": 2}, virtual)
+
+
+def test_one_evaluation_over_a_dimonoid_refuses_its_unit():
+    # a dimonoid claims no unit: an index expression naming one is refused
+    # as a contract violation, not an attribute the dimonoid lacks
+    dimonoid = matching_dimonoid(2)
+    message = "^suite requires a unit element in the index structure$"
+    with pytest.raises(ContractError, match=message):
+        eval_index(dleft(A, OMEGA), {"a": 0}, dimonoid)
+    prec = FamilyIndexedOp(dimonoid, lambda a, x, y: x)
+    env = {"x": LinComb.single(0), "y": LinComb.single(0)}
+    expr = app("prec", (dleft(A, OMEGA),), X, Y)
+    with pytest.raises(ContractError, match=message):
+        eval_expr(expr, env, {"a": 0}, {"prec": prec}, dimonoid, None)
 
 
 def test_a_check_keeps_no_reference_to_its_carrier():

@@ -28,6 +28,7 @@ from relalg import (
     family_to_pair,
     finite_domain,
     lie_from_prelie,
+    matching_dimonoid,
     poisson_from_prepoisson,
     positive_integers_additive,
     prelie_from_dend,
@@ -393,6 +394,17 @@ def test_commutative_index_gates():
                 build(left_zero_like, left_zero_like)
             else:
                 build(left_zero_like)
+
+
+def test_a_dimonoid_index_is_refused_as_not_commutative():
+    # a dimonoid claims no commutativity: lifting a family over one and
+    # deriving circ is refused as the construction's contract, not an
+    # attribute it lacks
+    fam = FamilyIndexedOp(matching_dimonoid(2), lambda a, x, y: x)
+    prec, succ = family_to_pair("prec", fam), family_to_pair("succ", fam)
+    message = "^this construction requires a commutative index semigroup$"
+    with pytest.raises(ContractError, match=message):
+        prelie_from_dend(prec, succ)
 
 
 # -- collapse
