@@ -12,17 +12,20 @@ suites.  A check compiles each equation it reaches once, into nested closures
 over the carrier's resolved operations, and runs them on every instance, or
 once per element tuple when no operation applied reads an index; a subterm
 that does not read the scan's innermost variable is evaluated once per change
-of the variables it reads.  Evaluation is exact; two sides are equal iff their
+of the variables it reads.  Over every basis tuple, where the operations
+carry a ``pattern`` of the basis products that vanish, that loop evaluates
+only the innermost basis vectors at which a side can be nonzero, and counts
+the rest as passed.  Evaluation is exact; two sides are equal iff their
 normalized linear combinations coincide.  A compiled term returns its value
 times a scale the compiler tracks; every operation is multilinear, so the two
 sides compare at their common scale, and a counterexample is divided back.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, product
 from math import lcm, prod
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import ContractError
 from .lincomb import LinComb
@@ -129,19 +132,24 @@ def _variables(node, kinds=(Var, IxVar)):
 
 @dataclass(frozen=True)
 class Equation:
-    """``n_elem`` and ``n_idx`` are read off the terms: one past the highest
-    position of x, y, z and of a, b, c that either side uses."""
+    """``n_elem``, ``n_idx`` and ``roles`` are read off the terms: one past
+    the highest position of x, y, z and of a, b, c that either side uses, and
+    the roles applied, in order of first use."""
 
     eqid: str
     lhs: object
     rhs: object
     n_elem: int = field(init=False)
     n_idx: int = field(init=False)
+    roles: tuple = field(init=False)
 
     def __post_init__(self):
-        used = _variables(self.lhs) | _variables(self.rhs)
+        nodes = [*_nodes(self.lhs), *_nodes(self.rhs)]
+        used = {n.name for n in nodes if isinstance(n, (Var, IxVar))}
         object.__setattr__(self, "n_elem", _arity(_VARS, used))
         object.__setattr__(self, "n_idx", _arity(_IVARS, used))
+        roles = dict.fromkeys(n.role for n in nodes if isinstance(n, App))
+        object.__setattr__(self, "roles", tuple(roles))
 
 
 def _arity(names, used):
@@ -180,7 +188,8 @@ class Suite:
         if len(arities) > 1:
             raise ContractError(f"suite {self.name} applies roles at {sorted(arities)} indices")
         dimonoid = any(isinstance(n, IxProd) and n.kind != "mul" for n in nodes)
-        object.__setattr__(self, "roles", tuple(dict.fromkeys(n.role for n in apps)))
+        roles = dict.fromkeys(r for e in self.equations for r in e.roles)
+        object.__setattr__(self, "roles", tuple(roles))
         object.__setattr__(self, "op_arity", max(arities, default=0))
         object.__setattr__(self, "index_kind", "dimonoid" if dimonoid else "semigroup")
         unit = any(isinstance(n, (UnitElem, IxUnit)) for n in nodes)
@@ -197,17 +206,22 @@ class _Compiler:
     ``unit_vector``.  An instance is one tuple ``env``: index elements a, b, c,
     then vectors x, y, z from position ``n_idx``, each an ``itemgetter`` read.
     An expression becomes a closure ``env -> LinComb`` returning its value
-    times its scale, the scale, and the positions it reads; an index
-    expression a closure ``env -> element`` and its positions.  An operation
-    wrapper is called through its ``fn``, which returns ``den`` times the
-    product; an application compiles only the index expressions its ``reads``
-    hands it (all when it has none).  A unit the carrier lacks is refused.
+    times its scale, the scale, the positions it reads and its demand; an
+    index expression a closure ``env -> element`` and its positions.  An
+    operation wrapper is called through its ``fn``, which returns ``den`` times
+    the product; an application compiles only the index expressions its
+    ``reads`` hands it (all when it has none).  A unit the carrier lacks is
+    refused.  The demand ``(env, target) -> mask`` of a term that reads
+    ``inner`` once maps the basis positions of its value that matter to those
+    of ``inner`` at which one can be nonzero: an application narrows them by
+    its ``pattern`` and its other argument's value, a sum takes the union.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
 
     def __init__(self, ops, index, unit_vector):
-        self.ops = {r: (getattr(op, "fn", op), getattr(op, "den", 1), getattr(op, "reads", None))
+        self.ops = {r: (getattr(op, "fn", op), getattr(op, "den", 1), getattr(op, "reads", None),
+                        _narrowing(getattr(op, "pattern", None)))
                     for r, op in ops.items()}
         self.index = index
         self.unit_vector = unit_vector
@@ -234,27 +248,32 @@ class _Compiler:
         return (lambda env: prod(kind, left(env), right(env))), reads
 
     def expr(self, expr, n_idx, inner):
-        """The closure of ``expr``, its scale and the positions it reads."""
+        """The closure of ``expr``, its scale, the positions it reads and its
+        demand on ``inner``."""
         if isinstance(expr, Var):
             k = n_idx + _VAR_POSITION[expr.name]
-            return itemgetter(k), 1, {k}
+            return itemgetter(k), 1, {k}, ((lambda env, target: target) if k == inner else None)
         if isinstance(expr, UnitElem):
             unit_vector = self.unit_vector
             if unit_vector is None:
                 raise ContractError("suite requires a declared unit vector")
-            return (lambda env: unit_vector), 1, set()
+            return (lambda env: unit_vector), 1, set(), None
         if isinstance(expr, App):
-            fn, den, op_reads = self.ops[expr.role]
+            fn, den, op_reads, narrowing = self.ops[expr.role]
             handed = expr.idx if op_reads is None else [expr.idx[k] for k in op_reads]
             idx = [self.index_expr(ix) for ix in handed]
             args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
-            scale = den * prod(s for _, s, _ in args)
-            return _compile_app(fn, [f for f, _ in idx], [f for f, _, _ in args]), scale, reads
+            scale = den * prod(s for _, s, _, _ in args)
+            closure = _compile_app(fn, [f for f, _ in idx], [f for f, *_ in args])
+            return closure, scale, reads, _narrow(narrowing, args, inner)
         if isinstance(expr, Lin):
             args, reads = self.subterms([e for _, e in expr.terms], n_idx, inner)
-            terms = [(c, f, s) for (c, _), (f, s, _) in zip(expr.terms, args)]
+            terms = [(c, f, s) for (c, _), (f, s, _, _) in zip(expr.terms, args)]
             terms, scale = _common_scale(terms)
-            return _compile_lin(terms), scale, reads
+            demands = [d for *_, d in args]
+            union = None if None in demands else (
+                lambda env, target: reduce(or_, [d(env, target) for d in demands], 0))
+            return _compile_lin(terms), scale, reads, union
         raise TypeError(f"unknown expression node {expr!r}")
 
     def subterms(self, nodes, n_idx, inner, reads=frozenset()):
@@ -263,12 +282,12 @@ class _Compiler:
         instance, each application or formal sum among the nodes that reads
         variables but not ``inner`` is evaluated once per change of them."""
         compiled = [self.expr(node, n_idx, inner) for node in nodes]
-        reads = reads.union(*(r for _, _, r in compiled))
+        reads = reads.union(*(r for _, _, r, _ in compiled))
         return [
-            (_last_value(f, r), s, r)
+            (_last_value(f, r), s, r, d)
             if inner in reads and r and inner not in r and isinstance(node, (App, Lin))
-            else (f, s, r)
-            for node, (f, s, r) in zip(nodes, compiled)
+            else (f, s, r, d)
+            for node, (f, s, r, d) in zip(nodes, compiled)
         ], reads
 
 
@@ -286,6 +305,35 @@ def _last_value(closure, reads):
         return last_value
 
     return hoisted
+
+
+def _narrowing(pattern):
+    """For each argument position and basis position i of the other argument,
+    the ``(bit, mask)`` of each position whose product with e_i is not zero."""
+    if pattern is not None:
+        return [[[(1 << j, m) for j, m in enumerate(row) if m] for row in rows]
+                for rows in (zip(*pattern), pattern)]
+
+
+def _narrow(narrowing, args, inner):
+    """The demand of an application of two arguments, one of which reads
+    ``inner`` and has a demand: that one's on the positions whose product
+    with the other argument's value meets the target."""
+    demands = [(p, d) for p, (_, _, r, d) in enumerate(args) if inner in r]
+    if narrowing is None or len(args) != 2 or len(demands) != 1 or demands[0][1] is None:
+        return None
+    ((p, demand),) = demands
+    other, table = args[1 - p][0], narrowing[p]
+
+    def narrowed(env, target):
+        mask = 0
+        for i in other(env)._terms:
+            for bit, m in table[i]:
+                if m & target:
+                    mask |= bit
+        return mask and demand(env, mask)
+
+    return narrowed
 
 
 def _compile_app(op, idx, args):
@@ -345,7 +393,7 @@ def eval_expr(expr, elem_env, idx_env, ops, index, unit_vector):
     nothing hoisted.  The checks compile each equation once instead."""
     env = tuple(idx_env[name] for name in _IVARS[: len(idx_env)])
     env += tuple(elem_env[name] for name in _VARS[: len(elem_env)])
-    closure, scale, _ = _Compiler(ops, index, unit_vector).expr(expr, len(idx_env), None)
+    closure, scale, *_ = _Compiler(ops, index, unit_vector).expr(expr, len(idx_env), None)
     return divide_back(closure(env), scale)
 
 
@@ -613,33 +661,67 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     instances come as a run count before a counterexample and at each
     equation's end; a counterexample as both sides divided back, named by
     ``domain.render_basis`` and ``index.name``.  ``per_equation`` counts the
-    instances handed out per equation, including equations reached with none."""
+    instances handed out per equation, including equations reached with none.
+    Over all basis tuples of a ``FiniteDomain`` at one index tuple, only the
+    last vectors the sides' demands name are evaluated; both vanish elsewhere."""
     compiler = _Compiler(ops, index, unit_vector)
     label, name = _basis_name(domain), index.name
+    every_tuple = isinstance(domain, FiniteDomain) and domain.basis_filter is None
     for equation in equations:
         eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
         pair, tuples = (equation.lhs, equation.rhs), domain.index_size**n_idx
-        roles = {n.role for side in pair for n in _nodes(side) if isinstance(n, App)}
-        once = tuples <= 1 or all(getattr(ops[r], "reads", None) == () for r in roles)
+        once = tuples <= 1 or all(getattr(ops[r], "reads", None) == () for r in equation.roles)
         inner = n_idx + n_elem - 1 if once else n_idx - 1  # the last one the loop changes
         sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
-        sides, scale = _common_scale([(1, f, s) for f, s, _ in sides])
+        demands = [d for *_, d in sides]
+        sides, scale = _common_scale([(1, f, s) for f, s, _, _ in sides])
         lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
         first, step = (list(islice(domain.indices(n_idx), 1)), tuples) if once else (None, 1)
-        count = 0
-        for vectors in domain.elements(n_elem):
-            for idxs in domain.indices(n_idx) if first is None else first:
-                env = idxs + vectors
-                left, right = lhs(env), rhs(env)
-                if left._terms != right._terms:
-                    per_equation[eqid] = count + 1
-                    yield count
-                    labels, names = map(label, vectors), map(name, idxs)
-                    yield eqid, labels, names, divide_back(left, scale), divide_back(right, scale)
-                    return
-                count += step
-        per_equation[eqid] = count
+        if once and n_elem and first and every_tuple and None not in demands:
+            count, failed = _demanded_scan(lhs, rhs, *demands, domain, first[0], n_elem, step)
+        else:
+            count, failed = _full_scan(lhs, rhs, domain, n_idx, n_elem, first, step)
+        per_equation[eqid] = count + (failed is not None)
         yield count
+        if failed is not None:
+            idxs, vectors, left, right = failed
+            labels, names = map(label, vectors), map(name, idxs)
+            yield eqid, labels, names, divide_back(left, scale), divide_back(right, scale)
+            return
+
+
+def _full_scan(lhs, rhs, domain, n_idx, n_elem, first, step):
+    """The instances passed before the first that fails, ``step`` each, and
+    its ``(idxs, vectors, left, right)``, or None."""
+    count = 0
+    for vectors in domain.elements(n_elem):
+        for idxs in domain.indices(n_idx) if first is None else first:
+            env = idxs + vectors
+            left, right = lhs(env), rhs(env)
+            if left._terms != right._terms:
+                return count, (idxs, vectors, left, right)
+            count += step
+    return count, None
+
+
+def _demanded_scan(lhs, rhs, lhs_demand, rhs_demand, domain, idxs, n_elem, step):
+    """``_full_scan`` at ``idxs``, evaluating after each shorter element tuple
+    only the last vectors the sides' demands name."""
+    points = [vector for vector, in domain.elements(1)]
+    every, count = (1 << len(points)) - 1, 0
+    for head in domain.elements(n_elem - 1):
+        env = idxs + head + (ZERO,)  # a demand never reads the last vector
+        mask = (lhs_demand(env, -1) | rhs_demand(env, -1)) & every
+        while mask:
+            k = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            vectors = head + (points[k],)
+            env = idxs + vectors
+            left, right = lhs(env), rhs(env)
+            if left._terms != right._terms:
+                return count + k * step, (idxs, vectors, left, right)
+        count += len(points) * step
+    return count, None
 
 
 def _basis_name(domain):

@@ -5,17 +5,19 @@ A pair-indexed operation takes two index elements and two vectors; a
 family-indexed operation takes a single index element.  Both are thin
 wrappers around a function, tagged with the index structure they live over,
 so the axiom engine can validate arity and index compatibility; it calls
-``fn`` directly, handing a pair-indexed one only the indices in its ``reads``.
-A finite algebra takes every product through one kernel per structure-constant
+``fn`` directly, handing a pair-indexed one only the indices in its ``reads``;
+its ``pattern`` lets a scan skip the instances where both sides vanish.  A
+finite algebra takes every product through one kernel per structure-constant
 block (one role at one index tuple), which memoises the products of basis
-vectors an exhaustive scan hands it.  The kernels hold the integer constants
-``den * c``, ``den`` the lcm of the algebra's denominators, so an operation's
-``fn`` returns ``den`` times the product (``den`` is 1 off finite algebras)
-and ``__call__`` divides back.
+vectors an exhaustive scan hands it; ``op`` gives a role with one block at
+every index pair that block's pattern, built on the call, not at load.  The
+kernels hold the integer constants ``den * c``, ``den`` the lcm of the
+algebra's denominators, so an operation's ``fn`` returns ``den`` times the
+product (``den`` is 1 off finite algebras) and ``__call__`` divides back.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm
 
 from .errors import ContractError, MalformedInputError, read_keyed, read_names, read_table, type_name
@@ -25,18 +27,21 @@ from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
 
 class PairIndexedOp:
     """Bilinear operation indexed by a pair of semigroup elements.  ``fn``
-    takes the index positions in ``reads``, in order, then the two vectors."""
+    takes the index positions in ``reads``, in order, then the two vectors.
+    ``pattern[i][j]``, if given, has bit k set where e_i e_j may have a
+    nonzero coordinate k, at every index pair."""
 
-    __slots__ = ("index", "fn", "den", "reads")
+    __slots__ = ("index", "fn", "den", "reads", "pattern")
     arity = 2
 
-    def __init__(self, index, fn, den=1, reads=(0, 1)):
+    def __init__(self, index, fn, den=1, reads=(0, 1), pattern=None):
         if reads not in ((), (0,), (1,), (0, 1)) or {*map(type, reads)} - {int}:
             raise MalformedInputError(f"reads: expected (), (0,), (1,) or (0, 1), got {reads!r}")
         self.index = _index_structure(index)
         self.fn = fn
         self.den = den
         self.reads = reads
+        self.pattern = pattern
 
     def __call__(self, a, b, x, y):
         return divide_back(self.fn(*[(a, b)[k] for k in self.reads], x, y), self.den)
@@ -158,11 +163,13 @@ class FiniteRelativeAlgebra:
     def op(self, role):
         if role not in self.ops:
             raise ContractError(f"algebra has no operation for role {role!r}")
-        kernels = self._kernels[role]
+        kernels, blocks = self._kernels[role], self.ops[role]
         n = self.index.size
-        if len(next(iter(self.ops[role]))) == 2:
-            if len(set(self.ops[role].values())) == 1:  # one block at every index pair
-                return PairIndexedOp(self.index, kernels[0, 0], self.den, reads=())
+        if len(next(iter(blocks))) == 2:
+            if len(blocks) == 1 or len(set(blocks.values())) == 1:  # one block at every index pair
+                bits = [1 << k for k in range(self.dim)]
+                pattern = [[sum(compress(bits, row)) for row in plane] for plane in blocks[0, 0]]
+                return PairIndexedOp(self.index, kernels[0, 0], self.den, (), pattern)
             table = [[kernels[a, b] for b in range(n)] for a in range(n)]
             return PairIndexedOp(self.index, lambda a, b, x, y: table[a][b](x, y), self.den)
         table = [kernels[a,] for a in range(n)]

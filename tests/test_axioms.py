@@ -742,7 +742,7 @@ def counted(op):
         calls[0] += 1
         return op.fn(*args)
 
-    return type(op)(op.index, fn, op.den, op.reads), calls
+    return type(op)(op.index, fn, op.den, op.reads, op.pattern), calls
 
 
 @pytest.mark.parametrize("n, products", [(4, 208), (5, 400)])
@@ -785,18 +785,39 @@ def test_a_role_with_one_block_at_every_index_pair_reads_no_index():
     assert FiniteRelativeAlgebra(["u"], cyclic_monoid(2), {"mul": shared}).op("mul").reads == ()
     twisted = jsonio.load_algebra(jsonio.load_file(DATA / "cocycle_algebra.json"))
     assert twisted.op("mul").reads == (0, 1)
+    # a role that reads no index has its block's pattern: t^m t^n = t^(m+n+1)
+    # below the top degree 3, else zero; one that reads its indices has none
+    pattern = [[1 << m + n + 1 if m + n < 3 else 0 for n in range(4)] for m in range(4)]
+    assert truncated_integration_zinbiel(3).op("ast").pattern == pattern
+    assert twisted.op("mul").pattern is None
 
 
 def test_with_one_index_tuple_the_last_element_variable_is_innermost():
     # over the trivial monoid z is innermost: ast(x, y) and ast(y, x), which
     # do not read it, are taken once per (x, y), the other four products on
-    # each of the 6^3 instances
+    # each of the 6^3 instances of an operation without a pattern
+    alg = truncated_integration_zinbiel(5)
+    op = alg.op("ast")
+    ast, calls = counted(PairIndexedOp(op.index, op.fn, op.den, op.reads))
+    carrier = OpCarrier(alg.index, {"ast": ast}, basis=alg.basis)
+    report = check_axioms(carrier, "RelZinbiel", finite_domain(alg))
+    assert report.passed and report.instances == 6**3
+    assert calls == [4 * 6**3 + 2 * 6**2] == [936]
+
+
+def test_a_scan_evaluates_only_the_instances_where_a_side_can_be_nonzero():
+    # t^m * t^n = t^(m+n+1) / (m+1) vanishes past t^5, so both sides of the
+    # zinbiel identity at (t^m, t^n, t^k) vanish unless m + n + k <= 3: the
+    # 20 such instances take four products each, and ast(x, y) and ast(y, x),
+    # which the right side's demand reads, are taken once per (x, y); the
+    # other 196 instances are counted as passed
     alg = truncated_integration_zinbiel(5)
     ast, calls = counted(alg.op("ast"))
     carrier = OpCarrier(alg.index, {"ast": ast}, basis=alg.basis)
     report = check_axioms(carrier, "RelZinbiel", finite_domain(alg))
     assert report.passed and report.instances == 6**3
-    assert calls == [4 * 6**3 + 2 * 6**2] == [936]
+    assert calls == [4 * 20 + 2 * 6**2] == [152]
+    same_report(report, ref_check_axioms(alg, SUITES["RelZinbiel"], finite_domain(alg)))
 
 
 def test_an_equation_that_reads_no_index_keeps_the_last_element_variable_innermost():
@@ -834,6 +855,60 @@ def test_a_subterm_that_reads_the_innermost_variable_is_taken_on_every_instance(
     report = check_axioms(carrier, suite, FiniteDomain(carrier.basis, range(3)))
     assert report.passed and report.instances == 2**2 * 3**3
     assert (f.calls, g.calls) == (2**2 * 3**3, 2**2 * 3**2)
+
+
+def without_patterns(alg):
+    """``alg`` as a carrier of the same operations, none with a pattern, so
+    that every scan over it evaluates every instance it counts."""
+    ops = {r: alg.op(r) for r in alg.roles()}
+    plain = {r: PairIndexedOp(op.index, op.fn, op.den, op.reads) for r, op in ops.items()}
+    return OpCarrier(alg.index, plain, alg.unit_vector, alg.basis)
+
+
+def test_a_sparse_scan_gives_the_report_of_a_scan_without_patterns():
+    # random sparse algebras, one block per role shared by every index pair:
+    # every pair-indexed suite their roles allow reports the same bytes with
+    # the patterns as without them, passing and failing
+    outcomes = set()
+    nonzero = (1, -1, Fraction(1, 2), Fraction(-2, 3), 3)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        dim=st.integers(1, 5),
+        index_name=st.sampled_from(["trivial", "Z/2"]),
+        density=st.sampled_from([0.05, 0.15, 0.3]),
+        unit=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def compare(dim, index_name, density, unit, seed):
+        rng = Random(seed)
+        index = INDICES[index_name]()
+
+        def constant():
+            return Fraction(rng.choice(nonzero)) if rng.random() < density else Fraction(0)
+
+        def block():
+            return tuple(
+                tuple(tuple(constant() for _ in range(dim)) for _ in range(dim))
+                for _ in range(dim)
+            )
+
+        keys = list(product(range(index.size), repeat=2))
+        ops = {role: dict.fromkeys(keys, block()) for role in PAIR_ROLES}
+        unit_vector = [constant() for _ in range(dim)] if unit else None
+        alg = FiniteRelativeAlgebra([f"e{i}" for i in range(dim)], index, ops, unit_vector)
+        plain = without_patterns(alg)
+        for suite in SUITES.values():
+            if suite.op_arity != 2 or suite.index_kind != "semigroup":
+                continue
+            if suite.requires_unit and not unit:
+                continue
+            report = check_axioms(alg, suite, finite_domain(alg))
+            same_report(report, check_axioms(plain, suite, finite_domain(alg)))
+            outcomes.add(report.passed)
+
+    compare()
+    assert outcomes == {True, False}
 
 
 class FreshDomain(FiniteDomain):
@@ -1070,6 +1145,10 @@ def test_equation_arities_are_read_off_the_terms():
     assert (only_y_b.n_elem, only_y_b.n_idx) == (2, 2)
     closed = Equation("closed", ZERO_EXPR, ZERO_EXPR)
     assert (closed.n_elem, closed.n_idx) == (0, 0)
+    # and the roles an equation applies, in order of first use
+    poisson = [e.roles for e in SUITES["RelPoisson"].equations]
+    assert poisson == [("mul",), ("mul",), ("bracket",), ("bracket",), ("bracket", "mul")]
+    assert (only_y_b.roles, closed.roles) == (("f",), ())
 
 
 # Each suite's (roles, op_arity, index_kind, requires_unit,
