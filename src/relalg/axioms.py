@@ -19,6 +19,8 @@ the rest as passed.  Evaluation is exact; two sides are equal iff their
 normalized linear combinations coincide.  A compiled term returns its value
 times a scale the compiler tracks; every operation is multilinear, so the two
 sides compare at their common scale, and a counterexample is divided back.
+A Rota-Baxter check reads its family once, at the index elements its scan
+reaches, so that scan too runs on integers.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,7 +33,7 @@ from .errors import ContractError
 from .lincomb import LinComb
 from .ops import ZERO, divide_back
 from .reports import scan
-from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
+from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup, read_window
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -609,11 +611,8 @@ def finite_domain(algebra, basis_filter=None):
 
 def window_domain(basis_names, window):
     """Domain for virtual-index carriers: exhaustive basis, caller-chosen
-    finite, nonempty index window."""
-    window = list(window)
-    if not window:
-        raise ContractError("a window must hold at least one index element")
-    return FiniteDomain(basis_names, window)
+    finite, nonempty index window naming each element once."""
+    return FiniteDomain(basis_names, read_window(window))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +770,8 @@ def check_rota_baxter(rb, window=None):
     pre = check_axioms(carrier, "RelAssoc", domain, check_name="rota-baxter:precondition:RelAssoc")
     if not pre.passed:
         return pre
-    ops = {"mul": carrier.op("mul"), "rb": rb.apply}  # the precondition validated mul
+    reached = dict.fromkeys(k for a, b in domain.indices(2) for k in (a, b, index.mul(a, b)))
+    ops = {"mul": carrier.op("mul"), "rb": rb.op(reached)}  # the precondition validated mul
     instances = _equation_instances((ROTA_BAXTER_EQUATION,), domain, ops, index, None, {})
     return scan("rota-baxter", instances, _show(domain))
 

@@ -13,7 +13,9 @@ vectors an exhaustive scan hands it; ``op`` gives a role with one block at
 every index pair that block's pattern, built on the call, not at load.  The
 kernels hold the integer constants ``den * c``, ``den`` the lcm of the
 algebra's denominators, so an operation's ``fn`` returns ``den`` times the
-product (``den`` is 1 off finite algebras) and ``__call__`` divides back.
+product and ``__call__`` divides back; ``den`` is 1 off finite algebras, but
+for the operation a Rota-Baxter family's ``op`` makes, which reads each
+operator once, as integer columns over one ``den``.
 """
 
 from fractions import Fraction
@@ -48,7 +50,8 @@ class PairIndexedOp:
 
 
 class FamilyIndexedOp:
-    """Bilinear operation indexed by a single semigroup (or dimonoid) element."""
+    """Operation indexed by a single semigroup (or dimonoid) element: a
+    bilinear one, or a linear map (``RotaBaxterFamily.op``)."""
 
     __slots__ = ("index", "fn", "den")
     arity = 1
@@ -58,8 +61,8 @@ class FamilyIndexedOp:
         self.fn = fn
         self.den = den
 
-    def __call__(self, a, x, y):
-        return divide_back(self.fn(a, x, y), self.den)
+    def __call__(self, a, *vectors):
+        return divide_back(self.fn(a, *vectors), self.den)
 
 
 def _index_structure(index):
@@ -240,9 +243,10 @@ class RotaBaxterFamily:
     with a pair-indexed product.
 
     ``maps`` is either a dict from index element to a square matrix (rows =
-    output coordinates) or a callable ``(alpha, vector) -> vector``.  The dict
-    form needs a carrier with a finite basis and one matrix per index element;
-    over a virtual index its keys are a window, outside which ``apply`` refuses."""
+    output coordinates) or a callable ``(alpha, vector) -> vector``, which
+    must be linear: ``op`` reads it on basis vectors.  The dict form needs a
+    carrier with a finite basis and one matrix per index element; over a
+    virtual index its keys are a window, outside which ``apply`` refuses."""
 
     __slots__ = ("carrier", "maps")
 
@@ -268,6 +272,34 @@ class RotaBaxterFamily:
                 f"window closure: no operator defined for index {alpha!r}"
             ) from None
         return apply_matrix(matrix, x)
+
+    def op(self, indices):
+        """The family as an operation the axiom engine reads: the operator at
+        each of ``indices`` read once, on the basis vectors, as the integer
+        columns ``den * R(e_j)``, ``den`` the lcm of their denominators, so
+        ``fn`` returns ``den`` times R_alpha(x).  An index whose operator
+        refuses to be read is left to ``apply``, which refuses again there."""
+        dim, apply, columns = len(self.carrier.basis), self.apply, {}
+        units = [LinComb.single(j) for j in range(dim)]
+        for alpha in indices:
+            try:
+                columns[alpha] = [apply(alpha, e) for e in units]
+            except ContractError:
+                pass
+        den = lcm(*(c.denominator for cols in columns.values() for col in cols for _, c in col))
+        columns = {alpha: [LinComb({i: (den * c).numerator for i, c in col}) for col in cols]
+                   for alpha, cols in columns.items()}
+
+        def fn(alpha, x):
+            cols = columns.get(alpha)
+            if cols is None:
+                return apply(alpha, x).scale(den)
+            if len(x._terms) == 1:
+                ((j, c),) = x._terms.items()
+                return cols[j].scale(c)
+            return sum((cols[j].scale(c) for j, c in x._terms.items()), ZERO)
+
+        return FamilyIndexedOp(self.carrier.index, fn, den)
 
 
 def apply_matrix(matrix, x):

@@ -202,6 +202,19 @@ class Cocycle(_Value):
         return self.values[i][j]
 
 
+def read_window(window):
+    """``window`` as a list: refused if it is empty, which would leave a check
+    nothing to verify, or names an element twice, which verifies nothing new."""
+    elems, seen = list(window), set()
+    if not elems:
+        raise ContractError("a window must hold at least one index element")
+    for elem in elems:
+        if elem in seen:
+            raise ContractError(f"a window must name each index element once, got {elem!r} twice")
+        seen.add(elem)
+    return elems
+
+
 def check_semigroup(table, window=None):
     """Associativity over all triples, unit law if a unit is declared, and
     table symmetry if commutativity is claimed.  For a VirtualSemigroup a
@@ -209,9 +222,7 @@ def check_semigroup(table, window=None):
     if isinstance(table, VirtualSemigroup):
         if window is None:
             raise ContractError("virtual semigroup check requires a finite window")
-        elems = list(window)
-        if not elems:
-            raise ContractError("a window must hold at least one index element")
+        elems = read_window(window)
     else:
         elems = range(table.size)
     mul, name, unit = table.mul, table.name, table.unit

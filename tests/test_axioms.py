@@ -296,6 +296,23 @@ def test_an_empty_window_is_refused_not_passed():
             check()
 
 
+@pytest.mark.parametrize(
+    "check, repeated",
+    [
+        (lambda: check_rota_baxter(reciprocal_rota_baxter(), window=[1, 1]), 1),
+        (lambda: check_semigroup(positive_integers_additive(), window=[1, 2, 1]), 1),
+        (lambda: window_domain(("1",), [3, 3, 3]), 3),
+    ],
+    ids=["check_rota_baxter", "check_semigroup", "window_domain"],
+)
+def test_a_window_naming_an_element_twice_is_refused(check, repeated):
+    # a repeated element multiplies the instance count with nothing new
+    # verified: [1, 1] would pass 4 Rota-Baxter instances over one index pair
+    message = f"^a window must name each index element once, got {repeated} twice$"
+    with pytest.raises(ContractError, match=message):
+        check()
+
+
 def test_a_window_names_index_elements_as_the_carriers_index_does():
     # a counterexample's index elements are named by the carrier's index,
     # over a window as over the whole index: (p, q) are never ("0", "1")
@@ -317,10 +334,55 @@ def test_rb_precondition_reported():
         )
     }
     alg = FiniteRelativeAlgebra(["e0", "e1"], trivial_monoid(), {"mul": ops})
-    rb = RotaBaxterFamily(alg, lambda a, x: LinComb())
+    read = []
+    rb = RotaBaxterFamily(alg, lambda a, x: read.append(a) or LinComb())
     report = check_rota_baxter(rb)
     assert not report.passed
     assert report.check == "rota-baxter:precondition:RelAssoc"
+    assert read == []  # a failed precondition returns before the family is read
+
+
+def test_a_callable_family_is_read_once_per_reached_index_and_basis_vector():
+    # over the window 1..20 of (Z>0, +) the scan reaches the indices 1..40,
+    # each read on the line's one basis vector; the 1,200 applications the
+    # scan makes read those values, held as integers over one denominator
+    read = []
+
+    def reciprocal(n, x):
+        read.append(n)
+        return x.scale(Fraction(1, n))
+
+    rb = RotaBaxterFamily(rational_line_carrier(), reciprocal)
+    report = check_rota_baxter(rb, window=range(1, 21))
+    assert read == list(range(1, 41))
+    assert report.passed and report.instances == 400
+    same_report(report, ref_check_rota_baxter(rb, window_domain(("1",), range(1, 21)), LINE_OPS))
+
+
+@pytest.mark.parametrize("missing, wrong", [(6, 5), (5, 6)])
+def test_a_window_family_missing_an_operator_fails_or_refuses_where_the_scan_reads_it(
+    missing, wrong
+):
+    # R_n(x) = x/n keyed by n over the window 1, 2, 3, with one product index
+    # missing and another wrong: whichever the scan reaches first decides,
+    # R_5 at (2, 3) before R_6 at (3, 3)
+    maps = {n: [[Fraction(1, n)]] for n in range(1, 7) if n != missing}
+    maps[wrong] = [[Fraction(7, 2)]]
+    rb = RotaBaxterFamily(rational_line_carrier(), maps)
+    domain = window_domain(("1",), range(1, 4))
+    if missing > wrong:
+        report = check_rota_baxter(rb, window=range(1, 4))
+        assert not report.passed and report.instances == 6
+        assert report.counterexample.indices == ("2", "3")
+        same_report(report, ref_check_rota_baxter(rb, domain, LINE_OPS))
+    else:
+        closure = f"^window closure: no operator defined for index {missing}$"
+        for check in (
+            lambda: check_rota_baxter(rb, window=range(1, 4)),
+            lambda: ref_check_rota_baxter(rb, domain, LINE_OPS),
+        ):
+            with pytest.raises(ContractError, match=closure):
+                check()
 
 
 # -- morphisms
@@ -605,7 +667,7 @@ def test_compiled_checks_match_the_reference_walk(dim, index_name, unit, seed):
     c = Fraction(rng.choice(CONSTANTS))
     weight = rng.choice([lambda n: c / n, lambda n: c])
     rb = RotaBaxterFamily(rational_line_carrier(), lambda n, x: x.scale(weight(n)))
-    window = range(1, rng.randint(1, 4) + 1)
+    window = range(1, rng.randint(1, 12) + 1)
     same_report(
         check_rota_baxter(rb, window=window),
         ref_check_rota_baxter(rb, window_domain(("1",), window), LINE_OPS),
