@@ -468,8 +468,6 @@ def _suite_table():
     def rel(eqid, lhs, rhs):  # an ordinary equation, read in S-graded vector spaces
         return graded_form(eq(eqid, lhs, rhs))
 
-    roles = ("mul", "bracket", "prec", "succ", "ast", "circ")
-    M, Br, P, S, Ast, Circ = (partial(app, role, ()) for role in roles)  # unindexed
     assoc = rel("assoc", M(M(X, Y), Z), M(X, M(Y, Z)))
     comm = rel("comm", M(X, Y), M(Y, X))
     unit_right = rel("unit_right", M(X, UNIT), X)
@@ -564,11 +562,13 @@ def _suite_table():
     return {s.name: s for s in suites}
 
 
+# an unindexed application of each role, as the suites and the constructions state them
+M, Br, P, S, Ast, Circ, Rb = (
+    partial(app, role, ()) for role in ("mul", "bracket", "prec", "succ", "ast", "circ", "rb")
+)
 SUITES = _suite_table()
-
-_M, _RB = partial(app, "mul", ()), partial(app, "rb", ())
 ROTA_BAXTER_EQUATION = graded_form(
-    Equation("rota_baxter", _M(_RB(X), _RB(Y)), _RB(add(_M(_RB(X), Y), _M(X, _RB(Y)))))
+    Equation("rota_baxter", M(Rb(X), Rb(Y)), Rb(add(M(Rb(X), Y), M(X, Rb(Y)))))
 )
 
 

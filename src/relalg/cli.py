@@ -10,7 +10,6 @@ outcome (the traceback goes to stderr).
 """
 
 import argparse
-import inspect
 import sys
 import traceback
 from dataclasses import replace
@@ -18,19 +17,11 @@ from functools import cache
 
 from . import jsonio
 from .axioms import SUITES, check_axioms, check_morphism, check_rota_baxter, finite_domain
-from .constructions import (
-    assoc_from_dend,
-    cocycle_twist,
-    collapse,
-    comm_from_zinbiel,
-    dend_from_rb,
-    dend_from_zinbiel,
-    lie_from_prelie,
-    pair_role,
-    poisson_from_prepoisson,
-    prelie_from_dend,
-    zinbiel_from_symmetric_dend,
-)
+# each algebra construction is called through its name here (``_on_algebra``)
+from .constructions import (CONSTRUCTIONS, assoc_from_dend, cocycle_twist, collapse,
+                            comm_from_zinbiel, dend_from_rb, dend_from_zinbiel, lie_from_prelie,
+                            pair_role, poisson_from_prepoisson, prelie_from_dend,
+                            zinbiel_from_symmetric_dend)
 from .errors import ConstructionRefused, ContractError, MalformedInputError, require
 from .exprs import eval_expression
 from .freecheck import FREE_SUITES, free_check
@@ -211,17 +202,19 @@ def _derive_dend_from_rb(args):
     return _with_materialized(rb.carrier, ("prec", "succ"), dend_from_rb(rb))
 
 
-def _on_algebra(construction, roles):
-    """A derivation from a checked --algebra: ``construction`` takes the
-    algebra's role named by each parameter, lifted to a pair-indexed one, or
-    its domain for ``domain``, and returns the operation of each of ``roles``;
+def _on_algebra(name):
+    """A derivation from a checked --algebra: the construction takes the
+    algebra's source roles, each lifted to a pair-indexed one, then its
+    domain if it has a hypothesis, and returns each derived role's operation;
     it is called through its module-level name, so a wrapper bound there sees it."""
-    params, name = inspect.signature(construction).parameters, construction.__name__
+    (sources, hypothesis, roles, _), function = CONSTRUCTIONS[name], name.replace("-", "_")
 
     def derive(args):
         alg = _load_algebra(_require_file(args, "algebra"))
-        inputs = [finite_domain(alg) if p == "domain" else pair_role(alg, p) for p in params]
-        ops = globals()[name](*inputs)
+        inputs = [pair_role(alg, role) for role in sources]
+        if hypothesis is not None:
+            inputs.append(finite_domain(alg))
+        ops = globals()[function](*inputs)
         return _with_materialized(alg, roles, ops if len(roles) > 1 else [ops])
 
     return derive
@@ -229,13 +222,7 @@ def _on_algebra(construction, roles):
 
 # construction name -> builder of the derived algebra from the parsed arguments
 DERIVATIONS = {
-    "assoc-from-dend": _on_algebra(assoc_from_dend, ("mul",)),
-    "prelie-from-dend": _on_algebra(prelie_from_dend, ("circ",)),
-    "zinbiel-from-symmetric-dend": _on_algebra(zinbiel_from_symmetric_dend, ("ast",)),
-    "dend-from-zinbiel": _on_algebra(dend_from_zinbiel, ("prec", "succ")),
-    "comm-from-zinbiel": _on_algebra(comm_from_zinbiel, ("mul",)),
-    "lie-from-prelie": _on_algebra(lie_from_prelie, ("bracket",)),
-    "poisson-from-prepoisson": _on_algebra(poisson_from_prepoisson, ("mul", "bracket")),
+    **{name: _on_algebra(name) for name in CONSTRUCTIONS if name != "dend-from-rb"},
     "cocycle-twist": _derive_cocycle_twist,
     "dend-from-rb": _derive_dend_from_rb,
 }

@@ -3,45 +3,31 @@ from dendriform, pre-Lie to Lie, pre-Poisson to Poisson, cocycle twists,
 Rota-Baxter to dendriform, family-to-pair lifting, and the collapse of a
 finite carrier to an ordinary algebra.
 
-Derived operations are lazy wrappers over their inputs; on finite carriers
-they can be materialized to structure constants for serialization.  When a
-construction has a hypothesis that is itself an equation (a symmetry clause,
-the Rota-Baxter identity, the pre-Poisson compatibilities) it is verified on
-a caller-supplied domain and the construction is refused, with the failing
-report, if it does not hold.
+All but the cocycle twist and the collapse are their defining equations
+(``CONSTRUCTIONS``), read in S-graded vector spaces and compiled over the
+source operations into lazy ones, which on finite carriers can be
+materialized to structure constants for serialization.  A hypothesis that
+is itself an equation (a symmetry clause, the Rota-Baxter identity, the
+pre-Poisson compatibilities) is verified on a caller-supplied domain first,
+and the construction refused, with the failing report, if it does not hold.
 """
 
+from functools import partial
 from itertools import product
 
-from .axioms import (
-    Equation,
-    Suite,
-    app,
-    check_axioms,
-    check_rota_baxter,
-    finite_domain,
-    graded_form,
-    lifted_position,
-    A,
-    X,
-    Y,
-)
+from .axioms import (App, Equation, Suite, _Compiler, _nodes, _reads_out_of_order, add, app,
+                     check_axioms, check_rota_baxter, finite_domain, graded_form, lifted_position,
+                     sub, A, B, Ast, Circ, M, P, Rb, S, X, Y)
 from .errors import ContractError, require
 from .lincomb import LinComb
 from .ops import FamilyIndexedOp, FiniteRelativeAlgebra, OpCarrier, PairIndexedOp, materialize_pair_op
 from .semigroups import check_cocycle, trivial_monoid
 
 
-def _common_index(op1, op2):
-    if op1.index != op2.index:
+def _common_index(first, *rest):
+    if any(op.index != first.index for op in rest):
         raise ContractError("operations live over different index structures")
-    return op1.index
-
-
-def require_commutative(index):
-    if not index.claims_commutative:
-        raise ContractError("this construction requires a commutative index semigroup")
-    return index
+    return first.index
 
 
 def family_to_pair(role, fam):
@@ -67,26 +53,12 @@ def dend_graftings(construction, index):
     return [(k, *term) for term, k in built]
 
 
-def assoc_from_dend(prec, succ):
-    """mul = succ + prec, pointwise in the index pair."""
-    index = _common_index(prec, succ)
-    return PairIndexedOp(index, lambda a, b, x, y: succ(a, b, x, y) + prec(a, b, x, y))
-
-
-def prelie_from_dend(prec, succ):
-    """circ(a,b)(x,y) = succ(a,b)(x,y) - prec(b,a)(y,x); needs commutativity
-    since the swapped term lands in the same composite index."""
-    index = require_commutative(_common_index(prec, succ))
-    return PairIndexedOp(index, lambda a, b, x, y: succ(a, b, x, y) - prec(b, a, y, x))
-
-
 # Named symmetry hypotheses.  The pair-indexed clause swaps both the
 # arguments and the index pair (the swap acts on each tensor factor with its
 # index); the single-index clause is the literal pointwise coincidence of the
 # two operations, kept as a distinct named check.
 PAIR_SYMMETRIC = Suite(
-    "PairSymmetric",
-    (graded_form(Equation("succ_eq_swapped_prec", app("succ", (), X, Y), app("prec", (), Y, X))),),
+    "PairSymmetric", (graded_form(Equation("succ_eq_swapped_prec", S(X, Y), P(Y, X))),)
 )
 
 FAMILY_SYMMETRIC = Suite(
@@ -95,9 +67,16 @@ FAMILY_SYMMETRIC = Suite(
 )
 
 
+def _holds(suite, check_name, carrier, domain):
+    return check_axioms(carrier, suite, domain, check_name=check_name)
+
+
+_pair_symmetric = partial(_holds, PAIR_SYMMETRIC, "hypothesis:PairSymmetric")
+
+
 def check_pair_symmetric(prec, succ, domain):
     carrier = OpCarrier(_common_index(prec, succ), {"prec": prec, "succ": succ})
-    return check_axioms(carrier, PAIR_SYMMETRIC, domain, check_name="hypothesis:PairSymmetric")
+    return _pair_symmetric(carrier, domain)
 
 
 def check_family_symmetric(prec, succ, domain):
@@ -105,47 +84,91 @@ def check_family_symmetric(prec, succ, domain):
     return check_axioms(carrier, FAMILY_SYMMETRIC, domain, check_name="hypothesis:FamilySymmetric")
 
 
+def _defined(sources, hypothesis=None, **terms):
+    graded = {r: graded_form(Equation(r, app(r, (), X, Y), t)).rhs for r, t in terms.items()}
+    apps = [n for term in graded.values() for n in _nodes(term) if isinstance(n, App)]
+    return sources, hypothesis, graded, any(map(_reads_out_of_order, apps))
+
+
+# construction name -> (its source roles, in its function's parameter order;
+# the hypothesis they must pass first, or None; each derived role's term in
+# its definition role(x, y) = term, graded; whether a monomial reads x, y out
+# of order, so that the index must claim commutativity, as in a suite)
+CONSTRUCTIONS = {
+    "assoc-from-dend": _defined(("prec", "succ"), mul=add(P(X, Y), S(X, Y))),
+    "prelie-from-dend": _defined(("prec", "succ"), circ=sub(S(X, Y), P(Y, X))),
+    "zinbiel-from-symmetric-dend": _defined(("prec", "succ"), _pair_symmetric, ast=S(X, Y)),
+    "dend-from-zinbiel": _defined(("ast",), prec=Ast(Y, X), succ=Ast(X, Y)),
+    "comm-from-zinbiel": _defined(("ast",), mul=add(Ast(X, Y), Ast(Y, X))),
+    "lie-from-prelie": _defined(("circ",), bracket=sub(Circ(X, Y), Circ(Y, X))),
+    "poisson-from-prepoisson": _defined(
+        ("circ", "ast"),
+        partial(_holds, "RelPrePoisson", "construction:poisson-from-prepoisson:precondition"),
+        mul=add(Ast(X, Y), Ast(Y, X)),
+        bracket=sub(Circ(X, Y), Circ(Y, X)),
+    ),
+    "dend-from-rb": _defined(
+        ("mul", "rb"),
+        lambda carrier, given: check_rota_baxter(*given),
+        prec=M(X, Rb(Y)),
+        succ=M(Rb(X), Y),
+    ),
+}
+
+
+def _construct(name, *sources, given=None):
+    """The operation of each derived role of ``name`` on ``sources`` (one
+    alone bare), once their index claims commutativity if required and the
+    hypothesis holds on ``given``: the caller's domain, or a Rota-Baxter
+    family and its window."""
+    roles, hypothesis, terms, requires_commutative = CONSTRUCTIONS[name]
+    index, ops = _common_index(*sources), dict(zip(roles, sources))
+    if requires_commutative and not index.claims_commutative:
+        raise ContractError("this construction requires a commutative index semigroup")
+    if hypothesis is not None:
+        require(hypothesis(OpCarrier(index, ops), given))
+    built = [_compiled(term, ops, index) for term in terms.values()]
+    return tuple(built) if len(built) > 1 else built[0]
+
+
+def _compiled(term, ops, index):
+    """A graded term as a pair-indexed operation: a source at (a, b, x, y) is
+    that source; any other term is compiled once, and its ``fn``, handed the
+    index positions the term reads, then x, y, fills any other position."""
+    if isinstance(term, App) and term.idx == (A, B) and term.args == (X, Y):
+        return ops[term.role]
+    closure, scale, reads, _ = _Compiler(ops, index, None).expr(term, 2, None)
+    reads = tuple(sorted(reads & {0, 1}))
+    pad = 2 - len(reads)
+    return PairIndexedOp(index, lambda *args: closure(args[:1] * pad + args), scale, reads)
+
+
+def assoc_from_dend(prec, succ):
+    return _construct("assoc-from-dend", prec, succ)
+
+
+def prelie_from_dend(prec, succ):
+    return _construct("prelie-from-dend", prec, succ)
+
+
 def zinbiel_from_symmetric_dend(prec, succ, domain):
-    """ast = succ, legitimate when succ is prec composed with the swap; the
-    hypothesis is verified on the given domain before construction."""
-    require(check_pair_symmetric(prec, succ, domain))
-    return succ
+    return _construct("zinbiel-from-symmetric-dend", prec, succ, given=domain)
 
 
 def dend_from_zinbiel(ast):
-    """prec(a,b)(x,y) = ast(b,a)(y,x) and succ = ast; the symmetry clause
-    succ(a,b)(x,y) = prec(b,a)(y,x) then holds identically."""
-    index = require_commutative(ast.index)
-    return PairIndexedOp(index, lambda a, b, x, y: ast(b, a, y, x)), ast
+    return _construct("dend-from-zinbiel", ast)
 
 
 def comm_from_zinbiel(ast):
-    """mul(a,b)(x,y) = ast(a,b)(x,y) + ast(b,a)(y,x), manifestly symmetric
-    under swapping arguments together with indices."""
-    index = require_commutative(ast.index)
-    return PairIndexedOp(index, lambda a, b, x, y: ast(a, b, x, y) + ast(b, a, y, x))
+    return _construct("comm-from-zinbiel", ast)
 
 
 def lie_from_prelie(circ):
-    """bracket(a,b)(x,y) = circ(a,b)(x,y) - circ(b,a)(y,x); skew-symmetry
-    holds identically by construction."""
-    index = require_commutative(circ.index)
-    return PairIndexedOp(index, lambda a, b, x, y: circ(a, b, x, y) - circ(b, a, y, x))
+    return _construct("lie-from-prelie", circ)
 
 
 def poisson_from_prepoisson(circ, ast, domain):
-    """The symmetrized zinbiel product together with the pre-Lie commutator;
-    the pre-Poisson axioms are verified on the domain first."""
-    index = require_commutative(_common_index(circ, ast))
-    require(
-        check_axioms(
-            OpCarrier(index, {"ast": ast, "circ": circ}),
-            "RelPrePoisson",
-            domain,
-            check_name="construction:poisson-from-prepoisson:precondition",
-        )
-    )
-    return comm_from_zinbiel(ast), lie_from_prelie(circ)
+    return _construct("poisson-from-prepoisson", circ, ast, given=domain)
 
 
 def cocycle_twist(base, cocycle):
@@ -159,14 +182,8 @@ def cocycle_twist(base, cocycle):
     if mul.reads:  # () exactly when one block serves every index pair
         raise ContractError("cocycle twist needs an index-independent product")
     block = base.ops["mul"][0, 0]
-    require(
-        check_axioms(
-            base,
-            "RelAssoc",
-            finite_domain(base),
-            check_name="construction:cocycle-twist:precondition:RelAssoc",
-        )
-    )
+    check_name = "construction:cocycle-twist:precondition:RelAssoc"
+    require(check_axioms(base, "RelAssoc", finite_domain(base), check_name=check_name))
     require(check_cocycle(cocycle))
     semigroup = cocycle.base
     ops = {"mul": {}}
@@ -181,14 +198,9 @@ def cocycle_twist(base, cocycle):
 
 
 def dend_from_rb(rb, window=None):
-    """prec(a,b)(x,y) = x . R_b(y) and succ(a,b)(x,y) = R_a(x) . y; the
-    Rota-Baxter identity is verified (on the window, when virtual) first."""
-    require(check_rota_baxter(rb, window=window))
-    mul = rb.carrier.op("mul")
-    index = mul.index
-    prec = PairIndexedOp(index, lambda a, b, x, y: mul(a, b, x, rb.apply(b, y)))
-    succ = PairIndexedOp(index, lambda a, b, x, y: mul(a, b, rb.apply(a, x), y))
-    return prec, succ
+    """The Rota-Baxter identity is checked on ``window`` when the index is virtual."""
+    family = FamilyIndexedOp(rb.carrier.index, rb.apply)
+    return _construct("dend-from-rb", rb.carrier.op("mul"), family, given=(rb, window))
 
 
 def collapse(alg):

@@ -11,11 +11,11 @@ finite algebra takes every product through one kernel per structure-constant
 block (one role at one index tuple), which memoises the products of basis
 vectors an exhaustive scan hands it; ``op`` gives a role with one block at
 every index pair that block's pattern, built on the call, not at load.  The
-kernels hold the integer constants ``den * c``, ``den`` the lcm of the
+kernels read the integer constants ``den * c``, ``den`` the lcm of the
 algebra's denominators, so an operation's ``fn`` returns ``den`` times the
-product and ``__call__`` divides back; ``den`` is 1 off finite algebras, but
-for the operation a Rota-Baxter family's ``op`` makes, which reads each
-operator once, as integer columns over one ``den``.
+product and ``__call__`` divides back; off finite algebras ``den`` is a
+construction's compiled scale, the one ``den`` of the integer columns a
+Rota-Baxter family's ``op`` reads each operator into once, or else 1.
 """
 
 from fractions import Fraction
@@ -113,8 +113,8 @@ class FiniteRelativeAlgebra:
     blocks are and held as a LinComb (``unit_coordinates`` gives the list
     back).  Constants are held in ``lincomb``'s exact scalar form.  Every
     product, by ``apply`` or by an operation from ``op`` (which holds the
-    kernels, not the algebra), is taken by its block's ``_kernel``, built
-    from the integer constants ``den * c``.
+    kernels, not the algebra), is taken by its block's ``_kernel``, which
+    reads the integer constants ``den * c``.
     """
 
     __slots__ = ("basis", "index", "ops", "unit_vector", "den", "_kernels", "__weakref__")
@@ -197,18 +197,20 @@ ZERO = LinComb()  # the one shared zero vector
 
 
 def _kernel(block, den):
-    """``den`` times the bilinear product ``(x, y) -> LinComb`` of one block,
-    expanded against its nonzero integer ``(k, den * coeff)`` terms.  A zero
-    argument gives one shared zero.  The product of two basis vectors is
-    memoised on first use, at most dim² shared, immutable values per block
-    held by the algebra, and a pair of single-term vectors reads it scaled
-    by the product of their coefficients."""
-    rows = [[[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(row) if c]
-             for row in plane] for plane in block]
+    """``den`` times the bilinear product ``(x, y) -> LinComb`` of one block.
+    A zero argument gives one shared zero.  The product of two basis vectors,
+    the integer ``(k, den * coeff)`` terms of its nonzero constants, is read
+    from the block on first use and memoised, at most dim² shared, immutable
+    values per block held by the algebra; a pair of single-term vectors reads
+    it scaled by the product of their coefficients, any other is expanded."""
     memo = {}
 
     def entry(i, j):
-        return rows[i][j]
+        value = memo.get((i, j))
+        if value is None:
+            terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(block[i][j]) if c]
+            value = memo[i, j] = LinComb(terms) or ZERO
+        return value
 
     def kernel(x, y):
         x, y = x._terms, y._terms
@@ -216,9 +218,7 @@ def _kernel(block, den):
             return ZERO
         if len(x) == 1 == len(y):
             ((i, ci),), ((j, cj),) = x.items(), y.items()
-            value = memo.get((i, j))
-            if value is None:
-                value = memo[i, j] = LinComb(rows[i][j]) or ZERO
+            value = memo.get((i, j)) or entry(i, j)
             weight = ci * cj
             return value if weight == 1 or value is ZERO else value.scale(weight)
         return lc_bilinear_extend(entry, x.items(), y.items())

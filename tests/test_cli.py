@@ -778,6 +778,61 @@ def test_derive_dend_from_rb_on_the_builtin_line_exits_3():
     assert "Traceback" not in proc.stderr
 
 
+DUAL_NUMBERS_RB_FILE = Path(__file__).resolve().parent / "dual_numbers_rb.json"
+
+# the derive chain of the CI smoke test, then dend-from-rb on the dual
+# numbers: (construction, input, output name, target suite, its instances)
+DERIVE_CHAIN = [
+    ("dend-from-zinbiel", "zinbiel8.json", "dend", "RelDendriform", 2187),
+    ("assoc-from-dend", "dend", "assoc", "RelAssoc", 729),
+    ("prelie-from-dend", "dend", "prelie", "RelPreLie", 729),
+    ("zinbiel-from-symmetric-dend", "dend", "zinbiel", "RelZinbiel", 729),
+    ("lie-from-prelie", "prelie", "lie", "RelLie", 810),
+    ("comm-from-zinbiel", "zinbiel8.json", "comm", "RelComm", 810),
+    ("poisson-from-prepoisson", "prepoisson", "poisson", "RelPoisson", 2349),
+    ("dend-from-rb", None, "rb_dend", "RelDendriform", 24),
+]
+
+# sha256 of each derive's stdout, recorded before the constructions were
+# read off their defining terms: any change to a derived constant shows here
+DERIVE_STDOUT_SHA256 = {
+    "dend-from-zinbiel": "d90888c7274e677c1aaec25cb607067f8d5611cee7cbf255b68a6418de5654fd",
+    "assoc-from-dend": "d4fd20d74716b260861d30e91b2aeff3bce79270d5ae71e9c4a82344ad5d83c6",
+    "prelie-from-dend": "76ea04c89fed4ad6ec9c2ac82997b987914a712d2b5f1999ee8fb6a1c0870abf",
+    "zinbiel-from-symmetric-dend": "f432935b3ac10cfc8cf81e535257f3ad4eac8b5e745935a7a7d4408c8f703024",
+    "lie-from-prelie": "4b5c0baa77fb6ed1daad95e29ac9b268c4f997ba2aa9a63c634baba67794b0b8",
+    "comm-from-zinbiel": "d353582db84c0098b26be25345286351b258583eb178c01189c6151c3869ff71",
+    "poisson-from-prepoisson": "67b768eb858382bc1ead9ba8eb33fae33302c24989497f25b1b73df2723bfab2",
+    "dend-from-rb": "bbde623ed825908586867a572f4e7eb205b15ab02e317098c277f06d6181c460",
+}
+
+
+def test_the_derive_chain_is_byte_stable_and_each_output_passes_its_suite(tmp_path, capsys):
+    from relalg.cli import main
+
+    assert json.loads(DUAL_NUMBERS_RB_FILE.read_text()) == DUAL_NUMBERS_RB
+    zinbiel8 = json.loads((DATA / "zinbiel8.json").read_text())
+    # zinbiel8 with a zero circ is pre-Poisson: circ's axioms hold trivially
+    n = zinbiel8["dim"]
+    zero = [[["0"] * n] * n] * n
+    prepoisson = {**zinbiel8, "ops": {**zinbiel8["ops"], "circ": dict.fromkeys(zinbiel8["ops"]["ast"], zero)}}
+    (tmp_path / "prepoisson.json").write_text(json.dumps(prepoisson))
+    digests = {}
+    for construction, source, target, suite, instances in DERIVE_CHAIN:
+        if source is None:
+            argv = ["--rb", str(DUAL_NUMBERS_RB_FILE)]
+        else:
+            path = DATA / source if source.endswith(".json") else tmp_path / f"{source}.json"
+            argv = ["--algebra", str(path)]
+        assert main(["derive", "--construction", construction, *argv]) == 0
+        out = capsys.readouterr().out
+        digests[construction] = hashlib.sha256(out.encode()).hexdigest()
+        (tmp_path / f"{target}.json").write_text(json.dumps(json.loads(out)["algebra"]))
+        assert main(["check-algebra", "--algebra", str(tmp_path / f"{target}.json"), "--suite", suite]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["instances"] == instances
+    assert digests == DERIVE_STDOUT_SHA256
+
+
 # one block at every index pair of zmod2, so mul reads no index:
 # u x = 0, v u = u, v v = u + v
 SHARED_BLOCK = [[["0/1", "0/1"], ["0/1", "0/1"]], [["1/1", "0/1"], ["1/1", "1/1"]]]

@@ -396,6 +396,44 @@ def test_commutative_index_gates():
                 build(left_zero_like)
 
 
+def test_over_a_band_exactly_the_constructions_reading_y_before_x_are_refused():
+    # the left-zero band ab = a is associative, not commutative: a definition
+    # with a monomial reading y before x has degree ba where ab is meant
+    band = SemigroupTable(["0", "1"], [[0, 0], [1, 1]])
+    zero = PairIndexedOp(band, lambda a, b, x, y: LinComb())
+    alg = FiniteRelativeAlgebra(["u"], band, {"mul": {(a, b): [[[0]]] for a in range(2) for b in range(2)}})
+    domain = finite_domain(alg)
+    builds = {
+        "assoc-from-dend": lambda: assoc_from_dend(zero, zero),
+        "prelie-from-dend": lambda: prelie_from_dend(zero, zero),
+        "zinbiel-from-symmetric-dend": lambda: zinbiel_from_symmetric_dend(zero, zero, domain),
+        "dend-from-zinbiel": lambda: dend_from_zinbiel(zero),
+        "comm-from-zinbiel": lambda: comm_from_zinbiel(zero),
+        "lie-from-prelie": lambda: lie_from_prelie(zero),
+        "poisson-from-prepoisson": lambda: poisson_from_prepoisson(zero, zero, domain),
+        "dend-from-rb": lambda: dend_from_rb(RotaBaxterFamily(alg, lambda a, x: LinComb())),
+    }
+    refused, built = {}, {}
+    for name, build in builds.items():
+        try:
+            built[name] = build()
+        except ContractError as exc:
+            refused[name] = str(exc)
+    gated = ("prelie-from-dend", "dend-from-zinbiel", "comm-from-zinbiel", "lie-from-prelie",
+             "poisson-from-prepoisson")
+    assert refused == {
+        **dict.fromkeys(gated, "this construction requires a commutative index semigroup"),
+        # the symmetry clause reads y before x: its own suite refuses the band
+        "zinbiel-from-symmetric-dend": "suite PairSymmetric requires a commutative index semigroup",
+    }
+    assert sorted(built) == ["assoc-from-dend", "dend-from-rb"]
+    u = LinComb.single(0)
+    prec, succ = built["dend-from-rb"]
+    for a, b in product(range(2), repeat=2):
+        assert built["assoc-from-dend"](a, b, u, u).is_zero()
+        assert prec(a, b, u, u).is_zero() and succ(a, b, u, u).is_zero()
+
+
 def test_a_dimonoid_index_is_refused_as_not_commutative():
     # a dimonoid claims no commutativity: lifting a family over one and
     # deriving circ is refused as the construction's contract, not an
