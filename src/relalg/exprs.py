@@ -25,6 +25,7 @@ class _ExprParser(_Parser):
     def __init__(self, text, carrier):
         super().__init__(text, carrier.decorations, carrier.dimonoid.elements)
         self.carrier = carrier
+        self.derived = {}  # role -> its free_derived_op, built on first use
 
     def expression(self):
         value = self.term()
@@ -75,15 +76,18 @@ class _ExprParser(_Parser):
         self.expect(",")
         right = self.expression()
         self.expect(")")
-        return apply_op(self.carrier, op, indices, left, right)
+        return apply_op(self.carrier, op, indices, left, right, self.derived)
 
 
-def apply_op(carrier, op, indices, x, y):
+def apply_op(carrier, op, indices, x, y, derived):
+    """op at indices on x and y.  A derived op is built once per role, into
+    ``derived``: a dict from role to the carrier's ``free_derived_op``."""
     if op in SINGLE_INDEX_OPS:
         return getattr(carrier, op)(x, y, indices[0])
-    derived = free_derived_op(carrier, op)
-    a, b = (derived.index.index_of(name) for name in indices)
-    return derived(a, b, x, y)
+    if op not in derived:
+        derived[op] = free_derived_op(carrier, op)
+    a, b = (derived[op].index.index_of(name) for name in indices)
+    return derived[op](a, b, x, y)
 
 
 def eval_expression(text, carrier):

@@ -446,6 +446,27 @@ def test_free_eval_bracket_antisymmetry():
     assert payload_of(proc)["result"] == "0"
 
 
+def test_free_eval_builds_each_derived_product_once(monkeypatch, capsys):
+    # three brackets and a mul: one derived operation per role, not per call,
+    # and the bytes of an evaluation that built one per call
+    from relalg import cli, exprs
+
+    built, free_derived_op = [], exprs.free_derived_op
+
+    def counted(carrier, role):
+        built.append(role)
+        return free_derived_op(carrier, role)
+
+    monkeypatch.setattr(exprs, "free_derived_op", counted)
+    expr = ("bracket(0,1, x[], y[0: x[]]) + bracket(1,1, mul(1,0, x[], y[]), x[])"
+            " + bracket(0,0, y[], x[, 1: y[]])")
+    assert cli.main(["free-eval", "--semigroup", str(DATA / "zmod2.json"), "--expr", expr]) == 0
+    assert sorted(built) == ["bracket", "mul"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "b8438f8c5d92c938dcfe1ed15fd6f3eb93388bd7e5b7422f75414cb7ef9ccf1e"
+    )
+
+
 NON_ASSOCIATIVE = {"elements": ["0", "1"], "product": [[0, 1], [0, 0]], "unit": None, "commutative": False}
 
 

@@ -1,4 +1,6 @@
+import ast
 import gc
+import hashlib
 import re
 import weakref
 from fractions import Fraction
@@ -600,6 +602,64 @@ def test_sampled_domain_is_replayable(free_zmod2):
     first = [tuple(vec.items() for vec in row) for row in domain.elements(3)]
     second = [tuple(vec.items() for vec in row) for row in domain.elements(3)]
     assert first == second and len(first) == 7
+
+
+def _count_draws(monkeypatch):
+    draws, random_tree = [], FreeDendCarrier.random_tree
+
+    def counted(self, *args):
+        draws.append(args)
+        return random_tree(self, *args)
+
+    monkeypatch.setattr(FreeDendCarrier, "random_tree", counted)
+    return draws
+
+
+def test_a_check_draws_each_arity_once(monkeypatch):
+    # DimonoidDendriform's three equations are all of arity 3: one draw of
+    # 4 samples x 3 trees serves all three, and the report is the bytes of a
+    # check that drew the tuples again for every equation (36 draws)
+    draws = _count_draws(monkeypatch)
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    report = free_check(carrier, "DimonoidDendriform", samples=4, max_vertices=6, seed=0)
+    assert len(draws) == 12
+    assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == (
+        "8c62923adabd36be35846f52cc99ae9dd82ed3841a621e759b45db17ba22c10b"
+    )
+    # RelLie's antisymmetry is of arity 2 and its Jacobi identity of arity 3
+    draws.clear()
+    assert free_check(carrier, "RelLie", samples=4, max_vertices=6, seed=0).passed
+    assert len(draws) == 4 * 2 + 4 * 3
+
+
+def test_a_check_builds_the_trees_and_products_it_always_built(monkeypatch):
+    # the grafting recursion's work, counted: trees constructed and basis
+    # products cached by one RelDendriform check over Z/2
+    init, built = DecoratedTree.__dict__["__init__"], []
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(DecoratedTree, "__init__", counted)
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    assert free_check(carrier, "RelDendriform", samples=3, max_vertices=6, seed=0).passed
+    assert (len(built), len(carrier._cache)) == (1571, 573)
+
+
+def test_the_grafting_hot_path_has_no_comprehension():
+    # on CPython 3.11 and earlier a comprehension or generator expression is
+    # a function call with its own frame, paid once per product step here;
+    # the benchmark's reference machine runs 3.11.7 (PEP 709 inlines
+    # comprehensions from 3.12 on)
+    source = Path(freedend.__file__).read_text()
+    carrier = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.ClassDef) and node.name == "FreeDendCarrier")
+    methods = {node.name: node for node in carrier.body if isinstance(node, ast.FunctionDef)}
+    scoped = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in ("_basis_prec", "_basis_succ", "graft_sum"):
+        found = [ast.unparse(node) for node in ast.walk(methods[name]) if isinstance(node, scoped)]
+        assert found == [], name
 
 
 @pytest.mark.parametrize("counts", [{"samples": 0}, {"samples": -3}, {"max_vertices": 0}])
