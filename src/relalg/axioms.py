@@ -217,13 +217,19 @@ class _Compiler:
     ``inner`` once maps the basis positions of its value that matter to those
     of ``inner`` at which one can be nonzero: an application narrows them by
     its ``pattern`` and its other argument's value, a sum takes the union.
+    An application of an operation with ``grafts`` also gives its signed
+    graftings, ``(graft_sum, env -> terms)``, which a hoisted term drops.  A
+    formal sum with two or more such terms, all on one carrier, takes them as
+    one ``graft_sum`` of all their graftings, each ``k`` times its term's
+    coefficient; its other terms, the hoisted ones among them, are added to
+    that value as before.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
 
     def __init__(self, ops, index, unit_vector):
         self.ops = {r: (getattr(op, "fn", op), getattr(op, "den", 1), getattr(op, "reads", None),
-                        _narrowing(getattr(op, "pattern", None)))
+                        _narrowing(getattr(op, "pattern", None)), getattr(op, "grafts", None))
                     for r, op in ops.items()}
         self.index = index
         self.unit_vector = unit_vector
@@ -250,32 +256,34 @@ class _Compiler:
         return (lambda env: prod(kind, left(env), right(env))), reads
 
     def expr(self, expr, n_idx, inner):
-        """The closure of ``expr``, its scale, the positions it reads and its
-        demand on ``inner``."""
+        """The closure of ``expr``, its scale, the positions it reads, its
+        demand on ``inner`` and its graftings."""
         if isinstance(expr, Var):
             k = n_idx + _VAR_POSITION[expr.name]
-            return itemgetter(k), 1, {k}, ((lambda env, target: target) if k == inner else None)
+            return itemgetter(k), 1, {k}, ((lambda env, target: target) if k == inner else None), None
         if isinstance(expr, UnitElem):
             unit_vector = self.unit_vector
             if unit_vector is None:
                 raise ContractError("suite requires a declared unit vector")
-            return (lambda env: unit_vector), 1, set(), None
+            return (lambda env: unit_vector), 1, set(), None, None
         if isinstance(expr, App):
-            fn, den, op_reads, narrowing = self.ops[expr.role]
+            fn, den, op_reads, narrowing, grafts = self.ops[expr.role]
             handed = expr.idx if op_reads is None else [expr.idx[k] for k in op_reads]
             idx = [self.index_expr(ix) for ix in handed]
             args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
-            scale = den * prod(s for _, s, _, _ in args)
-            closure = _compile_app(fn, [f for f, _ in idx], [f for f, *_ in args])
-            return closure, scale, reads, _narrow(narrowing, args, inner)
+            scale = den * prod(s for _, s, *_ in args)
+            parts = [f for f, _ in idx], [f for f, *_ in args]
+            if grafts is not None:
+                grafts = grafts[0], _compile_app(grafts[1], *parts)
+            return _compile_app(fn, *parts), scale, reads, _narrow(narrowing, args, inner), grafts
         if isinstance(expr, Lin):
             args, reads = self.subterms([e for _, e in expr.terms], n_idx, inner)
-            terms = [(c, f, s) for (c, _), (f, s, _, _) in zip(expr.terms, args)]
+            terms = [(c, (f, g), s) for (c, _), (f, s, _, _, g) in zip(expr.terms, args)]
             terms, scale = _common_scale(terms)
-            demands = [d for *_, d in args]
+            demands = [d for _, _, _, d, _ in args]
             union = None if None in demands else (
                 lambda env, target: reduce(or_, [d(env, target) for d in demands], 0))
-            return _compile_lin(terms), scale, reads, union
+            return _compile_lin(terms), scale, reads, union, None
         raise TypeError(f"unknown expression node {expr!r}")
 
     def subterms(self, nodes, n_idx, inner, reads=frozenset()):
@@ -284,12 +292,12 @@ class _Compiler:
         instance, each application or formal sum among the nodes that reads
         variables but not ``inner`` is evaluated once per change of them."""
         compiled = [self.expr(node, n_idx, inner) for node in nodes]
-        reads = reads.union(*(r for _, _, r, _ in compiled))
+        reads = reads.union(*(r for _, _, r, _, _ in compiled))
         return [
-            (_last_value(f, r), s, r, d)
+            (_last_value(f, r), s, r, d, None)
             if inner in reads and r and inner not in r and isinstance(node, (App, Lin))
-            else (f, s, r, d)
-            for node, (f, s, r, d) in zip(nodes, compiled)
+            else (f, s, r, d, g)
+            for node, (f, s, r, d, g) in zip(nodes, compiled)
         ], reads
 
 
@@ -321,7 +329,7 @@ def _narrow(narrowing, args, inner):
     """The demand of an application of two arguments, one of which reads
     ``inner`` and has a demand: that one's on the positions whose product
     with the other argument's value meets the target."""
-    demands = [(p, d) for p, (_, _, r, d) in enumerate(args) if inner in r]
+    demands = [(p, d) for p, (_, _, r, d, _) in enumerate(args) if inner in r]
     if narrowing is None or len(args) != 2 or len(demands) != 1 or demands[0][1] is None:
         return None
     ((p, demand),) = demands
@@ -367,12 +375,25 @@ def _common_scale(terms):
 
 
 def _compile_lin(terms):
-    """A formal sum, folded term by term onto one shared zero: a coefficient
-    of 1 or -1 is an add or a subtract, any other a scale and an add."""
-    acc = _zero
-    for coeff, term in terms:
+    """A formal sum of ``(coeff, (closure, graftings))`` terms, folded term by
+    term onto one shared zero: a coefficient of 1 or -1 is an add or a
+    subtract, any other a scale and an add.  Two or more terms with graftings,
+    all on one carrier, are instead one graft sum, onto which the rest fold."""
+    acc, grafting = _zero, [(c, g) for c, (_, g) in terms if g is not None]
+    if len(grafting) > 1 and len({graft_sum for _, (graft_sum, _) in grafting}) == 1:
+        acc = _graft_sum(grafting)
+        terms = [(c, (f, g)) for c, (f, g) in terms if g is None]
+    for coeff, (term, _) in terms:
         acc = _add_term(acc, coeff, term)
     return acc
+
+
+def _graft_sum(grafting):
+    """One call of the carrier's ``graft_sum`` over every ``(coeff, (graft_sum,
+    terms))`` term's graftings, each ``k`` times its coefficient."""
+    graft_sum, parts = grafting[0][1][0], [(c, terms) for c, (_, terms) in grafting]
+    return lambda env: graft_sum([(c * k, kind, s, t, a) for c, terms in parts
+                                  for k, kind, s, t, a in terms(env)])
 
 
 def _add_term(acc, coeff, term):
@@ -672,9 +693,9 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
         once = tuples <= 1 or all(getattr(ops[r], "reads", None) == () for r in equation.roles)
         inner = n_idx + n_elem - 1 if once else n_idx - 1  # the last one the loop changes
         sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
-        demands = [d for *_, d in sides]
-        sides, scale = _common_scale([(1, f, s) for f, s, _, _ in sides])
-        lhs, rhs = (term if k == 1 else _compile_lin([(k, term)]) for k, term in sides)
+        demands = [d for _, _, _, d, _ in sides]
+        sides, scale = _common_scale([(1, f, s) for f, s, *_ in sides])
+        lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))]) for k, term in sides)
         first, step = (list(islice(domain.indices(n_idx), 1)), tuples) if once else (None, 1)
         if once and n_elem and first and every_tuple and None not in demands:
             count, failed = _demanded_scan(lhs, rhs, *demands, domain, first[0], n_elem, step)

@@ -33,8 +33,9 @@ def _common_index(first, *rest):
 def family_to_pair(role, fam):
     """Lift a single-index operation to a pair-indexed one by the role's
     independence pattern: prec reads the second index, succ / ast / circ read
-    the first.  The lift is the family's own ``fn``, handed that index."""
-    return PairIndexedOp(fam.index, fam.fn, fam.den, reads=(lifted_position(role),))
+    the first.  The lift is the family's own ``fn`` and ``grafts``, handed that index."""
+    return PairIndexedOp(fam.index, fam.fn, fam.den, reads=(lifted_position(role),),
+                         grafts=fam.grafts)
 
 
 def pair_role(alg, role):
@@ -137,7 +138,7 @@ def _compiled(term, ops, index):
     index positions the term reads, then x, y, fills any other position."""
     if isinstance(term, App) and term.idx == (A, B) and term.args == (X, Y):
         return ops[term.role]
-    closure, scale, reads, _ = _Compiler(ops, index, None).expr(term, 2, None)
+    closure, scale, reads, *_ = _Compiler(ops, index, None).expr(term, 2, None)
     reads = tuple(sorted(reads & {0, 1}))
     pad = 2 - len(reads)
     return PairIndexedOp(index, lambda *args: closure(args[:1] * pad + args), scale, reads)

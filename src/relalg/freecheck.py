@@ -37,14 +37,19 @@ DERIVED_OPS = {
 def free_derived_op(carrier, role):
     """The derived operation on the free carrier: one graft sum per product, of
     the graftings read off its construction (which refuses an index as anywhere),
-    reading the index positions they use."""
+    reading the index positions they use; it states them as its ``grafts``."""
     index = carrier.family_ops()[0].index  # refuses a dimonoid not in semigroup form
     terms = dend_graftings(DERIVED_OPS[role], index)
     reads = tuple(sorted({i for *_, i in terms}))
     # as positions in fn's arguments, the indices read then x, y: s, t counted from the end
     terms = [(k, kind, s - 2, t - 2, reads.index(i)) for k, kind, s, t, i in terms]
-    return PairIndexedOp(index, lambda *args: carrier.graft_sum(
-        [(k, kind, args[s], args[t], args[i]) for k, kind, s, t, i in terms]), reads=reads)
+    graft_sum = carrier.graft_sum
+
+    def graftings(*args):
+        return [(k, kind, args[s], args[t], args[i]) for k, kind, s, t, i in terms]
+
+    return PairIndexedOp(index, lambda *args: graft_sum(graftings(*args)), reads=reads,
+                         grafts=(graft_sum, graftings))
 
 
 def free_suite_carrier(carrier, suite_name):

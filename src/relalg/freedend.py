@@ -238,10 +238,12 @@ class FreeDendCarrier:
     # -- operation bundles
 
     def _ops(self, index):
-        """Single-index prec/succ over index."""
+        """Single-index prec/succ over index, each stating its one grafting."""
         return (
-            FamilyIndexedOp(index, lambda a, x, y: self.prec(x, y, a)),
-            FamilyIndexedOp(index, lambda a, x, y: self.succ(x, y, a)),
+            FamilyIndexedOp(index, lambda a, x, y: self.prec(x, y, a),
+                            grafts=(self.graft_sum, lambda a, x, y: ((1, "prec", x, y, a),))),
+            FamilyIndexedOp(index, lambda a, x, y: self.succ(x, y, a),
+                            grafts=(self.graft_sum, lambda a, x, y: ((1, "succ", x, y, a),))),
         )
 
     def dimonoid_ops(self):

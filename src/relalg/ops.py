@@ -6,7 +6,11 @@ family-indexed operation takes a single index element.  Both are thin
 wrappers around a function, tagged with the index structure they live over,
 so the axiom engine can validate arity and index compatibility; it calls
 ``fn`` directly, handing a pair-indexed one only the indices in its ``reads``;
-its ``pattern`` lets a scan skip the instances where both sides vanish.  A
+its ``pattern`` lets a scan skip the instances where both sides vanish.  An
+operation on a free carrier also states its ``grafts``, ``(graft_sum,
+terms)``: ``terms``, handed what ``fn`` is, gives the signed graftings
+``(k, kind, s, t, a)`` whose ``graft_sum`` is ``fn``'s value, so the engine
+can take a formal sum of such applications as one graft sum.  A
 finite algebra takes every product through one kernel per structure-constant
 block (one role at one index tuple), which memoises the products of basis
 vectors an exhaustive scan hands it; ``op`` gives a role with one block at
@@ -31,12 +35,13 @@ class PairIndexedOp:
     """Bilinear operation indexed by a pair of semigroup elements.  ``fn``
     takes the index positions in ``reads``, in order, then the two vectors.
     ``pattern[i][j]``, if given, has bit k set where e_i e_j may have a
-    nonzero coordinate k, at every index pair."""
+    nonzero coordinate k, at every index pair.  ``grafts``, if given, is
+    ``(graft_sum, terms)`` with ``graft_sum(terms(*args)) == fn(*args)``."""
 
-    __slots__ = ("index", "fn", "den", "reads", "pattern")
+    __slots__ = ("index", "fn", "den", "reads", "pattern", "grafts")
     arity = 2
 
-    def __init__(self, index, fn, den=1, reads=(0, 1), pattern=None):
+    def __init__(self, index, fn, den=1, reads=(0, 1), pattern=None, grafts=None):
         if reads not in ((), (0,), (1,), (0, 1)) or {*map(type, reads)} - {int}:
             raise MalformedInputError(f"reads: expected (), (0,), (1,) or (0, 1), got {reads!r}")
         self.index = _index_structure(index)
@@ -44,6 +49,7 @@ class PairIndexedOp:
         self.den = den
         self.reads = reads
         self.pattern = pattern
+        self.grafts = grafts
 
     def __call__(self, a, b, x, y):
         return divide_back(self.fn(*[(a, b)[k] for k in self.reads], x, y), self.den)
@@ -51,15 +57,17 @@ class PairIndexedOp:
 
 class FamilyIndexedOp:
     """Operation indexed by a single semigroup (or dimonoid) element: a
-    bilinear one, or a linear map (``RotaBaxterFamily.op``)."""
+    bilinear one, or a linear map (``RotaBaxterFamily.op``); ``grafts`` as
+    for ``PairIndexedOp``."""
 
-    __slots__ = ("index", "fn", "den")
+    __slots__ = ("index", "fn", "den", "grafts")
     arity = 1
 
-    def __init__(self, index, fn, den=1):
+    def __init__(self, index, fn, den=1, grafts=None):
         self.index = _index_structure(index)
         self.fn = fn
         self.den = den
+        self.grafts = grafts
 
     def __call__(self, a, *vectors):
         return divide_back(self.fn(a, *vectors), self.den)

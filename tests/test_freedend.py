@@ -30,6 +30,7 @@ from relalg import (
     tree_parse,
     tree_print,
 )
+from relalg import axioms
 from relalg.errors import ContractError, MalformedInputError
 from relalg import cli, freedend
 from relalg.constructions import dend_graftings
@@ -536,22 +537,107 @@ def test_a_derived_product_reads_the_index_positions_of_its_graftings():
     assert reads == {"mul": (0, 1), "circ": (0,), "bracket": (0, 1)}
 
 
-@pytest.mark.parametrize("suite, sums", [("RelAssoc", 84), ("RelPreLie", 96), ("RelLie", 156)])
-def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(suite, sums, monkeypatch):
-    # circ reads its first index alone, so a circ is taken again only when
-    # that index or an argument changes, not on every change of the innermost
-    # index c; mul and bracket read both indices, and their counts stay
-    calls = []
-    graft_sum = FreeDendCarrier.graft_sum
+def _count_graft_sums(monkeypatch):
+    calls, graft_sum = [], FreeDendCarrier.graft_sum
 
     def counted(self, terms):
-        calls.append(terms)
+        calls.append((self, terms))
         return graft_sum(self, terms)
 
     monkeypatch.setattr(FreeDendCarrier, "graft_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "suite, sums, graftings", [("RelAssoc", 84, 168), ("RelPreLie", 72, 192), ("RelLie", 96, 624)]
+)
+def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(
+    suite, sums, graftings, monkeypatch
+):
+    # circ reads its first index alone, so a circ is taken again only when
+    # that index or an argument changes, not on every change of the innermost
+    # index c; mul and bracket read both indices.  A formal sum of products
+    # that reads c is one graft sum (RelPreLie's two circ differences,
+    # RelLie's three Jacobi brackets), and the graftings handed over in all
+    # are those of one graft sum per product: no hoisted product is taken
+    # more often than when each product was its own graft sum
+    calls = _count_graft_sums(monkeypatch)
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
     assert len(calls) == sums
+    assert sum(len(terms) for _, terms in calls) == graftings
+
+
+# suite -> the sha256 of its report at samples=3, max_vertices=6, seed=0, and
+# the graftings handed to graft_sum, both as when each product was its own graft sum
+FUSED_SUITE_REPORTS = {
+    "DimonoidDendriform": ("65bcd1a78ae1f8e1acab612388464c13e886348af88a891454826bfe931c5202", 168),
+    "FamDendriform": ("d61ac24ca61c53d762dda1cdb049b7686a152f66911763f9df3f8830daabaf2b", 144),
+    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 234),
+    "RelAssoc": ("ff20c188d784e55a351802b4a78288832c8a27e66e19fc74717fa8b4477f9769", 168),
+    "RelPreLie": ("45fd0041f0e7302e61ee35093c59f38c9aa71d7412de1e708f5f0147d86e0362", 192),
+    "RelLie": ("677a5ec784487cbb9424b208a5186e6f9b300b44ecadfcff9c5cee0e8688aad0", 624),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_fused_sums_change_no_report_byte_and_no_grafting_work(budget, monkeypatch):
+    # at 64 entries the carrier's tables are emptied inside a fused sum too
+    if budget is not None:
+        monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
+    calls = _count_graft_sums(monkeypatch)
+    assert set(FUSED_SUITE_REPORTS) == set(FREE_SUITES)
+    for suite, (digest, graftings) in FUSED_SUITE_REPORTS.items():
+        index = matching_dimonoid(2) if suite == "DimonoidDendriform" else cyclic_monoid(2)
+        calls.clear()
+        report = free_check(FreeDendCarrier(["x", "y"], index), suite, samples=3, max_vertices=6, seed=0)
+        assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == digest, suite
+        assert sum(len(terms) for _, terms in calls) == graftings, suite
+
+
+def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
+    calls = _count_graft_sums(monkeypatch)
+    first, second = (FreeDendCarrier(["x", "y"], cyclic_monoid(2)) for _ in range(2))
+    x, y = LinComb.single(first.parse("x[]")), LinComb.single(first.parse("y[1: x[], ]"))
+    index = first.semigroup
+    prec, succ = first.family_ops()
+    other_succ = second.family_ops()[1]
+    term = {role: axioms.app(role, (axioms.A,), axioms.X, axioms.Y) for role in ("prec", "succ")}
+    both = axioms.add(term["prec"], term["succ"])
+    product = first.prec(x, y, "1")
+    expected = product + first.succ(x, y, "1")
+
+    def value(ops, expr):
+        calls.clear()
+        return axioms.eval_expr(expr, {"x": x, "y": y}, {"a": 1}, ops, index, None)
+
+    # on one carrier: one graft sum of both graftings
+    assert value({"prec": prec, "succ": succ}, both) == expected
+    assert [(c, len(terms)) for c, terms in calls] == [(first, 2)]
+    # on two carriers: each product its own graft sum, and the same value
+    assert value({"prec": prec, "succ": other_succ}, both) == expected
+    assert [(c, len(terms)) for c, terms in calls] == [(first, 1), (second, 1)]
+    # one grafting and a variable: the product, then an add, as without graftings
+    assert value({"prec": prec}, axioms.add(term["prec"], axioms.X)) == product + x
+    assert [(c, len(terms)) for c, terms in calls] == [(first, 1)]
+
+
+@pytest.mark.parametrize(
+    "suite, index, adds", [("RelLie", cyclic_monoid(2), 6), ("DimonoidDendriform", matching_dimonoid(2), 0)]
+)
+def test_a_free_check_adds_no_linear_combinations_a_graft_sum_could_merge(
+    suite, index, adds, monkeypatch
+):
+    # RelLie's 6 are the symbolic build of its bracket's graftings
+    # (dend_graftings, once per check); the products themselves, and the
+    # Jacobi and dendriform sums of them, are graft sums
+    counted = []
+    for name in ("__add__", "__sub__"):
+        method = getattr(LinComb, name)
+        monkeypatch.setattr(LinComb, name, lambda u, v, method=method: counted.append(1) or method(u, v))
+    carrier = FreeDendCarrier(["x", "y"], index)
+    assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
+    assert len(counted) == adds
 
 
 def test_family_ops_require_semigroup_form(free_matching2):
