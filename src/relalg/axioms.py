@@ -222,7 +222,8 @@ class _Compiler:
     formal sum with two or more such terms, all on one carrier, takes them as
     one ``graft_sum`` of all their graftings, each ``k`` times its term's
     coefficient; its other terms, the hoisted ones among them, are added to
-    that value as before.
+    that value.  A sum with no other terms gives that graft sum's graftings
+    as its own, so a term compiled into an operation states them too.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
@@ -283,7 +284,8 @@ class _Compiler:
             demands = [d for _, _, _, d, _ in args]
             union = None if None in demands else (
                 lambda env, target: reduce(or_, [d(env, target) for d in demands], 0))
-            return _compile_lin(terms), scale, reads, union, None
+            closure, grafts = _compile_lin(terms)
+            return closure, scale, reads, union, grafts
         raise TypeError(f"unknown expression node {expr!r}")
 
     def subterms(self, nodes, n_idx, inner, reads=frozenset()):
@@ -375,25 +377,27 @@ def _common_scale(terms):
 
 
 def _compile_lin(terms):
-    """A formal sum of ``(coeff, (closure, graftings))`` terms, folded term by
-    term onto one shared zero: a coefficient of 1 or -1 is an add or a
-    subtract, any other a scale and an add.  Two or more terms with graftings,
-    all on one carrier, are instead one graft sum, onto which the rest fold."""
-    acc, grafting = _zero, [(c, g) for c, (_, g) in terms if g is not None]
+    """A formal sum of ``(coeff, (closure, graftings))`` terms, as its closure
+    and its graftings: folded term by term onto one shared zero, a coefficient
+    of 1 or -1 an add or a subtract, any other a scale and an add.  Two or more
+    terms with graftings, all on one carrier, are instead one graft sum of
+    their graftings, each ``k`` times its coefficient, onto which the rest
+    fold; a sum that graft sum takes whole states it as its own graftings."""
+    acc, grafts, grafting = _zero, None, [(c, g) for c, (_, g) in terms if g is not None]
     if len(grafting) > 1 and len({graft_sum for _, (graft_sum, _) in grafting}) == 1:
-        acc = _graft_sum(grafting)
+        graft_sum, parts = grafting[0][1][0], [(c, terms) for c, (_, terms) in grafting]
+
+        def graftings(env):
+            return [(c * k, kind, s, t, a) for c, terms in parts for k, kind, s, t, a in terms(env)]
+
+        def acc(env):
+            return graft_sum(graftings(env))
+
         terms = [(c, (f, g)) for c, (f, g) in terms if g is None]
+        grafts = None if terms else (graft_sum, graftings)
     for coeff, (term, _) in terms:
         acc = _add_term(acc, coeff, term)
-    return acc
-
-
-def _graft_sum(grafting):
-    """One call of the carrier's ``graft_sum`` over every ``(coeff, (graft_sum,
-    terms))`` term's graftings, each ``k`` times its coefficient."""
-    graft_sum, parts = grafting[0][1][0], [(c, terms) for c, (_, terms) in grafting]
-    return lambda env: graft_sum([(c * k, kind, s, t, a) for c, terms in parts
-                                  for k, kind, s, t, a in terms(env)])
+    return acc, grafts
 
 
 def _add_term(acc, coeff, term):
@@ -695,7 +699,7 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
         sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
         demands = [d for _, _, _, d, _ in sides]
         sides, scale = _common_scale([(1, f, s) for f, s, *_ in sides])
-        lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))]) for k, term in sides)
+        lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))])[0] for k, term in sides)
         first, step = (list(islice(domain.indices(n_idx), 1)), tuples) if once else (None, 1)
         if once and n_elem and first and every_tuple and None not in demands:
             count, failed = _demanded_scan(lhs, rhs, *demands, domain, first[0], n_elem, step)

@@ -19,7 +19,6 @@ from .axioms import (App, Equation, Suite, _Compiler, _nodes, _reads_out_of_orde
                      check_axioms, check_rota_baxter, finite_domain, graded_form, lifted_position,
                      sub, A, B, Ast, Circ, M, P, Rb, S, X, Y)
 from .errors import ContractError, require
-from .lincomb import LinComb
 from .ops import FamilyIndexedOp, FiniteRelativeAlgebra, OpCarrier, PairIndexedOp, materialize_pair_op
 from .semigroups import check_cocycle, trivial_monoid
 
@@ -43,15 +42,6 @@ def pair_role(alg, role):
     or a single-index one lifted by ``family_to_pair``."""
     op = alg.op(role)
     return op if op.arity == 2 else family_to_pair(role, op)
-
-
-def dend_graftings(construction, index):
-    """The construction's product of symbolic prec/succ over index at (0, 1, 0, 1), as its
-    signed graftings (k, kind, s, t, i): s, t are positions in (x, y), i one in (a, b)."""
-    prec, succ = (FamilyIndexedOp(index, lambda i, s, t, kind=kind: LinComb.single((kind, s, t, i)))
-                  for kind in ("prec", "succ"))
-    built = construction(family_to_pair("prec", prec), family_to_pair("succ", succ))(0, 1, 0, 1)
-    return [(k, *term) for term, k in built]
 
 
 # Named symmetry hypotheses.  The pair-indexed clause swaps both the
@@ -135,13 +125,20 @@ def _construct(name, *sources, given=None):
 def _compiled(term, ops, index):
     """A graded term as a pair-indexed operation: a source at (a, b, x, y) is
     that source; any other term is compiled once, and its ``fn``, handed the
-    index positions the term reads, then x, y, fills any other position."""
+    index positions the term reads, then x, y, fills any other position.  A
+    term whose compiled value is one graft sum states its graftings as the
+    operation's ``grafts``, handed the same arguments."""
     if isinstance(term, App) and term.idx == (A, B) and term.args == (X, Y):
         return ops[term.role]
-    closure, scale, reads, *_ = _Compiler(ops, index, None).expr(term, 2, None)
+    closure, scale, reads, _, grafts = _Compiler(ops, index, None).expr(term, 2, None)
     reads = tuple(sorted(reads & {0, 1}))
     pad = 2 - len(reads)
-    return PairIndexedOp(index, lambda *args: closure(args[:1] * pad + args), scale, reads)
+
+    def padded(f):
+        return lambda *args: f(args[:1] * pad + args)
+
+    grafts = None if grafts is None else (grafts[0], padded(grafts[1]))
+    return PairIndexedOp(index, padded(closure), scale, reads, grafts=grafts)
 
 
 def assoc_from_dend(prec, succ):

@@ -3,11 +3,10 @@
 from dataclasses import replace
 
 from .axioms import SUITES, check_axioms
-from .constructions import (assoc_from_dend, dend_graftings, family_to_pair, lie_from_prelie,
-                            prelie_from_dend)
+from .constructions import assoc_from_dend, family_to_pair, lie_from_prelie, prelie_from_dend
 from .errors import ContractError
 from .freedend import SampledTreeDomain
-from .ops import OpCarrier, PairIndexedOp
+from .ops import OpCarrier
 
 FREE_SUITES = (
     "DimonoidDendriform",
@@ -35,21 +34,10 @@ DERIVED_OPS = {
 
 
 def free_derived_op(carrier, role):
-    """The derived operation on the free carrier: one graft sum per product, of
-    the graftings read off its construction (which refuses an index as anywhere),
-    reading the index positions they use; it states them as its ``grafts``."""
-    index = carrier.family_ops()[0].index  # refuses a dimonoid not in semigroup form
-    terms = dend_graftings(DERIVED_OPS[role], index)
-    reads = tuple(sorted({i for *_, i in terms}))
-    # as positions in fn's arguments, the indices read then x, y: s, t counted from the end
-    terms = [(k, kind, s - 2, t - 2, reads.index(i)) for k, kind, s, t, i in terms]
-    graft_sum = carrier.graft_sum
-
-    def graftings(*args):
-        return [(k, kind, args[s], args[t], args[i]) for k, kind, s, t, i in terms]
-
-    return PairIndexedOp(index, lambda *args: graft_sum(graftings(*args)), reads=reads,
-                         grafts=(graft_sum, graftings))
+    """The derived operation on the free carrier: its construction over the
+    lifted prec/succ (which refuses an index as anywhere), compiled into one
+    graft sum per product, which it states as its ``grafts``."""
+    return DERIVED_OPS[role](*free_pair_ops(carrier))
 
 
 def free_suite_carrier(carrier, suite_name):

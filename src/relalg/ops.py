@@ -10,7 +10,8 @@ its ``pattern`` lets a scan skip the instances where both sides vanish.  An
 operation on a free carrier also states its ``grafts``, ``(graft_sum,
 terms)``: ``terms``, handed what ``fn`` is, gives the signed graftings
 ``(k, kind, s, t, a)`` whose ``graft_sum`` is ``fn``'s value, so the engine
-can take a formal sum of such applications as one graft sum.  A
+can take a formal sum of such applications as one graft sum, and a
+construction compiled to one such sum states its graftings in turn.  A
 finite algebra takes every product through one kernel per structure-constant
 block (one role at one index tuple), which memoises the products of basis
 vectors an exhaustive scan hands it; ``op`` gives a role with one block at

@@ -467,6 +467,38 @@ def test_free_eval_builds_each_derived_product_once(monkeypatch, capsys):
     )
 
 
+ZMOD2_NONCOMMUTATIVE = Path(__file__).resolve().parent / "zmod2_noncommutative.json"
+
+# the free-eval commands CI runs on the derived products: (expression, index
+# file, exit code, the sha256 of stdout or the refusal on stderr)
+DERIVED_FREE_EVALS = [
+    ("mul(a,a, x[], y[])", DATA / "trivial_a.json", 0,
+     "c431e7aba59cc2c295c772d94dffb3c11197ff61af3ad0216030b4c95163b39b"),
+    ("bracket(0,1, x[], circ(1,0, y[], x[]))", DATA / "zmod2.json", 0,
+     "18e8c4053ce08f3083f3f1a129acd869a765b7bd68f461b7e4c9e9a263d1b187"),
+    # refused exactly as the construction is: mul needs no commutativity
+    ("mul(0,1, x[], y[])", ZMOD2_NONCOMMUTATIVE, 0,
+     "b5ffcc32abfa693547510802dc7b506e0ddb26fdc768cc99f29c322ae9bd5637"),
+    ("circ(0,1, x[], y[])", ZMOD2_NONCOMMUTATIVE, 3, "requires a commutative index semigroup"),
+    ("bracket(0,1, x[], y[])", ZMOD2_NONCOMMUTATIVE, 3, "requires a commutative index semigroup"),
+]
+
+
+@pytest.mark.parametrize("expr, index, status, expected", DERIVED_FREE_EVALS)
+def test_the_free_evals_of_derived_products_ci_runs(expr, index, status, expected, capsys):
+    from relalg.cli import main
+
+    # zmod2 claiming no commutativity, and otherwise data/zmod2.json
+    zmod2 = json.loads((DATA / "zmod2.json").read_text())
+    assert json.loads(ZMOD2_NONCOMMUTATIVE.read_text()) == {**zmod2, "commutative": False}
+    assert main(["free-eval", "--expr", expr, "--semigroup", str(index)]) == status
+    out, err = capsys.readouterr()
+    if status == 0:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+    else:
+        assert out == "" and expected in err and "Traceback" not in err
+
+
 NON_ASSOCIATIVE = {"elements": ["0", "1"], "product": [[0, 1], [0, 0]], "unit": None, "commutative": False}
 
 

@@ -32,11 +32,12 @@ from relalg import (
 )
 from relalg import axioms
 from relalg.errors import ContractError, MalformedInputError
-from relalg import cli, freedend
-from relalg.constructions import dend_graftings
+from relalg import cli, freedend, jsonio
+from relalg.constructions import _compiled, dend_from_zinbiel, pair_role
 from relalg.freecheck import (DERIVED_OPS, FREE_SUITES, free_derived_op, free_pair_ops,
                               free_suite_carrier)
 from relalg.freedend import SampledTreeDomain
+from relalg.ops import PairIndexedOp
 from relalg.reports import to_json
 from relalg.trees import EMPTY, DecoratedTree, random_tree_from
 
@@ -472,6 +473,19 @@ CONSTRUCTIONS = {
 }
 
 
+def _without_grafts(op):
+    return PairIndexedOp(op.index, op.fn, op.den, op.reads)
+
+
+def _sampled_sums(carrier, count, seed=0):
+    trees = [t for by_size in trees_by_size(carrier, 4) for t in by_size]
+    rng = Random(seed)
+    return [
+        LinComb((rng.choice(trees), rng.choice((-2, -1, 1, 3))) for _ in range(3))
+        for _ in range(count)
+    ]
+
+
 @pytest.mark.parametrize("budget", [freedend.ENTRY_BUDGET, 64])
 @pytest.mark.parametrize(
     "index, roles",
@@ -485,13 +499,9 @@ CONSTRUCTIONS = {
 def test_derived_graftings_equal_their_constructions(index, roles, budget, monkeypatch):
     monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
     carrier = FreeDendCarrier(["x", "y"], index())
-    trees = [t for by_size in trees_by_size(carrier, 4) for t in by_size]
-    rng = Random(0)
-    sums = [
-        LinComb((rng.choice(trees), rng.choice((-2, -1, 1, 3))) for _ in range(3))
-        for _ in range(5)
-    ]
-    prec, succ = free_pair_ops(carrier)
+    sums = _sampled_sums(carrier, 5)
+    # the constructions over prec/succ that state no graftings: sums of products
+    prec, succ = map(_without_grafts, free_pair_ops(carrier))
     pairs = list(product(range(carrier.semigroup.size), repeat=2))
     for role in roles:
         derived, built = free_derived_op(carrier, role), CONSTRUCTIONS[role](prec, succ)
@@ -520,21 +530,66 @@ HAND_GRAFTINGS = {
 }
 
 
+def _stated_graftings(op):
+    """The graftings ``op`` states, handed position markers: the index
+    positions it reads, named a, b, then x, y; read back as positions."""
+    _, terms = op.grafts
+    markers = ["ab"[i] for i in op.reads] + ["x", "y"]
+    return {(k, kind, "xy".index(s), "xy".index(t), "ab".index(i))
+            for k, kind, s, t, i in terms(*markers)}
+
+
 def test_the_graftings_read_off_each_construction_are_the_hand_written_ones():
     assert set(DERIVED_OPS) == set(HAND_GRAFTINGS)
-    for role, construction in DERIVED_OPS.items():
-        assert set(dend_graftings(construction, cyclic_monoid(2))) == HAND_GRAFTINGS[role]
-    band = SemigroupTable(*LEFT_ZERO_BAND)
-    assert set(dend_graftings(DERIVED_OPS["mul"], band)) == HAND_GRAFTINGS["mul"]
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    for role in DERIVED_OPS:
+        assert _stated_graftings(free_derived_op(carrier, role)) == HAND_GRAFTINGS[role]
+    band = FreeDendCarrier(["x", "y"], SemigroupTable(*LEFT_ZERO_BAND))
+    assert _stated_graftings(free_derived_op(band, "mul")) == HAND_GRAFTINGS["mul"]
     for role in ("circ", "bracket"):
         with pytest.raises(ContractError, match="requires a commutative index semigroup"):
-            dend_graftings(DERIVED_OPS[role], band)
+            free_derived_op(band, role)
 
 
 def test_a_derived_product_reads_the_index_positions_of_its_graftings():
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     reads = {role: free_derived_op(carrier, role).reads for role in DERIVED_OPS}
     assert reads == {"mul": (0, 1), "circ": (0,), "bracket": (0, 1)}
+
+
+@pytest.mark.parametrize("role", ["mul", "circ", "bracket"])
+def test_a_construction_compiled_over_graftings_states_them(role):
+    # assoc-from-dend, prelie-from-dend and lie-from-prelie over it, on the
+    # lifted prec/succ: the graft sum of the graftings each states is its
+    # fn's value, which is that of the construction over prec/succ stating none
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    derived = CONSTRUCTIONS[role](*free_pair_ops(carrier))
+    plain = CONSTRUCTIONS[role](*map(_without_grafts, free_pair_ops(carrier)))
+    assert plain.grafts is None and plain.reads == derived.reads and plain.den == derived.den
+    graft_sum, terms = derived.grafts
+    pairs = list(product(range(carrier.semigroup.size), repeat=2))
+    for (a, b), (x, y) in product(pairs, product(_sampled_sums(carrier, 4, seed=1), repeat=2)):
+        args = [(a, b)[i] for i in derived.reads] + [x, y]
+        assert graft_sum(terms(*args)) == derived.fn(*args) == plain.fn(*args), (a, b)
+
+
+def test_a_construction_states_no_graftings_unless_one_graft_sum_is_its_value():
+    # a finite algebra's operations state none, so neither do their constructions
+    alg = jsonio.load_algebra(jsonio.load_file(DATA / "zinbiel8.json"))
+    assert [op.grafts for op in dend_from_zinbiel(pair_role(alg, "ast"))] == [None, None]
+    # a sum with a term that is no grafting: its value is the sum's, but it states none
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    ops = dict(zip(("prec", "succ"), free_pair_ops(carrier)))
+    x, y = _sampled_sums(carrier, 2, seed=2)
+    P, S, Xv, Yv = axioms.P, axioms.S, axioms.X, axioms.Y
+    for term, value in [
+        (axioms.add(P(Xv, Yv), Xv), carrier.prec(x, y, 1) + x),
+        (axioms.add(P(Xv, Yv), S(Xv, Yv), Xv), carrier.prec(x, y, 1) + carrier.succ(x, y, 0) + x),
+    ]:
+        graded = axioms.graded_form(axioms.Equation("r", axioms.app("r", (), Xv, Yv), term)).rhs
+        op = _compiled(graded, ops, carrier.semigroup)
+        assert op.grafts is None
+        assert op.fn(*[(0, 1)[i] for i in op.reads], x, y) == value
 
 
 def _count_graft_sums(monkeypatch):
@@ -623,14 +678,13 @@ def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, index, adds", [("RelLie", cyclic_monoid(2), 6), ("DimonoidDendriform", matching_dimonoid(2), 0)]
+    "suite, index, adds", [("RelLie", cyclic_monoid(2), 0), ("DimonoidDendriform", matching_dimonoid(2), 0)]
 )
 def test_a_free_check_adds_no_linear_combinations_a_graft_sum_could_merge(
     suite, index, adds, monkeypatch
 ):
-    # RelLie's 6 are the symbolic build of its bracket's graftings
-    # (dend_graftings, once per check); the products themselves, and the
-    # Jacobi and dendriform sums of them, are graft sums
+    # the products, compiled over the lifted prec/succ, and the Jacobi and
+    # dendriform sums of them are graft sums; building a product adds nothing
     counted = []
     for name in ("__add__", "__sub__"):
         method = getattr(LinComb, name)
