@@ -9,18 +9,18 @@ index structure).  The term trees are the source of truth: ``graded_form``
 indexes the ``Rel*`` suites, stated as ordinary equations, by reading them in
 S-graded vector spaces, and ``family_form`` rewrites those into the ``Fam*``
 suites.  A check compiles each equation it reaches once, into nested closures
-over the carrier's resolved operations, and runs them on every instance, or
-once per element tuple when no operation applied reads an index; a subterm
-that does not read the scan's innermost variable is evaluated once per change
-of the variables it reads.  Over every basis tuple, where the operations
-carry a ``pattern`` of the basis products that vanish, that loop evaluates
-only the innermost basis vectors at which a side can be nonzero, and counts
-the rest as passed.  Evaluation is exact; two sides are equal iff their
-normalized linear combinations coincide.  A compiled term returns its value
-times a scale the compiler tracks; every operation is multilinear, so the two
-sides compare at their common scale, and a counterexample is divided back.
-A Rota-Baxter check reads its family once, at the index elements its scan
-reaches, so that scan too runs on integers.
+over the carrier's resolved operations, and runs an element tuple only at
+the index tuples holding the first index element at each index variable no
+application is handed; a subterm that does not read the scan's innermost
+variable is evaluated once per change of the variables it reads.
+A scan reading no index, over every basis tuple, evaluates only the innermost
+vectors at which a side can be nonzero by its operations' ``pattern``s.
+Evaluation is exact; two sides are equal iff their normalized linear
+combinations coincide.  A compiled term returns its value times a scale the
+compiler tracks; every operation is multilinear, so the two sides compare at
+their common scale, and a counterexample is divided back.  A Rota-Baxter
+check reads its family once, at the index elements its scan reaches, so that
+scan too runs on integers.
 """
 
 from dataclasses import dataclass, field, replace
@@ -134,15 +134,16 @@ def _variables(node, kinds=(Var, IxVar)):
 
 @dataclass(frozen=True)
 class Equation:
-    """``n_elem``, ``n_idx`` and ``roles`` are read off the terms: one past
-    the highest position of x, y, z and of a, b, c that either side uses, and
-    the roles applied, in order of first use."""
+    """``n_elem``, ``n_idx``, ``apps`` and ``roles`` are read off the terms:
+    one past the highest position of x, y, z and of a, b, c that either side
+    uses, the applications, and the roles they apply, in order of first use."""
 
     eqid: str
     lhs: object
     rhs: object
     n_elem: int = field(init=False)
     n_idx: int = field(init=False)
+    apps: tuple = field(init=False, repr=False, compare=False)
     roles: tuple = field(init=False)
 
     def __post_init__(self):
@@ -150,8 +151,8 @@ class Equation:
         used = {n.name for n in nodes if isinstance(n, (Var, IxVar))}
         object.__setattr__(self, "n_elem", _arity(_VARS, used))
         object.__setattr__(self, "n_idx", _arity(_IVARS, used))
-        roles = dict.fromkeys(n.role for n in nodes if isinstance(n, App))
-        object.__setattr__(self, "roles", tuple(roles))
+        object.__setattr__(self, "apps", tuple(n for n in nodes if isinstance(n, App)))
+        object.__setattr__(self, "roles", tuple(dict.fromkeys(n.role for n in self.apps)))
 
 
 def _arity(names, used):
@@ -211,12 +212,12 @@ class _Compiler:
     times its scale, the scale, the positions it reads and its demand; an
     index expression a closure ``env -> element`` and its positions.  An
     operation wrapper is called through its ``fn``, which returns ``den`` times
-    the product; an application compiles only the index expressions its
-    ``reads`` hands it (all when it has none).  A unit the carrier lacks is
-    refused.  The demand ``(env, target) -> mask`` of a term that reads
-    ``inner`` once maps the basis positions of its value that matter to those
-    of ``inner`` at which one can be nonzero: an application narrows them by
-    its ``pattern`` and its other argument's value, a sum takes the union.
+    the product; an application compiles only the index expressions it
+    hands its operation (``handed``).  A unit the carrier lacks is refused.
+    The demand ``(env, target) -> mask`` of a term that reads ``inner`` once
+    maps the basis positions of its value that matter to those of ``inner``
+    at which one can be nonzero: an application narrows them by its
+    ``pattern`` and its other argument's value, a sum takes the union.
     An application of an operation with ``grafts`` also gives its signed
     graftings, ``(graft_sum, env -> terms)``, which a hoisted term drops.  A
     formal sum with two or more such terms, all on one carrier, takes them as
@@ -268,9 +269,8 @@ class _Compiler:
                 raise ContractError("suite requires a declared unit vector")
             return (lambda env: unit_vector), 1, set(), None, None
         if isinstance(expr, App):
-            fn, den, op_reads, narrowing, grafts = self.ops[expr.role]
-            handed = expr.idx if op_reads is None else [expr.idx[k] for k in op_reads]
-            idx = [self.index_expr(ix) for ix in handed]
+            fn, den, _, narrowing, grafts = self.ops[expr.role]
+            idx = [self.index_expr(ix) for ix in self.handed(expr)]
             args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
             scale = den * prod(s for _, s, *_ in args)
             parts = [f for f, _ in idx], [f for f, *_ in args]
@@ -287,6 +287,11 @@ class _Compiler:
             closure, grafts = _compile_lin(terms)
             return closure, scale, reads, union, grafts
         raise TypeError(f"unknown expression node {expr!r}")
+
+    def handed(self, application):
+        """The index expressions at its operation's ``reads``, or all."""
+        op_reads = self.ops[application.role][2]
+        return application.idx if op_reads is None else [application.idx[k] for k in op_reads]
 
     def subterms(self, nodes, n_idx, inner, reads=frozenset()):
         """The compiled ``nodes``, and the positions they and ``reads`` read.
@@ -679,32 +684,36 @@ def _validate_carrier(carrier, suite):
 
 def _equation_instances(equations, domain, ops, index, unit_vector, per_equation):
     """Instances of each equation in turn: element tuples then index tuples in
-    domain order, the index tuples taken afresh for each element tuple, or only
-    the first, counting for all, when no operation applied reads an index.  The
-    sides, compiled for that loop, compare at their common scale.  Passing
-    instances come as a run count before a counterexample and at each
-    equation's end; a counterexample as both sides divided back, named by
+    domain order.  A side reads only the index variables its applications are
+    handed (``_Compiler.handed``), R, so an element tuple is evaluated only at
+    the index tuples holding the first index element outside R (with R empty,
+    the first alone); the others pass with it, each the values of one before
+    it.  The sides compare at their common scale.  Passing instances come as
+    run counts, a counterexample's rank among its element tuple's index tuples
+    included; a counterexample as both sides divided back, named by
     ``domain.render_basis`` and ``index.name``.  ``per_equation`` counts the
     instances handed out per equation, including equations reached with none.
-    Over all basis tuples of a ``FiniteDomain`` at one index tuple, only the
-    last vectors the sides' demands name are evaluated; both vanish elsewhere."""
+    With R empty, over all basis tuples of a ``FiniteDomain``, only the last
+    vectors the sides' demands name are evaluated; both vanish elsewhere."""
     compiler = _Compiler(ops, index, unit_vector)
     label, name = _basis_name(domain), index.name
     every_tuple = isinstance(domain, FiniteDomain) and domain.basis_filter is None
     for equation in equations:
         eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
         pair, tuples = (equation.lhs, equation.rhs), domain.index_size**n_idx
-        once = tuples <= 1 or all(getattr(ops[r], "reads", None) == () for r in equation.roles)
-        inner = n_idx + n_elem - 1 if once else n_idx - 1  # the last one the loop changes
+        reads = {_IVARS.index(v) for n in equation.apps for ix in compiler.handed(n)
+                 for v in _variables(ix)}
+        once = tuples <= 1 or not reads
+        inner = n_idx + n_elem - 1 if once else n_idx - 1
         sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
         demands = [d for _, _, _, d, _ in sides]
         sides, scale = _common_scale([(1, f, s) for f, s, *_ in sides])
         lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))])[0] for k, term in sides)
-        first, step = (list(islice(domain.indices(n_idx), 1)), tuples) if once else (None, 1)
-        if once and n_elem and first and every_tuple and None not in demands:
-            count, failed = _demanded_scan(lhs, rhs, *demands, domain, first[0], n_elem, step)
+        taken = _index_tuples(domain, n_idx, () if once else reads)
+        if once and n_elem and taken() and every_tuple and None not in demands:
+            count, failed = _demanded_scan(lhs, rhs, *demands, domain, taken()[0][1], n_elem, tuples)
         else:
-            count, failed = _full_scan(lhs, rhs, domain, n_idx, n_elem, first, step)
+            count, failed = _full_scan(lhs, rhs, domain, n_elem, taken, tuples)
         per_equation[eqid] = count + (failed is not None)
         yield count
         if failed is not None:
@@ -714,23 +723,35 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
             return
 
 
-def _full_scan(lhs, rhs, domain, n_idx, n_elem, first, step):
-    """The instances passed before the first that fails, ``step`` each, and
-    its ``(idxs, vectors, left, right)``, or None."""
+def _index_tuples(domain, n_idx, reads):
+    """The function giving the ranked index tuples a scan takes at each element tuple."""
+    first = list(islice(enumerate(domain.indices(n_idx)), 1))
+    outside = [k for k in range(n_idx) if k not in reads]
+    if not reads:
+        return lambda: first
+    if not outside:
+        return lambda: enumerate(domain.indices(n_idx))
+    held = first[0][1][0]
+    return lambda: ((r, idxs) for r, idxs in enumerate(domain.indices(n_idx))
+                    if all(idxs[k] == held for k in outside))
+
+
+def _full_scan(lhs, rhs, domain, n_elem, taken, tuples):
+    """Instances passed before the first failure, and its ``(idxs, vectors, left, right)`` or None."""
     count = 0
     for vectors in domain.elements(n_elem):
-        for idxs in domain.indices(n_idx) if first is None else first:
+        for rank, idxs in taken():
             env = idxs + vectors
             left, right = lhs(env), rhs(env)
             if left._terms != right._terms:
-                return count, (idxs, vectors, left, right)
-            count += step
+                return count + rank, (idxs, vectors, left, right)
+        count += tuples
     return count, None
 
 
-def _demanded_scan(lhs, rhs, lhs_demand, rhs_demand, domain, idxs, n_elem, step):
-    """``_full_scan`` at ``idxs``, evaluating after each shorter element tuple
-    only the last vectors the sides' demands name."""
+def _demanded_scan(lhs, rhs, lhs_demand, rhs_demand, domain, idxs, n_elem, tuples):
+    """``_full_scan`` taking only ``idxs``, evaluating after each shorter
+    element tuple only the last vectors the sides' demands name."""
     points = [vector for vector, in domain.elements(1)]
     every, count = (1 << len(points)) - 1, 0
     for head in domain.elements(n_elem - 1):
@@ -743,8 +764,8 @@ def _demanded_scan(lhs, rhs, lhs_demand, rhs_demand, domain, idxs, n_elem, step)
             env = idxs + vectors
             left, right = lhs(env), rhs(env)
             if left._terms != right._terms:
-                return count + k * step, (idxs, vectors, left, right)
-        count += len(points) * step
+                return count + k * tuples, (idxs, vectors, left, right)
+        count += len(points) * tuples
     return count, None
 
 

@@ -11,9 +11,9 @@ grafts with the bare index as its edge label, which is the unique choice
 consistent with all four base cases and with the classical operations when
 the index structure is trivial.
 
-A carrier interns its trees, one object per structure, under their hashes
-and caches basis products under the trees; both tables share ``ENTRY_BUDGET``
-(see ``FreeDendCarrier``).
+A carrier interns its trees, one object per structure, and caches basis
+products, both tables keyed by ints hashed from the trees' stored hashes; the
+two share ``ENTRY_BUDGET`` (see ``FreeDendCarrier``).
 """
 
 from itertools import product
@@ -25,8 +25,8 @@ from .ops import FamilyIndexedOp
 from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
 from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tree_print
 
-# The most entries one carrier's intern table and basis cache (one tuple of
-# trees per product) hold together.  free-session's working set at --seconds
+# The most entries one carrier's intern table and basis cache (one tuple per
+# product) hold together.  free-session's working set at --seconds
 # 20 (about 212,000 entries: 50,000 basis products and 162,000 trees) never
 # reaches it, so it never empties.  The RelAssoc/RelPreLie/RelLie chain over
 # Z/2 at 200 samples and 6 vertices (acceptance criterion 3) does: the tables
@@ -44,16 +44,18 @@ class FreeDendCarrier:
     by the hash ``DecoratedTree.__init__`` gives it before constructing it,
     and takes the entry if its labels match and its children are the same
     objects or (children held from before the tables were emptied) equal
-    ones.  Any other entry is a 64-bit hash collision, and the caller gets
-    an equal tree that is not stored.  The basis cache is keyed by
-    ``(kind, s, t, index)``; trees compare by structure, so a key names one
-    pair of structures and cached products are pure: a dropped entry or a
-    collision costs a recomputation or sharing, never a different result.
-    A tree from outside (``DecoratedTree(...)``, another carrier) has its
-    labels checked when it is first interned (``check_tree``).
+    ones.  Any other entry is a 64-bit hash collision, and the caller gets an
+    equal tree that is not stored.  The basis cache is keyed by an int hashed
+    from a product's tag (``2 * index``, plus 1 for succ) and its trees'
+    ``_hash``, so no lookup calls ``DecoratedTree.__hash__``; an entry, one
+    tuple ``(tag, s, t, *products)``, is a hit only if the tag matches and its
+    trees are ``s`` and ``t`` themselves: a collision, or a tree held from
+    before the tables were emptied, costs a recomputation, never a different
+    result.  A tree from outside (``DecoratedTree(...)``, another carrier)
+    has its labels checked when it is first interned (``check_tree``).
 
     Products: a product of basis trees is a sum of distinct trees with
-    coefficient 1, cached as a tuple of trees when it recurses (a base case
+    coefficient 1, cached in its entry when it recurses (a base case
     grafts at most once, and is not cached).  In ``_basis_prec``'s recursion
     no tree of prec(s.right, t) (root left subtree s.right.left) is a tree of
     succ(s.right, t) (root left subtree holding s.right), and grafting at one
@@ -86,7 +88,7 @@ class FreeDendCarrier:
         self.dimonoid = dimonoid
         self.semigroup = semigroup
         self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
-        self._cache = {}  # (kind, s, t, index) -> (tree, ...), coefficients 1
+        self._cache = {}  # product key -> (tag, s, t, tree, ...), coefficients 1
         self._trees = {}  # t._hash -> the canonical tree t
 
     def _put(self, table, key, value):
@@ -166,10 +168,11 @@ class FreeDendCarrier:
             # right subtree empty: the recursive prec summand vanishes and the
             # succ summand grafts t whole, edge labeled by the bare index
             return (self._node(s.label, s.left, s.left_edge, t, self.dimonoid.name(a)),)
-        key = ("p", s, t, a)
+        tag = 2 * a  # prec at a; succ's tags are odd
+        key = hash((tag, s._hash, t._hash))
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] == tag and hit[1] is s and hit[2] is t:
+            return hit[3:]
         # plain loops over locals: on CPython 3.11 a comprehension costs a frame per product
         node, grafts, dimonoid = self._node, [], self.dimonoid
         label, left, left_edge, right = s.label, s.left, s.left_edge, s.right
@@ -180,7 +183,7 @@ class FreeDendCarrier:
         edge = dimonoid.name(dimonoid.right_mul(sigma2, a))
         for u in self._basis_succ(right, t, sigma2):
             grafts.append(node(label, left, left_edge, u, edge))
-        return self._put(self._cache, key, tuple(grafts))
+        return self._put(self._cache, key, (tag, s, t, *grafts))[3:]
 
     def _basis_succ(self, s, t, a):
         if s is EMPTY:
@@ -191,10 +194,11 @@ class FreeDendCarrier:
             return ()
         if t.left is EMPTY:
             return (self._node(t.label, s, self.dimonoid.name(a), t.right, t.right_edge),)
-        key = ("s", s, t, a)
+        tag = 2 * a + 1
+        key = hash((tag, s._hash, t._hash))
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] == tag and hit[1] is s and hit[2] is t:
+            return hit[3:]
         node, grafts, dimonoid = self._node, [], self.dimonoid
         label, right, right_edge, left = t.label, t.right, t.right_edge, t.left
         tau1 = self._sidx[t.left_edge]
@@ -204,7 +208,7 @@ class FreeDendCarrier:
         edge = dimonoid.name(dimonoid.right_mul(a, tau1))
         for u in self._basis_succ(s, left, a):
             grafts.append(node(label, u, edge, right, right_edge))
-        return self._put(self._cache, key, tuple(grafts))
+        return self._put(self._cache, key, (tag, s, t, *grafts))[3:]
 
     # -- bilinear operations on linear combinations of trees
 

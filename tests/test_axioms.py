@@ -63,7 +63,7 @@ from relalg.axioms import (
     sub,
     window_domain,
 )
-from relalg import jsonio
+from relalg import FreeDendCarrier, axioms, free_check, jsonio
 from relalg.constructions import (
     FAMILY_SYMMETRIC,
     PAIR_SYMMETRIC,
@@ -72,6 +72,8 @@ from relalg.constructions import (
     zinbiel_from_symmetric_dend,
 )
 from relalg.errors import ContractError
+from relalg.freecheck import free_suite_carrier
+from relalg.freedend import SampledTreeDomain
 from relalg.reports import CheckReport, Counterexample, scan, to_json
 from relalg.samples import (
     rational_line_carrier,
@@ -917,6 +919,104 @@ def test_a_subterm_that_reads_the_innermost_variable_is_taken_on_every_instance(
     report = check_axioms(carrier, suite, FiniteDomain(carrier.basis, range(3)))
     assert report.passed and report.instances == 2**2 * 3**3
     assert (f.calls, g.calls) == (2**2 * 3**3, 2**2 * 3**2)
+
+
+# -- an element tuple is taken only at the index tuples whose positions outside
+# those its sides read hold the first index element
+
+
+def sides_evaluated(monkeypatch):
+    """Per equation scanned in full, the index tuples at which each side was
+    evaluated, in order."""
+    evaluated, full_scan = [], axioms._full_scan
+
+    def recorded(side, n_elem, seen):
+        def evaluate(env):
+            seen.append(env[: len(env) - n_elem])
+            return side(env)
+
+        return evaluate
+
+    def counting(lhs, rhs, domain, n_elem, taken, tuples):
+        seen = [], []
+        evaluated.append(seen)
+        lhs, rhs = (recorded(f, n_elem, s) for f, s in zip((lhs, rhs), seen))
+        return full_scan(lhs, rhs, domain, n_elem, taken, tuples)
+
+    monkeypatch.setattr(axioms, "_full_scan", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize(
+    "suite, unread",
+    # the lifted prec reads its second index and succ its first, circ its
+    # first: dend1 never reads a, dend2 never b, dend3 and prelie never c
+    [("RelDendriform", {"dend1": 0, "dend2": 1, "dend3": 2}), ("RelPreLie", {"prelie": 2})],
+)
+def test_a_free_check_takes_each_sample_at_the_index_tuples_its_sides_read(
+    suite, unread, monkeypatch
+):
+    # over Z/2 each sample has 8 index tuples, and each side is evaluated at
+    # the 4 that hold 0 at the position no application is handed
+    evaluated = sides_evaluated(monkeypatch)
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
+    assert report.passed and report.info["equation_instances"] == dict.fromkeys(unread, 3 * 8)
+    assert len(evaluated) == len(unread)
+    for position, (lhs, rhs) in zip(unread.values(), evaluated):
+        assert lhs == rhs and len(lhs) == 3 * 4
+        kept = [idxs for idxs in product(range(2), repeat=3) if idxs[position] == 0]
+        assert lhs == kept * 3
+
+
+def _drop_a_grafting_at_index_1(monkeypatch, anywhere):
+    """A planted defect: succ at index 1 loses the first tree of its product,
+    anywhere in the grafting recursion or only where a graft sum takes it."""
+    depth = [0]
+
+    def nested(basis, drop):
+        def product(self, s, t, a):
+            depth[0] += 1
+            try:
+                products = basis(self, s, t, a)
+            finally:
+                depth[0] -= 1
+            return products[1:] if drop and a == 1 and (anywhere or not depth[0]) else products
+
+        return product
+
+    for name, drop in (("_basis_prec", False), ("_basis_succ", True)):
+        monkeypatch.setattr(FreeDendCarrier, name, nested(getattr(FreeDendCarrier, name), drop))
+
+
+@pytest.mark.parametrize(
+    "suite, defect, instances",
+    [
+        ("RelDendriform", None, 3 * 4 * 8),
+        ("RelPreLie", None, 4 * 8),
+        # anywhere: dend1 and dend2 pass, on half their index tuples, and
+        # dend3 fails at rank 4 of its first sample
+        ("RelDendriform", "anywhere", 2 * 4 * 8 + 5),
+        # circ reaches index 1 through edge labels at every index tuple, so a
+        # graft sum's own succ loses it: the first failure, at rank 2, follows
+        # rank 1, counted and not evaluated
+        ("RelPreLie", "graft sum", 3),
+    ],
+)
+def test_a_free_check_reports_the_bytes_of_the_full_scan(suite, defect, instances, monkeypatch):
+    # the reference walk evaluates every index tuple; the check skips those
+    # that repeat one before them and counts them as passed
+    if defect is not None:
+        _drop_a_grafting_at_index_1(monkeypatch, defect == "anywhere")
+    carriers = [FreeDendCarrier(["x", "y"], cyclic_monoid(2)) for _ in range(2)]
+    opcs = [free_suite_carrier(carrier, suite) for carrier in carriers]
+    domains = [SampledTreeDomain(carrier, 4, 6, 0) for carrier in carriers]
+    reference = ref_check_axioms(opcs[1], SUITES[suite], domains[1])
+    evaluated = sides_evaluated(monkeypatch)
+    report = check_axioms(opcs[0], suite, domains[0])
+    same_report(report, reference)
+    assert (report.passed, report.instances) == (defect is None, instances)
+    assert sum(len(lhs) for lhs, _ in evaluated) < report.instances
 
 
 def without_patterns(alg):

@@ -499,6 +499,32 @@ def test_the_free_evals_of_derived_products_ci_runs(expr, index, status, expecte
         assert out == "" and expected in err and "Traceback" not in err
 
 
+# CI's free-check smoke commands: the stdout sha256 of each and its stderr summary.
+# RelDendriform and RelPreLie are taken at half their index tuples, which
+# count as passed: the instances are those of every index tuple
+CI_FREE_CHECKS = [
+    (["--suite", "DimonoidDendriform", "--dimonoid", DATA / "matching2.json",
+      "--samples", "200", "--max-vertices", "6", "--seed", "0"],
+     "9be52345d9ac8a02e49656173e25d0557d1488aba4983e1a540262ec2ac4a7a7", 2400),
+    (["--suite", "RelLie", "--samples", "20", "--semigroup", DATA / "zmod2.json"],
+     "da68de5ec4286e2cc81e46f53acefd1f1b202d38191cac7b3e492642981dd72c", 240),
+    (["--suite", "RelDendriform", "--samples", "20", "--semigroup", DATA / "zmod2.json"],
+     "44a761606303fe3930da3408b261ea3245f000a8d8da59b9454242c4c14dceeb", 480),
+    (["--suite", "RelPreLie", "--samples", "20", "--semigroup", DATA / "zmod2.json"],
+     "5b0b45813e469ec9e177b831e6406cdbb9124307f6c0b924582859ed069befdf", 160),
+]
+
+
+@pytest.mark.parametrize("args, digest, instances", CI_FREE_CHECKS)
+def test_the_free_checks_ci_runs(args, digest, instances, capsys):
+    from relalg.cli import main
+
+    assert main(["free-check", *map(str, args)]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert f"PASS free-check:{args[1]}: {instances} instances" in err
+
+
 NON_ASSOCIATIVE = {"elements": ["0", "1"], "product": [[0, 1], [0, 0]], "unit": None, "commutative": False}
 
 

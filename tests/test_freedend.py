@@ -624,11 +624,13 @@ def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(
 
 
 # suite -> the sha256 of its report at samples=3, max_vertices=6, seed=0, and
-# the graftings handed to graft_sum, both as when each product was its own graft sum
+# the graftings handed to graft_sum, both as when each product was its own graft
+# sum; RelDendriform's dend1 and dend2 are since taken at half their index
+# tuples (234 graftings before)
 FUSED_SUITE_REPORTS = {
     "DimonoidDendriform": ("65bcd1a78ae1f8e1acab612388464c13e886348af88a891454826bfe931c5202", 168),
     "FamDendriform": ("d61ac24ca61c53d762dda1cdb049b7686a152f66911763f9df3f8830daabaf2b", 144),
-    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 234),
+    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 150),
     "RelAssoc": ("ff20c188d784e55a351802b4a78288832c8a27e66e19fc74717fa8b4477f9769", 168),
     "RelPreLie": ("45fd0041f0e7302e61ee35093c59f38c9aa71d7412de1e708f5f0147d86e0362", 192),
     "RelLie": ("677a5ec784487cbb9424b208a5186e6f9b300b44ecadfcff9c5cee0e8688aad0", 624),
@@ -648,6 +650,33 @@ def test_fused_sums_change_no_report_byte_and_no_grafting_work(budget, monkeypat
         report = free_check(FreeDendCarrier(["x", "y"], index), suite, samples=3, max_vertices=6, seed=0)
         assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == digest, suite
         assert sum(len(terms) for _, terms in calls) == graftings, suite
+
+
+def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
+    # every basis product's key hashes to 0 (the intern table's 5-tuples hash
+    # as before): each lookup finds the last product stored, a hit only when
+    # it is the same product, so each product is the reference recursion's
+    real_hash = hash
+    monkeypatch.setattr(freedend, "hash", lambda key: 0 if len(key) == 3 else real_hash(key),
+                        raising=False)
+    references, wrong = {}, []
+    for name, kind in (("_basis_prec", "p"), ("_basis_succ", "s")):
+        def checked(self, s, t, a, basis=getattr(FreeDendCarrier, name), kind=kind):
+            products = basis(self, s, t, a)
+            reference = references.setdefault(self, reference_grafting(self.dimonoid))
+            repeats = len(set(products)) != len(products)
+            if repeats or dict.fromkeys(products, 1) != reference(kind, s, t, a):
+                wrong.append((kind, tree_print(s), tree_print(t), a))
+            return products
+
+        monkeypatch.setattr(FreeDendCarrier, name, checked)
+    for suite, (digest, _) in FUSED_SUITE_REPORTS.items():
+        index = matching_dimonoid(2) if suite == "DimonoidDendriform" else cyclic_monoid(2)
+        carrier = FreeDendCarrier(["x", "y"], index)
+        report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
+        assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == digest, suite
+        assert len(carrier._cache) == 1, suite
+    assert wrong == [] and len(references) == len(FUSED_SUITE_REPORTS)
 
 
 def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
