@@ -41,7 +41,7 @@ class FreeDendCarrier:
     Interning: every tree the carrier builds or receives is replaced by its
     canonical object, the one tree of that structure the intern table holds,
     keyed by its own structural hash ``t._hash``.  Grafting looks a tree up
-    by the hash ``DecoratedTree.__init__`` gives it before constructing it,
+    by that hash before constructing it (and hands it to the constructor),
     and takes the entry if its labels match and its children are the same
     objects or (children held from before the tables were emptied) equal
     ones.  Any other entry is a 64-bit hash collision, and the caller gets an
@@ -102,11 +102,15 @@ class FreeDendCarrier:
 
     def _node(self, label, left=EMPTY, left_edge=None, right=EMPTY, right_edge=None):
         """The canonical tree with this root over these subtrees, or on a
-        hash collision an unshared one; the labels must be the carrier's own."""
-        tree = self._trees.get(hash((label, left_edge, right_edge, left._hash, right._hash)))
+        hash collision an unshared one (built by the checking constructor).
+        The labels must be the carrier's own and the subtrees trees it
+        returned: every caller reads them off its decorations, its dimonoid or
+        a tree it has interned and checked, so a new canonical tree is built
+        in one step, handed the hash it was looked up by."""
+        h = hash((label, left_edge, right_edge, left._hash, right._hash))
+        tree = self._trees.get(h)
         if tree is None:
-            tree = DecoratedTree(label, left, left_edge, right, right_edge)
-            return self._put(self._trees, tree._hash, tree)  # its own int: no second one per tree
+            return self._put(self._trees, h, DecoratedTree(label, left, left_edge, right, right_edge, h))
         if (tree.left is left or tree.left == left) and (tree.right is right or tree.right == right) and (
             tree.label == label and tree.left_edge == left_edge and tree.right_edge == right_edge
         ):

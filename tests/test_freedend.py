@@ -816,6 +816,21 @@ def test_a_check_builds_the_trees_and_products_it_always_built(monkeypatch):
     assert (len(built), len(carrier._cache)) == (1571, 573)
 
 
+def test_a_tree_built_in_one_step_is_the_checked_tree():
+    # _node hands DecoratedTree the hash it looked a new tree up by, and the
+    # fields are stored as given: each must be what the checking constructor
+    # computes from the same arguments
+    fields = ("label", "left", "left_edge", "right", "right_edge", "size", "_hash")
+    for index, suite in ((cyclic_monoid(2), "RelDendriform"), (matching_dimonoid(2), "DimonoidDendriform")):
+        carrier = FreeDendCarrier(["x", "y"], index)
+        assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
+        assert len(carrier._trees) > 100
+        for key, t in carrier._trees.items():
+            checked = DecoratedTree(t.label, t.left, t.left_edge, t.right, t.right_edge)
+            assert [getattr(t, f) for f in fields] == [getattr(checked, f) for f in fields]
+            assert key == t._hash
+
+
 def test_the_grafting_hot_path_has_no_comprehension():
     # on CPython 3.11 and earlier a comprehension or generator expression is
     # a function call with its own frame, paid once per product step here;
@@ -826,7 +841,7 @@ def test_the_grafting_hot_path_has_no_comprehension():
                    if isinstance(node, ast.ClassDef) and node.name == "FreeDendCarrier")
     methods = {node.name: node for node in carrier.body if isinstance(node, ast.FunctionDef)}
     scoped = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    for name in ("_basis_prec", "_basis_succ", "graft_sum"):
+    for name in ("_basis_prec", "_basis_succ", "graft_sum", "_node"):
         found = [ast.unparse(node) for node in ast.walk(methods[name]) if isinstance(node, scoped)]
         assert found == [], name
 

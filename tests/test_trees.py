@@ -91,6 +91,11 @@ def test_equality_and_hash_are_structural():
     left_child = DecoratedTree("x", DecoratedTree("y"), "a")
     assert left_child != DecoratedTree("x", right=DecoratedTree("y"), right_edge="a")
     assert DecoratedTree("x") != "x[]"
+    # the checking constructor coerces labels: int labels give the tree of
+    # their str names, hash and all
+    for t, u in ((DecoratedTree(1), DecoratedTree("1")),
+                 (DecoratedTree(1, DecoratedTree(2), 0), DecoratedTree("1", DecoratedTree("2"), "0"))):
+        assert t == u and t._hash == u._hash
 
 
 def test_random_tree_deterministic():
