@@ -50,3 +50,20 @@ def free_zmod2():
 @pytest.fixture
 def free_matching2():
     return FreeDendCarrier(["x", "y"], matching_dimonoid(2))
+
+
+@pytest.fixture
+def cli(capsys):
+    """``relalg.cli.main`` in process, as ``run(argv) -> (exit code, stdout
+    bytes, stderr text)``, the runner ``outcomes.check`` takes."""
+    from relalg.cli import main
+
+    def run(argv):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refuses a command line by exiting 2
+            status = exc.code
+        out, err = capsys.readouterr()
+        return status, out.encode(), err
+
+    return run

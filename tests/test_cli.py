@@ -1,13 +1,14 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from outcomes import ROOT, ROWS, check, resolve
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+DATA = ROOT / "data"
 
 
 def run_cli(*args):
@@ -467,62 +468,46 @@ def test_free_eval_builds_each_derived_product_once(monkeypatch, capsys):
     )
 
 
-ZMOD2_NONCOMMUTATIVE = Path(__file__).resolve().parent / "zmod2_noncommutative.json"
-
-# the free-eval commands CI runs on the derived products: (expression, index
-# file, exit code, the sha256 of stdout or the refusal on stderr)
-DERIVED_FREE_EVALS = [
-    ("mul(a,a, x[], y[])", DATA / "trivial_a.json", 0,
-     "c431e7aba59cc2c295c772d94dffb3c11197ff61af3ad0216030b4c95163b39b"),
-    ("bracket(0,1, x[], circ(1,0, y[], x[]))", DATA / "zmod2.json", 0,
-     "18e8c4053ce08f3083f3f1a129acd869a765b7bd68f461b7e4c9e9a263d1b187"),
-    # refused exactly as the construction is: mul needs no commutativity
-    ("mul(0,1, x[], y[])", ZMOD2_NONCOMMUTATIVE, 0,
-     "b5ffcc32abfa693547510802dc7b506e0ddb26fdc768cc99f29c322ae9bd5637"),
-    ("circ(0,1, x[], y[])", ZMOD2_NONCOMMUTATIVE, 3, "requires a commutative index semigroup"),
-    ("bracket(0,1, x[], y[])", ZMOD2_NONCOMMUTATIVE, 3, "requires a commutative index semigroup"),
-]
+def row_of(command):
+    """The row of tests/outcomes.py whose argv is the command."""
+    argv = tuple(shlex.split(command))
+    return next(row for row in ROWS if row.argv == argv)
 
 
-@pytest.mark.parametrize("expr, index, status, expected", DERIVED_FREE_EVALS)
-def test_the_free_evals_of_derived_products_ci_runs(expr, index, status, expected, capsys):
-    from relalg.cli import main
+# README's free-check and its free-eval on trivial_a are also CI's commands:
+# each was pinned twice, as a README command and as a CI case, and each pin
+# keeps its test, run on the one row that holds both
+README_FREE_CHECK = row_of("free-check --suite DimonoidDendriform --dimonoid data/matching2.json"
+                           " --samples 200 --max-vertices 6 --seed 0")
+README_FREE_EVAL = row_of('free-eval --expr "mul(a,a, x[], y[])" --semigroup data/trivial_a.json')
 
-    # zmod2 claiming no commutativity, and otherwise data/zmod2.json
+
+@pytest.mark.parametrize("row", [
+    pytest.param(README_FREE_CHECK, id=f"command9-{README_FREE_CHECK.stdout_sha256}"),
+    pytest.param(README_FREE_EVAL, id=f"command10-{README_FREE_EVAL.stdout_sha256}"),
+])
+def test_readme_command_reports_are_byte_stable(row, cli):
+    check(row, cli)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(README_FREE_CHECK, id=f"args0-{README_FREE_CHECK.stdout_sha256}-2400"),
+])
+def test_the_free_checks_ci_runs(row, cli):
+    assert "PASS free-check:DimonoidDendriform: 2400 instances" in row.stderr
+    check(row, cli)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(README_FREE_EVAL, id=f"mul(a,a, x[], y[])-index0-0-{README_FREE_EVAL.stdout_sha256}"),
+])
+def test_the_free_evals_of_derived_products_ci_runs(row, cli):
+    # the other free-eval rows on derived products read zmod2 claiming no
+    # commutativity, and otherwise data/zmod2.json
     zmod2 = json.loads((DATA / "zmod2.json").read_text())
-    assert json.loads(ZMOD2_NONCOMMUTATIVE.read_text()) == {**zmod2, "commutative": False}
-    assert main(["free-eval", "--expr", expr, "--semigroup", str(index)]) == status
-    out, err = capsys.readouterr()
-    if status == 0:
-        assert hashlib.sha256(out.encode()).hexdigest() == expected
-    else:
-        assert out == "" and expected in err and "Traceback" not in err
-
-
-# CI's free-check smoke commands: the stdout sha256 of each and its stderr summary.
-# RelDendriform and RelPreLie are taken at half their index tuples, which
-# count as passed: the instances are those of every index tuple
-CI_FREE_CHECKS = [
-    (["--suite", "DimonoidDendriform", "--dimonoid", DATA / "matching2.json",
-      "--samples", "200", "--max-vertices", "6", "--seed", "0"],
-     "9be52345d9ac8a02e49656173e25d0557d1488aba4983e1a540262ec2ac4a7a7", 2400),
-    (["--suite", "RelLie", "--samples", "20", "--semigroup", DATA / "zmod2.json"],
-     "da68de5ec4286e2cc81e46f53acefd1f1b202d38191cac7b3e492642981dd72c", 240),
-    (["--suite", "RelDendriform", "--samples", "20", "--semigroup", DATA / "zmod2.json"],
-     "44a761606303fe3930da3408b261ea3245f000a8d8da59b9454242c4c14dceeb", 480),
-    (["--suite", "RelPreLie", "--samples", "20", "--semigroup", DATA / "zmod2.json"],
-     "5b0b45813e469ec9e177b831e6406cdbb9124307f6c0b924582859ed069befdf", 160),
-]
-
-
-@pytest.mark.parametrize("args, digest, instances", CI_FREE_CHECKS)
-def test_the_free_checks_ci_runs(args, digest, instances, capsys):
-    from relalg.cli import main
-
-    assert main(["free-check", *map(str, args)]) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert f"PASS free-check:{args[1]}: {instances} instances" in err
+    noncommutative = json.loads((ROOT / "tests" / "zmod2_noncommutative.json").read_text())
+    assert noncommutative == {**zmod2, "commutative": False}
+    check(row, cli)
 
 
 NON_ASSOCIATIVE = {"elements": ["0", "1"], "product": [[0, 1], [0, 0]], "unit": None, "commutative": False}
@@ -556,57 +541,19 @@ def test_free_carrier_non_associative_semigroup_report(tmp_path, capsys, command
     assert captured.err == "FAIL semigroup: 6 instances at associativity ('1', '0', '1')\n"
 
 
-# the README's commands on data/ files, each ending in exit 0
-README_COMMANDS = [
-    ["check-semigroup", "--semigroup", "zmod2.json"],
-    ["check-dimonoid", "--dimonoid", "matching2.json"],
-    ["check-cocycle", "--cocycle", "cocycle_sign.json"],
-    ["check-algebra", "--algebra", "cocycle_algebra.json", "--suite", "RelAssoc"],
-    ["check-algebra", "--algebra", "zinbiel8.json", "--suite", "RelZinbiel"],
-    ["check-rb", "--rb", "rb_reciprocal.json", "--window", "20"],
-    ["derive", "--construction", "dend-from-zinbiel", "--algebra", "zinbiel8.json"],
-    ["collapse", "--algebra", "cocycle_algebra.json", "--suite", "RelAssoc"],
-    ["free-eval", "--expr", "succ(a, x[], y[])", "--dimonoid", "matching2.json"],
-    ["free-check", "--suite", "DimonoidDendriform", "--dimonoid", "matching2.json",
-     "--samples", "200", "--max-vertices", "6", "--seed", "0"],
-    ["free-eval", "--expr", "mul(a,a, x[], y[])", "--semigroup", "trivial_a.json"],
-]
-
-
-# sha256 of the stdout of each README command, recorded before the Rel suites
-# were read off the grading rule: any change to a report byte shows here
-README_STDOUT_SHA256 = [
-    "9aae24ed9e91f3044da335f4677c3f64f39a47e56971db30fe19284482db2e09",
-    "f395014112376c130d2843856f255493fb32e7f82da5e55786fe0ead17ca7229",
-    "b76a17932f2b6cef8080e2bef1e3ccfea2a152dfceedc5564511f212e8310c7d",
-    "883a58b79ed22fa3f8de15bcc9d8ecb345f79a4b051fdde43d01ab36df617503",
-    "15268ff1fb431dd1b45cf479e9b0411d379dbea534e91b94291bb106f98b6c10",
-    "aeff16fd96183e71bf6944423147e7dcbfc15fed4feae92eecb8e057a7656e82",
-    "d90888c7274e677c1aaec25cb607067f8d5611cee7cbf255b68a6418de5654fd",
-    "cb137d6e4707b3537e393d3d0d1315c2f04eb04da054f427a3a9587868b615d5",
-    "e81ebbed2a0a535b83327139b83dbf64e703244efefebf88ac10f577ed066c39",
-    "9be52345d9ac8a02e49656173e25d0557d1488aba4983e1a540262ec2ac4a7a7",
-    "c431e7aba59cc2c295c772d94dffb3c11197ff61af3ad0216030b4c95163b39b",
-]
-
-
-@pytest.mark.parametrize("command, digest", list(zip(README_COMMANDS, README_STDOUT_SHA256)))
-def test_readme_command_reports_are_byte_stable(capsys, command, digest):
-    from relalg.cli import main
-
-    main([str(DATA / a) if a.endswith(".json") else a for a in command])
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("command", README_COMMANDS + [["check-semigroup", "--semigroup", None]])
+@pytest.mark.parametrize(
+    "command",
+    [list(row.argv) for row in ROWS if row.status < 2] + [["check-semigroup", "--semigroup", None]],
+)
 def test_stderr_summary_lines_match_the_reports(tmp_path, capsys, command):
-    # one PASS/FAIL line per report, in report order; the last case fails
+    # every row that ends in a report, and a non-associative table: one
+    # PASS/FAIL line per report, in report order, and exit 1 exactly when the
+    # document did not pass
     from relalg.cli import main
 
     magma = tmp_path / "magma.json"
     magma.write_text(json.dumps(NON_ASSOCIATIVE))
-    argv = [str(magma) if a is None else str(DATA / a) if a.endswith(".json") else a for a in command]
-    status = main(argv)
+    status = main(resolve([str(magma) if a is None else a for a in command]))
     captured = capsys.readouterr()
     expected = []
     for report in json.loads(captured.out)["reports"]:
@@ -616,7 +563,7 @@ def test_stderr_summary_lines_match_the_reports(tmp_path, capsys, command):
         expected.append(f"{verdict} {report['check']}: {report['instances']} instances{where}")
     lines = [line for line in captured.err.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert lines == expected
-    assert status == (0 if None not in command else 1)
+    assert status == (0 if json.loads(captured.out)["passed"] else 1)
 
 
 def test_not_a_semigroup_error_carries_the_summary_line():
@@ -817,37 +764,22 @@ def test_free_commands_take_exactly_one_index_file(command, index, message):
 
 
 # the dual numbers k[t]/(t^2) over the trivial monoid, with R(1) = t and R(t) = 0
-DUAL_NUMBERS_RB = {
-    "algebra": {
-        "dim": 2,
-        "basis": ["one", "t"],
-        "semigroup": {"elements": ["e"], "product": [[0]], "unit": "e", "commutative": True},
-        "ops": {"mul": {"(e,e)": [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["0/1", "0/1"]]]}},
-        "unit": ["1/1", "0/1"],
-    },
-    "maps": {"e": [["0/1", "0/1"], ["1/1", "0/1"]]},
-}
+DUAL_NUMBERS_RB = ROOT / "tests" / "dual_numbers_rb.json"
 
 
 def test_derive_dend_from_rb_on_a_finite_file(tmp_path):
-    rb = tmp_path / "dual_rb.json"
-    rb.write_text(json.dumps(DUAL_NUMBERS_RB))
-    proc = run_cli("check-rb", "--rb", str(rb))
+    proc = run_cli("check-rb", "--rb", str(DUAL_NUMBERS_RB))
     assert proc.returncode == 0
     assert payload_of(proc)["reports"][0]["instances"] == 4
     out = tmp_path / "derived.json"
-    proc = run_cli("derive", "--construction", "dend-from-rb", "--rb", str(rb), "--out", str(out))
+    proc = run_cli("derive", "--construction", "dend-from-rb", "--rb", str(DUAL_NUMBERS_RB), "--out", str(out))
     assert proc.returncode == 0
     assert out.read_bytes() == proc.stdout.encode()
     algebra = payload_of(proc)["algebra"]
-    # prec(1, 1) = 1 . R(1) = t and succ(1, 1) = R(1) . 1 = t
+    # prec(1, 1) = 1 . R(1) = t and succ(1, 1) = R(1) . 1 = t; the algebra
+    # passing RelDendriform is a row of tests/outcomes.py
     assert algebra["ops"]["prec"]["(e,e)"][0][0] == ["0/1", "1/1"]
     assert algebra["ops"]["succ"]["(e,e)"][0][0] == ["0/1", "1/1"]
-    derived = tmp_path / "dend.json"
-    derived.write_text(json.dumps(algebra))
-    proc = run_cli("check-algebra", "--algebra", str(derived), "--suite", "RelDendriform")
-    assert proc.returncode == 0
-    assert payload_of(proc)["reports"][0]["instances"] == 24
 
 
 def test_derive_dend_from_rb_on_the_builtin_line_exits_3():
@@ -857,59 +789,33 @@ def test_derive_dend_from_rb_on_the_builtin_line_exits_3():
     assert "Traceback" not in proc.stderr
 
 
-DUAL_NUMBERS_RB_FILE = Path(__file__).resolve().parent / "dual_numbers_rb.json"
-
-# the derive chain of the CI smoke test, then dend-from-rb on the dual
-# numbers: (construction, input, output name, target suite, its instances)
+# the derive chain: (construction, its input, its output under tests/inputs/,
+# the output's target suite); the dual numbers end it
 DERIVE_CHAIN = [
-    ("dend-from-zinbiel", "zinbiel8.json", "dend", "RelDendriform", 2187),
-    ("assoc-from-dend", "dend", "assoc", "RelAssoc", 729),
-    ("prelie-from-dend", "dend", "prelie", "RelPreLie", 729),
-    ("zinbiel-from-symmetric-dend", "dend", "zinbiel", "RelZinbiel", 729),
-    ("lie-from-prelie", "prelie", "lie", "RelLie", 810),
-    ("comm-from-zinbiel", "zinbiel8.json", "comm", "RelComm", 810),
-    ("poisson-from-prepoisson", "prepoisson", "poisson", "RelPoisson", 2349),
-    ("dend-from-rb", None, "rb_dend", "RelDendriform", 24),
+    ("dend-from-zinbiel", "--algebra data/zinbiel8.json", "dend", "RelDendriform"),
+    ("assoc-from-dend", "--algebra tests/inputs/dend.json", "assoc", "RelAssoc"),
+    ("prelie-from-dend", "--algebra tests/inputs/dend.json", "prelie", "RelPreLie"),
+    ("zinbiel-from-symmetric-dend", "--algebra tests/inputs/dend.json", "zinbiel", "RelZinbiel"),
+    ("lie-from-prelie", "--algebra tests/inputs/prelie.json", "lie", "RelLie"),
+    ("comm-from-zinbiel", "--algebra data/zinbiel8.json", "comm", "RelComm"),
+    ("poisson-from-prepoisson", "--algebra tests/inputs/prepoisson.json", "poisson", "RelPoisson"),
+    ("dend-from-rb", "--rb tests/dual_numbers_rb.json", "rb_dend", "RelDendriform"),
 ]
 
-# sha256 of each derive's stdout, recorded before the constructions were
-# read off their defining terms: any change to a derived constant shows here
-DERIVE_STDOUT_SHA256 = {
-    "dend-from-zinbiel": "d90888c7274e677c1aaec25cb607067f8d5611cee7cbf255b68a6418de5654fd",
-    "assoc-from-dend": "d4fd20d74716b260861d30e91b2aeff3bce79270d5ae71e9c4a82344ad5d83c6",
-    "prelie-from-dend": "76ea04c89fed4ad6ec9c2ac82997b987914a712d2b5f1999ee8fb6a1c0870abf",
-    "zinbiel-from-symmetric-dend": "f432935b3ac10cfc8cf81e535257f3ad4eac8b5e745935a7a7d4408c8f703024",
-    "lie-from-prelie": "4b5c0baa77fb6ed1daad95e29ac9b268c4f997ba2aa9a63c634baba67794b0b8",
-    "comm-from-zinbiel": "d353582db84c0098b26be25345286351b258583eb178c01189c6151c3869ff71",
-    "poisson-from-prepoisson": "67b768eb858382bc1ead9ba8eb33fae33302c24989497f25b1b73df2723bfab2",
-    "dend-from-rb": "bbde623ed825908586867a572f4e7eb205b15ab02e317098c277f06d6181c460",
-}
 
-
-def test_the_derive_chain_is_byte_stable_and_each_output_passes_its_suite(tmp_path, capsys):
+def test_the_derive_chain_is_byte_stable_and_each_output_passes_its_suite(capsys):
+    # each derive and each check of its output is a row of tests/outcomes.py,
+    # with its stdout digest; the output each row reads is the committed file
+    # equal to the algebra the derive row emits
     from relalg.cli import main
 
-    assert json.loads(DUAL_NUMBERS_RB_FILE.read_text()) == DUAL_NUMBERS_RB
-    zinbiel8 = json.loads((DATA / "zinbiel8.json").read_text())
-    # zinbiel8 with a zero circ is pre-Poisson: circ's axioms hold trivially
-    n = zinbiel8["dim"]
-    zero = [[["0"] * n] * n] * n
-    prepoisson = {**zinbiel8, "ops": {**zinbiel8["ops"], "circ": dict.fromkeys(zinbiel8["ops"]["ast"], zero)}}
-    (tmp_path / "prepoisson.json").write_text(json.dumps(prepoisson))
-    digests = {}
-    for construction, source, target, suite, instances in DERIVE_CHAIN:
-        if source is None:
-            argv = ["--rb", str(DUAL_NUMBERS_RB_FILE)]
-        else:
-            path = DATA / source if source.endswith(".json") else tmp_path / f"{source}.json"
-            argv = ["--algebra", str(path)]
-        assert main(["derive", "--construction", construction, *argv]) == 0
-        out = capsys.readouterr().out
-        digests[construction] = hashlib.sha256(out.encode()).hexdigest()
-        (tmp_path / f"{target}.json").write_text(json.dumps(json.loads(out)["algebra"]))
-        assert main(["check-algebra", "--algebra", str(tmp_path / f"{target}.json"), "--suite", suite]) == 0
-        assert json.loads(capsys.readouterr().out)["reports"][0]["instances"] == instances
-    assert digests == DERIVE_STDOUT_SHA256
+    statuses = {row.argv: row.status for row in ROWS}
+    for construction, source, target, suite in DERIVE_CHAIN:
+        derive = ("derive", "--construction", construction, *source.split())
+        output = f"tests/inputs/{target}.json"
+        assert statuses[derive] == statuses["check-algebra", "--algebra", output, "--suite", suite] == 0
+        assert main(resolve(derive)) == 0
+        assert json.loads((ROOT / output).read_text()) == json.loads(capsys.readouterr().out)["algebra"]
 
 
 # one block at every index pair of zmod2, so mul reads no index:
