@@ -609,7 +609,8 @@ ROTA_BAXTER_EQUATION = graded_form(
 class FiniteDomain:
     """Exhaustive basis tuples and index tuples for a finite carrier:
     ``elements`` yields tuples of basis vectors, and an optional predicate on
-    basis-position tuples restricts them; ``render_basis`` names a position."""
+    basis-position tuples restricts them; ``render_basis`` names a position,
+    and ``show`` renders a vector by its positions' names."""
 
     def __init__(self, basis_names, index_elems, basis_filter=None):
         self.basis_names = list(basis_names)
@@ -633,6 +634,9 @@ class FiniteDomain:
 
     def render_basis(self, b):
         return self.basis_names[b]
+
+    def show(self, vec):
+        return vec.to_pairs(self.render_basis)
 
 
 def finite_domain(algebra, basis_filter=None):
@@ -774,10 +778,6 @@ def _basis_name(domain):
     return lambda vector: domain.render_basis(vector.items()[0][0])
 
 
-def _show(domain):
-    return lambda vec: vec.to_pairs(domain.render_basis)
-
-
 def check_axioms(carrier, suite, domain, check_name=None):
     """Verify every equation of the suite over the domain, exactly.
 
@@ -791,7 +791,7 @@ def check_axioms(carrier, suite, domain, check_name=None):
     instances = _equation_instances(
         suite.equations, domain, ops, carrier.index, carrier.unit_vector, per_equation
     )
-    report = scan(check_name or f"axioms:{suite.name}", instances, _show(domain))
+    report = scan(check_name or f"axioms:{suite.name}", instances, domain.show)
     empty = [eqid for eqid, count in per_equation.items() if not count]
     if report.passed and empty:
         raise ContractError(f"suite {suite.name}: the domain has no instance of {empty[0]}")
@@ -819,7 +819,7 @@ def check_rota_baxter(rb, window=None):
     reached = dict.fromkeys(k for a, b in domain.indices(2) for k in (a, b, index.mul(a, b)))
     ops = {"mul": carrier.op("mul"), "rb": rb.op(reached)}  # the precondition validated mul
     instances = _equation_instances((ROTA_BAXTER_EQUATION,), domain, ops, index, None, {})
-    return scan("rota-baxter", instances, _show(domain))
+    return scan("rota-baxter", instances, domain.show)
 
 
 def _carrier_basis_names(carrier):

@@ -45,7 +45,7 @@ class _ExprParser(_Parser):
         if name in SINGLE_INDEX_OPS + PAIR_INDEX_OPS and self.peek() == "(":
             return self.call(name)
         self.pos = mark
-        return LinComb.single(self.tree())
+        return self.carrier.to_ids(LinComb.single(self.tree()))
 
     def scalar(self):
         self.skip_ws()
@@ -80,10 +80,11 @@ class _ExprParser(_Parser):
 
 
 def apply_op(carrier, op, indices, x, y, derived):
-    """op at indices on x and y.  A derived op is built once per role, into
-    ``derived``: a dict from role to the carrier's ``free_derived_op``."""
+    """op at indices on x and y, vectors over the carrier's ids.  A derived op
+    is built once per role, into ``derived``: a dict from role to the
+    carrier's ``free_derived_op``."""
     if op in SINGLE_INDEX_OPS:
-        return getattr(carrier, op)(x, y, indices[0])
+        return carrier.graft_sum(((1, op, x, y, indices[0]),))
     if op not in derived:
         derived[op] = free_derived_op(carrier, op)
     a, b = (derived[op].index.index_of(name) for name in indices)
@@ -91,4 +92,6 @@ def apply_op(carrier, op, indices, x, y, derived):
 
 
 def eval_expression(text, carrier):
-    return _ExprParser(text, carrier).parse("expression")
+    """The value of the expression, a vector over trees; inside, over ids."""
+    carrier.settle()
+    return carrier.to_trees(_ExprParser(text, carrier).parse("expression"))

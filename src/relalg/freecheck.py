@@ -19,8 +19,8 @@ FREE_SUITES = (
 
 
 def free_pair_ops(carrier):
-    """Pair-indexed prec/succ on the free carrier, via the family lifting;
-    needs a semigroup-form dimonoid."""
+    """Pair-indexed prec/succ on the free carrier's vectors over ids, via the
+    family lifting; needs a semigroup-form dimonoid."""
     prec_fam, succ_fam = carrier.family_ops()
     return family_to_pair("prec", prec_fam), family_to_pair("succ", succ_fam)
 
@@ -34,9 +34,10 @@ DERIVED_OPS = {
 
 
 def free_derived_op(carrier, role):
-    """The derived operation on the free carrier: its construction over the
-    lifted prec/succ (which refuses an index as anywhere), compiled into one
-    graft sum per product, which it states as its ``grafts``."""
+    """The derived operation on the free carrier's vectors over ids: its
+    construction over the lifted prec/succ (which refuses an index as
+    anywhere), compiled into one graft sum per product, which it states as
+    its ``grafts``."""
     return DERIVED_OPS[role](*free_pair_ops(carrier))
 
 

@@ -210,7 +210,8 @@ def load_algebra(obj, path="algebra"):
             idx = _parse_op_key(key, semigroup, where)
             # "(1,1)" and "( 1 , 1 )" name one index tuple
             if idx in blocks:
-                raise MalformedInputError(f"{where}: index {idx} already given")
+                names = ", ".join(map(semigroup.name, idx)) + "," * (len(idx) == 1)
+                raise MalformedInputError(f"{where}: index ({names}) already given")
             blocks[idx] = read_table(block, where, scalar, dim, dim, dim)
         if not blocks:
             raise MalformedInputError(f"{path}.ops.{role}: {NO_BLOCKS}")

@@ -3,15 +3,14 @@ edges: the basis of the free dendriform algebra.
 
 Trees are immutable by contract, like every value in the package.
 Construction computes the size and a structural hash (from the root label,
-the edge labels and the children's hashes), or is handed the hash a free
-carrier looked its own tree up by (see ``DecoratedTree``).  Equality and
-hashing are structural, with an identity fast path, so equal trees compare
-and hash equal wherever they were built; a free carrier interns its trees so
-that the equal trees it holds are one object (see ``freedend``).  An edge
-label is present exactly when the subtree on that side is nonempty.  The
-canonical total order is vertex count, then shape, then vertex labels, then
-edge labels (all in preorder); its sort key is built on first use, since only
-rendering sorts.
+the edge labels and the children's hashes).  Equality and hashing are
+structural, with an identity fast path, so equal trees compare and hash
+equal wherever they were built; inside a check a free carrier codes its
+trees as int ids instead (see ``freedend``).  An edge label is present
+exactly when the subtree on that side is nonempty.  The canonical total
+order is vertex count, then shape, then vertex labels, then edge labels (all
+in preorder); its sort key is built on first use, since only rendering
+sorts.
 
 Text form: ``e`` is the empty tree; ``x[]`` a single vertex; otherwise
 ``label[edge: tree, edge: tree]`` with either side omissible, e.g.
@@ -28,37 +27,31 @@ LABEL = re.compile(r"\w+")
 
 class DecoratedTree:
     """A tree; after ``__init__`` only ``sort_key`` assigns, to fill its cache.
-
-    Without ``known_hash``, construction checks that an edge label is present
-    exactly on a nonempty side, coerces the labels to ``str`` and hashes.
-    ``FreeDendCarrier._node`` alone hands in ``known_hash``, the hash it looked
-    the tree up by: its labels are ``str`` names it has checked and its
-    subtrees are trees it built or interned, so the fields are stored as given."""
+    Construction checks that an edge label is present exactly on a nonempty
+    side, coerces the labels to ``str`` and hashes."""
 
     __slots__ = ("label", "left", "left_edge", "right", "right_edge", "size", "_hash", "_key")
 
-    def __init__(self, label, left=None, left_edge=None, right=None, right_edge=None, known_hash=None):
-        if known_hash is None:
-            left = EMPTY if left is None else left
-            right = EMPTY if right is None else right
-            if label is None:  # the empty tree; constructed once below
-                if EMPTY is not None:
-                    raise ValueError("use trees.EMPTY for the empty tree")
-                self.label = None
-                self.left = self
-                self.left_edge = None
-                self.right = self
-                self.right_edge = None
-                self.size = 0
-                self._key = (0, "", (), ())
-                self._hash = hash(self._key)
-                return
-            if (left is EMPTY) != (left_edge is None) or (right is EMPTY) != (right_edge is None):
-                raise ValueError("edge labels must be present exactly on edges to nonempty subtrees")
-            label = str(label)
-            left_edge = None if left_edge is None else str(left_edge)
-            right_edge = None if right_edge is None else str(right_edge)
-            known_hash = hash((label, left_edge, right_edge, left._hash, right._hash))
+    def __init__(self, label, left=None, left_edge=None, right=None, right_edge=None):
+        left = EMPTY if left is None else left
+        right = EMPTY if right is None else right
+        if label is None:  # the empty tree; constructed once below
+            if EMPTY is not None:
+                raise ValueError("use trees.EMPTY for the empty tree")
+            self.label = None
+            self.left = self
+            self.left_edge = None
+            self.right = self
+            self.right_edge = None
+            self.size = 0
+            self._key = (0, "", (), ())
+            self._hash = hash(self._key)
+            return
+        if (left is EMPTY) != (left_edge is None) or (right is EMPTY) != (right_edge is None):
+            raise ValueError("edge labels must be present exactly on edges to nonempty subtrees")
+        label = str(label)
+        left_edge = None if left_edge is None else str(left_edge)
+        right_edge = None if right_edge is None else str(right_edge)
         self.label = label
         self.left = left
         self.left_edge = left_edge
@@ -66,7 +59,7 @@ class DecoratedTree:
         self.right_edge = right_edge
         self.size = 1 + left.size + right.size
         self._key = None
-        self._hash = known_hash
+        self._hash = hash((label, left_edge, right_edge, left._hash, right._hash))
 
     def sort_key(self):
         """(size, shape, vertex labels, edge labels), the last three in
@@ -202,25 +195,22 @@ def tree_parse(text, vertex_labels=None, edge_labels=None):
     return _Parser(text, vertex_labels, edge_labels).parse("tree")
 
 
-def random_tree_from(rng, vertex_labels, edge_labels, max_vertices, make=DecoratedTree):
+def random_tree_from(rng, vertex_labels, edge_labels, max_vertices):
     """One random nonempty tree: size uniform in 1..max_vertices, shape by
-    uniform recursive splitting, labels uniform.  Integer randomness only.
-    Each vertex is built by ``make``, which takes ``DecoratedTree``'s
-    arguments and is given children that it returned."""
+    uniform recursive splitting, labels uniform.  Integer randomness only."""
     vertex_labels, edge_labels = list(vertex_labels), list(edge_labels)
-    return _random_tree(rng, vertex_labels, edge_labels, make, 1 + rng.randrange(max_vertices))
+    return _random_tree(rng, vertex_labels, edge_labels, 1 + rng.randrange(max_vertices))
 
 
-def _random_tree(rng, vertex_labels, edge_labels, make, n):
-    """A random tree of ``n`` vertices.  A module-level function, not a
-    closure over itself, so that no reference cycle holds ``make``."""
+def _random_tree(rng, vertex_labels, edge_labels, n):
+    """A random tree of ``n`` vertices."""
     label = vertex_labels[rng.randrange(len(vertex_labels))]
     if n == 1:
-        return make(label)
+        return DecoratedTree(label)
     k = rng.randrange(n)  # vertices in the left subtree
-    left = _random_tree(rng, vertex_labels, edge_labels, make, k) if k else EMPTY
-    right = _random_tree(rng, vertex_labels, edge_labels, make, n - 1 - k) if n - 1 - k else EMPTY
-    return make(
+    left = _random_tree(rng, vertex_labels, edge_labels, k) if k else EMPTY
+    right = _random_tree(rng, vertex_labels, edge_labels, n - 1 - k) if n - 1 - k else EMPTY
+    return DecoratedTree(
         label,
         left,
         edge_labels[rng.randrange(len(edge_labels))] if k else None,

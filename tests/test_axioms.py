@@ -483,7 +483,7 @@ def ref_scan(check, equations, domain, ops, index, unit_vector):
                         ref_expr(equation.rhs, elem_env, idx_env, ops, index, unit_vector),
                     )
 
-    report = scan(check, instances(), lambda vec: vec.to_pairs(domain.render_basis))
+    report = scan(check, instances(), domain.show)
     return report, per_equation
 
 

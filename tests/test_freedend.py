@@ -200,80 +200,22 @@ def test_outside_trees_with_undeclared_labels_rejected(free_zmod2):
 
 
 def test_equal_trees_are_one_object_within_a_carrier():
+    # inside a carrier a tree is one id: equal trees, parsed, built outside,
+    # sampled or grafted, get the same id, and each carrier numbers its own
     a = FreeDendCarrier(["x", "y"], dimonoid_from_semigroup(cyclic_monoid(2)))
     b = FreeDendCarrier(["x", "y"], dimonoid_from_semigroup(cyclic_monoid(2)))
     text = "y[1: x[], 0: x[]]"
     outside = DecoratedTree("y", DecoratedTree("x"), "1", DecoratedTree("x"), "0")
-    in_a, in_b = a.parse(text), b.parse(text)
-    assert in_a is not in_b
-    assert in_a == in_b == outside
-    assert hash(in_a) == hash(in_b) == hash(outside)
-    assert a.parse(text) is in_a and a.check_tree(outside) is in_a
-    # grafting returns the canonical tree, built or sampled
-    (grafted, _), = a.prec(single(a.parse("y[1: x[], ]")), single(DecoratedTree("x")), "0")
-    assert grafted is in_a
-    sampled = a.random_tree(Random(2), 5)
-    assert sampled is a.check_tree(random_tree_from(Random(2), ["x", "y"], ["0", "1"], 5))
-
-
-def test_a_hash_collision_costs_sharing_never_a_different_tree():
-    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-    expected = FreeDendCarrier(["x", "y"], cyclic_monoid(2)).prec(X, Y, "0")
-    # another canonical tree, planted under the hash of the tree prec builds
-    built = DecoratedTree("x", right=DecoratedTree("y"), right_edge="0")
-    planted = carrier.parse("y[0: x[], ]")
-    carrier._trees[hash(built)] = planted
-    out = carrier.prec(X, Y, "0")
-    assert out == expected
-    assert carrier._trees[hash(built)] is planted
-    (tree, _), = out
-    assert tree is not planted and tree == built
-    interned = carrier.check_tree(built)
-    assert interned == built and interned is not planted
-    assert carrier._trees[hash(built)] is planted
-
-
-def test_children_from_before_an_emptying_find_the_canonical_tree():
-    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-    old_y = carrier.parse("y[]")
-    carrier._cache.clear()
-    carrier._trees.clear()
-    canonical = carrier.parse("x[, 0: y[]]")
-    assert canonical.right is not old_y
-    assert carrier._node("x", EMPTY, None, old_y, "0") is canonical
-    (tree, _), = carrier.prec(X, single(old_y), "0")
-    assert tree is canonical
-
-
-def test_a_derived_product_interns_each_argument_once(monkeypatch):
-    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-    interned, calls = FreeDendCarrier._interned, []
-
-    def counted(self, x):
-        calls.append(x)
-        return interned(self, x)
-
-    monkeypatch.setattr(FreeDendCarrier, "_interned", counted)
-    x, y = X + Y, single(carrier.parse("y[1: x[], ]"))
-    out = free_derived_op(carrier, "bracket")(0, 1, x, y)
-    assert len(calls) == 2
-    prec, succ = free_pair_ops(carrier)
-    assert out == lie_from_prelie(prelie_from_dend(prec, succ))(0, 1, x, y)
-
-
-def test_every_carrier_tree_is_built_by_the_one_constructor(monkeypatch):
-    # perfbench's tracer counts trees.nodes_built by wrapping
-    # DecoratedTree.__init__, so no carrier tree may be built around it
-    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-    init, built = DecoratedTree.__dict__["__init__"], []
-
-    def counted(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(DecoratedTree, "__init__", counted)
-    free_check(carrier, "RelLie", samples=3, max_vertices=6, seed=0)
-    assert len(built) == len(carrier._trees) > 0
+    assert a.parse(text) == outside
+    in_a, x = a._id(a.parse(text)), a._id(DecoratedTree("x"))
+    assert a._id(outside) == in_a and a._tree(in_a) == outside
+    assert a._nodes[in_a - a._base] == ("y", x, 1, x, 0) and a._ids[("x", 0, -1, 0, -1)] == x
+    (grafted, _), = a.graft_sum(((1, "prec", a.to_ids(single(a.parse("y[1: x[], ]"))), a.to_ids(X), 0),))
+    assert grafted == in_a
+    sampled = a._id(a.random_tree(Random(2), 5))
+    assert sampled == a._id(random_tree_from(Random(2), ["x", "y"], ["0", "1"], 5))
+    b._id(DecoratedTree("y"))
+    assert b._id(outside) != in_a and b._tree(b._id(outside)) == outside
 
 
 # -- axiom satisfaction at sampling scale (the module's main property)
@@ -360,7 +302,7 @@ def test_a_counterexample_names_its_trees_and_a_pass_names_none(free_zmod2, monk
 
 
 def trees_by_size(carrier, most):
-    """Every canonical tree of the carrier with 1..most vertices, by size."""
+    """Every tree over the carrier's labels with 1..most vertices, by size."""
     by_size = [[EMPTY]]
 
     def hanging(size):  # (subtree, edge label) pairs of that size
@@ -370,7 +312,7 @@ def trees_by_size(carrier, most):
 
     for n in range(1, most + 1):
         by_size.append([
-            carrier._node(x, left, left_edge, right, right_edge)
+            DecoratedTree(x, left, left_edge, right, right_edge)
             for k in range(n)
             for left, left_edge in hanging(k)
             for right, right_edge in hanging(n - 1 - k)
@@ -424,7 +366,8 @@ def check_every_small_product(carrier, reference):
     element and both kinds: each basis product repeats no tree and equals
     the reference, and prec/succ on sums with distinct coefficients equal
     the sums of the basis products (over the band two pairs can share a
-    tree, so the terms merge)."""
+    tree, so the terms merge).  Each basis product takes its trees' ids
+    afresh, as after each public prec/succ the tables may have emptied."""
     by_size = trees_by_size(carrier, 4)
     assert [len(trees) for trees in by_size] == [2, 16, 160, 1792]
     kinds = (("p", carrier._basis_prec, carrier.prec), ("s", carrier._basis_succ, carrier.succ))
@@ -434,8 +377,9 @@ def check_every_small_product(carrier, reference):
             for a, (kind, basis, op) in product(range(2), kinds):
                 expected = {}
                 for (cs, s), (ct, t) in product(enumerate(left, 1), enumerate(right, 1)):
-                    trees = basis(s, t, a)
-                    repeats = len(set(trees)) != len(trees)
+                    ids = basis(carrier._id(s), carrier._id(t), a)
+                    trees = [carrier._tree(w) for w in ids]
+                    repeats = len(set(ids)) != len(ids)
                     if repeats or dict.fromkeys(trees, 1) != reference(kind, s, t, a):
                         wrong.append((kind, tree_print(s), tree_print(t), a))
                     for w in trees:
@@ -451,7 +395,7 @@ def check_every_small_product(carrier, reference):
     "index, variant",
     # the argument holds for any edge labels and any budget, so one index
     # stands for the others in the two variants; at 64 entries the tables
-    # empty inside single products, which then recompute from scratch (2.4 s)
+    # empty at each prec/succ, and the products after it recompute from scratch
     [("zmod2", "default"), ("matching2", "default"), ("band", "default"), ("band", "budget64"), ("band", "swapped")],
 )
 def test_basis_products_are_multiplicity_free(index, variant, monkeypatch):
@@ -503,15 +447,21 @@ def test_derived_graftings_equal_their_constructions(index, roles, budget, monke
     # the constructions over prec/succ that state no graftings: sums of products
     prec, succ = map(_without_grafts, free_pair_ops(carrier))
     pairs = list(product(range(carrier.semigroup.size), repeat=2))
+
+    def value(op, a, b, x, y):  # each product after a safe point, as trees
+        carrier.settle()
+        return carrier.to_trees(op(a, b, carrier.to_ids(x), carrier.to_ids(y)))
+
     for role in roles:
         derived, built = free_derived_op(carrier, role), CONSTRUCTIONS[role](prec, succ)
         wrong = [
             (a, b, x, y)
             for a, b in pairs
             for x, y in product(sums, repeat=2)
-            if derived(a, b, x, y) != built(a, b, x, y)
+            if value(derived, a, b, x, y) != value(built, a, b, x, y)
         ]
         assert wrong == [], role
+    assert (carrier.emptied > 0) == (budget == 64)
     for role in ("circ", "bracket"):
         if role not in roles:  # refused as its construction is
             with pytest.raises(ContractError, match="requires a commutative index semigroup"):
@@ -568,7 +518,8 @@ def test_a_construction_compiled_over_graftings_states_them(role):
     assert plain.grafts is None and plain.reads == derived.reads and plain.den == derived.den
     graft_sum, terms = derived.grafts
     pairs = list(product(range(carrier.semigroup.size), repeat=2))
-    for (a, b), (x, y) in product(pairs, product(_sampled_sums(carrier, 4, seed=1), repeat=2)):
+    sums = map(carrier.to_ids, _sampled_sums(carrier, 4, seed=1))
+    for (a, b), (x, y) in product(pairs, product(sums, repeat=2)):
         args = [(a, b)[i] for i in derived.reads] + [x, y]
         assert graft_sum(terms(*args)) == derived.fn(*args) == plain.fn(*args), (a, b)
 
@@ -589,7 +540,8 @@ def test_a_construction_states_no_graftings_unless_one_graft_sum_is_its_value():
         graded = axioms.graded_form(axioms.Equation("r", axioms.app("r", (), Xv, Yv), term)).rhs
         op = _compiled(graded, ops, carrier.semigroup)
         assert op.grafts is None
-        assert op.fn(*[(0, 1)[i] for i in op.reads], x, y) == value
+        args = [(0, 1)[i] for i in op.reads] + [carrier.to_ids(x), carrier.to_ids(y)]
+        assert carrier.to_trees(op.fn(*args)) == value
 
 
 def _count_graft_sums(monkeypatch):
@@ -652,27 +604,34 @@ def test_fused_sums_change_no_report_byte_and_no_grafting_work(budget, monkeypat
         assert sum(len(terms) for _, terms in calls) == graftings, suite
 
 
+class OneEntryCache(dict):
+    """A basis cache that keeps only the last product stored."""
+
+    def __setitem__(self, key, value):
+        self.clear()
+        super().__setitem__(key, value)
+
+
 def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
-    # every basis product's key hashes to 0 (the intern table's 5-tuples hash
-    # as before): each lookup finds the last product stored, a hit only when
-    # it is the same product, so each product is the reference recursion's
-    real_hash = hash
-    monkeypatch.setattr(freedend, "hash", lambda key: 0 if len(key) == 3 else real_hash(key),
-                        raising=False)
+    # a cache of one entry: each lookup finds the last product stored, a hit
+    # only when it is the same product, so each product is the reference
+    # recursion's
     references, wrong = {}, []
     for name, kind in (("_basis_prec", "p"), ("_basis_succ", "s")):
         def checked(self, s, t, a, basis=getattr(FreeDendCarrier, name), kind=kind):
             products = basis(self, s, t, a)
             reference = references.setdefault(self, reference_grafting(self.dimonoid))
+            trees = [self._tree(w) for w in products]
             repeats = len(set(products)) != len(products)
-            if repeats or dict.fromkeys(products, 1) != reference(kind, s, t, a):
-                wrong.append((kind, tree_print(s), tree_print(t), a))
+            if repeats or dict.fromkeys(trees, 1) != reference(kind, self._tree(s), self._tree(t), a):
+                wrong.append((kind, s, t, a))
             return products
 
         monkeypatch.setattr(FreeDendCarrier, name, checked)
     for suite, (digest, _) in FUSED_SUITE_REPORTS.items():
         index = matching_dimonoid(2) if suite == "DimonoidDendriform" else cyclic_monoid(2)
         carrier = FreeDendCarrier(["x", "y"], index)
+        carrier._cache = OneEntryCache()
         report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
         assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == digest, suite
         assert len(carrier._cache) == 1, suite
@@ -682,27 +641,31 @@ def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
 def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
     calls = _count_graft_sums(monkeypatch)
     first, second = (FreeDendCarrier(["x", "y"], cyclic_monoid(2)) for _ in range(2))
-    x, y = LinComb.single(first.parse("x[]")), LinComb.single(first.parse("y[1: x[], ]"))
+    trees = [LinComb.single(first.parse(text)) for text in ("x[]", "y[1: x[], ]")]
+    # the same trees, interned in the same order, have the same ids on both carriers
+    (x, y), (x2, y2) = ([carrier.to_ids(t) for t in trees] for carrier in (first, second))
+    assert (x, y) == (x2, y2)
     index = first.semigroup
     prec, succ = first.family_ops()
     other_succ = second.family_ops()[1]
     term = {role: axioms.app(role, (axioms.A,), axioms.X, axioms.Y) for role in ("prec", "succ")}
     both = axioms.add(term["prec"], term["succ"])
-    product = first.prec(x, y, "1")
-    expected = product + first.succ(x, y, "1")
+    product = first.prec(*trees, "1")
+    expected = product + first.succ(*trees, "1")
 
     def value(ops, expr):
         calls.clear()
         return axioms.eval_expr(expr, {"x": x, "y": y}, {"a": 1}, ops, index, None)
 
     # on one carrier: one graft sum of both graftings
-    assert value({"prec": prec, "succ": succ}, both) == expected
+    assert first.to_trees(value({"prec": prec, "succ": succ}, both)) == expected
     assert [(c, len(terms)) for c, terms in calls] == [(first, 2)]
-    # on two carriers: each product its own graft sum, and the same value
-    assert value({"prec": prec, "succ": other_succ}, both) == expected
+    # on two carriers: each product its own graft sum over its own ids, then an add
+    mixed = value({"prec": prec, "succ": other_succ}, both)
     assert [(c, len(terms)) for c, terms in calls] == [(first, 1), (second, 1)]
+    assert mixed == prec(1, x, y) + other_succ(1, x, y)
     # one grafting and a variable: the product, then an add, as without graftings
-    assert value({"prec": prec}, axioms.add(term["prec"], axioms.X)) == product + x
+    assert first.to_trees(value({"prec": prec}, axioms.add(term["prec"], axioms.X))) == product + trees[0]
     assert [(c, len(terms)) for c, terms in calls] == [(first, 1)]
 
 
@@ -801,34 +764,13 @@ def test_a_check_draws_each_arity_once(monkeypatch):
     assert len(draws) == 4 * 2 + 4 * 3
 
 
-def test_a_check_builds_the_trees_and_products_it_always_built(monkeypatch):
-    # the grafting recursion's work, counted: trees constructed and basis
-    # products cached by one RelDendriform check over Z/2
-    init, built = DecoratedTree.__dict__["__init__"], []
-
-    def counted(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(DecoratedTree, "__init__", counted)
+def test_a_check_builds_the_trees_and_products_it_always_built():
+    # the grafting recursion's work, counted: ids allocated (one per tree
+    # structure, the samples' subtrees included) and basis products cached by
+    # one RelDendriform check over Z/2
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     assert free_check(carrier, "RelDendriform", samples=3, max_vertices=6, seed=0).passed
-    assert (len(built), len(carrier._cache)) == (1571, 573)
-
-
-def test_a_tree_built_in_one_step_is_the_checked_tree():
-    # _node hands DecoratedTree the hash it looked a new tree up by, and the
-    # fields are stored as given: each must be what the checking constructor
-    # computes from the same arguments
-    fields = ("label", "left", "left_edge", "right", "right_edge", "size", "_hash")
-    for index, suite in ((cyclic_monoid(2), "RelDendriform"), (matching_dimonoid(2), "DimonoidDendriform")):
-        carrier = FreeDendCarrier(["x", "y"], index)
-        assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
-        assert len(carrier._trees) > 100
-        for key, t in carrier._trees.items():
-            checked = DecoratedTree(t.label, t.left, t.left_edge, t.right, t.right_edge)
-            assert [getattr(t, f) for f in fields] == [getattr(checked, f) for f in fields]
-            assert key == t._hash
+    assert (len(carrier._nodes), len(carrier._ids), len(carrier._cache)) == (1571, 1571, 573)
 
 
 def test_the_grafting_hot_path_has_no_comprehension():
@@ -906,27 +848,55 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
         return reports
 
     unbounded = session(lambda carrier: None)
-    # at 64 entries the tables are emptied inside single products as well
+    settle, settled = FreeDendCarrier.settle, []
+
+    def recorded(carrier):  # the entries left at each safe point
+        settle(carrier)
+        settled.append(len(carrier._cache) + len(carrier._ids))
+
+    monkeypatch.setattr(FreeDendCarrier, "settle", recorded)
+    # at 64 entries the tables are emptied before nearly every element tuple
     for budget in (4000, 64):
         monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
-        sizes = []
+        settled.clear()
+        emptied = []
 
-        def entries(carrier):
-            sizes.append(len(carrier._cache) + len(carrier._trees))
-            # trees have no runtime write guard: a tree changed after it was
-            # built would sit under a stale intern key with a stale hash
+        def tables(carrier):
+            emptied.append(carrier.emptied)
+            # the two tables agree, and a node's children are ids given out
+            # since the last emptying, before its own
+            ids, nodes, base = carrier._ids, carrier._nodes, carrier._base
+            assert len(ids) == len(nodes)
             assert all(
-                key == t._hash
-                and t.size == 1 + t.left.size + t.right.size
-                and t._hash == hash((t.label, t.left_edge, t.right_edge, t.left._hash, t.right._hash))
-                for key, t in carrier._trees.items()
+                ids[node] == base + k and all(c == 0 or base <= c < base + k for c in (node[1], node[3]))
+                for k, node in enumerate(nodes)
             )
-            # one entry per structure, children from before an emptying included
-            assert len(set(carrier._trees.values())) == len(carrier._trees)
 
-        assert session(entries) == unbounded
-        assert max(sizes) <= budget
-        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # tables emptied
+        assert session(tables) == unbounded
+        assert max(settled) < budget and emptied[-1] > 0
+
+
+def test_no_id_survives_an_emptying(monkeypatch):
+    # every sample vector the domain hands out holds only ids given out since
+    # the last emptying, arities taken in turn included, and the derived
+    # products of those vectors, read back as trees, are the unbounded carrier's
+    def products():
+        carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+        domain = SampledTreeDomain(carrier, samples=10, max_vertices=6, seed=3)
+        ops = [free_derived_op(carrier, role) for role in DERIVED_OPS]
+        out = []
+        for k in (2, 3, 2):
+            for vectors in domain.elements(k):
+                assert all(i >= carrier._base for v in vectors for i, _ in v)
+                x, y = vectors[:2]
+                out.append([carrier.to_trees(op(a, b, x, y))
+                            for op in ops for a, b in product(range(2), repeat=2)])
+        return carrier.emptied, out
+
+    unbounded = products()
+    monkeypatch.setattr(freedend, "ENTRY_BUDGET", 64)
+    emptied, bounded = products()
+    assert unbounded[0] == 0 and emptied > 0 and bounded == unbounded[1]
 
 
 def test_a_free_carrier_is_freed_by_reference_counting_alone(monkeypatch, capsys):

@@ -29,6 +29,9 @@ ALLOWED_STORES = {
     ("jsonio", "_json_object", "obj.key"): "marks a dict the JSON decoder built a moment ago",
     ("semigroups", "dimonoid_from_semigroup", "dimonoid.semigroup"):
         "the back-pointer of a dimonoid built a line above, before anyone else sees it",
+    ("freedend", "FreeDendCarrier.settle", "self._base"):
+        "the first id of a free carrier's emptied node table, moved past every id given out",
+    ("freedend", "FreeDendCarrier.settle", "self.emptied"): "counts the emptyings of those tables",
 }
 # a frozen dataclass computes its derived fields only this way
 ALLOWED_SETATTR_CALLS = {("axioms", "Equation.__post_init__"), ("axioms", "Suite.__post_init__")}

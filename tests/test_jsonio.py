@@ -280,9 +280,13 @@ def _op_key_given_twice_docs():
     doc = cocycle_algebra_doc()
     doc["ops"] = {"ast": {"0": [[["1/1"]]], "1": [[["1/2"]]], " 0": [[["2/1"]]]}}
     yield doc, r"^algebra\.ops\.ast\. 0: index \(0,\) already given$"
+    # named by its elements, not their positions
+    doc = {"dim": 1, "basis": ["u"], "semigroup": {"elements": ["a", "b"], "product": [[0, 0], [1, 1]]},
+           "ops": {"mul": {"(b,b)": [[["1/1"]]], "( b , b )": [[["2/1"]]]}}}
+    yield doc, r"^algebra\.ops\.mul\.\( b , b \): index \(b, b\) already given$"
 
 
-@pytest.mark.parametrize("doc, message", list(_op_key_given_twice_docs()), ids=["pair", "single"])
+@pytest.mark.parametrize("doc, message", list(_op_key_given_twice_docs()), ids=["pair", "single", "names"])
 def test_op_key_given_twice(doc, message):
     # keys are read with their spaces stripped, so two spellings of one index
     # tuple would otherwise let the later block silently replace the earlier
