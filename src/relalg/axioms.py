@@ -698,7 +698,10 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     ``domain.render_basis`` and ``index.name``.  ``per_equation`` counts the
     instances handed out per equation, including equations reached with none.
     With R empty, over all basis tuples of a ``FiniteDomain``, only the last
-    vectors the sides' demands name are evaluated; both vanish elsewhere."""
+    vectors the sides' demands name are evaluated; both vanish elsewhere.
+    Otherwise, given a domain's ``power``, the first element tuple is taken at
+    each index tuple, and every later one once over the power, and again at
+    each index tuple only where its sides differ there."""
     compiler = _Compiler(ops, index, unit_vector)
     label, name = _basis_name(domain), index.name
     every_tuple = isinstance(domain, FiniteDomain) and domain.basis_filter is None
@@ -709,12 +712,15 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
                  for v in _variables(ix)}
         once = tuples <= 1 or not reads
         inner = n_idx + n_elem - 1 if once else n_idx - 1
-        sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
-        demands = [d for _, _, _, d, _ in sides]
-        sides, scale = _common_scale([(1, f, s) for f, s, *_ in sides])
-        lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))])[0] for k, term in sides)
         taken = _index_tuples(domain, n_idx, () if once else reads)
-        if once and n_elem and taken() and every_tuple and None not in demands:
+        lhs, rhs, demands, scale = _sides(compiler, pair, n_idx, inner)
+        power = not once and getattr(domain, "power", None)
+        power = power and power(tuple(zip(*dict(taken()).values())))  # each variable's values
+        if power:
+            over, opc, idxs = power
+            sides = _sides(_Compiler(opc.ops, opc.index, unit_vector), pair, n_idx, inner)[:2]
+            count, failed = _power_scan(lhs, rhs, domain, n_elem, taken, tuples, *sides, over, idxs)
+        elif once and n_elem and taken() and every_tuple and None not in demands:
             count, failed = _demanded_scan(lhs, rhs, *demands, domain, taken()[0][1], n_elem, tuples)
         else:
             count, failed = _full_scan(lhs, rhs, domain, n_elem, taken, tuples)
@@ -725,6 +731,15 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
             labels, names = map(label, vectors), map(name, idxs)
             yield eqid, labels, names, divide_back(left, scale), divide_back(right, scale)
             return
+
+
+def _sides(compiler, pair, n_idx, inner):
+    """The two sides compiled at their common scale, their demands and that scale."""
+    sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
+    demands = [d for _, _, _, d, _ in sides]
+    sides, scale = _common_scale([(1, f, s) for f, s, *_ in sides])
+    lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))])[0] for k, term in sides)
+    return lhs, rhs, demands, scale
 
 
 def _index_tuples(domain, n_idx, reads):
@@ -749,6 +764,23 @@ def _full_scan(lhs, rhs, domain, n_elem, taken, tuples):
             left, right = lhs(env), rhs(env)
             if left._terms != right._terms:
                 return count + rank, (idxs, vectors, left, right)
+        count += tuples
+    return count, None
+
+
+def _power_scan(lhs, rhs, domain, n_elem, taken, tuples, power_lhs, power_rhs, power, idxs):
+    """``_full_scan`` evaluating each element tuple but the first once, at ``idxs`` on
+    the ``power`` carrier; the first, and one whose sides differ there, at each index tuple."""
+    count = 0
+    for k, over in enumerate(domain.elements_over(power, n_elem)):
+        env = idxs + over
+        if not k or power_lhs(env)._terms != power_rhs(env)._terms:
+            vectors = next(islice(domain.elements(n_elem), k, None))
+            for rank, here in taken():
+                env = here + vectors
+                left, right = lhs(env), rhs(env)
+                if left._terms != right._terms:
+                    return count + rank, (here, vectors, left, right)
         count += tuples
     return count, None
 

@@ -1,6 +1,7 @@
 """Axiom checks and derived operation bundles on the free tree carrier."""
 
 from dataclasses import replace
+from functools import partial
 
 from .axioms import SUITES, check_axioms
 from .constructions import assoc_from_dend, family_to_pair, lie_from_prelie, prelie_from_dend
@@ -61,9 +62,13 @@ def free_suite_carrier(carrier, suite_name):
 
 
 def free_check(carrier, suite_name, samples=200, max_vertices=6, seed=0):
-    """Run a suite over seeded random tree tuples and all index tuples."""
+    """Run a suite over seeded random tree tuples and all index tuples.  Each sample
+    tuple after the first is taken once over a power of the index, which assumes the
+    grafting recursion reads edge labels only through the index's products; the first
+    is taken at every index tuple, so a carrier breaking that fails if it shows there."""
     opc = free_suite_carrier(carrier, suite_name)
-    domain = SampledTreeDomain(carrier, samples, max_vertices, seed)
+    operations = partial(free_suite_carrier, suite_name=suite_name)
+    domain = SampledTreeDomain(carrier, samples, max_vertices, seed, operations)
     report = check_axioms(opc, suite_name, domain, check_name=f"free-check:{suite_name}")
     info = {
         **report.info,

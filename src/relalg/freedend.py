@@ -23,17 +23,21 @@ from random import Random
 from .errors import ContractError, MalformedInputError, read_names
 from .lincomb import LinComb
 from .ops import FamilyIndexedOp
-from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
+from .semigroups import DimonoidTable, SemigroupTable, power, semigroup_from_dimonoid
 from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tree_print
 
 # The most entries one carrier's node table and basis cache (one tuple per
-# product) hold together at a safe point (``FreeDendCarrier.settle``).
-# free-session's working set at --seconds 20 (about 212,000 entries: 50,000
-# basis products and 162,000 trees) never reaches it, so it never empties.
-# The RelAssoc/RelPreLie/RelLie chain over Z/2 at 200 samples and 6 vertices
-# (acceptance criterion 3) does: the tables empty once, before an element
-# tuple of RelLie, and 296,822 entries are live at its end.
+# product) hold together at a safe point (``FreeDendCarrier.settle``).  Acceptance
+# criterion 3's chain (Z/2, 200 samples, 6 vertices) never empties: the carrier
+# checked ends with 3,373 entries (its first samples) and RelLie's largest power's
+# carrier with 253,714, in 0.6-0.8 s (2-core Xeon, Python 3.11.7); taken at every
+# index tuple read, the chain emptied the carrier once and took 1.6 s.
 ENTRY_BUDGET = 600_000
+
+# The most elements of a power of the index a sampled check builds, else it scans
+# per index tuple.  Built afresh, at 4 samples a power of 16 took half the scan's
+# time, one of 27 2.5 times it and one of 81 up to 9 times (BENCH_power.json).
+POWER_BOUND = 16
 
 
 class FreeDendCarrier:
@@ -138,9 +142,11 @@ class FreeDendCarrier:
         return self._node(t.label, self._id(t.left), edges[0], self._id(t.right), edges[1])
 
     def _tree(self, i):
-        """The tree of id i."""
+        """The tree of id i; an id outside the current range raises ContractError."""
         if not i:
             return EMPTY
+        if not 0 <= i - self._base < len(self._nodes):
+            raise ContractError(f"tree id {i} is not in this carrier's current tables")
         label, left, left_edge, right, right_edge = self._nodes[i - self._base]
         name = self.dimonoid.name
         return DecoratedTree(label, self._tree(left), name(left_edge) if left else None,
@@ -288,9 +294,11 @@ class SampledTreeDomain:
     ``elements(k)`` is first iterated, and every later call yields the same
     tuples: every equation of that arity sees them, and repeated runs are
     bit-identical.  The carrier settles before each tuple; once it has
-    emptied its tables, the tuples are interned again under fresh ids."""
+    emptied its tables, the tuples are interned again under fresh ids.
+    ``operations`` maps a carrier to the ``OpCarrier`` checked on it, for
+    ``power``."""
 
-    def __init__(self, carrier, samples, max_vertices, seed):
+    def __init__(self, carrier, samples, max_vertices, seed, operations=None):
         if samples < 1 or max_vertices < 1:
             raise ContractError("a tree sample needs samples >= 1 and max_vertices >= 1")
         self.carrier = carrier
@@ -298,22 +306,39 @@ class SampledTreeDomain:
         self.max_vertices = max_vertices
         self.seed = seed
         self.index_size = carrier.dimonoid.size
+        self.operations = operations
         self._drawn = {}  # k -> the sample k-tuples of trees, drawn on first use
-        self._vectors = {}  # k -> (emptyings, those tuples over the ids given out since)
+        self._vectors = {}  # (k, carrier) -> (emptyings, those tuples over the ids given out since)
+        self._powers = {}  # a power of the index -> (a carrier over it, the operations on it)
+
+    def power(self, vectors):
+        """A carrier over the power of the dimonoid that the index ``vectors``
+        generate (``semigroups.power``), the operations on it and the ids of
+        ``vectors``, one carrier per power and check; None without ``operations``,
+        for one sample (a check scans its first per index tuple) or past ``POWER_BOUND``."""
+        found = self.operations and self.samples > 1
+        found = found and power(self.carrier.dimonoid, vectors, POWER_BOUND)
+        if found and found[0] not in self._powers:
+            carrier = type(self.carrier)(self.carrier.decorations, found[0])
+            self._powers[found[0]] = carrier, self.operations(carrier)
+        return found and (*self._powers[found[0]], found[1])
 
     def elements(self, k):
-        carrier = self.carrier
+        return self.elements_over(self.carrier, k)
+
+    def elements_over(self, carrier, k):
+        """The sample k-tuples over the ids of ``carrier``, this domain's or a power's."""
         if k not in self._drawn:
-            rng, draw = Random(self.seed), carrier.random_tree
+            rng, draw = Random(self.seed), self.carrier.random_tree
             self._drawn[k] = [tuple(draw(rng, self.max_vertices) for _ in range(k))
                               for _ in range(self.samples)]
         for i in range(self.samples):
             carrier.settle()
-            emptied, vectors = self._vectors.get(k, (None, None))
+            emptied, vectors = self._vectors.get((k, carrier), (None, None))
             if emptied != carrier.emptied:
                 vectors = [tuple(LinComb.single(carrier._id(t)) for t in trees)
                            for trees in self._drawn[k]]
-                self._vectors[k] = carrier.emptied, vectors
+                self._vectors[k, carrier] = carrier.emptied, vectors
             yield vectors[i]
 
     def indices(self, m):

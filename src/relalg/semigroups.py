@@ -7,7 +7,9 @@ which scan all triples in lexicographic order and report the first violation.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
+from operator import getitem
 
 from .errors import ContractError, MalformedInputError, read_names, read_table, type_name
 from .lincomb import exact, format_scalar
@@ -305,6 +307,31 @@ def matching_dimonoid(n):
     left = [[i for _ in range(n)] for i in range(n)]
     right = [[j for j in range(n)] for _ in range(n)]
     return DimonoidTable(names, left, right)
+
+
+@lru_cache(maxsize=64)
+def power(dimonoid, vectors, bound):
+    """The substructure of a power of ``dimonoid``, products componentwise, that
+    the diagonals and ``vectors`` (k-tuples of elements) generate, as its type,
+    and the ids of ``vectors``; None past ``bound`` elements.  Element d is its
+    diagonal, under its name, so a tree over the dimonoid is one over the power."""
+    elems = list(dict.fromkeys([*((d,) * len(vectors[0]) for d in range(dimonoid.size)), *vectors]))
+    ids, rows = {x: i for i, x in enumerate(elems)}, ([], [])
+    for i, x in enumerate(elems):  # elems grows while it is read
+        for table, row in zip((dimonoid.left, dimonoid.right), rows):
+            row.append([])
+            for j, y in enumerate(elems[: i + 1]):  # x y into row i, and y x into row j
+                for p, u, v in ((i, x, y), (j, y, x)) if j < i else ((i, x, y),):
+                    z = tuple(map(getitem, map(table.__getitem__, u), v))
+                    if z not in ids:
+                        ids[z] = len(elems)
+                        elems.append(z)
+                    row[p].append(ids[z])
+        if len(elems) > bound:
+            return None
+    tail = "_" * (1 + max(map(len, dimonoid.elements)))
+    names = dimonoid.elements + tuple(f"{tail}{k}" for k in range(dimonoid.size, len(elems)))
+    return type(dimonoid)(names, *rows), tuple(ids[v] for v in vectors)
 
 
 def semigroup_from_dimonoid(table):

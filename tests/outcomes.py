@@ -98,6 +98,17 @@ ROWS = [
     row("free-check --suite RelPreLie --samples 20 --semigroup data/zmod2.json", 0,
         "5b0b45813e469ec9e177b831e6406cdbb9124307f6c0b924582859ed069befdf",
         "PASS free-check:RelPreLie: 160 instances"),
+    # each sample tuple taken once, at one index tuple over a power of Z/2:
+    # the reports of the scan at every index tuple its sides read
+    row("free-check --suite FamDendriform --samples 20 --semigroup data/zmod2.json", 0,
+        "a41c7dc19c8578e31ce7cf603e69db8cf9e6400b1dd4ad92e922dee2dc8dfdec",
+        "PASS free-check:FamDendriform: 240 instances"),
+    row("free-check --suite RelAssoc --samples 20 --semigroup data/zmod2.json", 0,
+        "e97d5f092e0db8f45f91931749cca31dc5a06f99a9632f0905a486a73fb9a605",
+        "PASS free-check:RelAssoc: 160 instances"),
+    row("free-check --suite DimonoidDendriform --samples 20 --semigroup data/zmod2.json", 0,
+        "f14fc5fbd9d294ad8468b523bb425b3260fe4e5b09a9303e7aba47423e8f0787",
+        "PASS free-check:DimonoidDendriform: 240 instances"),
     # every algebra construction: its output, committed under tests/inputs/,
     # passes the construction's target suite (dend-from-zinbiel on zinbiel8
     # is a README row)

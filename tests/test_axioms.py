@@ -925,26 +925,49 @@ def test_a_subterm_that_reads_the_innermost_variable_is_taken_on_every_instance(
 # those its sides read hold the first index element
 
 
+def _recorded(side, n_elem, seen):
+    """``side``, appending to ``seen`` the index tuple of each evaluation."""
+    def evaluate(env):
+        seen.append(env[: len(env) - n_elem])
+        return side(env)
+
+    return evaluate
+
+
 def sides_evaluated(monkeypatch):
     """Per equation scanned in full, the index tuples at which each side was
     evaluated, in order."""
     evaluated, full_scan = [], axioms._full_scan
 
-    def recorded(side, n_elem, seen):
-        def evaluate(env):
-            seen.append(env[: len(env) - n_elem])
-            return side(env)
-
-        return evaluate
-
     def counting(lhs, rhs, domain, n_elem, taken, tuples):
         seen = [], []
         evaluated.append(seen)
-        lhs, rhs = (recorded(f, n_elem, s) for f, s in zip((lhs, rhs), seen))
+        lhs, rhs = (_recorded(f, n_elem, s) for f, s in zip((lhs, rhs), seen))
         return full_scan(lhs, rhs, domain, n_elem, taken, tuples)
 
     monkeypatch.setattr(axioms, "_full_scan", counting)
     return evaluated
+
+
+def powers_taken(monkeypatch):
+    """Per equation taken over a power of the index, the index vectors that
+    generate it and the index tuples at which each side was evaluated, over
+    the power and at each index tuple."""
+    taken, power_scan, power = [], axioms._power_scan, SampledTreeDomain.power
+
+    def recorded(domain, vectors):
+        taken.append((vectors, ([], []), ([], [])))
+        return power(domain, vectors)
+
+    def counting(lhs, rhs, domain, n_elem, tuples_taken, tuples, power_lhs, power_rhs, over, idxs):
+        over_power, at_tuples = taken[-1][1:]
+        sides = [_recorded(f, n_elem, s) for f, s in zip((lhs, rhs), at_tuples)]
+        sides += [_recorded(f, n_elem, s) for f, s in zip((power_lhs, power_rhs), over_power)]
+        return power_scan(*sides[:2], domain, n_elem, tuples_taken, tuples, *sides[2:], over, idxs)
+
+    monkeypatch.setattr(SampledTreeDomain, "power", recorded)
+    monkeypatch.setattr(axioms, "_power_scan", counting)
+    return taken
 
 
 @pytest.mark.parametrize(
@@ -956,17 +979,21 @@ def sides_evaluated(monkeypatch):
 def test_a_free_check_takes_each_sample_at_the_index_tuples_its_sides_read(
     suite, unread, monkeypatch
 ):
-    # over Z/2 each sample has 8 index tuples, and each side is evaluated at
-    # the 4 that hold 0 at the position no application is handed
-    evaluated = sides_evaluated(monkeypatch)
+    # over Z/2 each sample has 8 index tuples, and the 4 that hold 0 at the
+    # position no application is handed are the components of one index
+    # tuple over a power of Z/2: each side is evaluated at those 4 for the
+    # first sample, and there, once, for each later one
+    taken = powers_taken(monkeypatch)
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
     assert report.passed and report.info["equation_instances"] == dict.fromkeys(unread, 3 * 8)
-    assert len(evaluated) == len(unread)
-    for position, (lhs, rhs) in zip(unread.values(), evaluated):
-        assert lhs == rhs and len(lhs) == 3 * 4
+    assert len(taken) == len(unread)
+    for position, (vectors, (lhs, rhs), at_tuples) in zip(unread.values(), taken):
         kept = [idxs for idxs in product(range(2), repeat=3) if idxs[position] == 0]
-        assert lhs == kept * 3
+        assert vectors == tuple(tuple(idxs[v] for idxs in kept) for v in range(3))
+        assert vectors[position] == (0,) * 4 and lhs[0][position] == 0
+        assert lhs == rhs and len(lhs) == 2 and len(set(lhs)) == 1
+        assert at_tuples == (kept, kept)
 
 
 def _drop_a_grafting_at_index_1(monkeypatch, anywhere):
@@ -1005,18 +1032,25 @@ def _drop_a_grafting_at_index_1(monkeypatch, anywhere):
 )
 def test_a_free_check_reports_the_bytes_of_the_full_scan(suite, defect, instances, monkeypatch):
     # the reference walk evaluates every index tuple; the check skips those
-    # that repeat one before them and counts them as passed
+    # that repeat one before them and counts them as passed.  Given the
+    # operations free_check hands its domain, it takes each sample tuple but
+    # the first once, over a power of Z/2, and the defects, keyed on index 1,
+    # show in the first sample, taken at each index tuple
     if defect is not None:
         _drop_a_grafting_at_index_1(monkeypatch, defect == "anywhere")
-    carriers = [FreeDendCarrier(["x", "y"], cyclic_monoid(2)) for _ in range(2)]
-    opcs = [free_suite_carrier(carrier, suite) for carrier in carriers]
-    domains = [SampledTreeDomain(carrier, 4, 6, 0) for carrier in carriers]
-    reference = ref_check_axioms(opcs[1], SUITES[suite], domains[1])
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    reference = ref_check_axioms(free_suite_carrier(carrier, suite), SUITES[suite],
+                                 SampledTreeDomain(carrier, 4, 6, 0))
     evaluated = sides_evaluated(monkeypatch)
-    report = check_axioms(opcs[0], suite, domains[0])
-    same_report(report, reference)
-    assert (report.passed, report.instances) == (defect is None, instances)
-    assert sum(len(lhs) for lhs, _ in evaluated) < report.instances
+    for operations in (None, partial(free_suite_carrier, suite_name=suite)):
+        evaluated.clear()
+        carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+        report = check_axioms(free_suite_carrier(carrier, suite), suite,
+                              SampledTreeDomain(carrier, 4, 6, 0, operations))
+        same_report(report, reference)
+        assert (report.passed, report.instances) == (defect is None, instances)
+        assert sum(len(lhs) for lhs, _ in evaluated) < report.instances
+        assert (evaluated == []) == (operations is not None)
 
 
 def without_patterns(alg):

@@ -1,7 +1,9 @@
 import ast
 import gc
 import hashlib
+import inspect
 import re
+import textwrap
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -567,31 +569,47 @@ def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(
     # that reads c is one graft sum (RelPreLie's two circ differences,
     # RelLie's three Jacobi brackets), and the graftings handed over in all
     # are those of one graft sum per product: no hoisted product is taken
-    # more often than when each product was its own graft sum
+    # more often than when each product was its own graft sum.  ``sums`` and
+    # ``graftings`` are those of a check taking each of its 3 samples at
+    # every index tuple read.  Over powers of Z/2 it takes the first sample
+    # so, on the carrier checked, and each product once per later sample, on
+    # a power's carrier: RelAssoc's four muls, RelPreLie's four inner circs
+    # and one graft sum per side of its two circ differences, RelLie's
+    # antisymmetry and its Jacobi identity each one graft sum, with the
+    # Jacobi identity's three inner brackets
     calls = _count_graft_sums(monkeypatch)
-    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-    assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
-    assert len(calls) == sums
-    assert sum(len(terms) for _, terms in calls) == graftings
+    sums_later, graftings_later = {"RelAssoc": (4, 8), "RelPreLie": (6, 16), "RelLie": (5, 32)}[suite]
+    for over_powers in (True, False):
+        if not over_powers:
+            monkeypatch.setattr(SampledTreeDomain, "power", lambda self, vectors: None)
+        calls.clear()
+        carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+        assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
+        first = [terms for c, terms in calls if c is carrier]
+        later = [terms for c, terms in calls if c is not carrier]
+        share, k = (3, 2) if over_powers else (1, 0)  # k: the later samples over a power
+        assert (len(first), sum(map(len, first))) == (sums // share, graftings // share)
+        assert (len(later), sum(map(len, later))) == (k * sums_later, k * graftings_later)
 
 
-# suite -> the sha256 of its report at samples=3, max_vertices=6, seed=0, and
-# the graftings handed to graft_sum, both as when each product was its own graft
-# sum; RelDendriform's dend1 and dend2 are since taken at half their index
-# tuples (234 graftings before)
+# suite -> the sha256 of its report at samples=3, max_vertices=6, seed=0, as
+# when each product was its own graft sum, and the graftings handed to
+# graft_sum, the first sample taken at every index tuple its sides read and
+# the others once over a power of the index (168, 144, 150, 168, 192 and 624
+# when each sample was taken at every index tuple its sides read)
 FUSED_SUITE_REPORTS = {
-    "DimonoidDendriform": ("65bcd1a78ae1f8e1acab612388464c13e886348af88a891454826bfe931c5202", 168),
-    "FamDendriform": ("d61ac24ca61c53d762dda1cdb049b7686a152f66911763f9df3f8830daabaf2b", 144),
-    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 150),
-    "RelAssoc": ("ff20c188d784e55a351802b4a78288832c8a27e66e19fc74717fa8b4477f9769", 168),
-    "RelPreLie": ("45fd0041f0e7302e61ee35093c59f38c9aa71d7412de1e708f5f0147d86e0362", 192),
-    "RelLie": ("677a5ec784487cbb9424b208a5186e6f9b300b44ecadfcff9c5cee0e8688aad0", 624),
+    "DimonoidDendriform": ("65bcd1a78ae1f8e1acab612388464c13e886348af88a891454826bfe931c5202", 88),
+    "FamDendriform": ("d61ac24ca61c53d762dda1cdb049b7686a152f66911763f9df3f8830daabaf2b", 76),
+    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 78),
+    "RelAssoc": ("ff20c188d784e55a351802b4a78288832c8a27e66e19fc74717fa8b4477f9769", 72),
+    "RelPreLie": ("45fd0041f0e7302e61ee35093c59f38c9aa71d7412de1e708f5f0147d86e0362", 96),
+    "RelLie": ("677a5ec784487cbb9424b208a5186e6f9b300b44ecadfcff9c5cee0e8688aad0", 272),
 }
 
 
 @pytest.mark.parametrize("budget", [None, 64])
 def test_fused_sums_change_no_report_byte_and_no_grafting_work(budget, monkeypatch):
-    # at 64 entries the carrier's tables are emptied inside a fused sum too
+    # at 64 entries the power's carrier empties its tables inside a fused sum too
     if budget is not None:
         monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
     calls = _count_graft_sums(monkeypatch)
@@ -612,10 +630,26 @@ class OneEntryCache(dict):
         super().__setitem__(key, value)
 
 
+def _carriers_made(monkeypatch, cache=None):
+    """Every free carrier made from now on, a power's carrier among them,
+    each with a basis cache made by ``cache`` if given."""
+    made, init = [], FreeDendCarrier.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        if cache is not None:
+            self._cache = cache()
+        made.append(self)
+
+    monkeypatch.setattr(FreeDendCarrier, "__init__", recorded)
+    return made
+
+
 def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
-    # a cache of one entry: each lookup finds the last product stored, a hit
-    # only when it is the same product, so each product is the reference
-    # recursion's
+    # a cache of one entry on every carrier: each lookup finds the last
+    # product stored, a hit only when it is the same product, so each product
+    # is the reference recursion's, on the carrier checked (the first sample)
+    # and on the power's
     references, wrong = {}, []
     for name, kind in (("_basis_prec", "p"), ("_basis_succ", "s")):
         def checked(self, s, t, a, basis=getattr(FreeDendCarrier, name), kind=kind):
@@ -628,14 +662,17 @@ def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
             return products
 
         monkeypatch.setattr(FreeDendCarrier, name, checked)
+    made = _carriers_made(monkeypatch, OneEntryCache)
     for suite, (digest, _) in FUSED_SUITE_REPORTS.items():
         index = matching_dimonoid(2) if suite == "DimonoidDendriform" else cyclic_monoid(2)
+        made.clear()
         carrier = FreeDendCarrier(["x", "y"], index)
-        carrier._cache = OneEntryCache()
         report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
         assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == digest, suite
-        assert len(carrier._cache) == 1, suite
-    assert wrong == [] and len(references) == len(FUSED_SUITE_REPORTS)
+        assert made[0] is carrier and [len(c._cache) for c in made] == [1] * len(made), suite
+    # the carrier checked and one power's carrier per suite, RelLie's two
+    # equations each its own
+    assert wrong == [] and len(references) == 2 * len(FUSED_SUITE_REPORTS) + 1
 
 
 def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
@@ -764,13 +801,19 @@ def test_a_check_draws_each_arity_once(monkeypatch):
     assert len(draws) == 4 * 2 + 4 * 3
 
 
-def test_a_check_builds_the_trees_and_products_it_always_built():
+def test_a_check_builds_the_trees_and_products_it_always_built(monkeypatch):
     # the grafting recursion's work, counted: ids allocated (one per tree
     # structure, the samples' subtrees included) and basis products cached by
-    # one RelDendriform check over Z/2
+    # one RelDendriform check over Z/2.  The first sample is taken at 4 index
+    # tuples on the carrier checked, and the two others once on the carrier of
+    # one power of Z/2, of 8 elements, that the three equations share.  Taken
+    # at 4 index tuples per sample, the check allocated 1,571 ids and cached
+    # 573 products
+    made = _carriers_made(monkeypatch)
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     assert free_check(carrier, "RelDendriform", samples=3, max_vertices=6, seed=0).passed
-    assert (len(carrier._nodes), len(carrier._ids), len(carrier._cache)) == (1571, 1571, 573)
+    assert [c.dimonoid.size for c in made] == [2, 8]
+    assert [(len(c._nodes), len(c._ids), len(c._cache)) for c in made] == [(586, 586, 217), (389, 389, 131)]
 
 
 def test_the_grafting_hot_path_has_no_comprehension():
@@ -835,16 +878,23 @@ def test_a_dimonoid_made_from_a_semigroup_keeps_its_claims():
 
 
 def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeypatch):
-    chain_seeds = Random(0).sample(range(10**6), 30)
+    # one carrier across 30 checks, which takes the first sample of each
+    # equation; the other samples are taken on the powers' carriers, dropped
+    # when the check ends.  Each carrier settles before each sample tuple
+    chain_seeds = Random(0).sample(range(10**6), 10)
+    made = _carriers_made(monkeypatch)
 
     def session(check):
         carrier = FreeDendCarrier(["x", "y"], dimonoid_from_semigroup(cyclic_monoid(2)))
         reports = []
         for seed in chain_seeds:
             for suite in ("RelAssoc", "RelPreLie", "RelLie"):
-                report = free_check(carrier, suite, samples=1, max_vertices=6, seed=seed)
+                made.clear()
+                report = free_check(carrier, suite, samples=4, max_vertices=6, seed=seed)
                 reports.append(to_json(report.to_payload()))
-                check(carrier)
+                assert len(made) > 0
+                for each in (carrier, *made):
+                    check(each)
         return reports
 
     unbounded = session(lambda carrier: None)
@@ -856,7 +906,7 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
 
     monkeypatch.setattr(FreeDendCarrier, "settle", recorded)
     # at 64 entries the tables are emptied before nearly every element tuple
-    for budget in (4000, 64):
+    for budget in (1000, 64):
         monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
         settled.clear()
         emptied = []
@@ -873,7 +923,7 @@ def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeyp
             )
 
         assert session(tables) == unbounded
-        assert max(settled) < budget and emptied[-1] > 0
+        assert max(settled) < budget and max(emptied) > 0
 
 
 def test_no_id_survives_an_emptying(monkeypatch):
@@ -931,3 +981,194 @@ def test_a_free_carrier_is_freed_by_reference_counting_alone(monkeypatch, capsys
     finally:
         if enabled:
             gc.enable()
+
+
+# -- a sampled check takes each sample tuple once, over a power of the index
+
+
+def _per_index_tuple(monkeypatch):
+    """Every sampled check scans each equation per index tuple, as with no power."""
+    monkeypatch.setattr(SampledTreeDomain, "power", lambda self, vectors: None)
+
+
+def _count_power_scans(monkeypatch):
+    scans, power_scan = [], axioms._power_scan
+
+    def counted(*args):
+        scans.append(args)
+        return power_scan(*args)
+
+    monkeypatch.setattr(axioms, "_power_scan", counted)
+    return scans
+
+
+# index -> the suites of FREE_SUITES it admits; the band is not commutative,
+# and matching2 is not of semigroup form
+ADMITTED = {
+    "Z/2": (lambda: cyclic_monoid(2), FREE_SUITES),
+    "Z/3": (lambda: cyclic_monoid(3), FREE_SUITES),
+    "matching2": (lambda: matching_dimonoid(2), ("DimonoidDendriform",)),
+    "band": (lambda: SemigroupTable(*LEFT_ZERO_BAND), [suite for suite, _ in NON_COMMUTATIVE_SUITES]),
+}
+
+
+def _payloads(samples=6, max_vertices=6):
+    return {
+        (name, suite, seed): to_json(
+            free_check(FreeDendCarrier(["x", "y"], index()), suite, samples, max_vertices, seed).to_payload()
+        )
+        for name, (index, suites) in ADMITTED.items()
+        for suite in suites
+        for seed in range(3)
+    }
+
+
+def test_a_sample_taken_over_a_power_reports_the_bytes_of_the_scan_per_index_tuple(monkeypatch):
+    # every admitted suite over each index, at seeds 0-2: past the bound
+    # raised to 81, Z/3's RelAssoc and Jacobi identity take their samples over
+    # its power of 81 elements
+    monkeypatch.setattr(freedend, "POWER_BOUND", 81)
+    scans = _count_power_scans(monkeypatch)
+    over_powers = _payloads()
+    assert len(over_powers) == 3 * (6 + 6 + 1 + 4) and len(scans) > 0
+    scans.clear()
+    _per_index_tuple(monkeypatch)
+    assert _payloads() == over_powers and scans == []
+
+
+def _swap_the_products_of_basis_succ(monkeypatch):
+    """A planted defect: ``_basis_succ``'s recursive branch takes its two
+    edges with the dimonoid's left and right products swapped."""
+    source = textwrap.dedent(inspect.getsource(FreeDendCarrier._basis_succ))
+    swapped = source.replace("left_mul", "LEFT").replace("right_mul", "left_mul").replace("LEFT", "right_mul")
+    assert swapped.count("left_mul") == swapped.count("right_mul") == 1
+    namespace = dict(vars(freedend))
+    exec(swapped, namespace)
+    monkeypatch.setattr(FreeDendCarrier, "_basis_succ", namespace["_basis_succ"])
+
+
+def test_planted_defects_fail_over_a_power_with_the_bytes_of_the_scan_per_index_tuple(monkeypatch):
+    # products read in the wrong order, which only the band tells apart, and
+    # the succ recursion's products swapped, which matching2 tells apart: a
+    # sample whose sides differ over the power is taken again at each index
+    # tuple, and the counterexample is the scan's
+    elements, table = LEFT_ZERO_BAND
+
+    def failures():
+        reports = [free_check(FreeDendCarrier(["x", "y"], TransposedReads(elements, table, table)),
+                              suite, samples=200, max_vertices=6, seed=0)
+                   for suite, _ in NON_COMMUTATIVE_SUITES]
+        with monkeypatch.context() as patched:
+            _swap_the_products_of_basis_succ(patched)
+            reports += [free_check(FreeDendCarrier(["x", "y"], matching_dimonoid(2)), "DimonoidDendriform",
+                                   samples=200, max_vertices=6, seed=seed) for seed in range(3)]
+        assert not any(report.passed for report in reports)
+        return [to_json(report.to_payload()) for report in reports]
+
+    scans = _count_power_scans(monkeypatch)
+    over_powers = failures()
+    assert len(scans) == 4 + 3
+    _per_index_tuple(monkeypatch)
+    assert failures() == over_powers
+
+
+def test_past_the_power_bound_an_equation_is_scanned_per_index_tuple(monkeypatch):
+    # over Z/2 a power has 8 elements at two index variables read and 16 at
+    # three: at a bound of 8 RelAssoc and the Jacobi identity fall back to
+    # the scan per index tuple, RelLie's antisymmetry does not, and every
+    # report byte is the same
+    def reports():
+        scans.clear()
+        return [to_json(free_check(FreeDendCarrier(["x", "y"], cyclic_monoid(2)), suite,
+                                   samples=6, max_vertices=6, seed=1).to_payload())
+                for suite in ("RelAssoc", "RelLie")]
+
+    scans = _count_power_scans(monkeypatch)
+    over_powers = reports()
+    assert [len(args[-2].dimonoid.elements) for args in scans] == [16, 8, 16]
+    monkeypatch.setattr(freedend, "POWER_BOUND", 8)
+    assert reports() == over_powers
+    assert [len(args[-2].dimonoid.elements) for args in scans] == [8]
+
+
+def test_a_carrier_refuses_an_id_outside_its_current_tables(monkeypatch):
+    # a check holds two carriers, each numbering its trees from 1: an id of
+    # the power's carrier past the end of the carrier checked, or one held
+    # across an emptying, is refused, not read as some other tree
+    made = _carriers_made(monkeypatch)
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    assert free_check(carrier, "RelAssoc", samples=6, max_vertices=6, seed=0).passed
+    power = made[1]
+    assert 0 < len(carrier._nodes) < len(power._nodes)
+    with pytest.raises(ContractError, match="not in this carrier's current tables"):
+        carrier.to_trees(LinComb.single(power._base + len(power._nodes) - 1))
+    x = carrier.to_ids(single(carrier.parse("x[0: y[], ]")))
+    assert carrier.to_trees(x) == single(carrier.parse("x[0: y[], ]"))
+    monkeypatch.setattr(freedend, "ENTRY_BUDGET", 1)
+    carrier.settle()
+    assert carrier.emptied == 1
+    with pytest.raises(ContractError, match=r"tree id \d+ is not in this carrier's current tables"):
+        carrier.to_trees(x)
+
+
+def _components(power, dimonoid, vectors, idxs):
+    """Each element of ``power`` as the tuple of ``dimonoid`` elements it is,
+    read off its tables from the diagonals and ``vectors``, ids ``idxs``; a
+    product whose components are not the products of its factors' fails."""
+    k = len(vectors[0])
+    components = {d: (d,) * k for d in range(dimonoid.size)} | dict(zip(idxs, vectors))
+    for _ in range(power.size):  # until a round, over every product, finds nothing new
+        known = len(components)
+        for (p, u), (q, v) in product(list(components.items()), repeat=2):
+            for ours, theirs in ((power.left, dimonoid.left), (power.right, dimonoid.right)):
+                w = tuple(theirs[a][b] for a, b in zip(u, v))
+                assert components.setdefault(ours[p][q], w) == w
+        if len(components) == known:
+            break
+    assert sorted(components) == list(range(power.size))
+    return components
+
+
+def _projected(value, names):
+    """A vector of trees over a power, each edge label renamed by ``names``."""
+    def tree(t):
+        if t is EMPTY:
+            return t
+        edges = [None if e is None else names[e] for e in (t.left_edge, t.right_edge)]
+        return DecoratedTree(t.label, tree(t.left), edges[0], tree(t.right), edges[1])
+
+    return sum((LinComb.single(tree(t)).scale(c) for t, c in value), LinComb())
+
+
+@pytest.mark.parametrize("name", ADMITTED)
+def test_each_component_of_a_side_over_a_power_is_the_side_at_its_index_tuple(name, monkeypatch):
+    # the premise of the power: at every sample tuple, each side's value over
+    # the power, its edge labels projected onto component j, is that side's
+    # value at the j-th index tuple the scan would take, on the carrier checked
+    powers, power, power_scan, compared = [], SampledTreeDomain.power, axioms._power_scan, [0]
+
+    def recorded(domain, vectors):
+        found = power(domain, vectors)
+        powers.append((vectors, found))
+        return found
+
+    def projecting(lhs, rhs, domain, n_elem, taken, tuples, power_lhs, power_rhs, over, idxs):
+        vectors, _ = powers[-1]
+        index, dimonoid = over.dimonoid, domain.carrier.dimonoid
+        components = _components(index, dimonoid, vectors, idxs)
+        for at_power, at_tuples in zip(domain.elements_over(over, n_elem), domain.elements(n_elem)):
+            for side, power_side in ((lhs, power_lhs), (rhs, power_rhs)):
+                value = over.to_trees(power_side(idxs + at_power))
+                for j, (_, here) in enumerate(taken()):
+                    names = {index.name(e): dimonoid.name(c[j]) for e, c in components.items()}
+                    assert _projected(value, names) == domain.carrier.to_trees(side(here + at_tuples))
+                    compared[0] += 1
+        return power_scan(lhs, rhs, domain, n_elem, taken, tuples, power_lhs, power_rhs, over, idxs)
+
+    monkeypatch.setattr(SampledTreeDomain, "power", recorded)
+    monkeypatch.setattr(axioms, "_power_scan", projecting)
+    monkeypatch.setattr(freedend, "POWER_BOUND", 81)
+    index, suites = ADMITTED[name]
+    for suite in suites:
+        assert free_check(FreeDendCarrier(["x", "y"], index()), suite, samples=2, max_vertices=5, seed=4).passed
+    assert compared[0] > 0 and all(found for _, found in powers)
