@@ -24,10 +24,10 @@ scan too runs on integers.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from itertools import islice, product
-from math import lcm, prod
-from operator import itemgetter, or_
+from math import lcm
+from operator import itemgetter
 
 from .errors import ContractError
 from .lincomb import LinComb
@@ -269,43 +269,62 @@ class _Compiler:
                 raise ContractError("suite requires a declared unit vector")
             return (lambda env: unit_vector), 1, set(), None, None
         if isinstance(expr, App):
+            # plain loops: on CPython 3.11 a comprehension is a call with its own frame
             fn, den, _, narrowing, grafts = self.ops[expr.role]
-            idx = [self.index_expr(ix) for ix in self.handed(expr)]
-            args, reads = self.subterms(expr.args, n_idx, inner, set().union(*(r for _, r in idx)))
-            scale = den * prod(s for _, s, *_ in args)
-            parts = [f for f, _ in idx], [f for f, *_ in args]
+            idx, reads = [], set()
+            for ix in self.handed(expr):
+                f, r = self.index_expr(ix)
+                idx.append(f)
+                reads |= r
+            args, reads = self.subterms(expr.args, n_idx, inner, reads)
+            scale, fns = den, []
+            for f, s, *_ in args:
+                scale *= s
+                fns.append(f)
             if grafts is not None:
-                grafts = grafts[0], _compile_app(grafts[1], *parts)
-            return _compile_app(fn, *parts), scale, reads, _narrow(narrowing, args, inner), grafts
+                grafts = grafts[0], _compile_app(grafts[1], idx, fns)
+            return _compile_app(fn, idx, fns), scale, reads, _narrow(narrowing, args, inner), grafts
         if isinstance(expr, Lin):
-            args, reads = self.subterms([e for _, e in expr.terms], n_idx, inner)
-            terms = [(c, (f, g), s) for (c, _), (f, s, _, _, g) in zip(expr.terms, args)]
+            nodes = []
+            for _, e in expr.terms:
+                nodes.append(e)
+            args, reads = self.subterms(nodes, n_idx, inner)
+            terms, demands = [], []
+            for (c, _), (f, s, _, d, g) in zip(expr.terms, args):
+                terms.append((c, (f, g), s))
+                demands.append(d)
             terms, scale = _common_scale(terms)
-            demands = [d for _, _, _, d, _ in args]
-            union = None if None in demands else (
-                lambda env, target: reduce(or_, [d(env, target) for d in demands], 0))
             closure, grafts = _compile_lin(terms)
-            return closure, scale, reads, union, grafts
+            return closure, scale, reads, None if None in demands else _union(demands), grafts
         raise TypeError(f"unknown expression node {expr!r}")
 
     def handed(self, application):
         """The index expressions at its operation's ``reads``, or all."""
-        op_reads = self.ops[application.role][2]
-        return application.idx if op_reads is None else [application.idx[k] for k in op_reads]
+        idx, op_reads = application.idx, self.ops[application.role][2]
+        if op_reads is None:
+            return idx
+        handed = []
+        for k in op_reads:
+            handed.append(idx[k])
+        return handed
 
     def subterms(self, nodes, n_idx, inner, reads=frozenset()):
         """The compiled ``nodes``, and the positions they and ``reads`` read.
         If these include ``inner``, the position the scan changes on every
         instance, each application or formal sum among the nodes that reads
         variables but not ``inner`` is evaluated once per change of them."""
-        compiled = [self.expr(node, n_idx, inner) for node in nodes]
-        reads = reads.union(*(r for _, _, r, _, _ in compiled))
-        return [
-            (_last_value(f, r), s, r, d, None)
-            if inner in reads and r and inner not in r and isinstance(node, (App, Lin))
-            else (f, s, r, d, g)
-            for node, (f, s, r, d, g) in zip(nodes, compiled)
-        ], reads
+        compiled, reads = [], set(reads)
+        for node in nodes:
+            term = self.expr(node, n_idx, inner)
+            compiled.append(term)
+            reads |= term[2]
+        hoist, out = inner in reads, []
+        for node, (f, s, r, d, g) in zip(nodes, compiled):
+            if hoist and r and inner not in r and isinstance(node, (App, Lin)):
+                out.append((_last_value(f, r), s, r, d, None))
+            else:
+                out.append((f, s, r, d, g))
+        return out, reads
 
 
 def _last_value(closure, reads):
@@ -336,8 +355,13 @@ def _narrow(narrowing, args, inner):
     """The demand of an application of two arguments, one of which reads
     ``inner`` and has a demand: that one's on the positions whose product
     with the other argument's value meets the target."""
-    demands = [(p, d) for p, (_, _, r, d, _) in enumerate(args) if inner in r]
-    if narrowing is None or len(args) != 2 or len(demands) != 1 or demands[0][1] is None:
+    if narrowing is None or len(args) != 2:
+        return None
+    demands = []
+    for p, (_, _, r, d, _) in enumerate(args):
+        if inner in r:
+            demands.append((p, d))
+    if len(demands) != 1 or demands[0][1] is None:
         return None
     ((p, demand),) = demands
     other, table = args[1 - p][0], narrowing[p]
@@ -374,11 +398,27 @@ def _zero(env):
     return ZERO
 
 
+def _union(demands):
+    """The demand of a formal sum: the union of its terms' ``demands``."""
+
+    def union(env, target):
+        mask = 0
+        for demand in demands:
+            mask |= demand(env, target)
+        return mask
+
+    return union
+
+
 def _common_scale(terms):
     """``(coeff, closure, scale)`` terms as ``(coeff, closure)`` terms at the
     lcm of their scales, each coefficient multiplied up, and that lcm."""
-    common = lcm(*(scale for _, _, scale in terms))
-    return [(coeff * (common // scale), term) for coeff, term, scale in terms], common
+    common, scaled = 1, []
+    for _, _, scale in terms:
+        common = lcm(common, scale)
+    for coeff, term, scale in terms:
+        scaled.append((coeff * (common // scale), term))
+    return scaled, common
 
 
 def _compile_lin(terms):
@@ -388,19 +428,32 @@ def _compile_lin(terms):
     terms with graftings, all on one carrier, are instead one graft sum of
     their graftings, each ``k`` times its coefficient, onto which the rest
     fold; a sum that graft sum takes whole states it as its own graftings."""
-    acc, grafts, grafting = _zero, None, [(c, g) for c, (_, g) in terms if g is not None]
-    if len(grafting) > 1 and len({graft_sum for _, (graft_sum, _) in grafting}) == 1:
-        graft_sum, parts = grafting[0][1][0], [(c, terms) for c, (_, terms) in grafting]
+    acc, grafts, parts, rest, carriers = _zero, None, [], [], set()
+    for c, (f, g) in terms:
+        if g is None:
+            rest.append((c, f))
+        else:
+            parts.append((c, g[1]))
+            carriers.add(g[0])
+    if len(parts) > 1 and len(carriers) == 1:
+        (graft_sum,) = carriers
 
         def graftings(env):
-            return [(c * k, kind, s, t, a) for c, terms in parts for k, kind, s, t, a in terms(env)]
+            out = []
+            for c, terms in parts:
+                for k, kind, s, t, a in terms(env):
+                    out.append((c * k, kind, s, t, a))
+            return out
 
         def acc(env):
             return graft_sum(graftings(env))
 
-        terms = [(c, (f, g)) for c, (f, g) in terms if g is None]
-        grafts = None if terms else (graft_sum, graftings)
-    for coeff, (term, _) in terms:
+        grafts = None if rest else (graft_sum, graftings)
+    else:
+        rest = []
+        for c, (f, _) in terms:
+            rest.append((c, f))
+    for coeff, term in rest:
         acc = _add_term(acc, coeff, term)
     return acc, grafts
 
@@ -708,10 +761,13 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     for equation in equations:
         eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
         pair, tuples = (equation.lhs, equation.rhs), domain.index_size**n_idx
-        reads = {_IVARS.index(v) for n in equation.apps for ix in compiler.handed(n)
-                 for v in _variables(ix)}
+        reads = set()
+        for application in equation.apps:
+            for ix in compiler.handed(application):
+                for v in _variables(ix):
+                    reads.add(_IVARS.index(v))
         once = tuples <= 1 or not reads
-        inner = n_idx + n_elem - 1 if once else n_idx - 1
+        inner = n_idx + n_elem - 1 if once else max(reads)
         taken = _index_tuples(domain, n_idx, () if once else reads)
         lhs, rhs, demands, scale = _sides(compiler, pair, n_idx, inner)
         power = not once and getattr(domain, "power", None)
@@ -736,9 +792,13 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
 def _sides(compiler, pair, n_idx, inner):
     """The two sides compiled at their common scale, their demands and that scale."""
     sides, _ = compiler.subterms(pair, n_idx, inner, {inner})
-    demands = [d for _, _, _, d, _ in sides]
-    sides, scale = _common_scale([(1, f, s) for f, s, *_ in sides])
-    lhs, rhs = (term if k == 1 else _compile_lin([(k, (term, None))])[0] for k, term in sides)
+    demands, terms = [], []
+    for f, s, _, d, _ in sides:
+        demands.append(d)
+        terms.append((1, f, s))
+    ((k, lhs), (m, rhs)), scale = _common_scale(terms)
+    lhs = lhs if k == 1 else _add_term(_zero, k, lhs)
+    rhs = rhs if m == 1 else _add_term(_zero, m, rhs)
     return lhs, rhs, demands, scale
 
 

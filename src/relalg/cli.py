@@ -26,6 +26,7 @@ from .errors import ConstructionRefused, ContractError, MalformedInputError, req
 from .exprs import eval_expression
 from .freecheck import FREE_SUITES, free_check
 from .freedend import FreeDendCarrier
+from .lincomb import render_pairs
 from .ops import FiniteRelativeAlgebra, materialize_pair_op
 from .reports import summary, to_json
 from .semigroups import check_cocycle, check_dimonoid, check_semigroup
@@ -254,14 +255,8 @@ def run_collapse(args):
 
 
 def run_free_eval(args):
-    result = eval_expression(args.expr, _load_free_carrier(args))
-    return _payload(
-        args.command,
-        [],
-        expr=args.expr,
-        result=result.render(tree_print),
-        terms=result.to_pairs(tree_print),
-    )
+    terms = eval_expression(args.expr, _load_free_carrier(args)).to_pairs(tree_print)
+    return _payload(args.command, [], expr=args.expr, result=render_pairs(terms), terms=terms)
 
 
 def run_free_check(args):

@@ -138,27 +138,39 @@ class FreeDendCarrier:
             return 0
         if t.label not in self.decorations:
             raise MalformedInputError(f"undeclared vertex label {t.label!r}")
-        edges = [-1 if edge is None else self.index_of(edge) for edge in (t.left_edge, t.right_edge)]
-        return self._node(t.label, self._id(t.left), edges[0], self._id(t.right), edges[1])
+        left_edge = -1 if t.left_edge is None else self.index_of(t.left_edge)
+        right_edge = -1 if t.right_edge is None else self.index_of(t.right_edge)
+        return self._node(t.label, self._id(t.left), left_edge, self._id(t.right), right_edge)
 
-    def _tree(self, i):
-        """The tree of id i; an id outside the current range raises ContractError."""
+    def _tree(self, i, memo=None):
+        """The tree of id i, through ``memo`` (the trees of the ids converted
+        so far, by id) when given; an id outside the current range raises
+        ContractError."""
         if not i:
             return EMPTY
-        if not 0 <= i - self._base < len(self._nodes):
-            raise ContractError(f"tree id {i} is not in this carrier's current tables")
-        label, left, left_edge, right, right_edge = self._nodes[i - self._base]
-        name = self.dimonoid.name
-        return DecoratedTree(label, self._tree(left), name(left_edge) if left else None,
-                             self._tree(right), name(right_edge) if right else None)
+        tree = None if memo is None else memo.get(i)
+        if tree is None:
+            if not 0 <= i - self._base < len(self._nodes):
+                raise ContractError(f"tree id {i} is not in this carrier's current tables")
+            label, left, left_edge, right, right_edge = self._nodes[i - self._base]
+            name = self.dimonoid.name
+            tree = DecoratedTree(label, self._tree(left, memo), name(left_edge) if left else None,
+                                 self._tree(right, memo), name(right_edge) if right else None)
+            if memo is not None:
+                memo[i] = tree
+        return tree
 
     def to_ids(self, x):
         """The vector over ids of x, a vector over trees; their labels are checked."""
         return LinComb({self._id(u): c for u, c in x})
 
     def to_trees(self, x):
-        """The vector over trees of x, a vector over ids."""
-        return LinComb({self._tree(i): c for i, c in x})
+        """The vector over trees of x, a vector over ids; a subtree its trees
+        share is converted once."""
+        memo, trees = {}, {}
+        for i, c in x:
+            trees[self._tree(i, memo)] = c
+        return LinComb(trees)
 
     def check_tree(self, t):
         """t, once its labels are checked: an undeclared one raises
@@ -179,23 +191,40 @@ class FreeDendCarrier:
             return (s,)
         if not s:
             return ()
-        label, left, left_edge, right, sigma2 = self._nodes[s - self._base]
+        # plain loops over locals, each node interned inline (as ``_node`` does):
+        # on CPython 3.11 a comprehension or a call costs a frame per product
+        ids, nodes = self._ids, self._nodes
+        label, left, left_edge, right, sigma2 = nodes[s - self._base]
         if not right:
             # right subtree empty: the recursive prec summand vanishes and the
             # succ summand grafts t whole, edge labeled by the bare index
-            return (self._node(label, left, left_edge, t, a),)
+            node = label, left, left_edge, t, a
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = self._base + len(nodes)
+                nodes.append(node)
+            return (i,)
         key = (2 * a, s, t)  # prec at a; succ's tags are odd
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        # plain loops over locals: on CPython 3.11 a comprehension costs a frame per product
-        node, grafts, dimonoid = self._node, [], self.dimonoid
+        grafts, dimonoid = [], self.dimonoid
         edge = dimonoid.left_mul(sigma2, a)
         for u in self._basis_prec(right, t, a):
-            grafts.append(node(label, left, left_edge, u, edge))
+            node = label, left, left_edge, u, edge
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = self._base + len(nodes)
+                nodes.append(node)
+            grafts.append(i)
         edge = dimonoid.right_mul(sigma2, a)
         for u in self._basis_succ(right, t, sigma2):
-            grafts.append(node(label, left, left_edge, u, edge))
+            node = label, left, left_edge, u, edge
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = self._base + len(nodes)
+                nodes.append(node)
+            grafts.append(i)
         hit = self._cache[key] = tuple(grafts)
         return hit
 
@@ -206,20 +235,36 @@ class FreeDendCarrier:
             return (t,)
         if not t:
             return ()
-        label, left, tau1, right, right_edge = self._nodes[t - self._base]
+        ids, nodes = self._ids, self._nodes
+        label, left, tau1, right, right_edge = nodes[t - self._base]
         if not left:
-            return (self._node(label, s, a, right, right_edge),)
+            node = label, s, a, right, right_edge
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = self._base + len(nodes)
+                nodes.append(node)
+            return (i,)
         key = (2 * a + 1, s, t)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        node, grafts, dimonoid = self._node, [], self.dimonoid
+        grafts, dimonoid = [], self.dimonoid
         edge = dimonoid.left_mul(a, tau1)
         for u in self._basis_prec(s, left, tau1):
-            grafts.append(node(label, u, edge, right, right_edge))
+            node = label, u, edge, right, right_edge
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = self._base + len(nodes)
+                nodes.append(node)
+            grafts.append(i)
         edge = dimonoid.right_mul(a, tau1)
         for u in self._basis_succ(s, left, a):
-            grafts.append(node(label, u, edge, right, right_edge))
+            node = label, u, edge, right, right_edge
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = self._base + len(nodes)
+                nodes.append(node)
+            grafts.append(i)
         hit = self._cache[key] = tuple(grafts)
         return hit
 

@@ -164,22 +164,23 @@ class LinComb:
 
     def render(self, basis_str=str):
         """Human form: ``p/q * b1 + p/q * b2 - ...``; ``0`` when empty."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (b, c) in enumerate(self.items()):
-            mag = format_scalar(abs(c))
-            if i == 0:
-                sign = "-" if c < 0 else ""
-                parts.append(f"{sign}{mag} * {basis_str(b)}")
-            else:
-                sign = "-" if c < 0 else "+"
-                parts.append(f" {sign} {mag} * {basis_str(b)}")
-        return "".join(parts)
+        return render_pairs(self.to_pairs(basis_str))
 
     def to_pairs(self, basis_str=str):
         """Serialize to ``[[coeff "p/q", basis], ...]`` in basis order."""
         return [[format_scalar(c), basis_str(b)] for b, c in self.items()]
+
+
+def render_pairs(pairs):
+    """The human form of a combination from its ``to_pairs``, read in order."""
+    if not pairs:
+        return "0"
+    (coeff, basis), *rest = pairs
+    parts = [f"{coeff} * {basis}"]
+    for coeff, basis in rest:
+        sign, mag = ("-", coeff[1:]) if coeff[0] == "-" else ("+", coeff)
+        parts.append(f" {sign} {mag} * {basis}")
+    return "".join(parts)
 
 
 def lc_add(a, b):

@@ -314,7 +314,9 @@ def power(dimonoid, vectors, bound):
     """The substructure of a power of ``dimonoid``, products componentwise, that
     the diagonals and ``vectors`` (k-tuples of elements) generate, as its type,
     and the ids of ``vectors``; None past ``bound`` elements.  Element d is its
-    diagonal, under its name, so a tree over the dimonoid is one over the power."""
+    diagonal, under its name, so a tree over the dimonoid is one over the power.
+    A power of semigroup form holds the semigroup ``semigroup_from_dimonoid``
+    reads off it, so each carrier over it shares that one."""
     elems = list(dict.fromkeys([*((d,) * len(vectors[0]) for d in range(dimonoid.size)), *vectors]))
     ids, rows = {x: i for i, x in enumerate(elems)}, ([], [])
     for i, x in enumerate(elems):  # elems grows while it is read
@@ -331,7 +333,10 @@ def power(dimonoid, vectors, bound):
             return None
     tail = "_" * (1 + max(map(len, dimonoid.elements)))
     names = dimonoid.elements + tuple(f"{tail}{k}" for k in range(dimonoid.size, len(elems)))
-    return type(dimonoid)(names, *rows), tuple(ids[v] for v in vectors)
+    table = type(dimonoid)(names, *rows)
+    if table.is_semigroup_form():
+        table.semigroup = semigroup_from_dimonoid(table)
+    return table, tuple(ids[v] for v in vectors)
 
 
 def semigroup_from_dimonoid(table):

@@ -86,6 +86,11 @@ ROWS = [
     # the derived products, each its construction compiled into one graft sum
     row('free-eval --expr "bracket(0,1, x[], circ(1,0, y[], x[]))" --semigroup data/zmod2.json', 0,
         "18e8c4053ce08f3083f3f1a129acd869a765b7bd68f461b7e4c9e9a263d1b187"),
+    # a value whose trees share subtrees, with both signs and a non-integer
+    # coefficient: each tree is converted, sorted and printed once
+    row('free-eval --expr "2/3 * bracket(0,1, mul(0,1, x[], y[]), circ(1,0, y[], x[]))'
+        ' + -1/2 * x[]" --semigroup data/zmod2.json', 0,
+        "c011e3a1cece0dd462bc0ba1e0d37bcd78fc5965436dd1e18e418f3775fe13f1"),
     row("free-check --suite RelLie --samples 20 --semigroup data/zmod2.json", 0,
         "da68de5ec4286e2cc81e46f53acefd1f1b202d38191cac7b3e492642981dd72c",
         "PASS free-check:RelLie: 240 instances"),

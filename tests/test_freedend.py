@@ -558,14 +558,15 @@ def _count_graft_sums(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, sums, graftings", [("RelAssoc", 84, 168), ("RelPreLie", 72, 192), ("RelLie", 96, 624)]
+    "suite, sums, graftings", [("RelAssoc", 84, 168), ("RelPreLie", 60, 168), ("RelLie", 96, 624)]
 )
 def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(
     suite, sums, graftings, monkeypatch
 ):
     # circ reads its first index alone, so a circ is taken again only when
     # that index or an argument changes, not on every change of the innermost
-    # index c; mul and bracket read both indices.  A formal sum of products
+    # index the sides read (b in RelPreLie, whose circs never read c, and c
+    # in the others); mul and bracket read both indices.  A formal sum of products
     # that reads c is one graft sum (RelPreLie's two circ differences,
     # RelLie's three Jacobi brackets), and the graftings handed over in all
     # are those of one graft sum per product: no hoisted product is taken
@@ -595,14 +596,16 @@ def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(
 # suite -> the sha256 of its report at samples=3, max_vertices=6, seed=0, as
 # when each product was its own graft sum, and the graftings handed to
 # graft_sum, the first sample taken at every index tuple its sides read and
-# the others once over a power of the index (168, 144, 150, 168, 192 and 624
-# when each sample was taken at every index tuple its sides read)
+# the others once over a power of the index (168, 144, 144, 168, 168 and 624
+# when each sample was taken at every index tuple its sides read; 150 and 192
+# for RelDendriform and RelPreLie, and 78 and 96 over the power, while a side
+# not reading the last index variable was hoisted whole)
 FUSED_SUITE_REPORTS = {
     "DimonoidDendriform": ("65bcd1a78ae1f8e1acab612388464c13e886348af88a891454826bfe931c5202", 88),
     "FamDendriform": ("d61ac24ca61c53d762dda1cdb049b7686a152f66911763f9df3f8830daabaf2b", 76),
-    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 78),
+    "RelDendriform": ("463782b8948828b33547ad2031ed09075c016a16d14acf16e5614ecf8e1245d9", 76),
     "RelAssoc": ("ff20c188d784e55a351802b4a78288832c8a27e66e19fc74717fa8b4477f9769", 72),
-    "RelPreLie": ("45fd0041f0e7302e61ee35093c59f38c9aa71d7412de1e708f5f0147d86e0362", 96),
+    "RelPreLie": ("45fd0041f0e7302e61ee35093c59f38c9aa71d7412de1e708f5f0147d86e0362", 88),
     "RelLie": ("677a5ec784487cbb9424b208a5186e6f9b300b44ecadfcff9c5cee0e8688aad0", 272),
 }
 
@@ -816,19 +819,41 @@ def test_a_check_builds_the_trees_and_products_it_always_built(monkeypatch):
     assert [(len(c._nodes), len(c._ids), len(c._cache)) for c in made] == [(586, 586, 217), (389, 389, 131)]
 
 
+def _comprehensions(module, names):
+    """Each of ``names`` (a function, or a class and its method) in
+    ``module``'s source, mapped to the comprehensions and generator
+    expressions in it, nested functions included."""
+    scopes = {}
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            scopes[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    scopes[f"{node.name}.{method.name}"] = method
+    scoped = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return {name: [ast.unparse(n) for n in ast.walk(scopes[name]) if isinstance(n, scoped)]
+            for name in names}
+
+
 def test_the_grafting_hot_path_has_no_comprehension():
     # on CPython 3.11 and earlier a comprehension or generator expression is
-    # a function call with its own frame, paid once per product step here;
-    # the benchmark's reference machine runs 3.11.7 (PEP 709 inlines
-    # comprehensions from 3.12 on)
-    source = Path(freedend.__file__).read_text()
-    carrier = next(node for node in ast.parse(source).body
-                   if isinstance(node, ast.ClassDef) and node.name == "FreeDendCarrier")
-    methods = {node.name: node for node in carrier.body if isinstance(node, ast.FunctionDef)}
-    scoped = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    for name in ("_basis_prec", "_basis_succ", "graft_sum", "_node"):
-        found = [ast.unparse(node) for node in ast.walk(methods[name]) if isinstance(node, scoped)]
-        assert found == [], name
+    # a function call with its own frame, paid once per product step here, and
+    # once per node where a tree crosses into or out of a carrier; the
+    # benchmark's reference machine runs 3.11.7 (PEP 709 inlines list
+    # comprehensions from 3.12 on, and never generator expressions)
+    names = ["FreeDendCarrier." + name for name in
+             ("_basis_prec", "_basis_succ", "graft_sum", "_node", "_id", "_tree", "to_trees")]
+    assert _comprehensions(freedend, names) == dict.fromkeys(names, [])
+
+
+def test_the_equation_compiler_has_no_comprehension():
+    # the compiler runs once per equation and carrier, a free command compiles
+    # several hundred equations, and a fused sum's graftings run once per
+    # evaluation: each builds its lists in plain loops
+    names = ["_Compiler.expr", "_Compiler.handed", "_Compiler.subterms", "_narrow", "_union",
+             "_common_scale", "_compile_lin", "_sides"]
+    assert _comprehensions(axioms, names) == dict.fromkeys(names, [])
 
 
 @pytest.mark.parametrize("counts", [{"samples": 0}, {"samples": -3}, {"max_vertices": 0}])
@@ -1089,6 +1114,28 @@ def test_past_the_power_bound_an_equation_is_scanned_per_index_tuple(monkeypatch
     monkeypatch.setattr(freedend, "POWER_BOUND", 8)
     assert reports() == over_powers
     assert [len(args[-2].dimonoid.elements) for args in scans] == [8]
+
+
+@pytest.mark.parametrize("index", [
+    cyclic_monoid(2),  # a unit and commutative
+    SemigroupTable(["p", "q"], [[0, 0], [1, 1]]),  # left zero: neither
+    matching_dimonoid(2),  # not of semigroup form
+])
+def test_a_power_holds_the_semigroup_read_off_it_once(index):
+    # a power of semigroup form carries the semigroup semigroup_from_dimonoid
+    # reads off its tables, unit and commutativity detected, so every carrier
+    # over the power shares it instead of reading it again
+    dimonoid = index if isinstance(index, DimonoidTable) else dimonoid_from_semigroup(index)
+    table, _ = freedend.power(dimonoid, ((0, 1, 1), (1, 0, 1)), 16)
+    bare = DimonoidTable(table.elements, table.left, table.right)
+    if not bare.is_semigroup_form():
+        assert table.semigroup is None
+        return
+    expected = semigroup_from_dimonoid(bare)
+    assert table.semigroup == expected
+    assert (table.semigroup.unit, table.semigroup.claims_commutative) == (
+        expected.unit, expected.claims_commutative)
+    assert FreeDendCarrier(["x"], table).semigroup is table.semigroup
 
 
 def test_a_carrier_refuses_an_id_outside_its_current_tables(monkeypatch):
