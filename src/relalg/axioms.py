@@ -752,12 +752,15 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
     instances handed out per equation, including equations reached with none.
     With R empty, over all basis tuples of a ``FiniteDomain``, only the last
     vectors the sides' demands name are evaluated; both vanish elsewhere.
-    Otherwise, given a domain's ``power``, the first element tuple is taken at
-    each index tuple, and every later one once over the power, and again at
-    each index tuple only where its sides differ there."""
+    Otherwise, given a domain's ``columns`` (index ids over a power of the
+    index, ``SampledTreeDomain``), the first element tuple is taken at each
+    index tuple, and every later one once, at the first ``n_idx`` columns, and
+    again at each index tuple only where its sides differ there.  Each side is
+    compiled once."""
     compiler = _Compiler(ops, index, unit_vector)
     label, name = _basis_name(domain), index.name
     every_tuple = isinstance(domain, FiniteDomain) and domain.basis_filter is None
+    columns = getattr(domain, "columns", None)
     for equation in equations:
         eqid, n_idx, n_elem = equation.eqid, equation.n_idx, equation.n_elem
         pair, tuples = (equation.lhs, equation.rhs), domain.index_size**n_idx
@@ -770,16 +773,11 @@ def _equation_instances(equations, domain, ops, index, unit_vector, per_equation
         inner = n_idx + n_elem - 1 if once else max(reads)
         taken = _index_tuples(domain, n_idx, () if once else reads)
         lhs, rhs, demands, scale = _sides(compiler, pair, n_idx, inner)
-        power = not once and getattr(domain, "power", None)
-        power = power and power(tuple(zip(*dict(taken()).values())))  # each variable's values
-        if power:
-            over, opc, idxs = power
-            sides = _sides(_Compiler(opc.ops, opc.index, unit_vector), pair, n_idx, inner)[:2]
-            count, failed = _power_scan(lhs, rhs, domain, n_elem, taken, tuples, *sides, over, idxs)
-        elif once and n_elem and taken() and every_tuple and None not in demands:
+        if once and n_elem and taken() and every_tuple and None not in demands:
             count, failed = _demanded_scan(lhs, rhs, *demands, domain, taken()[0][1], n_elem, tuples)
         else:
-            count, failed = _full_scan(lhs, rhs, domain, n_elem, taken, tuples)
+            at = None if once or columns is None else columns[:n_idx]
+            count, failed = _full_scan(lhs, rhs, domain, n_elem, taken, tuples, at)
         per_equation[eqid] = count + (failed is not None)
         yield count
         if failed is not None:
@@ -815,32 +813,23 @@ def _index_tuples(domain, n_idx, reads):
                     if all(idxs[k] == held for k in outside))
 
 
-def _full_scan(lhs, rhs, domain, n_elem, taken, tuples):
-    """Instances passed before the first failure, and its ``(idxs, vectors, left, right)`` or None."""
+def _full_scan(lhs, rhs, domain, n_elem, taken, tuples, columns=None):
+    """Instances passed before the first failure, and its ``(idxs, vectors, left, right)``
+    or None.  Given ``columns``, index ids at which the sides are evaluated at every
+    index tuple at once, an element tuple after the first whose sides agree there
+    passes all of its ``tuples`` instances, and only the others are taken per index tuple."""
     count = 0
-    for vectors in domain.elements(n_elem):
+    for k, vectors in enumerate(domain.elements(n_elem)):
+        if k and columns is not None:
+            env = columns + vectors
+            if lhs(env)._terms == rhs(env)._terms:
+                count += tuples
+                continue
         for rank, idxs in taken():
             env = idxs + vectors
             left, right = lhs(env), rhs(env)
             if left._terms != right._terms:
                 return count + rank, (idxs, vectors, left, right)
-        count += tuples
-    return count, None
-
-
-def _power_scan(lhs, rhs, domain, n_elem, taken, tuples, power_lhs, power_rhs, power, idxs):
-    """``_full_scan`` evaluating each element tuple but the first once, at ``idxs`` on
-    the ``power`` carrier; the first, and one whose sides differ there, at each index tuple."""
-    count = 0
-    for k, over in enumerate(domain.elements_over(power, n_elem)):
-        env = idxs + over
-        if not k or power_lhs(env)._terms != power_rhs(env)._terms:
-            vectors = next(islice(domain.elements(n_elem), k, None))
-            for rank, here in taken():
-                env = here + vectors
-                left, right = lhs(env), rhs(env)
-                if left._terms != right._terms:
-                    return count + rank, (here, vectors, left, right)
         count += tuples
     return count, None
 

@@ -23,18 +23,18 @@ from random import Random
 from .errors import ContractError, MalformedInputError, read_names
 from .lincomb import LinComb
 from .ops import FamilyIndexedOp
-from .semigroups import DimonoidTable, SemigroupTable, power, semigroup_from_dimonoid
+from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
 from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tree_print
 
 # The most entries one carrier's node table and basis cache (one tuple per
 # product) hold together at a safe point (``FreeDendCarrier.settle``).  Acceptance
-# criterion 3's chain (Z/2, 200 samples, 6 vertices) never empties: the carrier
-# checked ends with 3,373 entries (its first samples) and RelLie's largest power's
-# carrier with 253,714, in 0.6-0.8 s (2-core Xeon, Python 3.11.7); taken at every
-# index tuple read, the chain emptied the carrier once and took 1.6 s.
+# criterion 3's chain (Z/2, 200 samples, 6 vertices) never empties: each check runs
+# on its power's carrier, RelLie's ending with 260,202 entries, and the carrier given
+# holds none, in 0.7 s (2-core Xeon, Python 3.11.7); taken at every index tuple
+# read, the chain emptied the carrier once and took 1.6 s.
 ENTRY_BUDGET = 600_000
 
-# The most elements of a power of the index a sampled check builds, else it scans
+# The most elements of the power of the index a sampled check builds, else it scans
 # per index tuple.  Built afresh, at 4 samples a power of 16 took half the scan's
 # time, one of 27 2.5 times it and one of 81 up to 9 times (BENCH_power.json).
 POWER_BOUND = 16
@@ -73,28 +73,24 @@ class FreeDendCarrier:
     stale id reaches the recursion, and a carrier exceeds the budget by at
     most the entries one element tuple's instances (or one public call) add.
 
-    The index is a dimonoid, or a semigroup read as the dimonoid whose two
-    products are its product.  ``semigroup`` is the semigroup the family
-    operations run over: the one given, with its own unit and commutativity
-    claims, or the one underlying a semigroup-form dimonoid (None for any
-    other dimonoid)."""
+    The index is a dimonoid, or a semigroup, read as the dimonoid made from it
+    whose two products are its product.  ``semigroup`` is the semigroup the
+    family operations run over: the one a semigroup-form dimonoid was made
+    from, with its own unit and commutativity claims, or else the one
+    underlying it (None for any other dimonoid)."""
 
     def __init__(self, decorations, index):
         decorations = read_names(decorations, "decorations", LABEL)
         if isinstance(index, SemigroupTable):
-            semigroup = index
-            dimonoid = DimonoidTable(index.elements, index.product, index.product)
-        elif isinstance(index, DimonoidTable):
-            dimonoid = index
-            semigroup = semigroup_from_dimonoid(index) if index.is_semigroup_form() else None
-        else:
+            index = DimonoidTable(index.elements, index.product, index.product, index)
+        elif not isinstance(index, DimonoidTable):
             raise MalformedInputError("free carrier requires a dimonoid or semigroup index")
-        if "e" in decorations + dimonoid.elements:
+        if "e" in decorations + index.elements:
             raise MalformedInputError('"e" is reserved for the empty tree')
         self.decorations = decorations
-        self.dimonoid = dimonoid
-        self.semigroup = semigroup
-        self._sidx = {name: i for i, name in enumerate(dimonoid.elements)}
+        self.dimonoid = index
+        self.semigroup = semigroup_from_dimonoid(index) if index.is_semigroup_form() else None
+        self._sidx = {name: i for i, name in enumerate(index.elements)}
         self._cache = {}  # (tag, s, t) -> the ids of the product, coefficients 1
         self._ids = {}  # node -> its id
         self._nodes = []  # the node of id _base + k at position k
@@ -123,7 +119,7 @@ class FreeDendCarrier:
 
     def index_of(self, a):
         if isinstance(a, int):
-            if not 0 <= a < self.dimonoid.size:
+            if not 0 <= a < len(self._sidx):
                 raise MalformedInputError(f"index {a} out of range")
             return a
         try:
@@ -138,8 +134,11 @@ class FreeDendCarrier:
             return 0
         if t.label not in self.decorations:
             raise MalformedInputError(f"undeclared vertex label {t.label!r}")
-        left_edge = -1 if t.left_edge is None else self.index_of(t.left_edge)
-        right_edge = -1 if t.right_edge is None else self.index_of(t.right_edge)
+        try:  # a tree's edge labels are names: its constructor makes them str
+            left_edge = -1 if t.left_edge is None else self._sidx[t.left_edge]
+            right_edge = -1 if t.right_edge is None else self._sidx[t.right_edge]
+        except KeyError as missing:
+            raise MalformedInputError(f"undeclared edge label {missing.args[0]!r}") from None
         return self._node(t.label, self._id(t.left), left_edge, self._id(t.right), right_edge)
 
     def _tree(self, i, memo=None):
@@ -332,58 +331,44 @@ class FreeDendCarrier:
 
 class SampledTreeDomain:
     """Seeded random tree tuples with every tuple of the carrier's index
-    elements: ``elements`` yields tuples of basis vectors over the carrier's
-    ids, ``render_basis`` prints the tree of an id, and ``show`` renders a
-    vector over ids as its trees, in tree order.  The tuples of each arity k
-    are drawn once, as trees, from a fresh ``Random(seed)`` when
-    ``elements(k)`` is first iterated, and every later call yields the same
-    tuples: every equation of that arity sees them, and repeated runs are
-    bit-identical.  The carrier settles before each tuple; once it has
-    emptied its tables, the tuples are interned again under fresh ids.
-    ``operations`` maps a carrier to the ``OpCarrier`` checked on it, for
-    ``power``."""
+    elements: ``elements`` yields tuples of basis vectors over the ids of
+    ``carrier``, the carrier that holds the samples, ``render_basis`` prints
+    the tree of an id, and ``show`` renders a vector over ids as its trees, in
+    tree order.  The tuples of each arity k are drawn once, as trees, by the
+    carrier given from a fresh ``Random(seed)`` when ``elements(k)`` is first
+    iterated, and every later call yields the same tuples: every equation of
+    that arity sees them, and repeated runs are bit-identical.  ``power``, if
+    given, is ``(over, columns)``: a carrier over a power of the index
+    (``semigroups.power``), which then holds the samples, and the ids of the
+    power's columns, which the scan reads as ``columns`` (else None).  The
+    carrier holding the samples settles before each tuple; once it has
+    emptied its tables, the tuples are interned again under fresh ids."""
 
-    def __init__(self, carrier, samples, max_vertices, seed, operations=None):
+    def __init__(self, carrier, samples, max_vertices, seed, power=None):
         if samples < 1 or max_vertices < 1:
             raise ContractError("a tree sample needs samples >= 1 and max_vertices >= 1")
-        self.carrier = carrier
+        self.carrier, self.columns = power or (carrier, None)
+        self._draw = carrier.random_tree
         self.samples = samples
         self.max_vertices = max_vertices
         self.seed = seed
         self.index_size = carrier.dimonoid.size
-        self.operations = operations
         self._drawn = {}  # k -> the sample k-tuples of trees, drawn on first use
-        self._vectors = {}  # (k, carrier) -> (emptyings, those tuples over the ids given out since)
-        self._powers = {}  # a power of the index -> (a carrier over it, the operations on it)
-
-    def power(self, vectors):
-        """A carrier over the power of the dimonoid that the index ``vectors``
-        generate (``semigroups.power``), the operations on it and the ids of
-        ``vectors``, one carrier per power and check; None without ``operations``,
-        for one sample (a check scans its first per index tuple) or past ``POWER_BOUND``."""
-        found = self.operations and self.samples > 1
-        found = found and power(self.carrier.dimonoid, vectors, POWER_BOUND)
-        if found and found[0] not in self._powers:
-            carrier = type(self.carrier)(self.carrier.decorations, found[0])
-            self._powers[found[0]] = carrier, self.operations(carrier)
-        return found and (*self._powers[found[0]], found[1])
+        self._vectors = {}  # k -> (emptyings, those tuples over the ids given out since)
 
     def elements(self, k):
-        return self.elements_over(self.carrier, k)
-
-    def elements_over(self, carrier, k):
-        """The sample k-tuples over the ids of ``carrier``, this domain's or a power's."""
         if k not in self._drawn:
-            rng, draw = Random(self.seed), self.carrier.random_tree
+            rng, draw = Random(self.seed), self._draw
             self._drawn[k] = [tuple(draw(rng, self.max_vertices) for _ in range(k))
                               for _ in range(self.samples)]
+        carrier = self.carrier
         for i in range(self.samples):
             carrier.settle()
-            emptied, vectors = self._vectors.get((k, carrier), (None, None))
+            emptied, vectors = self._vectors.get(k, (None, None))
             if emptied != carrier.emptied:
                 vectors = [tuple(LinComb.single(carrier._id(t)) for t in trees)
                            for trees in self._drawn[k]]
-                self._vectors[k, carrier] = carrier.emptied, vectors
+                self._vectors[k] = carrier.emptied, vectors
             yield vectors[i]
 
     def indices(self, m):

@@ -7,7 +7,7 @@ which scan all triples in lexicographic order and report the first violation.
 """
 
 from dataclasses import replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from operator import getitem
 
@@ -37,14 +37,19 @@ def nonzero(value):
     return value
 
 
+@cache
+def _slot_names(cls):
+    """The slot names of ``cls`` and its bases, read once per class."""
+    return tuple(s for c in cls.__mro__ for s in vars(c).get("__slots__", ()))
+
+
 class _Value:
     """Equality and hashing by value: the type and every slot."""
 
     __slots__ = ()
 
     def _value(self):
-        slots = [s for c in type(self).__mro__ for s in vars(c).get("__slots__", ())]
-        return (type(self), *map(self.__getattribute__, slots))
+        return (type(self), *map(self.__getattribute__, _slot_names(type(self))))
 
     def __eq__(self, other):
         return isinstance(other, _Value) and self._value() == other._value()
@@ -154,18 +159,18 @@ def positive_integers_additive():
 class DimonoidTable(_FiniteTable):
     """Two n x n tables (left and right products) claiming the five dimonoid
     compatibility identities; ``check_dimonoid`` decides.  ``semigroup`` is
-    the semigroup ``dimonoid_from_semigroup`` made it from, else None."""
+    the semigroup it was made from, else None."""
 
     __slots__ = ("left", "right", "semigroup")
     unit = None
     claims_commutative = False
 
-    def __init__(self, elements, left, right):
+    def __init__(self, elements, left, right, semigroup=None):
         super().__init__(elements)
         n = self.size
         self.left = read_table(left, "left", index_leaf(n), n, n)
         self.right = read_table(right, "right", index_leaf(n), n, n)
-        self.semigroup = None
+        self.semigroup = semigroup
 
     def left_mul(self, i, j):
         return self.left[i][j]
@@ -290,9 +295,7 @@ def dimonoid_from_semigroup(table):
     report = check_semigroup(table)
     if not report.passed:
         raise ContractError(f"not a semigroup: {summary(report.to_payload())}")
-    dimonoid = DimonoidTable(table.elements, table.product, table.product)
-    dimonoid.semigroup = table
-    return dimonoid
+    return DimonoidTable(table.elements, table.product, table.product, table)
 
 
 def matching_dimonoid(n):
@@ -310,14 +313,18 @@ def matching_dimonoid(n):
 
 
 @lru_cache(maxsize=64)
-def power(dimonoid, vectors, bound):
+def power(dimonoid, n, bound):
     """The substructure of a power of ``dimonoid``, products componentwise, that
-    the diagonals and ``vectors`` (k-tuples of elements) generate, as its type,
-    and the ids of ``vectors``; None past ``bound`` elements.  Element d is its
-    diagonal, under its name, so a tree over the dimonoid is one over the power.
-    A power of semigroup form holds the semigroup ``semigroup_from_dimonoid``
-    reads off it, so each carrier over it shares that one."""
-    elems = list(dict.fromkeys([*((d,) * len(vectors[0]) for d in range(dimonoid.size)), *vectors]))
+    the diagonals and the n columns of ``product(range(size), repeat=n)`` generate,
+    as its type, and the ids of the columns; None past ``bound`` elements.  Element
+    d is its diagonal, under its name, so a tree or an index tuple over the dimonoid
+    is one over the power, and the columns' ids (the first m, for m index
+    variables) are every index tuple at once.  A power of semigroup form holds a
+    semigroup with the claims of the dimonoid's own (``semigroup_from_dimonoid``):
+    its unit's diagonal and its commutativity claim, none read off the power."""
+    columns = tuple(zip(*product(range(dimonoid.size), repeat=n)))
+    diagonals = ((d,) * dimonoid.size**n for d in range(dimonoid.size))
+    elems = list(dict.fromkeys([*diagonals, *columns]))
     ids, rows = {x: i for i, x in enumerate(elems)}, ([], [])
     for i, x in enumerate(elems):  # elems grows while it is read
         for table, row in zip((dimonoid.left, dimonoid.right), rows):
@@ -333,10 +340,11 @@ def power(dimonoid, vectors, bound):
             return None
     tail = "_" * (1 + max(map(len, dimonoid.elements)))
     names = dimonoid.elements + tuple(f"{tail}{k}" for k in range(dimonoid.size, len(elems)))
-    table = type(dimonoid)(names, *rows)
-    if table.is_semigroup_form():
-        table.semigroup = semigroup_from_dimonoid(table)
-    return table, tuple(ids[v] for v in vectors)
+    semigroup = None
+    if rows[0] == rows[1]:
+        own = semigroup_from_dimonoid(dimonoid)
+        semigroup = SemigroupTable(names, rows[0], own.unit, own.claims_commutative)
+    return type(dimonoid)(names, *rows, semigroup), tuple(ids[v] for v in columns)
 
 
 def semigroup_from_dimonoid(table):

@@ -75,6 +75,7 @@ from relalg.errors import ContractError
 from relalg.freecheck import free_suite_carrier
 from relalg.freedend import SampledTreeDomain
 from relalg.reports import CheckReport, Counterexample, scan, to_json
+from relalg.semigroups import power
 from relalg.samples import (
     rational_line_carrier,
     reciprocal_rota_baxter,
@@ -935,39 +936,19 @@ def _recorded(side, n_elem, seen):
 
 
 def sides_evaluated(monkeypatch):
-    """Per equation scanned in full, the index tuples at which each side was
+    """Per equation scanned in full, the index ids of the columns it was handed
+    (None without a power) and the index tuples at which each side was
     evaluated, in order."""
     evaluated, full_scan = [], axioms._full_scan
 
-    def counting(lhs, rhs, domain, n_elem, taken, tuples):
+    def counting(lhs, rhs, domain, n_elem, taken, tuples, columns=None):
         seen = [], []
-        evaluated.append(seen)
+        evaluated.append((columns, seen))
         lhs, rhs = (_recorded(f, n_elem, s) for f, s in zip((lhs, rhs), seen))
-        return full_scan(lhs, rhs, domain, n_elem, taken, tuples)
+        return full_scan(lhs, rhs, domain, n_elem, taken, tuples, columns)
 
     monkeypatch.setattr(axioms, "_full_scan", counting)
     return evaluated
-
-
-def powers_taken(monkeypatch):
-    """Per equation taken over a power of the index, the index vectors that
-    generate it and the index tuples at which each side was evaluated, over
-    the power and at each index tuple."""
-    taken, power_scan, power = [], axioms._power_scan, SampledTreeDomain.power
-
-    def recorded(domain, vectors):
-        taken.append((vectors, ([], []), ([], [])))
-        return power(domain, vectors)
-
-    def counting(lhs, rhs, domain, n_elem, tuples_taken, tuples, power_lhs, power_rhs, over, idxs):
-        over_power, at_tuples = taken[-1][1:]
-        sides = [_recorded(f, n_elem, s) for f, s in zip((lhs, rhs), at_tuples)]
-        sides += [_recorded(f, n_elem, s) for f, s in zip((power_lhs, power_rhs), over_power)]
-        return power_scan(*sides[:2], domain, n_elem, tuples_taken, tuples, *sides[2:], over, idxs)
-
-    monkeypatch.setattr(SampledTreeDomain, "power", recorded)
-    monkeypatch.setattr(axioms, "_power_scan", counting)
-    return taken
 
 
 @pytest.mark.parametrize(
@@ -979,21 +960,19 @@ def powers_taken(monkeypatch):
 def test_a_free_check_takes_each_sample_at_the_index_tuples_its_sides_read(
     suite, unread, monkeypatch
 ):
-    # over Z/2 each sample has 8 index tuples, and the 4 that hold 0 at the
-    # position no application is handed are the components of one index
-    # tuple over a power of Z/2: each side is evaluated at those 4 for the
-    # first sample, and there, once, for each later one
-    taken = powers_taken(monkeypatch)
+    # over Z/2 each sample has 8 index tuples: each side is evaluated at the 4
+    # that hold 0 at the position no application is handed for the first
+    # sample, and once for each later one, at the ids of the three columns of
+    # the 8 index tuples in the check's one power of Z/2, of 16 elements
+    evaluated = sides_evaluated(monkeypatch)
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
     assert report.passed and report.info["equation_instances"] == dict.fromkeys(unread, 3 * 8)
-    assert len(taken) == len(unread)
-    for position, (vectors, (lhs, rhs), at_tuples) in zip(unread.values(), taken):
+    table, columns = power(carrier.dimonoid, 3, 16)
+    assert table.size == 16 and len(evaluated) == len(unread)
+    for position, (given, (lhs, rhs)) in zip(unread.values(), evaluated):
         kept = [idxs for idxs in product(range(2), repeat=3) if idxs[position] == 0]
-        assert vectors == tuple(tuple(idxs[v] for idxs in kept) for v in range(3))
-        assert vectors[position] == (0,) * 4 and lhs[0][position] == 0
-        assert lhs == rhs and len(lhs) == 2 and len(set(lhs)) == 1
-        assert at_tuples == (kept, kept)
+        assert given == columns and lhs == rhs == kept + [columns] * 2
 
 
 def _drop_a_grafting_at_index_1(monkeypatch, anywhere):
@@ -1032,25 +1011,30 @@ def _drop_a_grafting_at_index_1(monkeypatch, anywhere):
 )
 def test_a_free_check_reports_the_bytes_of_the_full_scan(suite, defect, instances, monkeypatch):
     # the reference walk evaluates every index tuple; the check skips those
-    # that repeat one before them and counts them as passed.  Given the
-    # operations free_check hands its domain, it takes each sample tuple but
-    # the first once, over a power of Z/2, and the defects, keyed on index 1,
-    # show in the first sample, taken at each index tuple
+    # that repeat one before them and counts them as passed.  Given a carrier
+    # over the power of Z/2 that free_check builds, the check runs on it and
+    # takes each sample tuple but the first once, at the columns' ids, and the
+    # defects, keyed on index 1, show in the first sample, taken at each index
+    # tuple; the carrier given then gets no products
     if defect is not None:
         _drop_a_grafting_at_index_1(monkeypatch, defect == "anywhere")
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     reference = ref_check_axioms(free_suite_carrier(carrier, suite), SUITES[suite],
                                  SampledTreeDomain(carrier, 4, 6, 0))
     evaluated = sides_evaluated(monkeypatch)
-    for operations in (None, partial(free_suite_carrier, suite_name=suite)):
+    for over_a_power in (False, True):
         evaluated.clear()
         carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-        report = check_axioms(free_suite_carrier(carrier, suite), suite,
-                              SampledTreeDomain(carrier, 4, 6, 0, operations))
+        table, columns = power(carrier.dimonoid, 3, 16)
+        given = (FreeDendCarrier(["x", "y"], table), columns) if over_a_power else None
+        checked = given[0] if over_a_power else carrier
+        report = check_axioms(free_suite_carrier(checked, suite), suite,
+                              SampledTreeDomain(carrier, 4, 6, 0, given))
         same_report(report, reference)
         assert (report.passed, report.instances) == (defect is None, instances)
-        assert sum(len(lhs) for lhs, _ in evaluated) < report.instances
-        assert (evaluated == []) == (operations is not None)
+        assert sum(len(lhs) for _, (lhs, _) in evaluated) < report.instances
+        assert {given is None for given, _ in evaluated} == {not over_a_power}
+        assert (carrier._nodes == []) == over_a_power
 
 
 def without_patterns(alg):

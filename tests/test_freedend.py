@@ -41,6 +41,7 @@ from relalg.freecheck import (DERIVED_OPS, FREE_SUITES, free_derived_op, free_pa
 from relalg.freedend import SampledTreeDomain
 from relalg.ops import PairIndexedOp
 from relalg.reports import to_json
+from relalg.semigroups import power
 from relalg.trees import EMPTY, DecoratedTree, random_tree_from
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -572,25 +573,24 @@ def test_a_derived_product_is_taken_once_per_change_of_what_it_reads(
     # are those of one graft sum per product: no hoisted product is taken
     # more often than when each product was its own graft sum.  ``sums`` and
     # ``graftings`` are those of a check taking each of its 3 samples at
-    # every index tuple read.  Over powers of Z/2 it takes the first sample
-    # so, on the carrier checked, and each product once per later sample, on
-    # a power's carrier: RelAssoc's four muls, RelPreLie's four inner circs
+    # every index tuple read, on the carrier given.  Over the power of Z/2 it
+    # takes the first sample so, and each product once per later sample, at
+    # the columns' ids: RelAssoc's four muls, RelPreLie's four inner circs
     # and one graft sum per side of its two circ differences, RelLie's
     # antisymmetry and its Jacobi identity each one graft sum, with the
-    # Jacobi identity's three inner brackets
+    # Jacobi identity's three inner brackets; all on the power's carrier
     calls = _count_graft_sums(monkeypatch)
     sums_later, graftings_later = {"RelAssoc": (4, 8), "RelPreLie": (6, 16), "RelLie": (5, 32)}[suite]
-    for over_powers in (True, False):
-        if not over_powers:
-            monkeypatch.setattr(SampledTreeDomain, "power", lambda self, vectors: None)
+    for over_a_power in (True, False):
+        if not over_a_power:
+            _per_index_tuple(monkeypatch)
         calls.clear()
         carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
         assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
-        first = [terms for c, terms in calls if c is carrier]
-        later = [terms for c, terms in calls if c is not carrier]
-        share, k = (3, 2) if over_powers else (1, 0)  # k: the later samples over a power
-        assert (len(first), sum(map(len, first))) == (sums // share, graftings // share)
-        assert (len(later), sum(map(len, later))) == (k * sums_later, k * graftings_later)
+        share, k = (3, 2) if over_a_power else (1, 0)  # k: the later samples at the columns
+        assert len(calls) == sums // share + k * sums_later
+        assert sum(len(terms) for _, terms in calls) == graftings // share + k * graftings_later
+        assert {c is carrier for c, _ in calls} == {not over_a_power}
 
 
 # suite -> the sha256 of its report at samples=3, max_vertices=6, seed=0, as
@@ -612,7 +612,7 @@ FUSED_SUITE_REPORTS = {
 
 @pytest.mark.parametrize("budget", [None, 64])
 def test_fused_sums_change_no_report_byte_and_no_grafting_work(budget, monkeypatch):
-    # at 64 entries the power's carrier empties its tables inside a fused sum too
+    # at 64 entries the power's carrier empties its tables inside a fused sum
     if budget is not None:
         monkeypatch.setattr(freedend, "ENTRY_BUDGET", budget)
     calls = _count_graft_sums(monkeypatch)
@@ -651,8 +651,8 @@ def _carriers_made(monkeypatch, cache=None):
 def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
     # a cache of one entry on every carrier: each lookup finds the last
     # product stored, a hit only when it is the same product, so each product
-    # is the reference recursion's, on the carrier checked (the first sample)
-    # and on the power's
+    # is the reference recursion's, on the power's carrier, which holds every
+    # sample; the carrier given stores none
     references, wrong = {}, []
     for name, kind in (("_basis_prec", "p"), ("_basis_succ", "s")):
         def checked(self, s, t, a, basis=getattr(FreeDendCarrier, name), kind=kind):
@@ -672,10 +672,9 @@ def test_products_forced_onto_one_cache_key_change_no_report_byte(monkeypatch):
         carrier = FreeDendCarrier(["x", "y"], index)
         report = free_check(carrier, suite, samples=3, max_vertices=6, seed=0)
         assert hashlib.sha256(to_json(report.to_payload()).encode()).hexdigest() == digest, suite
-        assert made[0] is carrier and [len(c._cache) for c in made] == [1] * len(made), suite
-    # the carrier checked and one power's carrier per suite, RelLie's two
-    # equations each its own
-    assert wrong == [] and len(references) == 2 * len(FUSED_SUITE_REPORTS) + 1
+        assert made[0] is carrier and [len(c._cache) for c in made] == [0, 1], suite
+    # one power's carrier per suite, RelLie's two equations sharing it
+    assert wrong == [] and len(references) == len(FUSED_SUITE_REPORTS)
 
 
 def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
@@ -807,16 +806,17 @@ def test_a_check_draws_each_arity_once(monkeypatch):
 def test_a_check_builds_the_trees_and_products_it_always_built(monkeypatch):
     # the grafting recursion's work, counted: ids allocated (one per tree
     # structure, the samples' subtrees included) and basis products cached by
-    # one RelDendriform check over Z/2.  The first sample is taken at 4 index
-    # tuples on the carrier checked, and the two others once on the carrier of
-    # one power of Z/2, of 8 elements, that the three equations share.  Taken
-    # at 4 index tuples per sample, the check allocated 1,571 ids and cached
-    # 573 products
+    # one RelDendriform check over Z/2, all on the carrier of its power of Z/2,
+    # of 16 elements: the first sample is taken at 4 index tuples, and the two
+    # others once, at the columns' ids.  Taken at 4 index tuples per sample,
+    # the check allocated 1,571 ids and cached 573 products; with the first
+    # sample on the carrier given and the others on a power's carrier of 8
+    # elements per check, 975 ids (the samples' subtrees twice) and 348
     made = _carriers_made(monkeypatch)
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     assert free_check(carrier, "RelDendriform", samples=3, max_vertices=6, seed=0).passed
-    assert [c.dimonoid.size for c in made] == [2, 8]
-    assert [(len(c._nodes), len(c._ids), len(c._cache)) for c in made] == [(586, 586, 217), (389, 389, 131)]
+    assert [c.dimonoid.size for c in made] == [2, 16]
+    assert [(len(c._nodes), len(c._ids), len(c._cache)) for c in made] == [(0, 0, 0), (927, 927, 341)]
 
 
 def _comprehensions(module, names):
@@ -903,9 +903,9 @@ def test_a_dimonoid_made_from_a_semigroup_keeps_its_claims():
 
 
 def test_entry_budget_bounds_a_long_session_without_changing_its_reports(monkeypatch):
-    # one carrier across 30 checks, which takes the first sample of each
-    # equation; the other samples are taken on the powers' carriers, dropped
-    # when the check ends.  Each carrier settles before each sample tuple
+    # one carrier across 30 checks, each of which runs on its power's
+    # carrier, dropped when the check ends.  Each carrier settles before
+    # each sample tuple
     chain_seeds = Random(0).sample(range(10**6), 10)
     made = _carriers_made(monkeypatch)
 
@@ -1013,17 +1013,19 @@ def test_a_free_carrier_is_freed_by_reference_counting_alone(monkeypatch, capsys
 
 def _per_index_tuple(monkeypatch):
     """Every sampled check scans each equation per index tuple, as with no power."""
-    monkeypatch.setattr(SampledTreeDomain, "power", lambda self, vectors: None)
+    monkeypatch.setattr(freedend, "POWER_BOUND", 0)
 
 
 def _count_power_scans(monkeypatch):
-    scans, power_scan = [], axioms._power_scan
+    """The domain and the columns of each scan handed the columns of a power."""
+    scans, full_scan = [], axioms._full_scan
 
-    def counted(*args):
-        scans.append(args)
-        return power_scan(*args)
+    def counted(lhs, rhs, domain, n_elem, taken, tuples, columns=None):
+        if columns is not None:
+            scans.append((domain, columns))
+        return full_scan(lhs, rhs, domain, n_elem, taken, tuples, columns)
 
-    monkeypatch.setattr(axioms, "_power_scan", counted)
+    monkeypatch.setattr(axioms, "_full_scan", counted)
     return scans
 
 
@@ -1050,8 +1052,8 @@ def _payloads(samples=6, max_vertices=6):
 
 def test_a_sample_taken_over_a_power_reports_the_bytes_of_the_scan_per_index_tuple(monkeypatch):
     # every admitted suite over each index, at seeds 0-2: past the bound
-    # raised to 81, Z/3's RelAssoc and Jacobi identity take their samples over
-    # its power of 81 elements
+    # raised to 81, Z/3's suites take their samples over its powers of 27
+    # and 81 elements
     monkeypatch.setattr(freedend, "POWER_BOUND", 81)
     scans = _count_power_scans(monkeypatch)
     over_powers = _payloads()
@@ -1098,10 +1100,10 @@ def test_planted_defects_fail_over_a_power_with_the_bytes_of_the_scan_per_index_
 
 
 def test_past_the_power_bound_an_equation_is_scanned_per_index_tuple(monkeypatch):
-    # over Z/2 a power has 8 elements at two index variables read and 16 at
-    # three: at a bound of 8 RelAssoc and the Jacobi identity fall back to
-    # the scan per index tuple, RelLie's antisymmetry does not, and every
-    # report byte is the same
+    # over Z/2 the power of a suite of three index variables has 16 elements,
+    # and RelLie's antisymmetry and Jacobi identity share its one carrier: at
+    # a bound of 15 both suites fall back to the scan per index tuple, and
+    # every report byte is the same
     def reports():
         scans.clear()
         return [to_json(free_check(FreeDendCarrier(["x", "y"], cyclic_monoid(2)), suite,
@@ -1110,43 +1112,69 @@ def test_past_the_power_bound_an_equation_is_scanned_per_index_tuple(monkeypatch
 
     scans = _count_power_scans(monkeypatch)
     over_powers = reports()
-    assert [len(args[-2].dimonoid.elements) for args in scans] == [16, 8, 16]
-    monkeypatch.setattr(freedend, "POWER_BOUND", 8)
-    assert reports() == over_powers
-    assert [len(args[-2].dimonoid.elements) for args in scans] == [8]
+    assert [domain.carrier.dimonoid.size for domain, _ in scans] == [16, 16, 16]
+    assert scans[1][0].carrier is scans[2][0].carrier and scans[1][1] == scans[2][1][:2]
+    monkeypatch.setattr(freedend, "POWER_BOUND", 15)
+    assert reports() == over_powers and scans == []
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("Z/2", {"DimonoidDendriform": 8, "FamDendriform": 8, "RelDendriform": 16, "RelAssoc": 16,
+             "RelPreLie": 16, "RelLie": 16}),
+    ("Z/3", dict.fromkeys(FREE_SUITES)),  # 27 and 81 elements, past the bound
+    ("matching2", {"DimonoidDendriform": 4}),
+    ("band", {"DimonoidDendriform": 4, "FamDendriform": 4, "RelDendriform": 5, "RelAssoc": 5}),
+])
+def test_a_sampled_check_runs_on_one_carrier_over_one_power(name, sizes, monkeypatch):
+    # a check of more than one sample makes one carrier, over the power its
+    # index tuples generate, shared by all its equations, and the carrier
+    # given holds no tree when it ends; past the bound it makes none, and
+    # runs on the carrier given
+    index, suites = ADMITTED[name]
+    made = _carriers_made(monkeypatch)
+    for suite in suites:
+        carrier = FreeDendCarrier(["x", "y"], index())
+        made.clear()
+        assert free_check(carrier, suite, samples=3, max_vertices=6, seed=0).passed
+        assert [c.dimonoid.size for c in made] == ([sizes[suite]] if sizes[suite] else []), suite
+        assert (carrier._nodes == []) == bool(made), suite
 
 
 @pytest.mark.parametrize("index", [
     cyclic_monoid(2),  # a unit and commutative
     SemigroupTable(["p", "q"], [[0, 0], [1, 1]]),  # left zero: neither
     matching_dimonoid(2),  # not of semigroup form
+    SemigroupTable(["0", "1"], [[0, 1], [1, 0]], unit=0),  # Z/2, commutativity not claimed
 ])
 def test_a_power_holds_the_semigroup_read_off_it_once(index):
-    # a power of semigroup form carries the semigroup semigroup_from_dimonoid
-    # reads off its tables, unit and commutativity detected, so every carrier
-    # over the power shares it instead of reading it again
-    dimonoid = index if isinstance(index, DimonoidTable) else dimonoid_from_semigroup(index)
-    table, _ = freedend.power(dimonoid, ((0, 1, 1), (1, 0, 1)), 16)
-    bare = DimonoidTable(table.elements, table.left, table.right)
-    if not bare.is_semigroup_form():
-        assert table.semigroup is None
+    # a power of semigroup form carries one semigroup, its table the power's
+    # and its claims the index's own: the unit's diagonal and the
+    # commutativity claim, never claims detected on the power's table, so a
+    # suite is admitted over the power exactly when over the index; every
+    # carrier over the power shares that semigroup
+    carrier = FreeDendCarrier(["x", "y"], index)
+    table, _ = power(carrier.dimonoid, 2, 16)
+    if carrier.semigroup is None:
+        assert table.semigroup is None and not table.is_semigroup_form()
         return
-    expected = semigroup_from_dimonoid(bare)
-    assert table.semigroup == expected
-    assert (table.semigroup.unit, table.semigroup.claims_commutative) == (
-        expected.unit, expected.claims_commutative)
+    own = carrier.semigroup
+    detected = semigroup_from_dimonoid(DimonoidTable(table.elements, table.left, table.right))
+    assert table.semigroup.product == table.left
+    assert (table.semigroup.unit, table.semigroup.claims_commutative) == (own.unit, own.claims_commutative)
     assert FreeDendCarrier(["x"], table).semigroup is table.semigroup
+    if not own.claims_commutative and detected.claims_commutative:  # the table is commutative
+        with pytest.raises(ContractError, match=r"^this construction requires a commutative index semigroup$"):
+            free_check(carrier, "RelLie", samples=2)
 
 
 def test_a_carrier_refuses_an_id_outside_its_current_tables(monkeypatch):
-    # a check holds two carriers, each numbering its trees from 1: an id of
-    # the power's carrier past the end of the carrier checked, or one held
-    # across an emptying, is refused, not read as some other tree
+    # an id of the power's carrier, which the carrier given never gave out,
+    # or one held across an emptying, is refused, not read as some other tree
     made = _carriers_made(monkeypatch)
     carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
     assert free_check(carrier, "RelAssoc", samples=6, max_vertices=6, seed=0).passed
     power = made[1]
-    assert 0 < len(carrier._nodes) < len(power._nodes)
+    assert carrier._nodes == [] and len(power._nodes) > 0
     with pytest.raises(ContractError, match="not in this carrier's current tables"):
         carrier.to_trees(LinComb.single(power._base + len(power._nodes) - 1))
     x = carrier.to_ids(single(carrier.parse("x[0: y[], ]")))
@@ -1189,33 +1217,32 @@ def _projected(value, names):
 
 @pytest.mark.parametrize("name", ADMITTED)
 def test_each_component_of_a_side_over_a_power_is_the_side_at_its_index_tuple(name, monkeypatch):
-    # the premise of the power: at every sample tuple, each side's value over
-    # the power, its edge labels projected onto component j, is that side's
-    # value at the j-th index tuple the scan would take, on the carrier checked
-    powers, power, power_scan, compared = [], SampledTreeDomain.power, axioms._power_scan, [0]
+    # the premise of the power: at every sample tuple, each side's value at
+    # the columns' ids, its edge labels projected onto component j, is that
+    # side's value at the j-th index tuple, whose ids over the power are the
+    # index's own
+    full_scan, compared = axioms._full_scan, [0]
 
-    def recorded(domain, vectors):
-        found = power(domain, vectors)
-        powers.append((vectors, found))
-        return found
-
-    def projecting(lhs, rhs, domain, n_elem, taken, tuples, power_lhs, power_rhs, over, idxs):
-        vectors, _ = powers[-1]
-        index, dimonoid = over.dimonoid, domain.carrier.dimonoid
-        components = _components(index, dimonoid, vectors, idxs)
-        for at_power, at_tuples in zip(domain.elements_over(over, n_elem), domain.elements(n_elem)):
-            for side, power_side in ((lhs, power_lhs), (rhs, power_rhs)):
-                value = over.to_trees(power_side(idxs + at_power))
-                for j, (_, here) in enumerate(taken()):
-                    names = {index.name(e): dimonoid.name(c[j]) for e, c in components.items()}
-                    assert _projected(value, names) == domain.carrier.to_trees(side(here + at_tuples))
+    def projecting(lhs, rhs, domain, n_elem, taken, tuples, columns=None):
+        over, every = domain.carrier, list(product(range(dimonoid.size), repeat=len(domain.columns)))
+        components = _components(over.dimonoid, dimonoid, tuple(zip(*every)), domain.columns)
+        names = [{over.dimonoid.name(e): dimonoid.name(c[j]) for e, c in components.items()}
+                 for j in range(len(every))]
+        for vectors in domain.elements(n_elem) if columns is not None else ():
+            for side in (lhs, rhs):
+                value = over.to_trees(side(columns + vectors))
+                for j, idxs in enumerate(every):  # the equation reads the first len(columns)
+                    here = over.to_trees(side(idxs[: len(columns)] + vectors))
+                    assert _projected(value, names[j]) == here
                     compared[0] += 1
-        return power_scan(lhs, rhs, domain, n_elem, taken, tuples, power_lhs, power_rhs, over, idxs)
+        return full_scan(lhs, rhs, domain, n_elem, taken, tuples, columns)
 
-    monkeypatch.setattr(SampledTreeDomain, "power", recorded)
-    monkeypatch.setattr(axioms, "_power_scan", projecting)
+    monkeypatch.setattr(axioms, "_full_scan", projecting)
     monkeypatch.setattr(freedend, "POWER_BOUND", 81)
     index, suites = ADMITTED[name]
     for suite in suites:
-        assert free_check(FreeDendCarrier(["x", "y"], index()), suite, samples=2, max_vertices=5, seed=4).passed
-    assert compared[0] > 0 and all(found for _, found in powers)
+        carrier = FreeDendCarrier(["x", "y"], index())
+        dimonoid = carrier.dimonoid
+        compared[0] = 0
+        assert free_check(carrier, suite, samples=2, max_vertices=5, seed=4).passed
+        assert compared[0] > 0 and carrier._nodes == [], suite

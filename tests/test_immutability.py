@@ -27,10 +27,6 @@ ALLOWED_STORES = {
     ("trees", "_Parser", "self.pos"): "the cursor of a parser, which lives for one parse",
     ("exprs", "_ExprParser", "self.pos"): "the cursor of a parser, which lives for one parse",
     ("jsonio", "_json_object", "obj.key"): "marks a dict the JSON decoder built a moment ago",
-    ("semigroups", "dimonoid_from_semigroup", "dimonoid.semigroup"):
-        "the back-pointer of a dimonoid built a line above, before anyone else sees it",
-    ("semigroups", "power", "table.semigroup"):
-        "the semigroup of a power of the index, read off it a line above, before anyone else sees it",
     ("freedend", "FreeDendCarrier.settle", "self._base"):
         "the first id of a free carrier's emptied node table, moved past every id given out",
     ("freedend", "FreeDendCarrier.settle", "self.emptied"): "counts the emptyings of those tables",
