@@ -209,22 +209,23 @@ class _Compiler:
     ``unit_vector``.  An instance is one tuple ``env``: index elements a, b, c,
     then vectors x, y, z from position ``n_idx``, each an ``itemgetter`` read.
     An expression becomes a closure ``env -> LinComb`` returning its value
-    times its scale, the scale, the positions it reads and its demand; an
-    index expression a closure ``env -> element`` and its positions.  An
-    operation wrapper is called through its ``fn``, which returns ``den`` times
-    the product; an application compiles only the index expressions it
-    hands its operation (``handed``).  A unit the carrier lacks is refused.
-    The demand ``(env, target) -> mask`` of a term that reads ``inner`` once
-    maps the basis positions of its value that matter to those of ``inner``
-    at which one can be nonzero: an application narrows them by its
-    ``pattern`` and its other argument's value, a sum takes the union.
-    An application of an operation with ``grafts`` also gives its signed
-    graftings, ``(graft_sum, env -> terms)``, which a hoisted term drops.  A
-    formal sum with two or more such terms, all on one carrier, takes them as
-    one ``graft_sum`` of all their graftings, each ``k`` times its term's
-    coefficient; its other terms, the hoisted ones among them, are added to
-    that value.  A sum with no other terms gives that graft sum's graftings
-    as its own, so a term compiled into an operation states them too.
+    times its scale, the scale, the positions it reads and its demand; an index
+    expression a closure ``env -> element`` and its positions.  An operation
+    wrapper is called through its ``fn``, unchecked, which returns ``den`` times
+    the product; an application compiles only the index expressions it hands
+    its operation (``handed``).  A unit the carrier lacks is refused.  The
+    demand ``(env, target) -> mask`` of a term that reads ``inner`` once maps
+    the basis positions of its value that matter to those of ``inner`` at which
+    one can be nonzero: an application narrows them by its ``pattern`` and its
+    other argument's value, a sum takes the union.  An application of an
+    operation with ``grafts`` also gives its signed graftings, ``(graft_sum,
+    env -> terms)``, each term ``(k, basis, s, t, a)`` as its carrier's
+    ``_ops`` built it; a hoisted term drops them.  A formal sum with two or
+    more such terms, all on one carrier, takes them as one ``graft_sum`` of all
+    their graftings, each ``k`` times its term's coefficient; its other terms,
+    the hoisted ones among them, are added to that value.  A sum with no other
+    terms gives that graft sum's graftings as its own, so a term compiled into
+    an operation states them too.
 
     The closures hold no reference to the compiler, and the compiler none to
     itself, so a carrier is freed as soon as its check ends."""
@@ -426,8 +427,8 @@ def _compile_lin(terms):
     and its graftings: folded term by term onto one shared zero, a coefficient
     of 1 or -1 an add or a subtract, any other a scale and an add.  Two or more
     terms with graftings, all on one carrier, are instead one graft sum of
-    their graftings, each ``k`` times its coefficient, onto which the rest
-    fold; a sum that graft sum takes whole states it as its own graftings."""
+    their graftings, each ``k`` times its coefficient (``basis`` and ``a`` as
+    built), onto which the rest fold; a sum taken whole states them as its own."""
     acc, grafts, parts, rest, carriers = _zero, None, [], [], set()
     for c, (f, g) in terms:
         if g is None:
@@ -441,8 +442,8 @@ def _compile_lin(terms):
         def graftings(env):
             out = []
             for c, terms in parts:
-                for k, kind, s, t, a in terms(env):
-                    out.append((c * k, kind, s, t, a))
+                for k, basis, s, t, a in terms(env):
+                    out.append((c * k, basis, s, t, a))
             return out
 
         def acc(env):

@@ -25,7 +25,7 @@ class _ExprParser(_Parser):
     def __init__(self, text, carrier):
         super().__init__(text, carrier.decorations, carrier.dimonoid.elements)
         self.carrier = carrier
-        self.derived = {}  # role -> its free_derived_op, built on first use
+        self.derived = {}  # op -> its operation on the carrier, built on first use
 
     def expression(self):
         value = self.term()
@@ -63,7 +63,7 @@ class _ExprParser(_Parser):
         name = self.name()
         if name not in self.carrier.dimonoid.elements:
             self.error(f"unknown index element {name!r}")
-        return name
+        return self.carrier.dimonoid.elements.index(name)
 
     def call(self, op):
         self.expect("(")
@@ -80,15 +80,15 @@ class _ExprParser(_Parser):
 
 
 def apply_op(carrier, op, indices, x, y, derived):
-    """op at indices on x and y, vectors over the carrier's ids.  A derived op
-    is built once per role, into ``derived``: a dict from role to the
-    carrier's ``free_derived_op``."""
-    if op in SINGLE_INDEX_OPS:
-        return carrier.graft_sum(((1, op, x, y, indices[0]),))
+    """op at indices, ids, on x and y, vectors over the carrier's ids.  Each
+    op is built once, into ``derived``, a dict from op to its operation:
+    prec/succ are the carrier's ``dimonoid_ops``, the others its ``free_derived_op``."""
     if op not in derived:
-        derived[op] = free_derived_op(carrier, op)
-    a, b = (derived[op].index.index_of(name) for name in indices)
-    return derived[op](a, b, x, y)
+        if op in SINGLE_INDEX_OPS:
+            derived.update(zip(SINGLE_INDEX_OPS, carrier.dimonoid_ops()))
+        else:
+            derived[op] = free_derived_op(carrier, op)
+    return derived[op](*indices, x, y)
 
 
 def eval_expression(text, carrier):

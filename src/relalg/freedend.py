@@ -118,9 +118,8 @@ class FreeDendCarrier:
     # -- label plumbing and the two converters
 
     def index_of(self, a):
-        if isinstance(a, int):
-            if not 0 <= a < len(self._sidx):
-                raise MalformedInputError(f"index {a} out of range")
+        """The id of ``a``: an id (ranged by the operation it is handed) or a name, as a bool is."""
+        if type(a) is int:
             return a
         try:
             return self._sidx[str(a)]
@@ -270,14 +269,13 @@ class FreeDendCarrier:
     # -- bilinear operations on vectors
 
     def graft_sum(self, terms):
-        """The sum of k * kind(s, t, a) over the (k, kind, s, t, a) terms, kind
-        "prec" or "succ" and s, t vectors over ids, in one dict: k * cu * cv
-        is added to each id of the basis product of u and v, over the terms
-        of s and t."""
+        """The sum of k * basis(s, t, a) over the (k, basis, s, t, a) terms that
+        ``_ops`` builds, ``basis`` this carrier's bound ``_basis_prec`` or
+        ``_basis_succ``, s, t vectors over ids and a an index id, in one dict:
+        k * cu * cv is added to each id of basis(u, v, a), over s's and t's terms."""
         acc = {}
         get = acc.get
-        for k, kind, s, t, a in terms:
-            basis, a = getattr(self, "_basis_" + kind), self.index_of(a)
+        for k, basis, s, t, a in terms:
             for u, cu in s:
                 for v, cv in t:
                     weight = k * cu * cv
@@ -285,17 +283,17 @@ class FreeDendCarrier:
                         acc[w] = get(w, 0) + weight
         return LinComb(acc)
 
-    def _on_trees(self, kind, s, t, a):
+    def _on_trees(self, k, s, t, a):
         self.settle()
-        return self.to_trees(self.graft_sum(((1, kind, self.to_ids(s), self.to_ids(t), a),)))
+        return self.to_trees(self.dimonoid_ops()[k](self.index_of(a), self.to_ids(s), self.to_ids(t)))
 
     def prec(self, s, t, a):
         """s below t: graft t into the right spine of s."""
-        return self._on_trees("prec", s, t, a)
+        return self._on_trees(0, s, t, a)
 
     def succ(self, s, t, a):
         """s above t: graft s into the left spine of t."""
-        return self._on_trees("succ", s, t, a)
+        return self._on_trees(1, s, t, a)
 
     # -- operation bundles, on vectors over ids
 
@@ -303,9 +301,9 @@ class FreeDendCarrier:
         """Single-index prec/succ over index, each stating its one grafting."""
         graft_sum = self.graft_sum
         return tuple(
-            FamilyIndexedOp(index, lambda a, x, y, kind=kind: graft_sum(((1, kind, x, y, a),)),
-                            grafts=(graft_sum, lambda a, x, y, kind=kind: ((1, kind, x, y, a),)))
-            for kind in ("prec", "succ")
+            FamilyIndexedOp(index, lambda a, x, y, basis=basis: graft_sum(((1, basis, x, y, a),)),
+                            grafts=(graft_sum, lambda a, x, y, basis=basis: ((1, basis, x, y, a),)))
+            for basis in (self._basis_prec, self._basis_succ)
         )
 
     def dimonoid_ops(self):

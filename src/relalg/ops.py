@@ -4,14 +4,14 @@ algebras given by structure constants.
 A pair-indexed operation takes two index elements and two vectors; a
 family-indexed operation takes a single index element.  Both are thin
 wrappers around a function, tagged with the index structure they live over,
-so the axiom engine can validate arity and index compatibility; it calls
-``fn`` directly, handing a pair-indexed one only the indices in its ``reads``;
-its ``pattern`` lets a scan skip the instances where both sides vanish.  An
-operation on a free carrier also states its ``grafts``, ``(graft_sum,
-terms)``: ``terms``, handed what ``fn`` is, gives the signed graftings
-``(k, kind, s, t, a)`` whose ``graft_sum`` is ``fn``'s value, so the engine
-can take a formal sum of such applications as one graft sum, and a
-construction compiled to one such sum states its graftings in turn.  A
+so the axiom engine can validate arity and index compatibility.  A call
+refuses an index outside a finite index; the engine calls ``fn`` directly
+with indices it made, only those in a pair-indexed one's ``reads``, and
+skips by its ``pattern`` the instances where both sides vanish.  A free
+carrier's operation states its ``grafts``, ``(graft_sum, terms)``: ``terms``,
+handed what ``fn`` is, gives the graftings ``(k, basis, s, t, a)``, ``basis``
+bound, whose ``graft_sum`` is ``fn``'s value, so a formal sum of them is one
+graft sum, and a construction compiled to one states its graftings too.  A
 finite algebra takes every product through one kernel per structure-constant
 block (one role at one index tuple), which memoises the products of basis
 vectors an exhaustive scan hands it; ``op`` gives a role with one block at
@@ -29,14 +29,14 @@ from math import lcm
 
 from .errors import ContractError, MalformedInputError, read_keyed, read_names, read_table, type_name
 from .lincomb import LinComb, exact, lc_bilinear_extend
-from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup
+from .semigroups import DimonoidTable, SemigroupTable, VirtualSemigroup, index_leaf
 
 
 class PairIndexedOp:
-    """Bilinear operation indexed by a pair of semigroup elements.  ``fn``
-    takes the index positions in ``reads``, in order, then the two vectors.
-    ``pattern[i][j]``, if given, has bit k set where e_i e_j may have a
-    nonzero coordinate k, at every index pair.  ``grafts``, if given, is
+    """Bilinear operation indexed by a pair of semigroup elements, which a call
+    checks; ``fn``, unchecked, takes the index positions in ``reads``, in order,
+    then the two vectors.  ``pattern[i][j]``, if given, has bit k set where e_i e_j
+    may have a nonzero coordinate k, at every index pair.  ``grafts``, if given, is
     ``(graft_sum, terms)`` with ``graft_sum(terms(*args)) == fn(*args)``."""
 
     __slots__ = ("index", "fn", "den", "reads", "pattern", "grafts")
@@ -53,6 +53,7 @@ class PairIndexedOp:
         self.grafts = grafts
 
     def __call__(self, a, b, x, y):
+        _handed(self.index, a, b)
         return divide_back(self.fn(*[(a, b)[k] for k in self.reads], x, y), self.den)
 
 
@@ -71,7 +72,15 @@ class FamilyIndexedOp:
         self.grafts = grafts
 
     def __call__(self, a, *vectors):
+        _handed(self.index, a)
         return divide_back(self.fn(a, *vectors), self.den)
+
+
+def _handed(index, *indices):
+    """Refuse what ``index_leaf`` refuses of a finite index; a virtual one's are its op's."""
+    for a in () if isinstance(index, VirtualSemigroup) else indices:
+        if type(a) is not int or not 0 <= a < index.size:
+            index_leaf(index.size)(a)
 
 
 def _index_structure(index):

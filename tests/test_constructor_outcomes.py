@@ -22,6 +22,7 @@ from relalg import (
     FamilyIndexedOp,
     FiniteRelativeAlgebra,
     FreeDendCarrier,
+    LinComb,
     MorphismFamily,
     OpCarrier,
     PairIndexedOp,
@@ -33,7 +34,9 @@ from relalg import (
     matching_dimonoid,
 )
 from relalg.errors import ContractError, MalformedInputError
+from relalg.freecheck import free_derived_op
 from relalg.jsonio import dump_algebra, load_algebra
+from relalg.samples import rational_line_carrier
 
 ZMOD2 = cyclic_monoid(2)
 PLANES = [[[1, 0], [0, 1]], [[0, "1/2"], [Fraction(1, 3), 0]]]
@@ -146,6 +149,41 @@ def test_a_virtual_semigroup_refuses_a_product_that_is_not_callable():
 def test_an_operation_wrapper_refuses_an_index_of_another_kind(cls):
     with pytest.raises(MalformedInputError, match="^index: expected an index structure, got int$"):
         cls(5, lambda *args: args[-1])
+
+
+# an operation over a two-element index, called at index a: a finite pair
+# role whose blocks differ (read at -1, it took the block at (1, 0)), a finite
+# family role, the free carrier's prec (which grafted at 1 for True), its
+# derived mul and its prec on trees, which reads a bool as a name
+U = LinComb.single(0)
+BLOCKS = {(0, 0): [[[1]]], (0, 1): [[[1]]], (1, 0): [[[2]]], (1, 1): [[[1]]]}
+ONE_DIM = FiniteRelativeAlgebra(["u"], ZMOD2, {"mul": BLOCKS, "ast": {(0,): [[[1]]], (1,): [[[3]]]}})
+FREE = FreeDendCarrier(["x", "y"], ZMOD2)
+TREE = LinComb.single(FREE.parse("x[]"))
+IDS = FREE.to_ids(TREE)
+HANDED = {
+    "finite pair role": lambda a: ONE_DIM.op("mul")(a, 0, U, U),
+    "finite pair role, second index": lambda a: ONE_DIM.op("mul")(0, a, U, U),
+    "finite family role": lambda a: ONE_DIM.op("ast")(a, U, U),
+    "free dimonoid prec": lambda a: FREE.dimonoid_ops()[0](a, IDS, IDS),
+    "free derived mul": lambda a: free_derived_op(FREE, "mul")(a, 0, IDS, IDS),
+    "free prec on trees": lambda a: FREE.prec(TREE, TREE, a),
+}
+
+
+@pytest.mark.parametrize("name", HANDED)
+@pytest.mark.parametrize("index, got", [(-1, "-1"), (2, "2"), (True, "bool")])
+def test_an_operation_refuses_at_its_call_an_index_outside_its_finite_index(name, index, got):
+    HANDED[name](1)
+    message = f"^expected an index in 0\\.\\.1, got {got}$"
+    if name == "free prec on trees" and index is True:
+        message = "^undeclared edge label True$"
+    with pytest.raises(MalformedInputError, match=message):
+        HANDED[name](index)
+
+
+def test_an_operation_leaves_a_virtual_index_to_its_product():
+    assert rational_line_carrier().op("mul")(10**6, 10**6, U, U) == U
 
 
 @pytest.mark.parametrize("reads", [(1, 0), (0, 0), (0, 1, 0), [0, 1], (0, True), (0.0,), 1, None])

@@ -34,7 +34,7 @@ from relalg import (
 )
 from relalg import axioms
 from relalg.errors import ContractError, MalformedInputError
-from relalg import cli, freedend, jsonio
+from relalg import cli, exprs, freedend, jsonio
 from relalg.constructions import _compiled, dend_from_zinbiel, pair_role
 from relalg.freecheck import (DERIVED_OPS, FREE_SUITES, free_derived_op, free_pair_ops,
                               free_suite_carrier)
@@ -213,7 +213,7 @@ def test_equal_trees_are_one_object_within_a_carrier():
     in_a, x = a._id(a.parse(text)), a._id(DecoratedTree("x"))
     assert a._id(outside) == in_a and a._tree(in_a) == outside
     assert a._nodes[in_a - a._base] == ("y", x, 1, x, 0) and a._ids[("x", 0, -1, 0, -1)] == x
-    (grafted, _), = a.graft_sum(((1, "prec", a.to_ids(single(a.parse("y[1: x[], ]"))), a.to_ids(X), 0),))
+    (grafted, _), = a.graft_sum(((1, a._basis_prec, a.to_ids(single(a.parse("y[1: x[], ]"))), a.to_ids(X), 0),))
     assert grafted == in_a
     sampled = a._id(a.random_tree(Random(2), 5))
     assert sampled == a._id(random_tree_from(Random(2), ["x", "y"], ["0", "1"], 5))
@@ -472,8 +472,9 @@ def test_derived_graftings_equal_their_constructions(index, roles, budget, monke
 
 
 # the signed graftings (k, kind, s, t, i) of each derived product, expanded
-# by hand over the family lifting (prec reads b, succ reads a): s and t are
-# positions in (x, y) and i a position in (a, b)
+# by hand over the family lifting (prec reads b, succ reads a): kind names the
+# basis product a term binds, s and t are positions in (x, y) and i a position
+# in (a, b)
 HAND_GRAFTINGS = {
     "mul": {(1, "succ", 0, 1, 0), (1, "prec", 0, 1, 1)},
     "circ": {(1, "succ", 0, 1, 0), (-1, "prec", 1, 0, 0)},
@@ -485,11 +486,12 @@ HAND_GRAFTINGS = {
 
 def _stated_graftings(op):
     """The graftings ``op`` states, handed position markers: the index
-    positions it reads, named a, b, then x, y; read back as positions."""
+    positions it reads, named a, b, then x, y; read back as positions, and
+    each term's basis product by name."""
     _, terms = op.grafts
     markers = ["ab"[i] for i in op.reads] + ["x", "y"]
-    return {(k, kind, "xy".index(s), "xy".index(t), "ab".index(i))
-            for k, kind, s, t, i in terms(*markers)}
+    return {(k, basis.__name__.removeprefix("_basis_"), "xy".index(s), "xy".index(t), "ab".index(i))
+            for k, basis, s, t, i in terms(*markers)}
 
 
 def test_the_graftings_read_off_each_construction_are_the_hand_written_ones():
@@ -706,6 +708,61 @@ def test_a_sum_is_one_graft_sum_only_over_graftings_on_one_carrier(monkeypatch):
     # one grafting and a variable: the product, then an add, as without graftings
     assert first.to_trees(value({"prec": prec}, axioms.add(term["prec"], axioms.X))) == product + trees[0]
     assert [(c, len(terms)) for c, terms in calls] == [(first, 1)]
+
+
+def _graft_terms(monkeypatch):
+    """The ``(carrier, terms)`` of every graft sum taken from now on, and the
+    calls to ``FreeDendCarrier.index_of``."""
+    calls, index_calls = [], []
+    graft_sum, index_of = FreeDendCarrier.graft_sum, FreeDendCarrier.index_of
+
+    def recorded(self, terms):
+        terms = list(terms)
+        calls.append((self, terms))
+        return graft_sum(self, terms)
+
+    def counted(self, a):
+        index_calls.append(a)
+        return index_of(self, a)
+
+    monkeypatch.setattr(FreeDendCarrier, "graft_sum", recorded)
+    monkeypatch.setattr(FreeDendCarrier, "index_of", counted)
+    return calls, index_calls
+
+
+BASIS_PRODUCTS = (FreeDendCarrier._basis_prec, FreeDendCarrier._basis_succ)
+
+
+def _bound_here(calls):
+    """Whether every term binds a basis product of its own graft sum's carrier."""
+    return all(basis.__self__ is carrier and basis.__func__ in BASIS_PRODUCTS
+               for carrier, terms in calls for _, basis, *_ in terms)
+
+
+def test_a_free_check_resolves_no_index_per_graft_term(monkeypatch):
+    # each term carries its carrier's bound basis product and an index id
+    # from the operation that built it, so graft_sum looks nothing up
+    calls, index_calls = _graft_terms(monkeypatch)
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    assert free_check(carrier, "RelDendriform", samples=4, max_vertices=6, seed=0).passed
+    assert calls and index_calls == []
+    assert _bound_here(calls) and {c for c, _ in calls} != {carrier}  # on the power's carrier
+
+
+def test_free_eval_applies_the_carriers_operations(monkeypatch):
+    # prec is the carrier's dimonoid_ops, built once per expression; mul is
+    # free_derived_op's, one graft sum of the graftings that _ops states
+    calls, index_calls = _graft_terms(monkeypatch)
+    built, dimonoid_ops = [], FreeDendCarrier.dimonoid_ops
+    monkeypatch.setattr(FreeDendCarrier, "dimonoid_ops", lambda self: built.append(self) or dimonoid_ops(self))
+    carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
+    text = "prec(0, x[], y[]) + succ(1, y[], x[]) + mul(0,1, x[], y[])"
+    value = exprs.eval_expression(text, carrier)
+    assert built == [carrier] and index_calls == []
+    assert [len(terms) for _, terms in calls] == [1, 1, 2] and _bound_here(calls)
+    x, y = single(carrier.parse("x[]")), single(carrier.parse("y[]"))
+    assert value == (carrier.prec(x, y, "0") + carrier.succ(y, x, "1")
+                     + carrier.prec(x, y, "1") + carrier.succ(x, y, "0"))
 
 
 @pytest.mark.parametrize(
