@@ -221,8 +221,19 @@ def load_algebra(obj, path="algebra"):
     return _build(path, FiniteRelativeAlgebra, basis, semigroup, ops, unit)
 
 
+class _Formatted(dict):
+    """Scalar -> its ``format_scalar`` text, formatted on its first read."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = self[value] = format_scalar(value)
+        return text
+
+
 def dump_algebra(alg):
     semigroup = alg.index
+    text = _Formatted().__getitem__  # each distinct constant formatted once
     ops = {}
     for role in alg.roles():
         table = {}
@@ -231,9 +242,7 @@ def dump_algebra(alg):
                 key = f"({semigroup.elements[idx[0]]},{semigroup.elements[idx[1]]})"
             else:
                 key = semigroup.elements[idx[0]]
-            table[key] = [
-                [[format_scalar(c) for c in row] for row in plane] for plane in block
-            ]
+            table[key] = [[list(map(text, row)) for row in plane] for plane in block]
         ops[role] = table
     unit = alg.unit_coordinates()
     return {
@@ -241,7 +250,7 @@ def dump_algebra(alg):
         "basis": list(alg.basis),
         "semigroup": dump_semigroup(semigroup),
         "ops": ops,
-        "unit": None if unit is None else [format_scalar(c) for c in unit],
+        "unit": None if unit is None else list(map(text, unit)),
     }
 
 

@@ -24,7 +24,7 @@ Rota-Baxter family's ``op`` reads each operator into once, or else 1.
 """
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, product, repeat
 from math import lcm
 
 from .errors import ContractError, MalformedInputError, read_keyed, read_names, read_table, type_name
@@ -246,14 +246,29 @@ def _kernel(block, den):
 
 def materialize_pair_op(op, dim):
     """Evaluate a pair-indexed operation on all basis pairs of a finite
-    carrier and all pairs of its index, producing a structure-constant table."""
+    carrier and all pairs of its index, producing a structure-constant table.
+    ``fn`` is called once per basis pair and distinct tuple of the indices it
+    reads, with ids from the index, so no call is checked; each product's
+    nonzero terms are divided back by ``den``, and a missing one reads 0."""
     units = [LinComb.single(i) for i in range(dim)]
-    return {
-        (a, b): tuple(
-            tuple(tuple(map(op(a, b, x, y).coeff, range(dim))) for y in units) for x in units
-        )
-        for a, b in product(range(op.index.size), repeat=2)
-    }
+    coords, zeros, den = range(dim), repeat(0), op.den
+    table, blocks = {}, {}
+    for pair in product(range(op.index.size), repeat=2):
+        handed = tuple([pair[k] for k in op.reads])
+        block = blocks.get(handed)
+        if block is None:
+            planes = []
+            for x in units:
+                plane = []
+                for y in units:
+                    terms = op.fn(*handed, x, y)._terms
+                    if den != 1:
+                        terms = {k: exact(Fraction(c, den)) for k, c in terms.items()}
+                    plane.append(tuple(map(terms.get, coords, zeros)))
+                planes.append(tuple(plane))
+            block = blocks[handed] = tuple(planes)
+        table[pair] = block
+    return table
 
 
 class RotaBaxterFamily:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -38,9 +39,11 @@ from relalg import (
 )
 from relalg import SemigroupTable
 from relalg.axioms import FiniteDomain, eval_expr, lifted_position
-from relalg.errors import ConstructionRefused, ContractError
+from relalg.constructions import CONSTRUCTIONS, _compiled, pair_role
+from relalg.errors import ConstructionRefused, ContractError, MalformedInputError
 from relalg.freecheck import free_pair_ops
 from relalg.freedend import SampledTreeDomain
+from relalg.jsonio import load_algebra, load_file, load_rota_baxter
 from relalg.ops import materialize_pair_op
 from relalg.samples import reciprocal_rota_baxter, truncated_integration_zinbiel
 from tests.conftest import one_dim_base, sign_cocycle
@@ -521,6 +524,86 @@ def test_collapse_of_a_family_indexed_role(zmod2):
 def test_collapse_rejects_non_finite():
     with pytest.raises(ContractError):
         collapse(reciprocal_rota_baxter().carrier)
+
+
+# -- materialize_pair_op against the per-call formula: every role and every
+# construction over every committed algebra (and Rota-Baxter family)
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted([*ROOT.glob("data/*.json"), *ROOT.glob("tests/inputs/*.json"), *ROOT.glob("tests/*.json")])
+
+
+def _loaded(path):
+    """The finite algebra a fixture holds, and its operations by role (an
+    ``rb`` family beside its carrier's), or None for any other document."""
+    for load in (load_algebra, load_rota_baxter):
+        try:
+            value = load(load_file(path))
+        except MalformedInputError:
+            continue
+        alg = value if load is load_algebra else value.carrier
+        if not isinstance(alg, FiniteRelativeAlgebra):
+            return None
+        ops = {role: pair_role(alg, role) for role in alg.roles()}
+        if load is load_rota_baxter:
+            ops["rb"] = FamilyIndexedOp(alg.index, value.apply)
+        return alg, ops
+    return None
+
+
+ALGEBRA_FIXTURES = [path for path in FIXTURES if _loaded(path) is not None]
+
+
+def _materialized_cases(path):
+    """(label, pair-indexed operation) for each role of the fixture and each
+    derived role of each construction whose sources it has, compiled over them
+    without the construction's hypothesis."""
+    alg, ops = _loaded(path)
+    cases = [(role, op) for role, op in ops.items() if role != "rb"]
+    for name, (roles, _, terms, _) in sorted(CONSTRUCTIONS.items()):
+        if set(roles) <= set(ops):
+            for role, term in terms.items():
+                cases.append((f"{name}:{role}", _compiled(term, ops, alg.index)))
+    return alg, cases
+
+
+def per_call_table(op, dim):
+    """The table as each checked call reads it: op(a, b, x, y).coeff(k)."""
+    units = [LinComb.single(i) for i in range(dim)]
+    return {
+        (a, b): tuple(
+            tuple(tuple(map(op(a, b, x, y).coeff, range(dim))) for y in units) for x in units
+        )
+        for a, b in product(range(op.index.size), repeat=2)
+    }
+
+
+def _types(table):
+    return {pair: [[[type(c) for c in row] for row in plane] for plane in block]
+            for pair, block in table.items()}
+
+
+@pytest.mark.parametrize("path", ALGEBRA_FIXTURES, ids=lambda p: p.name)
+def test_materialize_is_the_per_call_formula(path):
+    alg, cases = _materialized_cases(path)
+    for label, op in cases:
+        got, expected = materialize_pair_op(op, alg.dim), per_call_table(op, alg.dim)
+        assert got == expected, label
+        assert _types(got) == _types(expected), label  # an int 0, a Fraction only when not integral
+
+
+def test_the_materialized_inputs_take_every_shape():
+    # one-block roles (reads ()), multi-block ones (0, 1), lifted families
+    # (0,) and (1,), and compiled constructions whose scale den is not 1
+    reads, dens, labels = set(), set(), set()
+    for path in ALGEBRA_FIXTURES:
+        for label, op in _materialized_cases(path)[1]:
+            reads.add(op.reads)
+            dens.add(op.den != 1)
+            labels.add(label.split(":")[0])
+    assert reads == {(), (0,), (1,), (0, 1)}
+    assert dens == {False, True}
+    assert set(CONSTRUCTIONS) <= labels
 
 
 # -- the collapse oracle: A satisfies RelP over S exactly when collapse(A)

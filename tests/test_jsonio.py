@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relalg import LinComb, check_axioms, finite_domain
 from relalg.errors import MalformedInputError
@@ -19,7 +21,7 @@ from relalg.jsonio import (
     load_rota_baxter,
     load_semigroup,
 )
-from relalg.reports import to_json
+from relalg.reports import _render, to_json
 from relalg.samples import truncated_integration_zinbiel
 
 ZMOD2 = {
@@ -165,14 +167,42 @@ FIXTURE_FORMATS = {
 }
 
 
+def scaled_zinbiel_doc(degree, scale):
+    """The truncated-integration zinbiel of ``degree`` with every constant
+    times ``scale``, written out by hand: "p/q" with the denominator always
+    explicit, so a zero reads "0/1"."""
+    dim = degree + 1
+
+    def scalar(m, n, k):
+        c = Fraction(scale, m + 1) if k == m + n + 1 else Fraction(0)
+        return f"{c.numerator}/{c.denominator}"
+
+    block = [[[scalar(m, n, k) for k in range(dim)] for n in range(dim)] for m in range(dim)]
+    return {
+        "dim": dim,
+        "basis": [f"t^{m}" for m in range(dim)],
+        "semigroup": {"elements": ["e"], "product": [[0]], "unit": "e", "commutative": True},
+        "ops": {"ast": {"(e,e)": block}},
+        "unit": None,
+    }
+
+
+# a document made in the test, beside the fixtures: Fractions, negative
+# values and zeros, one distinct constant written many times
+GENERATED = {"zinbiel6 scaled by -123456789012345678901/7": (
+    load_algebra, dump_algebra, scaled_zinbiel_doc(6, Fraction(-123456789012345678901, 7)))}
+
+
 @pytest.mark.parametrize(
-    "name", sorted(p.name for p in DATA.glob("*.json") if p.name != "rb_reciprocal.json")
+    "name", sorted(p.name for p in DATA.glob("*.json") if p.name != "rb_reciprocal.json") + sorted(GENERATED)
 )
 def test_load_dump_is_the_identity_on_every_fixture(name):
     # each fixture is written back as read, so loading what a dumper wrote
     # rebuilds the fixture's value from the fixture's own document
-    load, dump = FIXTURE_FORMATS[name]
-    doc = load_file(DATA / name)
+    if name in GENERATED:
+        load, dump, doc = GENERATED[name]
+    else:
+        (load, dump), doc = FIXTURE_FORMATS[name], load_file(DATA / name)
     assert dump(load(doc)) == doc
 
 
@@ -364,6 +394,68 @@ def test_report_json_roundtrip_is_byte_identical():
     report = check_axioms(alg.as_carrier(), "RelAssoc", finite_domain(alg))
     text = to_json(report.to_payload())
     assert to_json(json.loads(text)) == text
+
+
+# the canonical bytes to_json promises, written by json itself
+def reference_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class _DictSubclass(dict):
+    pass
+
+
+# escapes, control characters and non-ASCII (surrogates and astral ones too)
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀", ""])
+_LEAVES = st.none() | st.booleans() | st.integers() | st.integers(-(10**30), 10**30) | _TEXT
+
+
+def _nested(leaves, keys=_TEXT, dict_type=dict):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4).map(dict_type),
+        max_leaves=20,
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_nested(_LEAVES))
+def test_the_renderer_writes_what_json_dumps_writes(payload):
+    # _render itself, not the fallback, writes every payload of this shape
+    assert _render(payload, "\n") + "\n" == to_json(payload) == reference_json(payload)
+
+
+def _refused(payload):
+    try:
+        _render(payload, "\n")
+    except TypeError:
+        return True
+    return False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(
+    _nested(st.floats() | _LEAVES),
+    _nested(_LEAVES, keys=st.integers()),
+    _nested(_LEAVES, dict_type=_DictSubclass),
+).filter(_refused))
+def test_a_payload_the_renderer_refuses_is_written_by_json_dumps(payload):
+    assert to_json(payload) == reference_json(payload)
+
+
+def test_a_payload_nested_past_the_renderer_is_written_by_json_dumps():
+    # json.dumps writes a list nested 700 deep, where the renderer runs out
+    # of stack; a circular one is json's own ValueError
+    deep = []
+    for _ in range(700):
+        deep = [deep]
+    assert to_json(deep) == reference_json(deep)
+    circular = []
+    circular.append(circular)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        to_json(circular)
 
 
 def _table_refusal_files():
