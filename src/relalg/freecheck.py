@@ -7,7 +7,6 @@ from .axioms import SUITES, check_axioms
 from .constructions import assoc_from_dend, family_to_pair, lie_from_prelie, prelie_from_dend
 from .errors import ContractError
 from .ops import OpCarrier
-from .semigroups import power
 
 FREE_SUITES = (
     "DimonoidDendriform",
@@ -67,20 +66,18 @@ def free_suite_carrier(carrier, suite_name):
 
 
 def free_check(carrier, suite_name, samples=200, max_vertices=6, seed=0):
-    """Run a suite over seeded random tree tuples and all index tuples.  With more than
-    one sample it runs on one carrier over the power of the index that the index tuples
-    generate (``semigroups.power``), if within ``freedend.POWER_BOUND``; the carrier given
-    gets no products.  Each sample tuple after the first is then taken once, at the
+    """Run a suite over seeded random tree tuples and all index tuples.  Where its
+    ``SampledTreeDomain``, given the suite's index variables, holds the samples on a
+    carrier over a power of the index, the suite runs on that carrier and the carrier
+    given gets no products.  Each sample tuple after the first is then taken once, at the
     power's columns, which assumes the grafting recursion reads edge labels only through
     the index's products; the first is taken at every index tuple, so a carrier breaking
     that fails if it shows there.  Element d is the power's diagonal, under d's name, so
     every report byte is that of the scan on the carrier given."""
     suite = _free_suite(suite_name)
     n = max(equation.n_idx for equation in suite.equations)
-    found = samples > 1 and power(carrier.dimonoid, n, freedend.POWER_BOUND)
-    over = (type(carrier)(carrier.decorations, found[0]), found[1]) if found else None
-    opc = free_suite_carrier(over[0] if over else carrier, suite_name)
-    domain = freedend.SampledTreeDomain(carrier, samples, max_vertices, seed, over)
+    domain = freedend.SampledTreeDomain(carrier, samples, max_vertices, seed, n)
+    opc = free_suite_carrier(domain.carrier, suite_name)
     report = check_axioms(opc, suite_name, domain, check_name=f"free-check:{suite_name}")
     info = {
         **report.info,

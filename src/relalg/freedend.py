@@ -23,7 +23,7 @@ from random import Random
 from .errors import ContractError, MalformedInputError, read_names
 from .lincomb import LinComb
 from .ops import FamilyIndexedOp
-from .semigroups import DimonoidTable, SemigroupTable, semigroup_from_dimonoid
+from .semigroups import DimonoidTable, SemigroupTable, power, semigroup_from_dimonoid
 from .trees import EMPTY, LABEL, DecoratedTree, random_tree_from, tree_parse, tree_print
 
 # The most entries one carrier's node table and basis cache (one tuple per
@@ -207,22 +207,15 @@ class FreeDendCarrier:
         if hit is not None:
             return hit
         grafts, dimonoid = [], self.dimonoid
-        edge = dimonoid.left_mul(sigma2, a)
-        for u in self._basis_prec(right, t, a):
-            node = label, left, left_edge, u, edge
-            i = ids.get(node)
-            if i is None:
-                i = ids[node] = self._base + len(nodes)
-                nodes.append(node)
-            grafts.append(i)
-        edge = dimonoid.right_mul(sigma2, a)
-        for u in self._basis_succ(right, t, sigma2):
-            node = label, left, left_edge, u, edge
-            i = ids.get(node)
-            if i is None:
-                i = ids[node] = self._base + len(nodes)
-                nodes.append(node)
-            grafts.append(i)
+        for edge, products in ((dimonoid.left_mul(sigma2, a), self._basis_prec(right, t, a)),
+                               (dimonoid.right_mul(sigma2, a), self._basis_succ(right, t, sigma2))):
+            for u in products:
+                node = label, left, left_edge, u, edge
+                i = ids.get(node)
+                if i is None:
+                    i = ids[node] = self._base + len(nodes)
+                    nodes.append(node)
+                grafts.append(i)
         hit = self._cache[key] = tuple(grafts)
         return hit
 
@@ -247,22 +240,15 @@ class FreeDendCarrier:
         if hit is not None:
             return hit
         grafts, dimonoid = [], self.dimonoid
-        edge = dimonoid.left_mul(a, tau1)
-        for u in self._basis_prec(s, left, tau1):
-            node = label, u, edge, right, right_edge
-            i = ids.get(node)
-            if i is None:
-                i = ids[node] = self._base + len(nodes)
-                nodes.append(node)
-            grafts.append(i)
-        edge = dimonoid.right_mul(a, tau1)
-        for u in self._basis_succ(s, left, a):
-            node = label, u, edge, right, right_edge
-            i = ids.get(node)
-            if i is None:
-                i = ids[node] = self._base + len(nodes)
-                nodes.append(node)
-            grafts.append(i)
+        for edge, products in ((dimonoid.left_mul(a, tau1), self._basis_prec(s, left, tau1)),
+                               (dimonoid.right_mul(a, tau1), self._basis_succ(s, left, a))):
+            for u in products:
+                node = label, u, edge, right, right_edge
+                i = ids.get(node)
+                if i is None:
+                    i = ids[node] = self._base + len(nodes)
+                    nodes.append(node)
+                grafts.append(i)
         hit = self._cache[key] = tuple(grafts)
         return hit
 
@@ -335,17 +321,20 @@ class SampledTreeDomain:
     tree order.  The tuples of each arity k are drawn once, as trees, by the
     carrier given from a fresh ``Random(seed)`` when ``elements(k)`` is first
     iterated, and every later call yields the same tuples: every equation of
-    that arity sees them, and repeated runs are bit-identical.  ``power``, if
-    given, is ``(over, columns)``: a carrier over a power of the index
-    (``semigroups.power``), which then holds the samples, and the ids of the
-    power's columns, which the scan reads as ``columns`` (else None).  The
-    carrier holding the samples settles before each tuple; once it has
-    emptied its tables, the tuples are interned again under fresh ids."""
+    that arity sees them, and repeated runs are bit-identical.  Given
+    ``index_vars`` index variables and more than one sample, a new carrier
+    over the power their index tuples generate (``semigroups.power``), if
+    within ``POWER_BOUND``, holds the samples, and the scan reads the ids of
+    its columns as ``columns`` (else None).  The carrier holding the samples
+    settles before each tuple; once it has emptied its tables, the tuples
+    are interned again under fresh ids."""
 
-    def __init__(self, carrier, samples, max_vertices, seed, power=None):
+    def __init__(self, carrier, samples, max_vertices, seed, index_vars=0):
         if samples < 1 or max_vertices < 1:
             raise ContractError("a tree sample needs samples >= 1 and max_vertices >= 1")
-        self.carrier, self.columns = power or (carrier, None)
+        over = index_vars and samples > 1 and power(carrier.dimonoid, index_vars, POWER_BOUND)
+        self.carrier = type(carrier)(carrier.decorations, over[0]) if over else carrier
+        self.columns = over[1] if over else None
         self._draw = carrier.random_tree
         self.samples = samples
         self.max_vertices = max_vertices

@@ -48,8 +48,8 @@ def format_scalar(value):
 def exact(value):
     """Any rational scalar (an ``int``, a ``Fraction``, a finite float, a
     ``"p/q"`` string read by :func:`parse_scalar`, ...) in the one exact form:
-    an ``int`` when its denominator is 1, else a Fraction.  Anything else is
-    refused as :class:`MalformedInputError`.  Every scalar the package holds
+    an ``int`` when its denominator is 1, else a Fraction.  Anything else (a
+    ``bool`` too) is refused as :class:`MalformedInputError`.  Every scalar held
     is coerced here; an ``int`` or a ``Fraction`` pays for no other test."""
     if type(value) is int:
         return value
@@ -57,6 +57,8 @@ def exact(value):
         if isinstance(value, str):
             return parse_scalar(value)
         try:
+            if isinstance(value, bool):  # an int to Fraction, not a number to the package
+                raise TypeError
             value = Fraction(value)
         except (TypeError, ValueError, ArithmeticError):
             raise MalformedInputError(f"bad scalar {value!r:.40}: not a rational number") from None

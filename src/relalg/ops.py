@@ -24,6 +24,7 @@ Rota-Baxter family's ``op`` reads each operator into once, or else 1.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import compress, product, repeat
 from math import lcm
 
@@ -217,18 +218,15 @@ ZERO = LinComb()  # the one shared zero vector
 def _kernel(block, den):
     """``den`` times the bilinear product ``(x, y) -> LinComb`` of one block.
     A zero argument gives one shared zero.  The product of two basis vectors,
-    the integer ``(k, den * coeff)`` terms of its nonzero constants, is read
-    from the block on first use and memoised, at most dim² shared, immutable
-    values per block held by the algebra; a pair of single-term vectors reads
-    it scaled by the product of their coefficients, any other is expanded."""
-    memo = {}
+    the integer ``(k, den * coeff)`` terms of its nonzero constants, is built
+    by the cached ``entry`` on first use, at most dim² shared, immutable values
+    per block held by the algebra; a pair of single-term vectors reads it
+    scaled by the product of their coefficients, any other is expanded."""
 
+    @cache
     def entry(i, j):
-        value = memo.get((i, j))
-        if value is None:
-            terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(block[i][j]) if c]
-            value = memo[i, j] = LinComb(terms) or ZERO
-        return value
+        terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(block[i][j]) if c]
+        return LinComb(terms) or ZERO
 
     def kernel(x, y):
         x, y = x._terms, y._terms
@@ -236,7 +234,7 @@ def _kernel(block, den):
             return ZERO
         if len(x) == 1 == len(y):
             ((i, ci),), ((j, cj),) = x.items(), y.items()
-            value = memo.get((i, j)) or entry(i, j)
+            value = entry(i, j)
             weight = ci * cj
             return value if weight == 1 or value is ZERO else value.scale(weight)
         return lc_bilinear_extend(entry, x.items(), y.items())

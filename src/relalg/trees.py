@@ -4,13 +4,13 @@ edges: the basis of the free dendriform algebra.
 Trees are immutable by contract, like every value in the package.
 Construction computes the size and a structural hash (from the root label,
 the edge labels and the children's hashes).  Equality and hashing are
-structural, with an identity fast path, so equal trees compare and hash
-equal wherever they were built; inside a check a free carrier codes its
-trees as int ids instead (see ``freedend``).  An edge label is present
-exactly when the subtree on that side is nonempty.  The canonical total
-order is vertex count, then shape, then vertex labels, then edge labels (all
-in preorder); its sort key is built on first use, since only rendering
-sorts.
+structural, so equal trees compare and hash equal wherever they were built;
+inside a check a free carrier codes its trees as int ids instead (see
+``freedend``).  An edge label is present exactly when the subtree on that
+side is nonempty.  The canonical total order is vertex count, then shape,
+then vertex labels, then edge labels (all in preorder); its sort key, which
+determines the tree, is built on first use, since only rendering sorts, and
+equality reads it only past the identity and hash fast paths.
 
 Text form: ``e`` is the empty tree; ``x[]`` a single vertex; otherwise
 ``label[edge: tree, edge: tree]`` with either side omissible, e.g.
@@ -78,17 +78,8 @@ class DecoratedTree:
         return key
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, DecoratedTree)
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.left_edge == other.left_edge
-            and self.right_edge == other.right_edge
-            and self.left == other.left
-            and self.right == other.right
-        )
+        return self is other or (isinstance(other, DecoratedTree) and self._hash == other._hash
+                                 and self.sort_key() == other.sort_key())
 
     def __hash__(self):
         return self._hash

@@ -1011,8 +1011,9 @@ def _drop_a_grafting_at_index_1(monkeypatch, anywhere):
 )
 def test_a_free_check_reports_the_bytes_of_the_full_scan(suite, defect, instances, monkeypatch):
     # the reference walk evaluates every index tuple; the check skips those
-    # that repeat one before them and counts them as passed.  Given a carrier
-    # over the power of Z/2 that free_check builds, the check runs on it and
+    # that repeat one before them and counts them as passed.  Given the three
+    # index variables, the domain holds its samples on a carrier over the
+    # power of Z/2 that free_check's builds; the check runs on it and
     # takes each sample tuple but the first once, at the columns' ids, and the
     # defects, keyed on index 1, show in the first sample, taken at each index
     # tuple; the carrier given then gets no products
@@ -1025,11 +1026,13 @@ def test_a_free_check_reports_the_bytes_of_the_full_scan(suite, defect, instance
     for over_a_power in (False, True):
         evaluated.clear()
         carrier = FreeDendCarrier(["x", "y"], cyclic_monoid(2))
-        table, columns = power(carrier.dimonoid, 3, 16)
-        given = (FreeDendCarrier(["x", "y"], table), columns) if over_a_power else None
-        checked = given[0] if over_a_power else carrier
-        report = check_axioms(free_suite_carrier(checked, suite), suite,
-                              SampledTreeDomain(carrier, 4, 6, 0, given))
+        domain = SampledTreeDomain(carrier, 4, 6, 0, 3 if over_a_power else 0)
+        if over_a_power:
+            table, columns = power(carrier.dimonoid, 3, 16)
+            assert domain.carrier.dimonoid.size == table.size and domain.columns == columns
+        else:
+            assert (domain.carrier, domain.columns) == (carrier, None)
+        report = check_axioms(free_suite_carrier(domain.carrier, suite), suite, domain)
         same_report(report, reference)
         assert (report.passed, report.instances) == (defect is None, instances)
         assert sum(len(lhs) for _, (lhs, _) in evaluated) < report.instances

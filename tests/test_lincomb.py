@@ -22,6 +22,7 @@ from relalg import (
 from relalg.cli import main
 from relalg.errors import MalformedInputError
 from relalg.jsonio import load_algebra
+from relalg.lincomb import exact
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -352,6 +353,17 @@ def test_unordered_terms_with_int_or_fraction_coefficients(data):
     assert mixed.scale(Fraction(1)) is mixed
     assert mixed.scale(0) == LinComb()
     assert mixed.scale(0).is_zero()
+
+
+def test_a_bool_is_not_a_scalar():
+    # bool is an int subclass that Fraction reads as 0 or 1; as index_leaf
+    # refuses a bool index, exact refuses a bool scalar, wherever it is given
+    for value in (True, False):
+        with pytest.raises(MalformedInputError, match=f"^bad scalar {value}: not a rational number$"):
+            exact(value)
+    with pytest.raises(MalformedInputError,
+                       match=r"^ops\[mul\]\[\(0, 0\)\]\[0\]\[0\]\[0\]: bad scalar True: not a rational"):
+        FiniteRelativeAlgebra(["u"], cyclic_monoid(1), {"mul": {(0, 0): (((True,),),)}})
 
 
 def test_scalars_held_in_one_exact_form():

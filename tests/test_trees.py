@@ -96,6 +96,11 @@ def test_equality_and_hash_are_structural():
     for t, u in ((DecoratedTree(1), DecoratedTree("1")),
                  (DecoratedTree(1, DecoratedTree(2), 0), DecoratedTree("1", DecoratedTree("2"), "0"))):
         assert t == u and t._hash == u._hash
+    # equality reads the sort key past the hash: a different tree whose hash
+    # is made equal still compares unequal, either way round
+    forged = tree_parse("x[b: y[], b: x[]]")
+    forged._hash = t1._hash
+    assert t1 != forged and forged != t1
 
 
 def test_random_tree_deterministic():
@@ -138,4 +143,8 @@ def test_lazy_sort_key_matches_the_eager_one():
     trees = [random_tree_from(rng, ["x", "y", "z"], ["a", "b"], 7) for _ in range(2000)]
     for t in trees:
         assert t.sort_key() == eager_sort_key(t)
+        # the key determines the tree: rebuilt from its text, it is equal
+        rebuilt = tree_parse(tree_print(t))
+        assert rebuilt is not t and rebuilt == t and hash(rebuilt) == hash(t)
     assert sorted(trees) == sorted(trees, key=eager_sort_key)
+    assert len(set(trees)) == len({tree_print(t) for t in trees})
